@@ -1,19 +1,25 @@
 """The curvature-dimension condition CD(K,n) and the exact curvature solver.
 
 CD(K,n) asks that Gamma_2(f)(x) >= (1/n) (Delta f)^2(x) + K Gamma(f)(x) for
-every function f.  Because Gamma_2, Gamma and Delta at x only see the 2-ball
-around x and are invariant under adding constants, the condition at x is
-equivalent to positive semidefiniteness of
+every function f.  Gamma_2, Gamma and Delta at x only see the 2-ball around x
+and ignore constants, so the condition at x is positive semidefiniteness of
 
-    M(K) = gamma2_matrix - (1/n) laplace_vector' laplace_vector
-                         - K gamma_matrix
+    M(K) = gamma2_matrix - (1/n) laplace_vector' laplace_vector - K gamma_matrix
 
-on the punctured 2-ball (the 1/n term is dropped at n = infinity).  Since
-gamma_matrix is positive semidefinite, the smallest eigenvalue of M(K) is
-non-increasing in K, the feasible K form a half-line, and bisection on the
-eigenvalue sign is a sound solver.  A generalized eigenproblem would be
-ill-posed here: gamma_matrix is singular whenever the 2-ball is larger than
-the 1-ball.
+on the punctured 2-ball (no 1/n term at n = infinity).  Order the support as
+the 1-sphere S1, then the 2-sphere S2: gamma2_matrix = [[P, Q], [Q', R]],
+gamma_matrix = diag(B, 0) and laplace_vector = (d, 0).  With f(x) = 0,
+Gamma(f)(x) sums b(x,y) f(y)^2 / (2 m(x)) over the neighbors y, so B is
+diagonal and positive.  For f supported on S2, Gamma(f)(x) and
+Gamma(f, Delta f)(x) vanish (each term carries f(y) - f(x) = 0), so
+Gamma_2(f)(x) = (1/2) Delta Gamma(f)(x) = sum_z f(z)^2 sum_y b(x,y) b(y,z) /
+(4 m(x) m(y)): R is diagonal, and positive as every z in S2 has a neighbor in
+S1.  By the Schur complement of R, M(K) >= 0 exactly when
+
+    K <= lambda_min(B^{-1/2} (P - Q R^{-1} Q' - d d'/n) B^{-1/2}),
+
+one eigensolve of size |S1| (Cushing, Liu and Peyerimhoff, "Bakry-Emery
+curvature functions on graphs").
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ __all__ = [
 ]
 
 EIG_TOL = 1e-10  # absolute tolerance on the smallest eigenvalue of M(K)
-CURVATURE_TOL = 1e-9  # final bisection bracket half-width
-CURVATURE_CAP = 1e6  # |K| cap distinguishing vacuous/degenerate cases
+CURVATURE_TOL = 1e-9  # relative first step of the refuting-K search
+CURVATURE_CAP = 1e6  # curvature reported at isolated vertices (vacuous CD)
 
 
 @dataclass(frozen=True)
@@ -105,52 +111,43 @@ def cd_check(
 
 
 def curvature_solve(g: WeightedGraph, x: str, n: float) -> CurvatureResult:
-    """sup{K : CD(K,n) holds at x} by bisection on the eigenvalue sign.
+    """sup{K : CD(K,n) holds at x} by the Schur-complement closed form.
 
-    The initial bracket [-1, 1] is expanded by doubling until it straddles
-    feasibility, capped at |K| <= CURVATURE_CAP.  Isolated vertices saturate
-    the cap with converged = True (the condition is vacuous there).
+    The result is certified: K steps down from the closed form, by a margin
+    doubling from machine precision times the spectral scale, until cd_check
+    accepts it.  ``bracket_width`` is half the gap to a K that cd_check
+    refutes, found by doubling a step from CURVATURE_TOL * max(1, |K|).
+    Isolated vertices return CURVATURE_CAP with converged = True (the
+    condition is vacuous there).
     """
     n = _check_dimension(n)
     forms = local_forms(g, x)
     if forms.size == 0:
         return CurvatureResult(x, n, CURVATURE_CAP, True, 0.0)
 
-    def feasible(K: float) -> bool:
-        return _smallest_eigenvalue(forms, K, n) >= -EIG_TOL
+    k = len(g.neighbors(x))  # the support lists S1 first
+    A = forms.gamma2_matrix
+    d = forms.laplace_vector[:k]
+    S = A[:k, :k] - (A[:k, k:] / np.diag(A)[k:]) @ A[k:, :k]
+    if not math.isinf(n):
+        S = S - np.outer(d, d) / n
+    b = 1.0 / np.sqrt(np.diag(forms.gamma_matrix)[:k])
+    eigs = np.linalg.eigvalsh(b[:, None] * S * b)
+    K = float(eigs[0])
 
-    lo, hi = -1.0, 1.0
-    hi_ok = feasible(hi)
-    while hi_ok and hi < CURVATURE_CAP:
-        lo = hi
-        hi = min(2.0 * hi, CURVATURE_CAP)
-        hi_ok = feasible(hi)
-    if hi_ok:
-        return CurvatureResult(x, n, CURVATURE_CAP, True, 0.0)
-    lo_ok = feasible(lo)
-    while not lo_ok and lo > -CURVATURE_CAP:
-        hi = lo
-        lo = max(2.0 * lo, -CURVATURE_CAP)
-        lo_ok = feasible(lo)
-    if not lo_ok:
-        # cannot happen on a locally finite graph (Gamma_2 is positive
-        # definite on the kernel of gamma_matrix); kept as a guard
-        return CurvatureResult(x, n, -CURVATURE_CAP, False, 0.5 * (hi - lo))
-
-    while hi - lo > 2.0 * CURVATURE_TOL:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    # report the feasible bracket end: the returned K is then certified,
-    # never an overshoot that downstream estimate checks would refute
+    step = np.finfo(float).eps * max(float(np.abs(eigs).max()), float(d.sum()))
+    while not cd_check(g, K, n, x, forms)[0]:
+        K -= step
+        step *= 2.0
+    step = CURVATURE_TOL * max(1.0, abs(K))
+    while cd_check(g, K + step, n, x, forms)[0]:
+        step *= 2.0
     return CurvatureResult(
         vertex=x,
         dimension=n,
-        curvature=lo,
+        curvature=K,
         converged=True,
-        bracket_width=0.5 * (hi - lo),
+        bracket_width=0.5 * step,
     )
 
 

@@ -66,6 +66,7 @@ __all__ = [
 
 REPORT_TOL = 1e-8  # absolute slack tolerance for verdicts
 QUAD_TOL = 1e-8  # relative agreement between Simpson refinements
+_MAX_EXPONENT = math.log(np.finfo(float).max)  # largest 2|K|t with e^{2|K|t} finite
 
 
 class PreconditionError(ValueError):
@@ -253,6 +254,16 @@ def _check_estimate_inputs(h: HeatOperator, f: GraphFunction, t: float, n: float
         raise ValueError("f must be nonnegative")
 
 
+def _check_exponent(K: float, t: float) -> None:
+    """Refuse (K, t) whose coefficients e^{+-2Kt} overflow a double."""
+    if 2.0 * abs(K) * t > _MAX_EXPONENT:
+        raise PreconditionError(
+            f"the estimate coefficients e^(2|K|t) overflow double precision at "
+            f"K = {K:g}, t = {t:g} (2|K|t = {2.0 * abs(K) * t:g} exceeds "
+            f"{_MAX_EXPONENT:.6g}); use a smaller |K| or t"
+        )
+
+
 def _report_from_arrays(
     g: WeightedGraph,
     slacks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
@@ -301,6 +312,7 @@ def verify_estimates(
     if heat_op is None:
         heat_op = build_heat(g)
     _check_estimate_inputs(heat_op, f, t, n)
+    _check_exponent(K, t)
     g.index(x)
     slacks = _slack_arrays(g, heat_op, K, float(n), f.array[:, None], t)
     return _report_from_arrays(g, slacks, 0, function_id, t, x, K, float(n))
@@ -332,6 +344,7 @@ def estimate_sweep(
     times = [float(t) for t in t_grid]
     if any(t < 0 for t in times):
         raise ValueError("t must be nonnegative")
+    _check_exponent(K, max(times, default=0.0))
 
     # one batched slack evaluation per t covers the whole corpus
     F = np.stack([f.array for _, f in function_corpus], axis=1)

@@ -12,9 +12,8 @@ Gamma_1 (written Gamma) measures the squared gradient and has the closed form
 Bochner-type curvature information used by the CD solver.
 
 All public operations act on GraphFunction values.  The array-level helpers
-accept (N,) vectors or (N,B) batches and are shared by the curvature and
-estimate modules, which need to evaluate the operators on many functions at
-once.
+accept (N,) vectors or (N,B) batches and are shared by the heat and estimate
+modules, which need to evaluate the operators on many functions at once.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphFunction, WeightedGraph, _check_graph_function, ball
+from .graphs import GraphFunction, WeightedGraph, _check_graph_function
 
 __all__ = [
     "LocalForms",
@@ -145,21 +144,29 @@ class LocalForms:
 
 
 def local_forms(g: WeightedGraph, x: str) -> LocalForms:
-    """Assemble the local forms at x from the pointwise bilinear operators.
+    """Assemble the local forms at x on the induced 2-ball.
 
-    Each matrix entry is the corresponding bilinear operator evaluated on a
-    pair of coordinate indicator functions of the punctured 2-ball, so the
-    assembly has no formula of its own to get wrong.
+    Gamma_2(f)(x) only reads f on the 2-ball, and only the 1-ball rows of
+    the Laplacian, which the induced subgraph keeps in full.  On the 2-ball
+    (center at local index 0) let L = (W - diag(deg))/m be the Laplacian and
+    G_y the matrix of Gamma(.,.)(y), so that f' G_y h = Gamma(f,h)(y).  Gamma
+    is bilinear, so the defining recursion acts on matrices:
+
+        2 Gamma_2(x) = sum_y L[x,y] G_y - G_x L - L' G_x,
+
+    and with a_y = L[x,y] / (2 m(y)) the weighted sum has the closed form
+
+        sum_y L[x,y] G_y = diag(W a + a deg) - W diag(a) - diag(a) W.
+
+    Pinning f(x) = 0 drops the center row and column.
     """
     ix = g.index(x)
-    one_ball = sorted(g.index(v) for v in ball(g, x, 1) if v != x)
-    two_sphere = sorted(
-        g.index(v) for v in ball(g, x, 2) - ball(g, x, 1)
-    )
-    support_idx = one_ball + two_sphere
-    s = len(support_idx)
+    adj = g._adjacency
+    one_sphere = sorted(adj[ix])
+    two_sphere = sorted({z for y in one_sphere for z in adj[y]} - {ix, *one_sphere})
+    support_idx = one_sphere + two_sphere
     names = tuple(g.vertices[i] for i in support_idx)
-    if s == 0:
+    if not support_idx:
         return LocalForms(
             center=x,
             support=(),
@@ -168,28 +175,30 @@ def local_forms(g: WeightedGraph, x: str) -> LocalForms:
             laplace_vector=_frozen(np.zeros(0)),
         )
 
-    basis = np.zeros((g.num_vertices, s))
-    basis[support_idx, np.arange(s)] = 1.0
+    b2 = [ix] + support_idx
+    W = g.weight_matrix[np.ix_(b2, b2)]
+    m = g.measure_vector[b2]
+    deg = W.sum(axis=1)
+    L = (W - np.diag(deg)) / m[:, None]
 
-    # one batched evaluation per operator: columns run over pairs i <= j
-    ii, jj = np.triu_indices(s)
-    g2_vals = gamma_recursive_array(g, 2, basis[:, ii], basis[:, jj])[ix]
-    g1_vals = gamma_recursive_array(g, 1, basis[:, ii], basis[:, jj])[ix]
+    # G_x is supported on the 1-ball: row and column 0 plus a diagonal
+    wx = W[0]
+    Gx = np.diag(wx)
+    Gx[0, 0] = deg[0]
+    Gx[0, :] -= wx
+    Gx[:, 0] -= wx
+    Gx /= 2.0 * m[0]
 
-    A2 = np.zeros((s, s))
-    B = np.zeros((s, s))
-    A2[ii, jj] = g2_vals
-    A2[jj, ii] = g2_vals
-    B[ii, jj] = g1_vals
-    B[jj, ii] = g1_vals
-    d = laplacian_array(g, basis)[ix]
+    a = L[0] / (2.0 * m)
+    GxL = Gx @ L
+    A2 = np.diag(W @ a + a * deg) - W * a - a[:, None] * W - GxL - GxL.T
 
     return LocalForms(
         center=x,
         support=names,
-        gamma2_matrix=_frozen(A2),
-        gamma_matrix=_frozen(B),
-        laplace_vector=_frozen(d),
+        gamma2_matrix=_frozen(0.5 * A2[1:, 1:]),
+        gamma_matrix=_frozen(Gx[1:, 1:]),
+        laplace_vector=_frozen(L[0, 1:]),
     )
 
 

@@ -3,13 +3,19 @@
 The naive oracles below follow the pointwise definitions with plain Python
 loops over neighbors.  They deliberately share no code with the package's
 vectorized kernels so that agreement between the two is a genuine check.
+The reference curvature path (whole-graph indicator assembly of the local
+forms and a bisection solver) is the slow but formula-free computation the
+package's 2-ball assembly and closed-form solver are compared against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from graphcurv import GraphFunction, WeightedGraph
+from graphcurv import GraphFunction, LocalForms, WeightedGraph
+from graphcurv.curvature import CURVATURE_CAP, CURVATURE_TOL, EIG_TOL, cd_matrix
+from graphcurv.graphs import ball
+from graphcurv.operators import gamma_recursive_array, laplacian_array
 
 
 def random_connected_graph(
@@ -64,3 +70,66 @@ def naive_gamma2(g: WeightedGraph, f: dict[str, float], h: dict[str, float]) -> 
     term2 = naive_gamma(g, f, lap_h)
     term3 = naive_gamma(g, lap_f, h)
     return {x: 0.5 * (term1[x] - term2[x] - term3[x]) for x in g.vertices}
+
+
+# -- reference curvature path ---------------------------------------------------
+
+
+def reference_local_forms(g: WeightedGraph, x: str) -> LocalForms:
+    """Local forms from the pointwise bilinear operators on the whole graph.
+
+    Each matrix entry is the operator evaluated on a pair of coordinate
+    indicator functions of the punctured 2-ball, so the assembly has no
+    formula of its own to get wrong.
+    """
+    ix = g.index(x)
+    one_ball = sorted(g.index(v) for v in ball(g, x, 1) if v != x)
+    two_sphere = sorted(g.index(v) for v in ball(g, x, 2) - ball(g, x, 1))
+    support_idx = one_ball + two_sphere
+    s = len(support_idx)
+    names = tuple(g.vertices[i] for i in support_idx)
+    if s == 0:
+        return LocalForms(x, (), np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0))
+
+    basis = np.zeros((g.num_vertices, s))
+    basis[support_idx, np.arange(s)] = 1.0
+    ii, jj = np.triu_indices(s)
+    g2_vals = gamma_recursive_array(g, 2, basis[:, ii], basis[:, jj])[ix]
+    g1_vals = gamma_recursive_array(g, 1, basis[:, ii], basis[:, jj])[ix]
+    A2 = np.zeros((s, s))
+    B = np.zeros((s, s))
+    A2[ii, jj] = A2[jj, ii] = g2_vals
+    B[ii, jj] = B[jj, ii] = g1_vals
+    return LocalForms(x, names, A2, B, laplacian_array(g, basis)[ix])
+
+
+def bisection_solve(g: WeightedGraph, x: str, n: float) -> tuple[float, float]:
+    """(K, bracket_width) for sup{K : CD(K,n) at x} by bisection.
+
+    Bisects on the sign of lambda_min(M(K)) against EIG_TOL.  The bracket
+    [-1, 1] doubles until it straddles feasibility (upwards only as far as
+    CURVATURE_CAP) and then halves to CURVATURE_TOL; K is the feasible end.
+    """
+    forms = reference_local_forms(g, x)
+    if forms.size == 0:
+        return CURVATURE_CAP, 0.0
+
+    def feasible(K: float) -> bool:
+        return float(np.linalg.eigvalsh(cd_matrix(forms, K, n))[0]) >= -EIG_TOL
+
+    lo, hi = -1.0, 1.0
+    hi_ok = feasible(hi)
+    while hi_ok and hi < CURVATURE_CAP:
+        lo, hi = hi, min(2.0 * hi, CURVATURE_CAP)
+        hi_ok = feasible(hi)
+    if hi_ok:
+        return CURVATURE_CAP, 0.0
+    while not feasible(lo):
+        lo, hi = 2.0 * lo, lo
+    while hi - lo > 2.0 * CURVATURE_TOL:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, 0.5 * (hi - lo)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_connected_graph
+from conftest import bisection_solve, random_connected_graph
 from graphcurv import (
     GraphFunction,
     WeightedGraph,
@@ -22,6 +24,14 @@ from graphcurv.graphs import ball
 
 def single_edge():
     return generate("complete", 2)
+
+
+def scaled_weights(g, c):
+    return WeightedGraph(
+        g.vertices,
+        {(u, v): c * w for u, v, w in g.edges()},
+        {v: g.measure(v) for v in g.vertices},
+    )
 
 
 # -- cd_check -------------------------------------------------------------------
@@ -122,6 +132,45 @@ def test_weight_scaling_scales_curvature():
         k1 = curvature_solve(g, x, math.inf).curvature
         k2 = curvature_solve(scaled, x, math.inf).curvature
         assert k2 == pytest.approx(lam * k1, rel=1e-8, abs=1e-7)
+
+
+def test_solver_matches_bisection_reference():
+    # the bisection brackets sup{K : cd_check accepts} in [K, K + 2 * width]
+    # and reports the lower end; the closed form must lie below the upper
+    # end and, being exact, at most the EIG_TOL overshoot below the lower one
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        g = random_connected_graph(rng, int(rng.integers(2, 13)),
+                                   extra_edge_prob=float(rng.uniform(0.05, 0.5)))
+        for x in g.vertices[:3]:
+            for n in (1.0, 4.0, math.inf):
+                r = curvature_solve(g, x, n)
+                ref_k, ref_width = bisection_solve(g, x, n)
+                assert r.converged
+                assert cd_check(g, r.curvature, n, x)[0]
+                assert r.curvature <= ref_k + 2 * ref_width
+                assert r.curvature >= ref_k - 1e-6 * max(1.0, abs(ref_k))
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e5])
+def test_solver_scale_extremes_complete30(c):
+    # complete30 has K = 1 + N/2 = 16 at unit weights; an absolute eigenvalue
+    # tolerance gave 0.02 at c = 1e-8 and a |K| cap gave 1e6 at c = 1e5
+    g = scaled_weights(generate("complete", 30), c)
+    r = curvature_solve(g, "v0", math.inf)
+    assert r.converged
+    assert r.curvature == pytest.approx(16.0 * c, rel=1e-9)
+    assert cd_check(g, r.curvature, math.inf, "v0")[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(exponent=st.floats(-8.0, 5.0), n=st.sampled_from([1.0, 4.0, math.inf]))
+def test_curvature_scales_with_weights_property(exponent, n):
+    c = 10.0 ** exponent
+    fuzzed = random_connected_graph(np.random.default_rng(31), 10)
+    for g, x in ((generate("complete", 30), "v0"), (fuzzed, "v3"), (fuzzed, "v4")):
+        k = curvature_solve(g, x, n).curvature
+        assert curvature_solve(scaled_weights(g, c), x, n).curvature == pytest.approx(c * k, rel=1e-9)
 
 
 def test_smallest_eigenvalue_decreases_in_K():

@@ -160,6 +160,17 @@ def test_cli_verify_estimates_detects_violation(edge_graph, capsys):
     assert report["summary"]["first_counterexample"]["verdicts"]["iii"] is False
 
 
+@pytest.mark.parametrize("paper_k", ["60", "-60"])
+def test_cli_verify_estimates_exponent_overflow(edge_graph, capsys, paper_k):
+    # 2|K|t = 1200 overflows e^{2Kt} (K > 0) or e^{-2Kt} (K < 0)
+    code = run(["verify-estimates", "--graph", edge_graph, "--paper-K", paper_k,
+                "--dimension", "inf", "--t", "0.1,10"])
+    report = _last_json(capsys)
+    assert code == 1
+    assert report["command"] == "verify-estimates"
+    assert "overflow" in report["error"]
+
+
 def test_cli_sign_flags_mutually_exclusive(edge_graph):
     with pytest.raises(SystemExit) as exc:
         run(["cd-check", "--graph", edge_graph, "--K", "1", "--paper-K", "-1",

@@ -9,6 +9,7 @@ from conftest import (
     naive_laplacian,
     random_connected_graph,
     random_function,
+    reference_local_forms,
 )
 from graphcurv import (
     GraphFunction,
@@ -247,6 +248,21 @@ def test_local_forms_match_pointwise_operators():
                 assert float(lf.laplace_vector @ coeff) == pytest.approx(
                     laplacian(g, f).value(x), rel=1e-9, abs=1e-11
                 )
+
+
+def test_local_forms_match_reference_assembly():
+    # the 2-ball matrix assembly against whole-graph indicator evaluation
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        g = random_connected_graph(rng, int(rng.integers(2, 16)),
+                                   extra_edge_prob=float(rng.uniform(0.05, 0.5)))
+        for x in g.vertices:
+            lf, ref = local_forms(g, x), reference_local_forms(g, x)
+            assert lf.support == ref.support
+            for got, want in ((lf.gamma2_matrix, ref.gamma2_matrix),
+                              (lf.gamma_matrix, ref.gamma_matrix),
+                              (lf.laplace_vector, ref.laplace_vector)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_local_forms_one_ball_support_pattern():
