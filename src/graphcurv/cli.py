@@ -265,10 +265,11 @@ def _cmd_heat(args) -> int:
     domain_vertices = sorted(h.dirichlet_domain) if h.dirichlet_domain else list(g.vertices)
     for t in _parse_floats(args.t, "--t"):
         ft = h.apply(t, f)
+        mass = h.mass_array(t)
         results.append({
             "t": t,
             "values": ft.as_dict(),
-            "mass": {v: h.heat_mass(t, v) for v in domain_vertices},
+            "mass": {v: float(mass[g.index(v)]) for v in domain_vertices},
         })
     _emit("heat", {"initial": initial, "dirichlet": domain, "results": results},
           f"applied semigroup at {len(results)} time(s)")

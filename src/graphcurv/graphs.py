@@ -186,16 +186,6 @@ class WeightedGraph:
         return np.array(iu, dtype=int), np.array(iv, dtype=int), np.array(w)
 
     @cached_property
-    def incidence_matrix(self) -> np.ndarray:
-        """0/1 vertex-edge membership matrix (N x E), used to sum per-edge terms."""
-        iu, iv, _ = self.edge_arrays
-        inc = np.zeros((self.num_vertices, len(iu)))
-        inc[iu, np.arange(len(iu))] = 1.0
-        inc[iv, np.arange(len(iv))] = 1.0
-        inc.setflags(write=False)
-        return inc
-
-    @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in self._vertices]
         iu, iv, _ = self.edge_arrays

@@ -24,7 +24,7 @@ from .operators import gamma_recursive_array
 
 __all__ = ["HeatOperator", "build_heat", "semigroup_gamma_path"]
 
-KERNEL_TOL = 1e-12  # eigenvalues below this are generator kernel modes
+KERNEL_TOL = 1e-12  # eigenvalues below this multiple of lambda_max are kernel modes
 
 
 class HeatOperator:
@@ -58,23 +58,10 @@ class HeatOperator:
         output.  t = 0 reproduces the input exactly (restricted to the
         domain).
         """
-        if t < 0:
-            raise ValueError("the heat semigroup is only defined for t >= 0")
-        squeeze = F.ndim == 1
-        F2 = F[:, None] if squeeze else F
-        out = np.zeros_like(F2, dtype=float)
-        idx = self._domain_indices
-        if t == 0:
-            out[idx] = F2[idx]
-        else:
-            v = self.measure_half[:, None] * F2[idx]
-            coeff = self.eigenbasis.T @ v
-            coeff *= np.exp(-t * self.eigenvalues)[:, None]
-            out[idx] = (self.eigenbasis @ coeff) / self.measure_half[:, None]
-        return out[:, 0] if squeeze else out
+        return self._apply(t, F, keep_kernel=True)
 
     def apply_fluctuation_array(self, t: float, F: np.ndarray) -> np.ndarray:
-        """P_t with the generator's kernel modes (eigenvalue <= KERNEL_TOL) dropped.
+        """P_t with the generator's kernel modes (eigenvalue <= KERNEL_TOL * lambda_max) dropped.
 
         The kernel consists of per-component constants, which neither carry a
         gradient nor survive in mean-zero inputs; dropping them is exact for
@@ -83,6 +70,9 @@ class HeatOperator:
         would return amplified rounding instead.  t = 0 returns the input
         unchanged (the projection is a hygiene device for t > 0 only).
         """
+        return self._apply(t, F, keep_kernel=False)
+
+    def _apply(self, t: float, F: np.ndarray, keep_kernel: bool) -> np.ndarray:
         if t < 0:
             raise ValueError("the heat semigroup is only defined for t >= 0")
         squeeze = F.ndim == 1
@@ -94,9 +84,11 @@ class HeatOperator:
         else:
             v = self.measure_half[:, None] * F2[idx]
             coeff = self.eigenbasis.T @ v
-            decay = np.where(
-                self.eigenvalues > KERNEL_TOL, np.exp(-t * self.eigenvalues), 0.0
-            )
+            decay = np.exp(-t * self.eigenvalues)
+            if not keep_kernel:
+                # relative to lambda_max, so the split does not depend on units
+                lam_max = self.eigenvalues.max(initial=0.0)
+                decay[self.eigenvalues <= KERNEL_TOL * lam_max] = 0.0
             coeff *= decay[:, None]
             out[idx] = (self.eigenbasis @ coeff) / self.measure_half[:, None]
         return out[:, 0] if squeeze else out
@@ -111,9 +103,11 @@ class HeatOperator:
         ix = self.graph.index(x)
         if ix not in self._domain_indices:
             raise ValueError(f"vertex {x!r} is outside the Dirichlet domain")
-        ones = np.ones(self.graph.num_vertices)
-        val = float(self.apply_array(t, ones)[ix])
-        return min(max(val, 0.0), 1.0)
+        return float(self.mass_array(t)[ix])
+
+    def mass_array(self, t: float) -> np.ndarray:
+        """P_t 1 at every vertex, clamped to [0, 1] against rounding; 0 outside a Dirichlet domain."""
+        return np.clip(self.apply_array(t, np.ones(self.graph.num_vertices)), 0.0, 1.0)
 
 
 def build_heat(

@@ -53,11 +53,11 @@ def gamma_array(g: WeightedGraph, F: np.ndarray, H: np.ndarray) -> np.ndarray:
     squeeze = F.ndim == 1
     F2 = F[:, None] if squeeze else F
     H2 = H[:, None] if squeeze else H
-    if len(iu) == 0:
-        out = np.zeros_like(F2)
-    else:
-        contrib = w[:, None] * (F2[iu] - F2[iv]) * (H2[iu] - H2[iv])
-        out = (g.incidence_matrix @ contrib) / (2.0 * m[:, None])
+    contrib = w[:, None] * (F2[iu] - F2[iv]) * (H2[iu] - H2[iv])
+    out = np.zeros((F2.shape[0], contrib.shape[1]))
+    np.add.at(out, iu, contrib)
+    np.add.at(out, iv, contrib)
+    out /= 2.0 * m[:, None]
     return out[:, 0] if squeeze else out
 
 

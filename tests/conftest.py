@@ -5,7 +5,9 @@ loops over neighbors.  They deliberately share no code with the package's
 vectorized kernels so that agreement between the two is a genuine check.
 The reference curvature path (whole-graph indicator assembly of the local
 forms and a bisection solver) is the slow but formula-free computation the
-package's 2-ball assembly and closed-form solver are compared against.
+package's 2-ball assembly and closed-form solver are compared against, and
+a dense uniform quadrature is the reference for the graded rule of the
+gradient integral in estimate (ii).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 from graphcurv import GraphFunction, LocalForms, WeightedGraph
 from graphcurv.curvature import CURVATURE_CAP, CURVATURE_TOL, EIG_TOL, cd_matrix
 from graphcurv.graphs import ball
+from graphcurv.heat import KERNEL_TOL, HeatOperator
 from graphcurv.operators import gamma_recursive_array, laplacian_array
 
 
@@ -133,3 +136,29 @@ def bisection_solve(g: WeightedGraph, x: str, n: float) -> tuple[float, float]:
         else:
             hi = mid
     return lo, 0.5 * (hi - lo)
+
+
+# -- reference gradient integral ------------------------------------------------
+
+
+def reference_gradient_integral(
+    h: HeatOperator, K: float, lap_f: np.ndarray, t: float, panels: int = 512, order: int = 24
+) -> np.ndarray:
+    """Int_0^t e^{2Ks} P_s (P_{t-s} lap_f)^2 ds by a dense uniform composite Gauss rule.
+
+    One function (N,) on a full-graph operator.  All nodes are evaluated at
+    once in the eigenbasis.  lap_f is a Laplacian, so its kernel component
+    is zero in exact arithmetic; it is set to zero here rather than carried
+    as rounding that P_{t-s} would keep while the rest decays.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(0.0, t, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    s = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    ws = (half * w).ravel()
+    lam, V, mh = h.eigenvalues, h.eigenbasis, h.measure_half
+    c = V.T @ (mh * lap_f)
+    c[lam <= KERNEL_TOL * lam.max()] = 0.0
+    u = (V @ (np.exp(-np.outer(lam, t - s)) * c[:, None])) / mh[:, None]
+    ps_u2 = (V @ (np.exp(-np.outer(lam, s)) * (V.T @ (mh[:, None] * u * u)))) / mh[:, None]
+    return ps_u2 @ (ws * np.exp(2.0 * K * s))

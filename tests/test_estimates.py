@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_connected_graph, random_function
+from conftest import random_connected_graph, random_function, reference_gradient_integral
 from graphcurv import (
     GraphFunction,
     PreconditionError,
@@ -21,8 +23,8 @@ from graphcurv import (
     taylor_check,
     verify_estimates,
 )
-from graphcurv.estimates import REPORT_TOL, _slack_arrays
-from graphcurv.operators import gamma_array
+from graphcurv.estimates import REPORT_TOL, _gradient_integral, _phi1, _phi2, _slack_arrays
+from graphcurv.operators import gamma_array, laplacian_array
 
 
 def single_edge():
@@ -110,6 +112,69 @@ def test_quadrature_error_reported_small():
     f = GraphFunction.indicator(g, "v0")
     r = verify_estimates(g, 0.3, 4.0, f, 2.0, "v1", heat_op=h)
     assert 0.0 <= r.quadrature_error_ii <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "family, size, K, t",
+    [
+        ("cycle", 5, 0.5, 0.003),  # lambda_max t ~ 1e-2
+        ("hypercube", 5, -1.0, 1.0),  # ~ 10
+        ("complete", 30, 0.5, 10.0),  # ~ 300
+        ("fuzzed", 20, -1.0, 100.0),  # ~ 4500
+    ],
+)
+def test_gradient_integral_matches_dense_reference(family, size, K, t):
+    if family == "fuzzed":
+        g = random_connected_graph(np.random.default_rng(1), size)
+    else:
+        g = generate(family, size)
+    h = build_heat(g)
+    rng = np.random.default_rng(70)
+    F = np.stack([GraphFunction.indicator(g, g.vertices[0]).array,
+                  rng.uniform(0.0, 1.0, g.num_vertices)], axis=1)
+    lap_F = laplacian_array(g, F)
+    integral, reported = _gradient_integral(g, h, K, lap_F, t)
+    for b in range(F.shape[1]):
+        ref = reference_gradient_integral(h, K, lap_F[:, b], t)
+        scale = float(np.max(np.abs(ref)))
+        err = np.abs(integral[:, b] - ref)
+        assert float(np.max(err)) <= 1e-10 * scale
+        assert np.all(err <= reported[:, b] + 1e-13 * scale)
+
+
+def _coefficients(K, t):
+    """(e^{2Kt}-1)/K, (1-e^{-2Kt})/K, (e^{2Kt}-1-2Kt)/K^2, (e^{-2Kt}-1+2Kt)/K^2."""
+    x = 2.0 * K * t
+    return (2.0 * t * _phi1(x), 2.0 * t * _phi1(-x), 4.0 * t * t * _phi2(x), 4.0 * t * t * _phi2(-x))
+
+
+def test_exponential_coefficients_depend_on_kt_only():
+    # 2Kt = 0.2 in both; an absolute K -> 0 switch returns 2t and 2t^2 at K = 1e-13
+    small = _coefficients(1e-13, 1e12)
+    unit = _coefficients(0.1, 1.0)
+    for a, b, power in zip(small, unit, (1, 1, 2, 2)):
+        assert a == pytest.approx(1e12**power * b, rel=1e-14)
+    assert unit[0] == pytest.approx(math.expm1(0.2) / 0.1, rel=1e-15)
+    assert unit[3] == pytest.approx((math.expm1(-0.2) + 0.2) / 0.01, rel=1e-13)
+    assert _coefficients(0.0, 3.0) == (6.0, 6.0, 18.0, 18.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(exponent=st.floats(-14.0, 12.0), K=st.sampled_from([0.6, -0.6]))
+def test_slacks_scale_covariant_property(exponent, K):
+    # weights x c, t / c and K c: Gamma and Delta scale by c and P_t is
+    # unchanged, so slacks (ii), (iii) scale by c and (iv), (v) do not change
+    c = 10.0**exponent
+    g = random_connected_graph(np.random.default_rng(71), 8)
+    F = np.random.default_rng(72).uniform(0.0, 1.0, (8, 3))
+    scaled = WeightedGraph(
+        g.vertices, {(u, v): c * w for u, v, w in g.edges()}, {x: g.measure(x) for x in g.vertices}
+    )
+    base = _slack_arrays(g, build_heat(g), K, 3.0, F, 0.9)
+    slacks = _slack_arrays(scaled, build_heat(scaled), K * c, 3.0, F, 0.9 / c)
+    for got, want, power in zip(slacks[:4], base[:4], (1, 1, 0, 0)):
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got / c**power - want))) <= 1e-12 * scale
 
 
 # -- estimate_sweep --------------------------------------------------------------

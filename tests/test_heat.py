@@ -194,6 +194,17 @@ def test_mass_dirichlet_monotone_and_below_one():
         assert all(a >= b - 1e-10 for a, b in zip(masses, masses[1:]))
 
 
+def test_mass_array_matches_heat_mass():
+    rng = np.random.default_rng(40)
+    g = random_connected_graph(rng, 10)
+    domain = list(g.vertices[:6])
+    h = build_heat(g, dirichlet_domain=domain)
+    for t in (0.0, 0.7, 4.0):
+        mass = h.mass_array(t)
+        assert [float(mass[g.index(x)]) for x in domain] == [h.heat_mass(t, x) for x in domain]
+        assert np.all(mass[[g.index(x) for x in g.vertices[6:]]] == 0.0)
+
+
 # -- the Gamma path and its derivative ----------------------------------------------
 
 
