@@ -21,6 +21,7 @@ from .estimates import (
     CutoffResult,
     EstimateReport,
     PreconditionError,
+    SweepResult,
     SweepSummary,
     build_cutoff,
     default_corpus,
@@ -74,6 +75,7 @@ __all__ = [
     "build_heat",
     "semigroup_gamma_path",
     "EstimateReport",
+    "SweepResult",
     "SweepSummary",
     "CutoffResult",
     "PreconditionError",

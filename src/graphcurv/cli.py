@@ -5,6 +5,11 @@ writes a versioned JSON report to standard output and a one-line summary to
 standard error.  Exit codes: 0 for success/pass, 1 for a verdict failure
 (an estimate violated, a check mismatch, a failed precondition), 2 for
 input errors.
+
+``verify-estimates`` reports the sweep summary: failure counts overall and
+per estimate, the first counterexample and the worst slack of each
+estimate.  ``--full`` adds the columnar table of every (function, t,
+vertex) triple, one nested list per array.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from . import __version__
 from .curvature import cd_check, curvature_profile
 from .estimates import (
+    ESTIMATES,
     PreconditionError,
     build_cutoff,
     default_corpus,
@@ -34,7 +40,9 @@ from .graph_io import GraphFormatError, parse_graph, serialize_graph
 from .graphs import GraphFunction, WeightedGraph, generate, validate
 from .heat import build_heat
 
-REPORT_FORMAT_VERSION = 1
+# 2: verify-estimates reports a summary by default; the per-(function, t,
+# vertex) results are a columnar table behind --full
+REPORT_FORMAT_VERSION = 2
 
 GREEN_TOL = 1e-10  # relative, triple agreement
 EC_TOL = 1e-12  # ellipticity constant vs operator norm
@@ -178,6 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--num-random", dest="num_random", type=int, default=20)
     sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--full", action="store_true",
+                    help="also emit the per-(function, t, vertex) slack table")
 
     sp = sub.add_parser("green-check", help="Green's formula triple on random functions")
     _add_graph_flags(sp)
@@ -283,10 +293,18 @@ def _cmd_verify_estimates(args) -> int:
     t_grid = _parse_floats(args.t, "--t")
     h = build_heat(g)
     corpus = default_corpus(g, seed=args.seed, heat_op=h, num_random=args.num_random)
-    reports, summary = estimate_sweep(g, K, n, t_grid, corpus, heat_op=h, jobs=args.jobs)
-    _emit("verify-estimates",
-          {"K": K, "dimension": n, "t_grid": t_grid, "corpus_size": len(corpus),
-           "summary": summary, "reports": reports},
+    result, summary = estimate_sweep(g, K, n, t_grid, corpus, heat_op=h, jobs=args.jobs)
+    payload = {"K": K, "dimension": n, "t_grid": t_grid, "corpus_size": len(corpus),
+               "summary": summary}
+    if args.full:
+        payload["table"] = {
+            "function_ids": result.function_ids,
+            "vertices": result.vertices,
+            **{f"slack_{name}": a for name, a in zip(ESTIMATES, result.slacks)},
+            "quadrature_error_ii": result.quadrature_error_ii,
+            "verdicts": result.verdicts,
+        }
+    _emit("verify-estimates", payload,
           f"{summary.num_reports} reports, {summary.num_failures} failure(s)")
     return 0 if summary.passed else 1
 

@@ -30,9 +30,10 @@ finite-measure threshold probe, and small-t Taylor coefficient fits.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -51,6 +52,7 @@ __all__ = [
     "REPORT_TOL",
     "PreconditionError",
     "EstimateReport",
+    "SweepResult",
     "SweepSummary",
     "CutoffResult",
     "verify_estimates",
@@ -63,7 +65,8 @@ __all__ = [
     "taylor_check",
 ]
 
-REPORT_TOL = 1e-8  # absolute slack tolerance for verdicts
+REPORT_TOL = 1e-8  # verdict tolerance, relative to the scale of the slack's terms
+ESTIMATES = ("ii", "iii", "iv", "v")
 _MAX_EXPONENT = math.log(np.finfo(float).max)  # largest 2|K|t with e^{2|K|t} finite
 
 
@@ -75,8 +78,10 @@ class PreconditionError(ValueError):
 class EstimateReport:
     """Slacks of the four estimates at one (function, t, vertex) triple.
 
-    Slacks are oriented so that slack >= 0 means the inequality holds;
-    verdicts apply the REPORT_TOL cushion.
+    Slacks are oriented so that slack >= 0 means the inequality holds.  A
+    verdict fails when the slack is below -REPORT_TOL times a scale that
+    moves with the slack (see ``_slack_arrays``), so verdicts do not depend
+    on the units of the weights, the time and K.
     """
 
     function_id: str
@@ -96,13 +101,75 @@ class EstimateReport:
         return all(self.verdicts.values())
 
 
+@dataclass(frozen=True, eq=False)
+class SweepResult(Sequence):
+    """Columnar result of ``estimate_sweep``: one entry per (function, t, vertex).
+
+    ``slacks`` is (4, B, T, N) with the estimates in ``ESTIMATES`` order and
+    ``verdicts`` is the matching boolean mask; ``quadrature_error_ii`` is
+    (B, T, N).  Axes follow ``function_ids``, ``t_grid`` and ``vertices``.
+    The result is a read-only sequence of ``EstimateReport`` in (function,
+    t, vertex) order; a report is built only when it is indexed or iterated,
+    and the result equals any sequence of the same reports.
+    """
+
+    function_ids: tuple[str, ...]
+    t_grid: tuple[float, ...]
+    vertices: tuple[str, ...]
+    K: float
+    n: float
+    slacks: np.ndarray
+    quadrature_error_ii: np.ndarray
+    verdicts: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.slacks, self.quadrature_error_ii, self.verdicts):
+            a.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.quadrature_error_ii.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("sweep result index out of range")
+        b, k, j = np.unravel_index(i % len(self), self.quadrature_error_ii.shape)
+        return EstimateReport(
+            self.function_ids[b],
+            self.t_grid[k],
+            self.vertices[j],
+            self.K,
+            self.n,
+            *self.slacks[:, b, k, j].tolist(),
+            float(self.quadrature_error_ii[b, k, j]),
+            dict(zip(ESTIMATES, self.verdicts[:, b, k, j].tolist())),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class SweepSummary:
+    """Reductions of a sweep.
+
+    ``failures_by_estimate`` counts the failed triples of each estimate.
+    ``worst`` holds, per estimate, the triple whose slack is lowest relative
+    to its verdict tolerance (slack, tolerance, function_id, t, x); a
+    triple fails that estimate when slack < -tolerance.
+    """
+
     passed: bool
     num_reports: int
     num_failures: int
     first_counterexample: EstimateReport | None
     warning: str | None
+    failures_by_estimate: dict[str, int]
+    worst: dict[str, dict]
 
 
 @dataclass(frozen=True)
@@ -154,17 +221,18 @@ def _gradient_integral(
     """Int_0^t e^{2Ks} P_s (P_{t-s} Delta f)^2 ds for every vertex.
 
     Works on a batch of functions at once (lap_F is (N,B)).  The integrand
-    is a sum of exponentials in s with rates up to about 2 lambda_max, so it
-    has boundary layers of width ~1/lambda_max at both ends of [0, t] and is
-    smooth in between.  [0, t] is therefore cut into 2(L+1) panels that
-    halve toward both ends, L = ceil(log2(max(lambda_max t, 1))), so the
-    end panels are at most 1/(2 lambda_max) wide; 16- and 8-node
+    is a sum of exponentials in s with rates up to about 2 lambda_max + 2|K|,
+    so it has boundary layers of width ~1/(lambda_max + 2|K|) at both ends
+    of [0, t] and is smooth in between.  [0, t] is therefore cut into
+    2(L+1) panels that halve toward both ends,
+    L = ceil(log2(max((lambda_max + 2|K|) t, 1))), so the end panels are at
+    most 1/(2 (lambda_max + 2|K|)) wide; 16- and 8-node
     Gauss-Legendre rules run on the same panels.  Returns the 16-node value
     and |16-node - 8-node| as its error estimate, both (N,B).
     """
     if t == 0:
         return np.zeros_like(lap_F), np.zeros_like(lap_F)
-    lam_t = float(h.eigenvalues.max(initial=0.0)) * t
+    lam_t = (float(h.eigenvalues.max(initial=0.0)) + 2.0 * abs(K)) * t
     L = math.ceil(math.log2(max(lam_t, 1.0)))
     half = 0.5 * 2.0 ** -np.arange(L + 1)  # t/2, t/4, ..., t 2^-(L+1)
     cuts = np.concatenate(([0.0], half[::-1], 1.0 - half[1:], [1.0])) * t
@@ -191,8 +259,21 @@ def _slack_arrays(
     n: float,
     F: np.ndarray,
     t: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All four slacks for a batch of functions; each output is (N,B).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All four slacks for a batch of functions, plus their verdict scales.
+
+    Returns slack_ii, slack_iii, slack_iv, slack_v and quadrature_error_ii,
+    each (N,B), and the verdict scales, (4,B): per function and estimate,
+    the largest summed magnitude over the vertices of the slack's terms,
+    plus a floor of ||f||_inf^2 max Deg for (ii)/(iii) and ||f||_inf^2 for
+    (iv)/(v), so that rounding noise on a constant f is not judged against
+    zero.  Both the slacks and the scales of (ii)/(iii) scale by c under
+    (b, t, K) -> (c b, t/c, c K), and those of (iv)/(v) do not change.
+    The scales are graph-wide, not per vertex, so where the weights vary a
+    lot a light vertex is judged against the heavy ones: on a unit path with
+    one far edge of weight 1e4, an overclaimed (ii)/(iii) fails at 3 light
+    (t, x) pairs where it fails at 7 with weight 100, and at none with 1e6,
+    because the max Deg floor outgrows the slack.
 
     Gamma(P_t f) and P_t Delta f are evaluated through the kernel-free
     apply: the dropped modes are gradient-free (resp. absent from the
@@ -223,11 +304,21 @@ def _slack_arrays(
     x = 2.0 * K * t
     ratio_plus, ratio_minus = 2.0 * t * _phi1(x), 2.0 * t * _phi1(-x)
     ratio2_plus, ratio2_minus = 4.0 * t * t * _phi2(x), 4.0 * t * t * _phi2(-x)
-    slack_ii = e2kt * pt_gam_F - 2.0 * inv_n * integral - gam_ptF
-    slack_iii = e2kt * pt_gam_F - ratio_plus * inv_n * lap_sq - gam_ptF
-    slack_iv = ratio_plus * pt_gam_F - ratio2_plus * inv_n * lap_sq - variance
-    slack_v = variance - ratio_minus * gam_ptF - ratio2_minus * inv_n * lap_sq
-    return slack_ii, slack_iii, slack_iv, slack_v, qerr
+    heat_of_gradient = e2kt * pt_gam_F
+    terms = (
+        (heat_of_gradient, -2.0 * inv_n * integral, -gam_ptF),
+        (heat_of_gradient, -ratio_plus * inv_n * lap_sq, -gam_ptF),
+        (ratio_plus * pt_gam_F, -ratio2_plus * inv_n * lap_sq, -variance),
+        (variance, -ratio_minus * gam_ptF, -ratio2_minus * inv_n * lap_sq),
+    )
+    f_sq = np.max(np.abs(F), axis=0, initial=0.0) ** 2
+    gradient_floor = f_sq * float(np.max(g.weighted_degrees, initial=0.0))
+    scale = np.stack([
+        np.max(np.abs(a) + np.abs(b) + np.abs(c), axis=0, initial=0.0) + floor
+        for (a, b, c), floor in zip(terms, (gradient_floor, gradient_floor, f_sq, f_sq))
+    ])
+    slack_ii, slack_iii, slack_iv, slack_v = (a + b + c for a, b, c in terms)
+    return slack_ii, slack_iii, slack_iv, slack_v, qerr, scale
 
 
 def _check_estimate_inputs(h: HeatOperator, f: GraphFunction, t: float, n: float) -> None:
@@ -254,39 +345,6 @@ def _check_exponent(K: float, t: float) -> None:
         )
 
 
-def _report_from_arrays(
-    g: WeightedGraph,
-    slacks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    col: int,
-    function_id: str,
-    t: float,
-    x: str,
-    K: float,
-    n: float,
-) -> EstimateReport:
-    ix = g.index(x)
-    s2, s3, s4, s5, qerr = (float(a[ix, col]) for a in slacks)
-    verdicts = {
-        "ii": s2 >= -REPORT_TOL,
-        "iii": s3 >= -REPORT_TOL,
-        "iv": s4 >= -REPORT_TOL,
-        "v": s5 >= -REPORT_TOL,
-    }
-    return EstimateReport(
-        function_id=function_id,
-        t=t,
-        x=x,
-        K=K,
-        n=float(n),
-        slack_ii=s2,
-        slack_iii=s3,
-        slack_iv=s4,
-        slack_v=s5,
-        quadrature_error_ii=qerr,
-        verdicts=verdicts,
-    )
-
-
 def verify_estimates(
     g: WeightedGraph,
     K: float,
@@ -298,14 +356,9 @@ def verify_estimates(
     function_id: str = "f",
 ) -> EstimateReport:
     """Slacks and verdicts of all four estimates at one (f, t, x)."""
-    _check_graph_function(g, f)
-    if heat_op is None:
-        heat_op = build_heat(g)
-    _check_estimate_inputs(heat_op, f, t, n)
-    _check_exponent(K, t)
-    g.index(x)
-    slacks = _slack_arrays(g, heat_op, K, float(n), f.array[:, None], t)
-    return _report_from_arrays(g, slacks, 0, function_id, t, x, K, float(n))
+    ix = g.index(x)
+    result, _ = estimate_sweep(g, K, n, [t], [(function_id, f)], heat_op=heat_op)
+    return result[ix]
 
 
 def estimate_sweep(
@@ -316,54 +369,87 @@ def estimate_sweep(
     function_corpus: Sequence[tuple[str, GraphFunction]],
     heat_op: HeatOperator | None = None,
     jobs: int = 1,
-) -> tuple[list[EstimateReport], SweepSummary]:
+) -> tuple[SweepResult, SweepSummary]:
     """Check the estimates on every (f, t, vertex) combination.
 
-    Returns all reports in (function, t, vertex) order plus a summary with
-    the first counterexample, if any.  An empty corpus passes vacuously with
-    a warning.
+    Returns a columnar ``SweepResult`` that reads as the sequence of all
+    reports in (function, t, vertex) order, and a summary: the failure
+    counts, the first counterexample and the worst slack of each estimate,
+    all found by array reductions.  An empty corpus passes vacuously with a
+    warning.
     """
     if heat_op is None:
         heat_op = build_heat(g)
-    if not function_corpus:
-        return [], SweepSummary(True, 0, 0, None, "empty function corpus")
     n = float(n)
     for fid, f in function_corpus:
         _check_graph_function(g, f)
         _check_estimate_inputs(heat_op, f, min(t_grid, default=0.0), n)
-    times = [float(t) for t in t_grid]
+    times = tuple(float(t) for t in t_grid)
     if any(t < 0 for t in times):
         raise ValueError("t must be nonnegative")
     _check_exponent(K, max(times, default=0.0))
 
-    # one batched slack evaluation per t covers the whole corpus
-    F = np.stack([f.array for _, f in function_corpus], axis=1)
+    N, B, T = g.num_vertices, len(function_corpus), len(times)
+    slacks, qerr, scale = np.empty((4, B, T, N)), np.empty((B, T, N)), np.empty((4, B, T))
+    if B:
+        # one batched slack evaluation per t covers the whole corpus
+        F = np.stack([f.array for _, f in function_corpus], axis=1)
 
-    def compute(t: float):
-        return _slack_arrays(g, heat_op, K, n, F, t)
+        def compute(t: float):
+            return _slack_arrays(g, heat_op, K, n, F, t)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            slack_sets = dict(zip(times, pool.map(compute, times)))
-    else:
-        slack_sets = {t: compute(t) for t in times}
-
-    reports = []
-    for col, (fid, _) in enumerate(function_corpus):
-        for t in times:
-            for x in g.vertices:
-                reports.append(
-                    _report_from_arrays(g, slack_sets[t], col, fid, t, x, K, n)
-                )
-    failures = [r for r in reports if not r.passed]
-    summary = SweepSummary(
-        passed=not failures,
-        num_reports=len(reports),
-        num_failures=len(failures),
-        first_counterexample=failures[0] if failures else None,
-        warning=None,
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                per_t = list(pool.map(compute, times))
+        else:
+            per_t = [compute(t) for t in times]
+        for k, (*slacks_t, qerr_t, scale_t) in enumerate(per_t):  # (N,B) -> (B,N)
+            slacks[:, :, k] = np.stack(slacks_t).transpose(0, 2, 1)
+            qerr[:, k] = qerr_t.T
+            scale[:, :, k] = scale_t
+    tol = REPORT_TOL * scale[..., None]
+    result = SweepResult(
+        function_ids=tuple(fid for fid, _ in function_corpus),
+        t_grid=times,
+        vertices=g.vertices,
+        K=float(K),
+        n=n,
+        slacks=slacks,
+        quadrature_error_ii=qerr,
+        verdicts=slacks >= -tol,
     )
-    return reports, summary
+    return result, _summarize(result, tol)
+
+
+def _summarize(result: SweepResult, tol: np.ndarray) -> SweepSummary:
+    """Summary of a sweep by reductions over its arrays; tol is (4,B,T,1)."""
+    failed = ~result.verdicts.all(axis=0)
+    first = np.flatnonzero(failed)
+    # the worst triple of an estimate is the one nearest to (or furthest
+    # past) its own verdict threshold, which is the slack relative to tol
+    relative = np.divide(result.slacks, tol, out=np.zeros_like(result.slacks), where=tol > 0)
+    worst = {}
+    for k, name in enumerate(ESTIMATES):
+        if relative[k].size:
+            b, i, j = np.unravel_index(np.argmin(relative[k]), relative[k].shape)
+            worst[name] = {
+                "slack": float(result.slacks[k, b, i, j]),
+                "tolerance": float(tol[k, b, i, 0]),
+                "function_id": result.function_ids[b],
+                "t": result.t_grid[i],
+                "x": result.vertices[j],
+            }
+    return SweepSummary(
+        passed=not first.size,
+        num_reports=len(result),
+        num_failures=int(first.size),
+        first_counterexample=result[int(first[0])] if first.size else None,
+        warning=None if result.function_ids else "empty function corpus",
+        failures_by_estimate={
+            name: int(np.count_nonzero(~result.verdicts[k])) for k, name in enumerate(ESTIMATES)
+        },
+        worst=worst,
+    )
 
 
 def default_corpus(
@@ -423,13 +509,10 @@ def ec_norm_check(g: WeightedGraph) -> tuple[float, float]:
     independent routes.
     """
     cert = ellipticity_constant(g)
-    W = g.weight_matrix
     m = g.measure_vector
-    norm = 0.0
-    for iy in range(g.num_vertices):
-        a_col = W[:, iy] / m  # A applied to the indicator of vertex iy
-        if a_col.size:
-            norm = max(norm, float(np.max(np.abs(a_col))) / float(m[iy]))
+    A = np.divide(g.weight_matrix, m[:, None])  # column iy is A applied to 1_{iy}
+    np.abs(A, out=A)
+    norm = float(np.max(A.max(axis=0, initial=0.0) / m, initial=0.0))
     return cert.constant, norm
 
 

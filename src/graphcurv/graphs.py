@@ -342,14 +342,15 @@ def is_connected(g: WeightedGraph) -> bool:
 
 def ellipticity_constant(g: WeightedGraph) -> EllipticityCertificate:
     """Maximize b(x,y) / (m(x) m(y)) over edges; 0 for edgeless graphs."""
-    best = 0.0
-    witness: tuple[str, str] | None = None
-    for u, v, w in g.edges():
-        ratio = w / (g.measure(u) * g.measure(v))
-        if ratio > best:
-            best = ratio
-            witness = (u, v)
-    return EllipticityCertificate(constant=best, witness_edge=witness)
+    iu, iv, w = g.edge_arrays
+    if not w.size:
+        return EllipticityCertificate(constant=0.0, witness_edge=None)
+    m = g.measure_vector
+    ratio = w / (m[iu] * m[iv])
+    k = int(np.argmax(ratio))  # the first edge among ties
+    return EllipticityCertificate(
+        constant=float(ratio[k]), witness_edge=(g.vertices[iu[k]], g.vertices[iv[k]])
+    )
 
 
 def _hypercube_edges(d: int) -> tuple[list[str], list[tuple[str, str]]]:

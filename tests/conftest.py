@@ -5,17 +5,21 @@ loops over neighbors.  They deliberately share no code with the package's
 vectorized kernels so that agreement between the two is a genuine check.
 The reference curvature path (whole-graph indicator assembly of the local
 forms and a bisection solver) is the slow but formula-free computation the
-package's 2-ball assembly and closed-form solver are compared against, and
-a dense uniform quadrature is the reference for the graded rule of the
-gradient integral in estimate (ii).
+package's 2-ball assembly and closed-form solver are compared against, a
+dense uniform quadrature is the reference for the graded rule of the
+gradient integral in estimate (ii), an eager one-report-per-triple builder
+is the reference for the columnar estimate sweep, and edge and column
+loops are the references for the ellipticity constant and the adjacency
+operator norm.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from graphcurv import GraphFunction, LocalForms, WeightedGraph
+from graphcurv import EstimateReport, GraphFunction, LocalForms, WeightedGraph
 from graphcurv.curvature import CURVATURE_CAP, CURVATURE_TOL, EIG_TOL, cd_matrix
+from graphcurv.estimates import REPORT_TOL, _slack_arrays
 from graphcurv.graphs import ball
 from graphcurv.heat import KERNEL_TOL, HeatOperator
 from graphcurv.operators import gamma_recursive_array, laplacian_array
@@ -162,3 +166,52 @@ def reference_gradient_integral(
     u = (V @ (np.exp(-np.outer(lam, t - s)) * c[:, None])) / mh[:, None]
     ps_u2 = (V @ (np.exp(-np.outer(lam, s)) * (V.T @ (mh[:, None] * u * u)))) / mh[:, None]
     return ps_u2 @ (ws * np.exp(2.0 * K * s))
+
+
+# -- reference estimate sweep and ellipticity norm --------------------------------
+
+
+def eager_sweep(
+    g: WeightedGraph, K: float, n: float, t_grid, corpus, h: HeatOperator
+) -> tuple[list[EstimateReport], int, EstimateReport | None]:
+    """(reports, number of failures, first counterexample) of a sweep, built eagerly.
+
+    One ``EstimateReport`` per (function, t, vertex), in that order, each
+    judged on its own against REPORT_TOL times the verdict scale of its
+    (function, t).
+    """
+    F = np.stack([f.array for _, f in corpus], axis=1)
+    per_t = {t: _slack_arrays(g, h, K, n, F, t) for t in t_grid}
+    reports = []
+    for col, (fid, _) in enumerate(corpus):
+        for t in t_grid:
+            *slacks, qerr, scale = per_t[t]
+            for ix, x in enumerate(g.vertices):
+                values = [float(a[ix, col]) for a in slacks]
+                verdicts = {
+                    name: v >= -REPORT_TOL * float(scale[k, col])
+                    for k, (name, v) in enumerate(zip(("ii", "iii", "iv", "v"), values))
+                }
+                reports.append(EstimateReport(fid, float(t), x, float(K), float(n), *values,
+                                              float(qerr[ix, col]), verdicts))
+    failures = [r for r in reports if not r.passed]
+    return reports, len(failures), failures[0] if failures else None
+
+
+def loop_ellipticity_constant(g: WeightedGraph) -> tuple[float, tuple[str, str] | None]:
+    """max b(x,y)/(m(x)m(y)) over the edges in order; the first edge wins a tie."""
+    best, witness = 0.0, None
+    for u, v, w in g.edges():
+        ratio = w / (g.measure(u) * g.measure(v))
+        if ratio > best:
+            best, witness = ratio, (u, v)
+    return best, witness
+
+
+def loop_adjacency_norm(g: WeightedGraph) -> float:
+    """max over y of ||A 1_y||_inf / ||1_y||_1, one indicator column at a time."""
+    W, m = g.weight_matrix, g.measure_vector
+    norm = 0.0
+    for iy in range(g.num_vertices):
+        norm = max(norm, float(np.max(np.abs(W[:, iy] / m))) / float(m[iy]))
+    return norm

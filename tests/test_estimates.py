@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, random_function, reference_gradient_integral
+from conftest import (
+    eager_sweep,
+    loop_adjacency_norm,
+    loop_ellipticity_constant,
+    random_connected_graph,
+    random_function,
+    reference_gradient_integral,
+)
 from graphcurv import (
     GraphFunction,
     PreconditionError,
@@ -16,6 +23,7 @@ from graphcurv import (
     curvature_profile,
     default_corpus,
     ec_norm_check,
+    ellipticity_constant,
     estimate_sweep,
     finiteness_probe,
     generate,
@@ -121,6 +129,11 @@ def test_quadrature_error_reported_small():
         ("hypercube", 5, -1.0, 1.0),  # ~ 10
         ("complete", 30, 0.5, 10.0),  # ~ 300
         ("fuzzed", 20, -1.0, 100.0),  # ~ 4500
+        # 2|K| far above lambda_max ~ 3.6: the e^{2Ks} factor sets the layers
+        ("cycle", 5, 200.0, 1.0),
+        ("cycle", 5, -200.0, 1.0),
+        ("cycle", 5, 350.0, 1.0),
+        ("cycle", 5, -350.0, 1.0),
     ],
 )
 def test_gradient_integral_matches_dense_reference(family, size, K, t):
@@ -207,10 +220,34 @@ def test_sweep_converse_detects_overclaim():
     assert min(r.t for r in bad) <= 1.0
 
 
+def test_sweep_converse_detects_overclaim_beside_heavy_edge():
+    # the verdict scale is graph-wide, so a heavy edge far from the witness
+    # raises the tolerance at the light vertices; at a weight ratio of 100
+    # every estimate must still fail there
+    V = [f"v{i}" for i in range(8)]
+    edges = {(V[i], V[i + 1]): 1.0 for i in range(7)}
+    edges[(V[6], V[7])] = 100.0
+    g = WeightedGraph(V, edges, {v: 1.0 for v in V})
+    kappa = curvature_profile(g, math.inf).per_vertex[2].curvature
+    w = cd_extremal_function(g, "v2", math.inf, kappa + 0.1)
+    corpus = [("witness:v2", GraphFunction(g, w.array - min(0.0, float(w.array.min()))))]
+    t_scan = [float(t) for t in np.geomspace(1e-3, 1.0, 11)]
+    result, _ = estimate_sweep(g, -kappa - 0.1, math.inf, t_scan, corpus)
+    light = ~result.verdicts[..., :5]
+    assert all(light[k].any() for k in range(4))
+
+
 def test_sweep_empty_corpus_warns():
     reports, summary = estimate_sweep(single_edge(), 0.0, math.inf, [1.0], [])
     assert reports == [] and summary.passed
     assert summary.warning == "empty function corpus"
+
+
+def test_sweep_empty_t_grid_passes():
+    g = single_edge()
+    result, summary = estimate_sweep(g, 0.0, math.inf, [], default_corpus(g))
+    assert result == [] and len(result) == 0 and summary.passed
+    assert summary.num_reports == 0 and summary.warning is None
 
 
 def test_sweep_parallel_matches_serial():
@@ -220,6 +257,87 @@ def test_sweep_parallel_matches_serial():
     serial = estimate_sweep(g, -1.0, 4.0, [0.1, 1.0], corpus, heat_op=h)
     parallel = estimate_sweep(g, -1.0, 4.0, [0.1, 1.0], corpus, heat_op=h, jobs=3)
     assert serial[0] == parallel[0]
+
+
+def _overclaim_sweep_inputs():
+    rng = np.random.default_rng(53)
+    g = random_connected_graph(rng, 8, weight_range=(0.5, 1.5), measure_range=(0.5, 1.5))
+    kappa = curvature_profile(g, math.inf).global_curvature
+    h = build_heat(g)
+    corpus = default_corpus(g, seed=0, heat_op=h)
+    for v in g.vertices:
+        w = cd_extremal_function(g, v, math.inf, kappa + 0.1)
+        corpus.append((f"witness:{v}", GraphFunction(g, w.array - min(0.0, float(w.array.min())))))
+    t_scan = [float(t) for t in np.geomspace(1e-3, 1.0, 11)]
+    return g, -kappa - 0.1, math.inf, t_scan, corpus, h
+
+
+def _solved_sweep_inputs():
+    rng = np.random.default_rng(52)
+    g = random_connected_graph(rng, 8, weight_range=(0.5, 1.5), measure_range=(0.5, 1.5))
+    h = build_heat(g)
+    corpus = default_corpus(g, seed=0, heat_op=h, num_random=5)
+    return g, -curvature_profile(g, 4.0).global_curvature, 4.0, [0.01, 0.5, 2.0], corpus, h
+
+
+@pytest.mark.parametrize("inputs", [_overclaim_sweep_inputs, _solved_sweep_inputs])
+def test_sweep_result_matches_eager_reports(inputs):
+    g, K, n, t_grid, corpus, h = inputs()
+    result, summary = estimate_sweep(g, K, n, t_grid, corpus, heat_op=h)
+    reports, num_failures, first = eager_sweep(g, K, n, t_grid, corpus, h)
+    assert list(result) == reports and result == reports
+    assert len(result) == summary.num_reports == len(reports)
+    assert summary.num_failures == num_failures
+    assert summary.first_counterexample == first
+    assert summary.passed == (num_failures == 0)
+    for name in ("ii", "iii", "iv", "v"):
+        assert summary.failures_by_estimate[name] == sum(not r.verdicts[name] for r in reports)
+    assert result[-1] == reports[-1] and result[3:9:2] == reports[3:9:2]
+    with pytest.raises(IndexError):
+        result[len(reports)]
+
+
+def test_sweep_worst_entries_are_the_lowest_relative_slacks():
+    g, K, n, t_grid, corpus, h = _overclaim_sweep_inputs()
+    # shifted x1e3 copy of a witness: its slacks are 1e6 times lower, but
+    # its tolerance grows more, so the lowest slack is not the worst one
+    corpus.append(("shifted", GraphFunction(g, 1e3 * (dict(corpus)["witness:v1"].array + 10.0))))
+    result, summary = estimate_sweep(g, K, n, t_grid, corpus, heat_op=h)
+    assert summary.failures_by_estimate["ii"] > 0
+    # the tolerance of every (estimate, function, t), from its verdict scale
+    F = np.stack([f.array for _, f in corpus], axis=1)
+    tol = {t: REPORT_TOL * _slack_arrays(g, h, K, n, F, t)[5] for t in t_grid}
+    column = {fid: col for col, (fid, _) in enumerate(corpus)}
+    for k, name in enumerate(("ii", "iii", "iv", "v")):
+        worst = summary.worst[name]
+        hits = [r for r in result if (r.function_id, r.t, r.x)
+                == (worst["function_id"], worst["t"], worst["x"])]
+        assert len(hits) == 1 and getattr(hits[0], f"slack_{name}") == worst["slack"]
+        assert worst["tolerance"] == tol[worst["t"]][k, column[worst["function_id"]]]
+        relative = [getattr(r, f"slack_{name}") / tol[r.t][k, column[r.function_id]]
+                    for r in result]
+        assert min(relative) == worst["slack"] / worst["tolerance"]
+        assert hits[0].verdicts[name] == (worst["slack"] >= -worst["tolerance"])
+        # a failing estimate has its worst entry among the failures
+        assert (summary.failures_by_estimate[name] > 0) == (worst["slack"] < -worst["tolerance"])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(exponent=st.floats(-14.0, 12.0), K=st.sampled_from([-2.5, -2.0]))
+def test_verdicts_scale_invariant_property(exponent, K):
+    # (b, t, K) -> (c b, t/c, c K) scales slacks (ii), (iii) by c and leaves
+    # (iv), (v) unchanged, so no verdict may move; at K = -2.5 the single
+    # edge fails every estimate, at its exact curvature K = -2 slack (ii) is 0
+    c = 10.0**exponent
+    g = single_edge()
+    scaled = WeightedGraph(g.vertices, {("v0", "v1"): c}, {"v0": 1.0, "v1": 1.0})
+    t_grid = [0.01, 0.1, 1.0]
+    corpus = default_corpus(g, seed=0)
+    base, summary = estimate_sweep(g, K, math.inf, t_grid, corpus)
+    got, _ = estimate_sweep(scaled, K * c, math.inf, [t / c for t in t_grid],
+                            [(fid, GraphFunction(scaled, f.array)) for fid, f in corpus])
+    assert (summary.num_failures > 0) == (K == -2.5)
+    assert np.array_equal(got.verdicts, base.verdicts)
 
 
 def test_default_corpus_composition():
@@ -264,6 +382,17 @@ def test_ec_norm_examples():
     assert ec_norm_check(edgeless) == (0.0, 0.0)
     uneven = WeightedGraph(["a", "b"], {("a", "b"): 1.0}, {"a": 2.0, "b": 1.0})
     assert ec_norm_check(uneven) == pytest.approx((0.5, 0.5))
+
+
+def test_ec_norm_matches_loops_on_fuzzed_graphs():
+    rng = np.random.default_rng(58)
+    graphs = [random_connected_graph(rng, int(rng.integers(2, 40))) for _ in range(20)]
+    graphs.append(generate("cycle", 6))  # every edge ties; the first one is the witness
+    for g in graphs:
+        cert = ellipticity_constant(g)
+        assert (cert.constant, cert.witness_edge) == loop_ellipticity_constant(g)
+        assert ec_norm_check(g) == (cert.constant, loop_adjacency_norm(g))
+    assert ellipticity_constant(generate("cycle", 6)).witness_edge == ("v0", "v1")
 
 
 def test_ec_norm_fuzz():

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph
-from graphcurv import GraphFormatError, generate, parse_graph, serialize_graph
+from graphcurv import (
+    GraphFormatError,
+    build_heat,
+    default_corpus,
+    estimate_sweep,
+    generate,
+    parse_graph,
+    serialize_graph,
+)
 from graphcurv.cli import run
 
 EDGES = "a b 1.0\n"
@@ -158,6 +166,50 @@ def test_cli_verify_estimates_detects_violation(edge_graph, capsys):
     report = _last_json(capsys)
     assert code == 1
     assert report["summary"]["first_counterexample"]["verdicts"]["iii"] is False
+
+
+def test_cli_verify_estimates_default_schema(tmp_path, capsys):
+    path = tmp_path / "cycle60.json"
+    path.write_text(serialize_graph(generate("cycle", 60)), encoding="utf-8")
+    code = run(["verify-estimates", "--graph", str(path), "--paper-K", "0",
+                "--dimension", "inf", "--t", "0.1,1,10", "--seed", "1"])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert code == 0
+    assert len(out.encode()) < 16 * 1024  # no per-triple table by default
+    assert list(report) == ["format_version", "command", "K", "dimension", "t_grid",
+                            "corpus_size", "summary"]
+    assert report["format_version"] == 2
+    summary = report["summary"]
+    assert list(summary) == ["passed", "num_reports", "num_failures", "first_counterexample",
+                             "warning", "failures_by_estimate", "worst"]
+    assert summary["num_reports"] == (2 * 60 + 20) * 3 * 60
+    assert summary["failures_by_estimate"] == {"ii": 0, "iii": 0, "iv": 0, "v": 0}
+    assert list(summary["worst"]) == ["ii", "iii", "iv", "v"]
+    for entry in summary["worst"].values():
+        assert list(entry) == ["slack", "tolerance", "function_id", "t", "x"]
+        assert entry["slack"] >= -entry["tolerance"]
+
+
+def test_cli_verify_estimates_full_table_matches_sweep(tmp_path, capsys):
+    g = generate("cycle", 5)
+    path = tmp_path / "cycle5.json"
+    path.write_text(serialize_graph(g), encoding="utf-8")
+    code = run(["verify-estimates", "--graph", str(path), "--paper-K", "-2",
+                "--dimension", "4", "--t", "0.1,1", "--seed", "3", "--num-random", "4",
+                "--full"])
+    table = _last_json(capsys)["table"]
+    h = build_heat(g)
+    result, summary = estimate_sweep(g, -2.0, 4.0, [0.1, 1.0],
+                                     default_corpus(g, seed=3, heat_op=h, num_random=4),
+                                     heat_op=h)
+    assert code == 1 and 0 < summary.num_failures < summary.num_reports
+    assert table["function_ids"] == list(result.function_ids)
+    assert table["vertices"] == list(result.vertices)
+    for k, name in enumerate(("ii", "iii", "iv", "v")):
+        assert np.array_equal(table[f"slack_{name}"], result.slacks[k])
+    assert np.array_equal(table["quadrature_error_ii"], result.quadrature_error_ii)
+    assert np.array_equal(table["verdicts"], result.verdicts)
 
 
 @pytest.mark.parametrize("paper_k", ["60", "-60"])
