@@ -8,18 +8,19 @@ and ignore constants, so the condition at x is positive semidefiniteness of
 
 on the punctured 2-ball (no 1/n term at n = infinity).  Order the support as
 the 1-sphere S1, then the 2-sphere S2: gamma2_matrix = [[P, Q], [Q', R]],
-gamma_matrix = diag(B, 0) and laplace_vector = (d, 0).  With f(x) = 0,
-Gamma(f)(x) sums b(x,y) f(y)^2 / (2 m(x)) over the neighbors y, so B is
-diagonal and positive.  For f supported on S2, Gamma(f)(x) and
-Gamma(f, Delta f)(x) vanish (each term carries f(y) - f(x) = 0), so
-Gamma_2(f)(x) = (1/2) Delta Gamma(f)(x) = sum_z f(z)^2 sum_y b(x,y) b(y,z) /
-(4 m(x) m(y)): R is diagonal, and positive as every z in S2 has a neighbor in
-S1.  By the Schur complement of R, M(K) >= 0 exactly when
+gamma_matrix = diag(B, 0) and laplace_vector = (d, 0).  B is diagonal and
+positive (Gamma(f)(x) sums b(x,y) f(y)^2 / (2 m(x)) when f(x) = 0), and so is
+R (on f supported on S2 only the (1/2) Delta Gamma(f)(x) part of Gamma_2
+survives, sum_z f(z)^2 sum_y b(x,y) b(y,z) / (4 m(x) m(y))).  By the Schur
+complement of R, M(K) >= 0 exactly when
 
     K <= lambda_min(B^{-1/2} (P - Q R^{-1} Q' - d d'/n) B^{-1/2}),
 
 one eigensolve of size |S1| (Cushing, Liu and Peyerimhoff, "Bakry-Emery
 curvature functions on graphs").
+
+``cd_check`` alone judges a bound, with a tolerance relative to a scale
+sigma(K) of M(K), so its verdicts do not depend on the units of the input.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .operators import LocalForms, local_forms
 
 __all__ = [
     "EIG_TOL",
-    "CURVATURE_TOL",
     "CURVATURE_CAP",
     "CurvatureResult",
     "CurvatureProfile",
@@ -45,8 +45,7 @@ __all__ = [
     "cd_extremal_function",
 ]
 
-EIG_TOL = 1e-10  # absolute tolerance on the smallest eigenvalue of M(K)
-CURVATURE_TOL = 1e-9  # relative first step of the refuting-K search
+EIG_TOL = 1e-12  # tolerance on the smallest eigenvalue of M(K), relative to sigma(K)
 CURVATURE_CAP = 1e6  # curvature reported at isolated vertices (vacuous CD)
 
 
@@ -85,10 +84,16 @@ def cd_matrix(forms: LocalForms, K: float, n: float) -> np.ndarray:
     return M
 
 
-def _smallest_eigenvalue(forms: LocalForms, K: float, n: float) -> float:
-    if forms.size == 0:
-        return math.inf
-    return float(np.linalg.eigvalsh(cd_matrix(forms, K, n))[0])
+def _cd_scale(forms: LocalForms, K: float, n: float) -> float:
+    """sigma(K) = max |diag gamma2_matrix| + |K| max diag gamma_matrix + |d|^2 / n.
+
+    It scales by c^2 under (b, K) -> (c b, c K), does not change under
+    (b, m) -> (c b, c m) or a relabelling, and is 0 at an isolated vertex.
+    """
+    d = forms.laplace_vector
+    sigma = float(np.abs(np.diag(forms.gamma2_matrix)).max(initial=0.0))
+    sigma += abs(K) * float(np.diag(forms.gamma_matrix).max(initial=0.0))
+    return sigma if math.isinf(n) else sigma + float(d @ d) / n
 
 
 def cd_check(
@@ -100,54 +105,55 @@ def cd_check(
 ) -> tuple[bool, float]:
     """Decide CD(K,n) at x; returns (holds, smallest eigenvalue of M(K)).
 
-    The eigenvalue is +inf for isolated vertices, where the condition is
-    vacuous.
+    CD(K,n) holds when lambda_min(M(K)) >= -EIG_TOL sigma(K) (see
+    ``_cd_scale``), so the verdict is the same under (b, K) -> (c b, c K)
+    and (b, m) -> (c b, c m).  The eigenvalue is +inf for isolated vertices,
+    where the condition is vacuous.
     """
     n = _check_dimension(n)
     if forms is None:
         forms = local_forms(g, x)
-    lam = _smallest_eigenvalue(forms, K, n)
-    return lam >= -EIG_TOL, lam
+    if forms.size == 0:
+        return True, math.inf
+    lam = float(np.linalg.eigvalsh(cd_matrix(forms, K, n))[0])
+    return lam >= -EIG_TOL * _cd_scale(forms, K, n), lam
 
 
 def curvature_solve(g: WeightedGraph, x: str, n: float) -> CurvatureResult:
     """sup{K : CD(K,n) holds at x} by the Schur-complement closed form.
 
-    The result is certified: K steps down from the closed form, by a margin
-    doubling from machine precision times the spectral scale, until cd_check
-    accepts it.  ``bracket_width`` is half the gap to a K that cd_check
-    refutes, found by doubling a step from CURVATURE_TOL * max(1, |K|).
-    Isolated vertices return CURVATURE_CAP with converged = True (the
-    condition is vacuous there).
+    ``converged`` is cd_check's verdict at the returned K.  With y the unit
+    closed-form eigenvector, u = B^{-1/2} y and z = (u, -R^{-1} Q' u),
+    z' M(K') z = K - K', so lambda_min(M(K')) <= (K - K') / |z|^2; as also
+    sigma(K') <= sigma(K) + (K' - K) max B, cd_check refutes every K' beyond
+    K + ``bracket_width`` = e sigma(K) / (1 - e max B), e = EIG_TOL |z|^2 (up
+    to rounding).  Isolated vertices return CURVATURE_CAP with converged =
+    True (the condition is vacuous there).
     """
     n = _check_dimension(n)
     forms = local_forms(g, x)
     if forms.size == 0:
         return CurvatureResult(x, n, CURVATURE_CAP, True, 0.0)
 
-    k = len(g.neighbors(x))  # the support lists S1 first
-    A = forms.gamma2_matrix
-    d = forms.laplace_vector[:k]
-    S = A[:k, :k] - (A[:k, k:] / np.diag(A)[k:]) @ A[k:, :k]
-    if not math.isinf(n):
-        S = S - np.outer(d, d) / n
-    b = 1.0 / np.sqrt(np.diag(forms.gamma_matrix)[:k])
-    eigs = np.linalg.eigvalsh(b[:, None] * S * b)
+    k = len(g.neighbors(x))  # the support lists S1 first; d vanishes on S2
+    M = cd_matrix(forms, 0.0, n)
+    r = np.diag(M)[k:]
+    S = M[:k, :k] - (M[:k, k:] / r) @ M[k:, :k]
+    B = np.diag(forms.gamma_matrix)[:k]
+    b = 1.0 / np.sqrt(B)
+    eigs, vecs = np.linalg.eigh(b[:, None] * S * b)
     K = float(eigs[0])
 
-    step = np.finfo(float).eps * max(float(np.abs(eigs).max()), float(d.sum()))
-    while not cd_check(g, K, n, x, forms)[0]:
-        K -= step
-        step *= 2.0
-    step = CURVATURE_TOL * max(1.0, abs(K))
-    while cd_check(g, K + step, n, x, forms)[0]:
-        step *= 2.0
+    u = b * vecs[:, 0]
+    e = EIG_TOL * (float(u @ u) + float(np.sum((M[k:, :k] @ u / r) ** 2)))
+    growth = e * float(B.max())
+    width = e * _cd_scale(forms, K, n) / (1.0 - growth) if growth < 1.0 else math.inf
     return CurvatureResult(
         vertex=x,
         dimension=n,
         curvature=K,
-        converged=True,
-        bracket_width=0.5 * step,
+        converged=cd_check(g, K, n, x, forms)[0],
+        bracket_width=width,
     )
 
 

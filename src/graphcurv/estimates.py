@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CURVATURE_TOL, curvature_profile
+from .curvature import _check_dimension, cd_check
 from .graphs import (
     GraphFunction,
     WeightedGraph,
@@ -321,18 +321,30 @@ def _slack_arrays(
     return slack_ii, slack_iii, slack_iv, slack_v, qerr, scale
 
 
-def _check_estimate_inputs(h: HeatOperator, f: GraphFunction, t: float, n: float) -> None:
+def _full_semigroup(g: WeightedGraph, h: HeatOperator | None) -> HeatOperator:
+    """h if it is the full-graph semigroup of g (built when h is None), else raise."""
+    if h is None:
+        return build_heat(g)
+    if h.graph is not g and h.graph != g:
+        raise ValueError("heat operator does not belong to the given graph")
     if h.dirichlet_domain is not None:
-        raise PreconditionError(
-            "estimate verification requires the full-graph semigroup; "
-            "Dirichlet restrictions lose mass and the estimates do not apply"
-        )
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if not (float(n) > 0):
-        raise ValueError("dimension must be positive (or infinity)")
+        raise PreconditionError("needs the full-graph semigroup: a Dirichlet restriction loses mass")
+    return h
+
+
+def _check_nonnegative(g: WeightedGraph, f: GraphFunction) -> None:
+    _check_graph_function(g, f)
     if float(np.min(f.array)) < 0:
         raise ValueError("f must be nonnegative")
+
+
+def _require_curvature(g: WeightedGraph, K: float) -> None:
+    """Raise PreconditionError at the first vertex where cd_check refutes CD(K, inf)."""
+    for x in g.vertices:
+        holds, lam = cd_check(g, K, math.inf, x)
+        if not holds:
+            raise PreconditionError(f"graph violates CD({K:.6g}, infinity): the curvature "
+                                    f"at {x!r} is below {K:.6g} (lambda_min(M(K)) = {lam:.3g})")
 
 
 def _check_exponent(K: float, t: float) -> None:
@@ -378,16 +390,14 @@ def estimate_sweep(
     all found by array reductions.  An empty corpus passes vacuously with a
     warning.
     """
-    if heat_op is None:
-        heat_op = build_heat(g)
-    n = float(n)
-    for fid, f in function_corpus:
-        _check_graph_function(g, f)
-        _check_estimate_inputs(heat_op, f, min(t_grid, default=0.0), n)
+    heat_op = _full_semigroup(g, heat_op)
+    n = _check_dimension(n)
     times = tuple(float(t) for t in t_grid)
     if any(t < 0 for t in times):
         raise ValueError("t must be nonnegative")
     _check_exponent(K, max(times, default=0.0))
+    for _, f in function_corpus:
+        _check_nonnegative(g, f)
 
     N, B, T = g.num_vertices, len(function_corpus), len(times)
     slacks, qerr, scale = np.empty((4, B, T, N)), np.empty((B, T, N)), np.empty((4, B, T))
@@ -465,8 +475,7 @@ def default_corpus(
     heat-smoothed indicators (clipped at 0 against rounding), which probe
     the near-harmonic regime.
     """
-    if heat_op is None:
-        heat_op = build_heat(g)
+    heat_op = _full_semigroup(g, heat_op)
     rng = np.random.default_rng(seed)
     corpus: list[tuple[str, GraphFunction]] = []
     for v in g.vertices:
@@ -534,24 +543,16 @@ def build_cutoff(
     and eta is a 1-Lipschitz contraction of 2 P_t 1_U, so
     Gamma(eta) <= 4 Gamma(P_t 1_U) <= 2/t = epsilon.
 
-    Raises PreconditionError if the curvature profile dips below 0 or if
-    P_t 1_U < 3/4 somewhere on S (the caller must choose U large enough).
+    Raises PreconditionError if cd_check refutes CD(0, infinity) at some
+    vertex or if P_t 1_U < 3/4 somewhere on S (the caller must choose U
+    large enough).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if h.graph is not g and h.graph != g:
-        raise ValueError("heat operator does not belong to the given graph")
-    if h.dirichlet_domain is not None:
-        raise ValueError("the cutoff construction needs the full-graph semigroup")
+    _full_semigroup(g, h)
     s_idx = [g.index(v) for v in S]
     u_idx = [g.index(v) for v in U]
-
-    profile = curvature_profile(g, math.inf)
-    if profile.global_curvature < -CURVATURE_TOL:
-        raise PreconditionError(
-            "graph violates CD(0, infinity): global curvature "
-            f"{profile.global_curvature:.6g} < 0"
-        )
+    _require_curvature(g, 0.0)
 
     t = 2.0 / epsilon
     ones_u = np.zeros(g.num_vertices)
@@ -595,12 +596,7 @@ def finiteness_probe(
         raise ValueError("K must be positive")
     if not is_connected(g):
         raise PreconditionError("finiteness probe requires a connected graph")
-    profile = curvature_profile(g, math.inf)
-    if profile.global_curvature < K - CURVATURE_TOL:
-        raise PreconditionError(
-            f"curvature profile minimum {profile.global_curvature:.6g} is below "
-            f"the requested bound {K:.6g}"
-        )
+    _require_curvature(g, K)
 
     rng = np.random.default_rng(seed)
     samples = rng.uniform(-1.0, 1.0, (g.num_vertices, jensen_samples))
@@ -675,11 +671,8 @@ def taylor_check(
     side.  First and second order coefficients are fitted by Richardson
     extrapolation on a halving t-grid.
     """
-    _check_graph_function(g, f)
-    if float(np.min(f.array)) < 0:
-        raise ValueError("f must be nonnegative")
-    if heat_op is None:
-        heat_op = build_heat(g)
+    _check_nonnegative(g, f)
+    heat_op = _full_semigroup(g, heat_op)
     ix = g.index(x)
 
     farr = f.array

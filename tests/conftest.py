@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from graphcurv import EstimateReport, GraphFunction, LocalForms, WeightedGraph
-from graphcurv.curvature import CURVATURE_CAP, CURVATURE_TOL, EIG_TOL, cd_matrix
+from graphcurv.curvature import CURVATURE_CAP, cd_check
 from graphcurv.estimates import REPORT_TOL, _slack_arrays
 from graphcurv.graphs import ball
 from graphcurv.heat import KERNEL_TOL, HeatOperator
@@ -44,6 +44,16 @@ def random_connected_graph(
                 weights[(names[i], names[j])] = float(rng.uniform(*weight_range))
     measure = {v: float(rng.uniform(*measure_range)) for v in names}
     return WeightedGraph(names, weights, measure)
+
+
+def scaled_weights(g: WeightedGraph, c: float, measure_factor: float = 1.0,
+                   order=None) -> WeightedGraph:
+    """Weights times c, measures times measure_factor, vertices listed in order."""
+    return WeightedGraph(
+        g.vertices if order is None else order,
+        {(u, v): c * w for u, v, w in g.edges()},
+        {v: measure_factor * g.measure(v) for v in g.vertices},
+    )
 
 
 def random_function(rng: np.random.Generator, g: WeightedGraph, lo=-1.0, hi=1.0) -> GraphFunction:
@@ -113,16 +123,17 @@ def reference_local_forms(g: WeightedGraph, x: str) -> LocalForms:
 def bisection_solve(g: WeightedGraph, x: str, n: float) -> tuple[float, float]:
     """(K, bracket_width) for sup{K : CD(K,n) at x} by bisection.
 
-    Bisects on the sign of lambda_min(M(K)) against EIG_TOL.  The bracket
-    [-1, 1] doubles until it straddles feasibility (upwards only as far as
-    CURVATURE_CAP) and then halves to CURVATURE_TOL; K is the feasible end.
+    Bisects on cd_check's acceptance rule applied to the reference forms.
+    The bracket [-1, 1] doubles until it straddles feasibility (upwards only
+    as far as CURVATURE_CAP) and then halves to an absolute 1e-9; K is the
+    feasible end.
     """
     forms = reference_local_forms(g, x)
     if forms.size == 0:
         return CURVATURE_CAP, 0.0
 
     def feasible(K: float) -> bool:
-        return float(np.linalg.eigvalsh(cd_matrix(forms, K, n))[0]) >= -EIG_TOL
+        return cd_check(g, K, n, x, forms)[0]
 
     lo, hi = -1.0, 1.0
     hi_ok = feasible(hi)
@@ -133,7 +144,7 @@ def bisection_solve(g: WeightedGraph, x: str, n: float) -> tuple[float, float]:
         return CURVATURE_CAP, 0.0
     while not feasible(lo):
         lo, hi = 2.0 * lo, lo
-    while hi - lo > 2.0 * CURVATURE_TOL:
+    while hi - lo > 2.0 * 1e-9:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid

@@ -14,6 +14,7 @@ from graphcurv import (
     GraphFunction,
     build_cutoff,
     build_heat,
+    cd_check,
     cd_extremal_function,
     curvature_profile,
     curvature_solve,
@@ -233,12 +234,11 @@ def test_criterion_8_semigroup_suite():
 
 
 def test_criterion_9_cutoff_bound(corpus_graphs):
-    from graphcurv.curvature import CURVATURE_TOL
-
     checked = 0
     ok = True
     for name, g in corpus_graphs.items():
-        if curvature_profile(g, math.inf).global_curvature < -CURVATURE_TOL:
+        # the CD(0, infinity) rule build_cutoff applies
+        if not all(cd_check(g, 0.0, math.inf, x)[0] for x in g.vertices):
             continue
         checked += 1
         h = build_heat(g)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bisection_solve, random_connected_graph
+from conftest import bisection_solve, random_connected_graph, scaled_weights
 from graphcurv import (
     GraphFunction,
     WeightedGraph,
@@ -18,20 +18,15 @@ from graphcurv import (
     laplacian,
     local_forms,
 )
-from graphcurv.curvature import CURVATURE_CAP, CURVATURE_TOL, cd_matrix
+from graphcurv.curvature import CURVATURE_CAP, cd_matrix
 from graphcurv.graphs import ball
+
+
+CURVATURE_TOL = 1e-9  # absolute tolerance of the solver soundness and tightness checks
 
 
 def single_edge():
     return generate("complete", 2)
-
-
-def scaled_weights(g, c):
-    return WeightedGraph(
-        g.vertices,
-        {(u, v): c * w for u, v, w in g.edges()},
-        {v: g.measure(v) for v in g.vertices},
-    )
 
 
 # -- cd_check -------------------------------------------------------------------
@@ -51,6 +46,24 @@ def test_cd_check_isolated_vertex_vacuous():
     g = WeightedGraph(["a"], {}, {"a": 1.0})
     holds, eig = cd_check(g, 1e5, math.inf, "a")
     assert holds and math.isinf(eig)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(exponent=st.floats(-8.0, 8.0), n=st.sampled_from([1.0, 4.0, math.inf]))
+def test_cd_check_verdicts_scale_invariant_property(exponent, n):
+    # an absolute eigenvalue tolerance accepted CD(2 K) on complete30 with
+    # weights x1e-8 and reported a bracket of 0.017 around K = 1.6e-7
+    c = 10.0 ** exponent
+    fuzzed = random_connected_graph(np.random.default_rng(33), 10)
+    for g, x in ((generate("complete", 30), "v0"), (fuzzed, "v3"), (fuzzed, "v4")):
+        k = curvature_solve(g, x, n).curvature
+        scaled = scaled_weights(g, c)
+        for K in (k, 2.0 * k):
+            assert cd_check(scaled, c * K, n, x)[0] == (K <= k)
+        r = curvature_solve(scaled, x, n)
+        assert r.converged and r.bracket_width <= 1e-9 * c * max(1.0, abs(k))
+        assert cd_check(scaled, r.curvature - 2 * r.bracket_width, n, x)[0]
+        assert not cd_check(scaled, r.curvature + 2 * r.bracket_width, n, x)[0]
 
 
 def test_cd_check_rejects_bad_dimension():
@@ -137,7 +150,7 @@ def test_weight_scaling_scales_curvature():
 def test_solver_matches_bisection_reference():
     # the bisection brackets sup{K : cd_check accepts} in [K, K + 2 * width]
     # and reports the lower end; the closed form must lie below the upper
-    # end and, being exact, at most the EIG_TOL overshoot below the lower one
+    # end and, being exact, may sit below the lower one only by rounding
     rng = np.random.default_rng(32)
     for _ in range(40):
         g = random_connected_graph(rng, int(rng.integers(2, 13)),
@@ -164,13 +177,41 @@ def test_solver_scale_extremes_complete30(c):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(exponent=st.floats(-8.0, 5.0), n=st.sampled_from([1.0, 4.0, math.inf]))
-def test_curvature_scales_with_weights_property(exponent, n):
+@given(exponent=st.floats(-8.0, 8.0), n=st.sampled_from([1.0, 4.0, math.inf]),
+       order_seed=st.integers(0, 2**16))
+def test_curvature_scales_with_weights_property(exponent, n, order_seed):
+    # K(c b, m) = c K(b, m), K(c b, c m) = K(b, m), and relabelling the
+    # vertices permutes the profile
     c = 10.0 ** exponent
     fuzzed = random_connected_graph(np.random.default_rng(31), 10)
     for g, x in ((generate("complete", 30), "v0"), (fuzzed, "v3"), (fuzzed, "v4")):
         k = curvature_solve(g, x, n).curvature
         assert curvature_solve(scaled_weights(g, c), x, n).curvature == pytest.approx(c * k, rel=1e-9)
+        assert curvature_solve(scaled_weights(g, c, c), x, n).curvature == pytest.approx(k, rel=1e-9)
+    order = [fuzzed.vertices[i] for i in np.random.default_rng(order_seed).permutation(10)]
+    profile = curvature_profile(scaled_weights(fuzzed, c, order=order), n)
+    assert [r.vertex for r in profile.per_vertex] == order
+    expected = {r.vertex: c * r.curvature for r in curvature_profile(fuzzed, n).per_vertex}
+    for r in profile.per_vertex:
+        assert r.curvature == pytest.approx(expected[r.vertex], rel=1e-9)
+
+
+def test_solver_certifies_with_one_cd_check(monkeypatch):
+    import graphcurv.curvature as curvature
+
+    calls = []
+
+    def counting_cd_check(g, K, n, x, forms=None):
+        calls.append(x)
+        return cd_check(g, K, n, x, forms)
+
+    monkeypatch.setattr(curvature, "cd_check", counting_cd_check)
+    g = random_connected_graph(np.random.default_rng(34), 12)
+    with_isolated = WeightedGraph([*g.vertices, "iso"], {(u, v): w for u, v, w in g.edges()},
+                                  {"iso": 1.0, **{v: g.measure(v) for v in g.vertices}})
+    profile = curvature_profile(with_isolated, 4.0)
+    assert calls == list(g.vertices)
+    assert all(r.converged for r in profile.per_vertex)
 
 
 def test_smallest_eigenvalue_decreases_in_K():

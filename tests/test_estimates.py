@@ -12,6 +12,7 @@ from conftest import (
     random_connected_graph,
     random_function,
     reference_gradient_integral,
+    scaled_weights,
 )
 from graphcurv import (
     GraphFunction,
@@ -99,6 +100,38 @@ def test_input_validation():
     dirichlet = build_heat(g, dirichlet_domain={"v0"})
     with pytest.raises(PreconditionError, match="Dirichlet"):
         verify_estimates(g, 0.0, math.inf, edge_function(g), 1.0, "v0", heat_op=dirichlet)
+
+
+def test_sweep_input_checks_run_on_empty_corpus():
+    g = single_edge()
+    with pytest.raises(ValueError, match="dimension"):
+        estimate_sweep(g, 0.0, -1.0, [1.0], [])
+    with pytest.raises(ValueError, match="nonnegative"):
+        estimate_sweep(g, 0.0, math.inf, [-1.0], [])
+    dirichlet = build_heat(g, dirichlet_domain={"v0"})
+    with pytest.raises(PreconditionError, match="Dirichlet"):
+        estimate_sweep(g, 0.0, math.inf, [1.0], [], heat_op=dirichlet)
+
+
+def test_foreign_heat_operator_rejected():
+    # path6's semigroup on cycle6 gave 2 estimate failures and a Taylor fit of
+    # 1.0 against the exact 26 without complaint
+    g, foreign = generate("cycle", 6), build_heat(generate("path", 6))
+    f = GraphFunction(g, np.arange(6.0))
+    with pytest.raises(ValueError, match="does not belong"):
+        estimate_sweep(g, 0.0, math.inf, [1.0], [("f", f)], heat_op=foreign)
+    with pytest.raises(ValueError, match="does not belong"):
+        verify_estimates(g, 0.0, math.inf, f, 1.0, "v0", heat_op=foreign)
+    with pytest.raises(ValueError, match="does not belong"):
+        default_corpus(g, heat_op=foreign)
+    with pytest.raises(ValueError, match="does not belong"):
+        taylor_check(g, f, "v0", heat_op=foreign)
+    with pytest.raises(ValueError, match="does not belong"):
+        build_cutoff(g, {"v0"}, 1.0, set(g.vertices), foreign)
+    # a Dirichlet semigroup is not g's either: it shifted the fitted variance
+    # coefficient of t^2 from 0 to 0.041 on path6
+    with pytest.raises(PreconditionError, match="Dirichlet"):
+        taylor_check(g, f, "v0", heat_op=build_heat(g, dirichlet_domain={"v0", "v1"}))
 
 
 def test_k_zero_limit_matches_nearby_k():
@@ -419,6 +452,14 @@ def test_cutoff_negative_curvature_rejected():
         build_cutoff(g, {"c"}, 1.0, set(g.vertices), build_heat(g))
 
 
+def test_cutoff_rejects_negative_curvature_at_any_scale():
+    # star5 with weights x1e-12 has curvature -1e-12, which an absolute
+    # 1e-9 tolerance on the profile minimum let through
+    g = scaled_weights(generate("star", 5), 1e-12)
+    with pytest.raises(PreconditionError, match="CD\\(0"):
+        build_cutoff(g, {"c"}, 1.0, set(g.vertices), build_heat(g))
+
+
 def test_cutoff_universe_too_small_rejected():
     g = generate("path", 20)
     h = build_heat(g)
@@ -490,6 +531,15 @@ def test_finiteness_preconditions():
         finiteness_probe(generate("star", 5), 1.0, [1.0])
     with pytest.raises(ValueError):
         finiteness_probe(single_edge(), -1.0, [1.0])
+
+
+@pytest.mark.parametrize("family, size, K, c", [
+    ("complete", 30, 16.0, 1e5), ("complete", 30, 16.0, 1e8), ("hypercube", 3, 2.0, 1e8),
+])
+def test_finiteness_accepts_exact_bound_at_scale(family, size, K, c):
+    # the exact curvature K c was refused against an absolute tolerance
+    rep = finiteness_probe(scaled_weights(generate(family, size), c), K * c, [1.0])
+    assert rep["curvature_bound"] == K * c
 
 
 def test_finiteness_isolated_vertex_vacuous():
