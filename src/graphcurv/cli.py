@@ -44,10 +44,11 @@ from .heat import build_heat
 # vertex) results are a columnar table behind --full
 REPORT_FORMAT_VERSION = 2
 
-GREEN_TOL = 1e-10  # relative, triple agreement
+# Each check compares a mismatch with one of these times a scale that moves
+# with the units of the input: the reported values and the largest degree.
+CHECK_TOL = 1e-10  # Green's triple, the cutoff bound and the Jensen step
 EC_TOL = 1e-12  # ellipticity constant vs operator norm
-TAYLOR_TOL = 1e-6  # relative, fitted vs exact coefficients
-CUTOFF_TOL = 1e-10  # slack on the Gamma(eta) <= epsilon bound
+TAYLOR_TOL = 1e-6  # fitted vs exact coefficients of order k, per ||f||_inf^2 D^k
 
 
 def _jsonify(obj):
@@ -72,6 +73,11 @@ def _jsonify(obj):
         if math.isnan(obj):
             return "nan"
     return obj
+
+
+def _relative(mismatch: float, scale: float) -> float:
+    """mismatch / scale, with 0 / 0 = 0 (an all-zero check matches exactly)."""
+    return mismatch / scale if scale > 0 else (0.0 if mismatch == 0 else math.inf)
 
 
 def _emit(command: str, payload: dict, summary: str) -> None:
@@ -318,13 +324,12 @@ def _cmd_green_check(args) -> int:
         f = GraphFunction(g, rng.uniform(-1.0, 1.0, g.num_vertices))
         h = GraphFunction(g, rng.uniform(-1.0, 1.0, g.num_vertices))
         a, b, c = green_check(g, f, h)
-        scale = max(abs(a), abs(b), abs(c), 1.0)
-        worst = max(worst, abs(a - b) / scale, abs(a - c) / scale)
+        worst = max(worst, _relative(max(abs(a - b), abs(a - c)), max(abs(a), abs(b), abs(c))))
         triples.append([a, b, c])
-    ok = worst <= GREEN_TOL
+    ok = worst <= CHECK_TOL
     _emit("green-check",
           {"samples": args.samples, "max_relative_mismatch": worst,
-           "tolerance": GREEN_TOL, "passed": ok, "triples": triples},
+           "tolerance": CHECK_TOL, "passed": ok, "triples": triples},
           f"Green's formula mismatch {worst:.3g} ({'pass' if ok else 'FAIL'})")
     return 0 if ok else 1
 
@@ -332,7 +337,7 @@ def _cmd_green_check(args) -> int:
 def _cmd_ec_check(args) -> int:
     g = _load_graph(args)
     constant, norm = ec_norm_check(g)
-    ok = abs(constant - norm) <= EC_TOL * max(1.0, constant, norm)
+    ok = abs(constant - norm) <= EC_TOL * max(constant, norm)
     _emit("ec-check",
           {"ellipticity_constant": constant, "adjacency_operator_norm": norm,
            "passed": ok},
@@ -346,7 +351,7 @@ def _cmd_cutoff(args) -> int:
     universe = _split_ids(args.universe) if args.universe else list(g.vertices)
     h = build_heat(g)
     result = build_cutoff(g, target, args.epsilon, universe, h)
-    ok = result.max_gamma <= args.epsilon + CUTOFF_TOL
+    ok = result.max_gamma <= args.epsilon * (1.0 + CHECK_TOL)
     _emit("cutoff",
           {"epsilon": result.epsilon, "target_set": result.target_set,
            "max_gamma": result.max_gamma, "bound_holds": ok,
@@ -360,7 +365,7 @@ def _cmd_finiteness(args) -> int:
     g = _load_graph(args)
     report = finiteness_probe(g, args.K, _parse_floats(args.epsilons, "--epsilons"),
                               seed=args.seed)
-    ok = report["jensen_max_violation"] <= 1e-10
+    ok = report["jensen_max_violation"] <= CHECK_TOL * report["jensen_scale"]
     _emit("finiteness", {"report": report, "passed": ok},
           f"total measure {report['total_measure']:.6g}, "
           f"Jensen violation {report['jensen_max_violation']:.3g}")
@@ -375,12 +380,13 @@ def _cmd_taylor_check(args) -> int:
         rng = np.random.default_rng(args.seed)
         f = GraphFunction(g, rng.uniform(0.0, 1.0, g.num_vertices))
     report = taylor_check(g, f, args.vertex, K=args.K)
+    f_sq = float(np.max(np.abs(f.array))) ** 2
+    D = float(np.max(g.weighted_degrees, initial=0.0))
     worst = 0.0
     for section in ("variance", "heat_of_gradient", "gradient_of_heat"):
-        for order in ("first_order", "second_order"):
+        for k, order in ((1, "first_order"), (2, "second_order")):
             pair = report[section][order]
-            scale = max(abs(pair["exact"]), 1.0)
-            worst = max(worst, abs(pair["fitted"] - pair["exact"]) / scale)
+            worst = max(worst, _relative(abs(pair["fitted"] - pair["exact"]), f_sq * D**k))
     ok = worst <= TAYLOR_TOL
     _emit("taylor-check", {"report": report, "max_relative_mismatch": worst, "passed": ok},
           f"coefficient mismatch {worst:.3g} ({'pass' if ok else 'FAIL'})")

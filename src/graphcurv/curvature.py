@@ -36,7 +36,6 @@ from .operators import LocalForms, local_forms
 
 __all__ = [
     "EIG_TOL",
-    "CURVATURE_CAP",
     "CurvatureResult",
     "CurvatureProfile",
     "cd_check",
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 EIG_TOL = 1e-12  # tolerance on the smallest eigenvalue of M(K), relative to sigma(K)
-CURVATURE_CAP = 1e6  # curvature reported at isolated vertices (vacuous CD)
 
 
 @dataclass(frozen=True)
@@ -127,13 +125,13 @@ def curvature_solve(g: WeightedGraph, x: str, n: float) -> CurvatureResult:
     z' M(K') z = K - K', so lambda_min(M(K')) <= (K - K') / |z|^2; as also
     sigma(K') <= sigma(K) + (K' - K) max B, cd_check refutes every K' beyond
     K + ``bracket_width`` = e sigma(K) / (1 - e max B), e = EIG_TOL |z|^2 (up
-    to rounding).  Isolated vertices return CURVATURE_CAP with converged =
-    True (the condition is vacuous there).
+    to rounding).  Isolated vertices return +inf with converged = True and
+    width 0: the condition is vacuous there, so every K is admissible.
     """
     n = _check_dimension(n)
     forms = local_forms(g, x)
     if forms.size == 0:
-        return CurvatureResult(x, n, CURVATURE_CAP, True, 0.0)
+        return CurvatureResult(x, n, math.inf, True, 0.0)
 
     k = len(g.neighbors(x))  # the support lists S1 first; d vanishes on S2
     M = cd_matrix(forms, 0.0, n)

@@ -590,7 +590,10 @@ def finiteness_probe(
     epsilon below K^2 / (2 Deg(x)) yields a contradiction.  On a finite
     graph (finite measure is automatic) the probe documents the thresholds
     and also samples the Jensen step (Delta g)^2 <= 2 Deg(x) Gamma(g)(x)
-    that the argument relies on.
+    that the argument relies on: ``jensen_max_violation`` is the largest
+    (Delta g)^2 - 2 Deg Gamma(g) over the samples (0 if none is positive) and
+    ``jensen_scale`` the largest (Delta g)^2 + 2 Deg Gamma(g), the scale to
+    judge the violation against.
     """
     if not (K > 0):
         raise ValueError("K must be positive")
@@ -603,37 +606,28 @@ def finiteness_probe(
     lap = laplacian_array(g, samples)
     gam = gamma_array(g, samples, samples)
     deg = g.weighted_degrees
-    jensen_violation = float(np.max(lap * lap - 2.0 * deg[:, None] * gam, initial=0.0))
+    lap_sq, deg_gam = lap * lap, 2.0 * deg[:, None] * gam
+    jensen_violation = float(np.max(lap_sq - deg_gam, initial=0.0))
+    jensen_scale = float(np.max(lap_sq + deg_gam, initial=0.0))
 
     per_vertex = []
-    for i, v in enumerate(g.vertices):
-        d = float(deg[i])
+    for v, d in zip(g.vertices, deg.tolist()):
         vacuous = d == 0.0
-        threshold = math.inf if vacuous else K * K / (2.0 * d)
-        entries = []
-        for eps in epsilon_grid:
-            eps = float(eps)
-            bound = math.sqrt(2.0 * eps * d) / K
-            entries.append(
-                {
-                    "epsilon": eps,
-                    "bound": bound,
-                    "forces_contradiction": (not vacuous) and bound < 1.0,
-                }
-            )
-        per_vertex.append(
-            {
-                "vertex": v,
-                "degree": d,
-                "epsilon_threshold": threshold,
-                "vacuous": vacuous,
-                "entries": entries,
-            }
-        )
+        bounds = [(float(eps), math.sqrt(2.0 * float(eps) * d) / K) for eps in epsilon_grid]
+        per_vertex.append({
+            "vertex": v,
+            "degree": d,
+            "epsilon_threshold": math.inf if vacuous else K * K / (2.0 * d),
+            "vacuous": vacuous,
+            "entries": [{"epsilon": eps, "bound": bound,
+                         "forces_contradiction": not vacuous and bound < 1.0}
+                        for eps, bound in bounds],
+        })
     return {
         "curvature_bound": float(K),
         "total_measure": float(np.sum(g.measure_vector)),
         "jensen_max_violation": jensen_violation,
+        "jensen_scale": jensen_scale,
         "per_vertex": per_vertex,
     }
 
@@ -658,8 +652,6 @@ def taylor_check(
     x: str,
     K: float = 0.5,
     heat_op: HeatOperator | None = None,
-    t0: float = 0.1,
-    levels: int = 7,
 ) -> dict:
     """Fit small-t expansion coefficients and compare with exact operators.
 
@@ -669,11 +661,17 @@ def taylor_check(
     + K Gamma(f)) for the heat-of-gradient side and 2t Gamma(f)
     + 2t^2 (2 Gamma(f, Delta f) - K Gamma(f)) for the gradient-of-heat
     side.  First and second order coefficients are fitted by Richardson
-    extrapolation on a halving t-grid.
+    extrapolation on the halving grid t_j = 0.1 / (D 2^j), j < 7, with D the
+    largest weighted degree.  As lambda_max <= 2D, the fit sits at the same
+    point of the expansion under (b, K) -> (c b, c K); an edgeless graph,
+    whose coefficients all vanish, takes D = 1.  Raises PreconditionError
+    when e^{+-2K t_0} overflows.
     """
     _check_nonnegative(g, f)
     heat_op = _full_semigroup(g, heat_op)
     ix = g.index(x)
+    t0 = 0.1 / (float(np.max(g.weighted_degrees, initial=0.0)) or 1.0)
+    _check_exponent(K, t0)
 
     farr = f.array
     gam_f = gamma_array(g, farr, farr)
@@ -686,23 +684,18 @@ def taylor_check(
     exact_upper_c2 = 2.0 * float(lap_gam_f[ix] + K * gam_f[ix])
     exact_lower_c2 = 2.0 * float(2.0 * gam_f_lapf[ix] - K * gam_f[ix])
 
-    ts = [t0 / 2.0**j for j in range(levels)]
+    ts = [t0 / 2.0**j for j in range(7)]
 
     def fit(series: list[float]) -> tuple[float, float]:
         c1 = _richardson_limit([v / t for v, t in zip(series, ts)])
         c2 = _richardson_limit([(v - c1 * t) / (t * t) for v, t in zip(series, ts)])
         return c1, c2
 
-    variance = [
-        float((heat_op.apply_array(t, farr * farr) - heat_op.apply_array(t, farr) ** 2)[ix])
-        for t in ts
-    ]
-    heat_of_gradient = [
-        2.0 * t * _phi1(2.0 * K * t) * float(heat_op.apply_array(t, gam_f)[ix]) for t in ts
-    ]
-    gradient_of_heat = []
+    variance, heat_of_gradient, gradient_of_heat = [], [], []
     for t in ts:
-        ptf = heat_op.apply_array(t, farr)
+        pt_sq, ptf, pt_gam = heat_op.apply_array(t, np.column_stack([farr * farr, farr, gam_f])).T
+        variance.append(float(pt_sq[ix] - ptf[ix] ** 2))
+        heat_of_gradient.append(2.0 * t * _phi1(2.0 * K * t) * float(pt_gam[ix]))
         gradient_of_heat.append(2.0 * t * _phi1(-2.0 * K * t) * float(gamma_array(g, ptf, ptf)[ix]))
 
     var_c1, var_c2 = fit(variance)

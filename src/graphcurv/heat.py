@@ -128,9 +128,9 @@ def build_heat(
         idx = np.arange(n)
 
     sqrt_m = np.sqrt(m[idx])
-    degw = W.sum(axis=1)  # full-graph degrees: the restriction keeps boundary edges
     S = -W[np.ix_(idx, idx)] / np.outer(sqrt_m, sqrt_m)
-    S[np.arange(len(idx)), np.arange(len(idx))] = degw[idx] / m[idx]
+    # full-graph degrees: the restriction keeps boundary edges
+    S[np.arange(len(idx)), np.arange(len(idx))] = g.weighted_degrees[idx]
     eigvals, eigvecs = np.linalg.eigh(S)
     return HeatOperator(
         graph=g,

@@ -40,10 +40,10 @@ def laplacian_array(g: WeightedGraph, F: np.ndarray) -> np.ndarray:
     """Apply the Laplacian to one function (N,) or a batch (N,B)."""
     W = g.weight_matrix
     m = g.measure_vector
-    degw = W.sum(axis=1)
+    deg = g.weighted_degrees
     if F.ndim == 1:
-        return (W @ F - degw * F) / m
-    return (W @ F - degw[:, None] * F) / m[:, None]
+        return (W @ F) / m - deg * F
+    return (W @ F) / m[:, None] - deg[:, None] * F
 
 
 def gamma_array(g: WeightedGraph, F: np.ndarray, H: np.ndarray) -> np.ndarray:

@@ -15,10 +15,12 @@ operator norm.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from graphcurv import EstimateReport, GraphFunction, LocalForms, WeightedGraph
-from graphcurv.curvature import CURVATURE_CAP, cd_check
+from graphcurv.curvature import cd_check
 from graphcurv.estimates import REPORT_TOL, _slack_arrays
 from graphcurv.graphs import ball
 from graphcurv.heat import KERNEL_TOL, HeatOperator
@@ -125,23 +127,24 @@ def bisection_solve(g: WeightedGraph, x: str, n: float) -> tuple[float, float]:
 
     Bisects on cd_check's acceptance rule applied to the reference forms.
     The bracket [-1, 1] doubles until it straddles feasibility (upwards only
-    as far as CURVATURE_CAP) and then halves to an absolute 1e-9; K is the
-    feasible end.
+    as far as 1e6) and then halves to an absolute 1e-9; K is the feasible
+    end.  Isolated vertices, where CD is vacuous, give +inf.
     """
+    limit = 1e6
     forms = reference_local_forms(g, x)
     if forms.size == 0:
-        return CURVATURE_CAP, 0.0
+        return math.inf, 0.0
 
     def feasible(K: float) -> bool:
         return cd_check(g, K, n, x, forms)[0]
 
     lo, hi = -1.0, 1.0
     hi_ok = feasible(hi)
-    while hi_ok and hi < CURVATURE_CAP:
-        lo, hi = hi, min(2.0 * hi, CURVATURE_CAP)
+    while hi_ok and hi < limit:
+        lo, hi = hi, min(2.0 * hi, limit)
         hi_ok = feasible(hi)
     if hi_ok:
-        return CURVATURE_CAP, 0.0
+        return limit, 0.0
     while not feasible(lo):
         lo, hi = 2.0 * lo, lo
     while hi - lo > 2.0 * 1e-9:

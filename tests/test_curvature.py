@@ -18,7 +18,7 @@ from graphcurv import (
     laplacian,
     local_forms,
 )
-from graphcurv.curvature import CURVATURE_CAP, cd_matrix
+from graphcurv.curvature import cd_matrix
 from graphcurv.graphs import ball
 
 
@@ -86,7 +86,7 @@ def test_solver_single_edge_dimensions():
 def test_solver_isolated_vertex_caps():
     g = WeightedGraph(["a"], {}, {"a": 1.0})
     r = curvature_solve(g, "a", math.inf)
-    assert r.curvature == CURVATURE_CAP and r.converged
+    assert r.curvature == math.inf and r.converged
 
 
 def test_solver_bracket_certificate():
@@ -288,3 +288,26 @@ def test_known_family_values():
     assert curvature_profile(generate("complete", 5), math.inf).global_curvature == pytest.approx(3.5, abs=1e-8)
     assert curvature_profile(generate("hypercube", 3), math.inf).global_curvature == pytest.approx(2.0, abs=1e-8)
     assert curvature_profile(generate("cycle", 4), math.inf).global_curvature == pytest.approx(2.0, abs=1e-8)
+
+
+def test_profile_of_disjoint_union_concatenates_profiles():
+    # each 2-ball lies in one component; an isolated vertex reports +inf
+    fuzzed = random_connected_graph(np.random.default_rng(35), 9)
+    cube = generate("hypercube", 3, "normalizing")
+    iso = WeightedGraph(["iso"], {}, {"iso": 2.0})
+    parts = [fuzzed, cube, iso]
+    union = WeightedGraph(
+        [v for p in parts for v in p.vertices],
+        {(u, v): w for p in parts for u, v, w in p.edges()},
+        {v: p.measure(v) for p in parts for v in p.vertices},
+    )
+    for n in (2.0, math.inf):
+        profiles = [curvature_profile(p, n) for p in parts]
+        got = curvature_profile(union, n)
+        expected = [r for p in profiles for r in p.per_vertex]
+        assert [r.vertex for r in got.per_vertex] == [r.vertex for r in expected]
+        for r, e in zip(got.per_vertex, expected):
+            assert r.curvature == pytest.approx(e.curvature, rel=1e-12, abs=0.0)
+            assert r.converged and e.converged
+        assert profiles[2].global_curvature == math.inf
+        assert got.global_curvature == min(p.global_curvature for p in profiles)

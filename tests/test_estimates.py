@@ -373,6 +373,26 @@ def test_verdicts_scale_invariant_property(exponent, K):
     assert np.array_equal(got.verdicts, base.verdicts)
 
 
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(order_seed=st.integers(0, 2**16))
+def test_sweep_relabelling_permutes_slacks_and_verdicts(order_seed):
+    # on the single edge's exact curvature slack (ii) is 0, so the verdicts
+    # are decided at the tolerance; relabelling may move neither
+    rng = np.random.default_rng(58)
+    graphs = [(random_connected_graph(rng, 8), 0.3), (single_edge(), -2.0)]
+    for g, K in graphs:
+        perm = np.random.default_rng(order_seed).permutation(g.num_vertices)
+        relabelled = scaled_weights(g, 1.0, order=[g.vertices[i] for i in perm])
+        corpus = default_corpus(g, seed=1, num_random=4)
+        moved = [(fid, GraphFunction(relabelled, f.as_dict())) for fid, f in corpus]
+        base, summary = estimate_sweep(g, K, 4.0, [0.1, 1.0], corpus)
+        got, got_summary = estimate_sweep(relabelled, K, 4.0, [0.1, 1.0], moved)
+        assert got.vertices == tuple(relabelled.vertices)
+        assert np.allclose(got.slacks, base.slacks[..., perm], rtol=1e-10, atol=1e-13)
+        assert np.array_equal(got.verdicts, base.verdicts[..., perm])
+        assert got_summary.num_failures == summary.num_failures
+
+
 def test_default_corpus_composition():
     g = generate("path", 4)
     corpus = default_corpus(g, seed=0, num_random=5)
@@ -577,3 +597,20 @@ def test_taylor_random_function_on_path():
         for order in ("first_order", "second_order"):
             pair = rep[sec][order]
             assert abs(pair["fitted"] - pair["exact"]) <= 1e-6 * max(1.0, abs(pair["exact"]))
+
+
+def test_taylor_grid_follows_the_largest_degree():
+    # the fit sits at the same point of the expansion under (b, K) -> (c b, c K):
+    # every fitted coefficient of order k scales by c^k, to rounding of the
+    # scale ||f||_inf^2 D^k (here ||f||_inf <= 1 and D = 29)
+    g = generate("complete", 30)
+    f = GraphFunction(g, np.random.default_rng(59).uniform(0.0, 1.0, g.num_vertices))
+    base = taylor_check(g, f, "v3", K=0.5)
+    for c in (1e-8, 1e3, 1e8):
+        scaled = scaled_weights(g, c)
+        rep = taylor_check(scaled, GraphFunction(scaled, f.array), "v3", K=0.5 * c)
+        for sec in ("variance", "heat_of_gradient", "gradient_of_heat"):
+            for k, order in ((1, "first_order"), (2, "second_order")):
+                fitted = rep[sec][order]["fitted"]
+                assert fitted == pytest.approx(c**k * base[sec][order]["fitted"],
+                                               rel=0.0, abs=1e-8 * (29.0 * c) ** k)

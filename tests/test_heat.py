@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_connected_graph, random_function
+from conftest import random_connected_graph, random_function, scaled_weights
 from graphcurv import (
     GraphFunction,
     WeightedGraph,
@@ -276,3 +278,22 @@ def test_fluctuation_apply_matches_apply_on_mean_zero_input():
         a = h.apply_array(t, lap)
         b = h.apply_fluctuation_array(t, lap)
         assert np.allclose(a, b, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(exponent=st.floats(-8.0, 8.0), order_seed=st.integers(0, 2**16))
+def test_semigroup_scaling_and_relabelling_property(exponent, order_seed):
+    # P_t under c b is P_{ct} under b, and relabelling the vertices permutes P_t
+    c = 10.0**exponent
+    rng = np.random.default_rng(44)
+    g = random_connected_graph(rng, 12)
+    F = rng.uniform(-1.0, 1.0, (g.num_vertices, 3))
+    h = build_heat(g)
+    for t in (0.05, 1.0, 20.0):
+        expected = h.apply_array(t, F)
+        got = build_heat(scaled_weights(g, c)).apply_array(t / c, F)
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+    perm = np.random.default_rng(order_seed).permutation(g.num_vertices)
+    relabelled = scaled_weights(g, 1.0, order=[g.vertices[i] for i in perm])
+    got = build_heat(relabelled).apply_array(1.0, F[perm])
+    assert np.allclose(got, h.apply_array(1.0, F)[perm], rtol=0.0, atol=1e-12)

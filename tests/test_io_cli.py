@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, scaled_weights
 from graphcurv import (
     GraphFormatError,
+    WeightedGraph,
     build_heat,
     default_corpus,
     estimate_sweep,
@@ -302,6 +303,76 @@ def test_cli_green_ec_finiteness_taylor(edge_graph, capsys):
     assert run(["finiteness", "--graph", edge_graph, "--K", "2", "--epsilons", "0.5,2"]) == 0
     capsys.readouterr()
     assert run(["taylor-check", "--graph", edge_graph, "--vertex", "v0"]) == 0
+
+
+_SCALE_GRAPHS = {
+    # name: (graph, its exact curvature at n = infinity, or None if negative)
+    "edge": (lambda: generate("complete", 2), 2.0),
+    "complete30": (lambda: generate("complete", 30), 16.0),
+    "fuzzed100": (lambda: random_connected_graph(np.random.default_rng(3), 100, 0.05), None),
+}
+
+
+def _write_graph(tmp_path, g):
+    path = tmp_path / "g.json"
+    path.write_text(serialize_graph(g), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e3, 1e8])
+@pytest.mark.parametrize("name", list(_SCALE_GRAPHS))
+def test_cli_supporting_checks_pass_at_every_scale(tmp_path, capsys, name, c):
+    # weights, K and epsilon times c; a fixed Taylor grid and absolute
+    # tolerances failed taylor-check from x1e3 on (with an OverflowError at
+    # x1e8) and finiteness on the edge at x1e3 and x1e8
+    make, curvature = _SCALE_GRAPHS[name]
+    g = scaled_weights(make(), c)
+    path, x = _write_graph(tmp_path, g), g.vertices[0]
+    commands = [
+        ["green-check", "--graph", path, "--samples", "5"],
+        ["ec-check", "--graph", path],
+        ["taylor-check", "--graph", path, "--vertex", x, "--K", repr(0.5 * c)],
+    ]
+    if curvature is not None:
+        commands += [
+            ["cutoff", "--graph", path, "--target", x, "--epsilon", repr(0.5 * c)],
+            ["finiteness", "--graph", path, "--K", repr(curvature * c),
+             "--epsilons", ",".join(repr(e * c) for e in (0.05, 1.0))],
+        ]
+    for argv in commands:
+        code = run(argv)
+        report = _last_json(capsys)
+        assert code == 0, (argv[0], report)
+        if argv[0] == "finiteness":
+            assert report["report"]["jensen_scale"] > 0.0
+
+
+def test_cli_taylor_check_complete30_unit_weights(tmp_path, capsys):
+    # the fixed grid t = 0.1 / 2^j left the small-t regime: mismatch 1.6e-4
+    path = _write_graph(tmp_path, generate("complete", 30))
+    assert run(["taylor-check", "--graph", path, "--vertex", "v0"]) == 0
+    assert _last_json(capsys)["max_relative_mismatch"] <= 1e-8
+
+
+def test_cli_taylor_check_overflow_is_a_json_error(edge_graph, capsys):
+    # e^{2Kt} at t = 0.1 overflowed into an uncaught OverflowError
+    code = run(["taylor-check", "--graph", edge_graph, "--vertex", "v0", "--K", "1e4"])
+    report = _last_json(capsys)
+    assert code == 1
+    assert report["command"] == "taylor-check" and "overflow" in report["error"]
+
+
+def test_cli_isolated_vertex_reports_inf(tmp_path, capsys):
+    # a 1e6 cap at the isolated vertex capped the global curvature as well
+    g = scaled_weights(generate("complete", 30), 1e5)
+    with_isolated = WeightedGraph([*g.vertices, "iso"], {(u, v): w for u, v, w in g.edges()},
+                                  {"iso": 1.0, **{v: g.measure(v) for v in g.vertices}})
+    path = _write_graph(tmp_path, with_isolated)
+    assert run(["curvature", "--graph", path, "--dimension", "inf"]) == 0
+    profile = _last_json(capsys)["profile"]
+    assert profile["per_vertex"][-1]["vertex"] == "iso"
+    assert profile["per_vertex"][-1]["curvature"] == "inf"
+    assert profile["global_curvature"] == pytest.approx(1.6e6, rel=1e-9)
 
 
 def test_cli_reports_deterministic_with_seed(edge_graph, capsys):
