@@ -611,18 +611,30 @@ def finiteness_probe(
     jensen_scale = float(np.max(lap_sq + deg_gam, initial=0.0))
 
     per_vertex = []
-    for v, d in zip(g.vertices, deg.tolist()):
+    for i, v in enumerate(g.vertices):
+        d = float(deg[i])
         vacuous = d == 0.0
-        bounds = [(float(eps), math.sqrt(2.0 * float(eps) * d) / K) for eps in epsilon_grid]
-        per_vertex.append({
-            "vertex": v,
-            "degree": d,
-            "epsilon_threshold": math.inf if vacuous else K * K / (2.0 * d),
-            "vacuous": vacuous,
-            "entries": [{"epsilon": eps, "bound": bound,
-                         "forces_contradiction": not vacuous and bound < 1.0}
-                        for eps, bound in bounds],
-        })
+        threshold = math.inf if vacuous else K * K / (2.0 * d)
+        entries = []
+        for eps in epsilon_grid:
+            eps = float(eps)
+            bound = math.sqrt(2.0 * eps * d) / K
+            entries.append(
+                {
+                    "epsilon": eps,
+                    "bound": bound,
+                    "forces_contradiction": (not vacuous) and bound < 1.0,
+                }
+            )
+        per_vertex.append(
+            {
+                "vertex": v,
+                "degree": d,
+                "epsilon_threshold": threshold,
+                "vacuous": vacuous,
+                "entries": entries,
+            }
+        )
     return {
         "curvature_bound": float(K),
         "total_measure": float(np.sum(g.measure_vector)),
@@ -661,17 +673,19 @@ def taylor_check(
     + K Gamma(f)) for the heat-of-gradient side and 2t Gamma(f)
     + 2t^2 (2 Gamma(f, Delta f) - K Gamma(f)) for the gradient-of-heat
     side.  First and second order coefficients are fitted by Richardson
-    extrapolation on the halving grid t_j = 0.1 / (D 2^j), j < 7, with D the
-    largest weighted degree.  As lambda_max <= 2D, the fit sits at the same
-    point of the expansion under (b, K) -> (c b, c K); an edgeless graph,
-    whose coefficients all vanish, takes D = 1.  Raises PreconditionError
-    when e^{+-2K t_0} overflows.
+    extrapolation on the halving grid t_j = 0.1 / (u 2^j), j < 7, with the
+    rate u = max(D, |K|) and D the largest weighted degree (u = 1 when both
+    vanish).  As lambda_max <= 2D, both lambda t_0 and 2|K| t_0 are at most
+    0.2, so the fit sits at the same point of the expansion under
+    (b, K) -> (c b, c K) and e^{+-2Kt} never overflows.  The report's
+    ``scale`` holds ||f||_inf^2 u^k for each order k, the scale against which
+    a coefficient mismatch of that order is judged.
     """
     _check_nonnegative(g, f)
     heat_op = _full_semigroup(g, heat_op)
     ix = g.index(x)
-    t0 = 0.1 / (float(np.max(g.weighted_degrees, initial=0.0)) or 1.0)
-    _check_exponent(K, t0)
+    rate = max(float(np.max(g.weighted_degrees, initial=0.0)), abs(float(K))) or 1.0
+    t0 = 0.1 / rate
 
     farr = f.array
     gam_f = gamma_array(g, farr, farr)
@@ -680,41 +694,27 @@ def taylor_check(
     gam_f_lapf = gamma_array(g, farr, lap_f)
 
     exact_c1 = 2.0 * float(gam_f[ix])
-    exact_c2 = float(lap_gam_f[ix] + 2.0 * gam_f_lapf[ix])
-    exact_upper_c2 = 2.0 * float(lap_gam_f[ix] + K * gam_f[ix])
-    exact_lower_c2 = 2.0 * float(2.0 * gam_f_lapf[ix] - K * gam_f[ix])
+    exact_c2 = {
+        "variance": float(lap_gam_f[ix] + 2.0 * gam_f_lapf[ix]),
+        "heat_of_gradient": 2.0 * float(lap_gam_f[ix] + K * gam_f[ix]),
+        "gradient_of_heat": 2.0 * float(2.0 * gam_f_lapf[ix] - K * gam_f[ix]),
+    }
 
     ts = [t0 / 2.0**j for j in range(7)]
-
-    def fit(series: list[float]) -> tuple[float, float]:
-        c1 = _richardson_limit([v / t for v, t in zip(series, ts)])
-        c2 = _richardson_limit([(v - c1 * t) / (t * t) for v, t in zip(series, ts)])
-        return c1, c2
-
-    variance, heat_of_gradient, gradient_of_heat = [], [], []
+    series = {name: [] for name in exact_c2}
     for t in ts:
         pt_sq, ptf, pt_gam = heat_op.apply_array(t, np.column_stack([farr * farr, farr, gam_f])).T
-        variance.append(float(pt_sq[ix] - ptf[ix] ** 2))
-        heat_of_gradient.append(2.0 * t * _phi1(2.0 * K * t) * float(pt_gam[ix]))
-        gradient_of_heat.append(2.0 * t * _phi1(-2.0 * K * t) * float(gamma_array(g, ptf, ptf)[ix]))
+        series["variance"].append(float(pt_sq[ix] - ptf[ix] ** 2))
+        series["heat_of_gradient"].append(2.0 * t * _phi1(2.0 * K * t) * float(pt_gam[ix]))
+        series["gradient_of_heat"].append(
+            2.0 * t * _phi1(-2.0 * K * t) * float(gamma_array(g, ptf, ptf)[ix]))
 
-    var_c1, var_c2 = fit(variance)
-    up_c1, up_c2 = fit(heat_of_gradient)
-    low_c1, low_c2 = fit(gradient_of_heat)
-
-    return {
-        "vertex": x,
-        "K": float(K),
-        "variance": {
-            "first_order": {"fitted": var_c1, "exact": exact_c1},
-            "second_order": {"fitted": var_c2, "exact": exact_c2},
-        },
-        "heat_of_gradient": {
-            "first_order": {"fitted": up_c1, "exact": exact_c1},
-            "second_order": {"fitted": up_c2, "exact": exact_upper_c2},
-        },
-        "gradient_of_heat": {
-            "first_order": {"fitted": low_c1, "exact": exact_c1},
-            "second_order": {"fitted": low_c2, "exact": exact_lower_c2},
-        },
-    }
+    f_sq = float(np.max(np.abs(farr), initial=0.0)) ** 2
+    report = {"vertex": x, "K": float(K),
+              "scale": {"first_order": f_sq * rate, "second_order": f_sq * rate * rate}}
+    for name, values in series.items():
+        c1 = _richardson_limit([v / t for v, t in zip(values, ts)])
+        c2 = _richardson_limit([(v - c1 * t) / (t * t) for v, t in zip(values, ts)])
+        report[name] = {"first_order": {"fitted": c1, "exact": exact_c1},
+                        "second_order": {"fitted": c2, "exact": exact_c2[name]}}
+    return report

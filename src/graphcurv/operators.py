@@ -166,15 +166,6 @@ def local_forms(g: WeightedGraph, x: str) -> LocalForms:
     two_sphere = sorted({z for y in one_sphere for z in adj[y]} - {ix, *one_sphere})
     support_idx = one_sphere + two_sphere
     names = tuple(g.vertices[i] for i in support_idx)
-    if not support_idx:
-        return LocalForms(
-            center=x,
-            support=(),
-            gamma2_matrix=_frozen(np.zeros((0, 0))),
-            gamma_matrix=_frozen(np.zeros((0, 0))),
-            laplace_vector=_frozen(np.zeros(0)),
-        )
-
     b2 = [ix] + support_idx
     W = g.weight_matrix[np.ix_(b2, b2)]
     m = g.measure_vector[b2]

@@ -354,12 +354,25 @@ def test_cli_taylor_check_complete30_unit_weights(tmp_path, capsys):
     assert _last_json(capsys)["max_relative_mismatch"] <= 1e-8
 
 
-def test_cli_taylor_check_overflow_is_a_json_error(edge_graph, capsys):
-    # e^{2Kt} at t = 0.1 overflowed into an uncaught OverflowError
+def test_cli_taylor_check_large_K_shrinks_the_grid(edge_graph, capsys):
+    # e^{2Kt} at t = 0.1 overflowed into an uncaught OverflowError; the grid
+    # now starts at 0.1 / max(D, |K|), so 2|K|t stays at most 0.2
     code = run(["taylor-check", "--graph", edge_graph, "--vertex", "v0", "--K", "1e4"])
     report = _last_json(capsys)
-    assert code == 1
-    assert report["command"] == "taylor-check" and "overflow" in report["error"]
+    assert code == 0, report
+    assert report["max_relative_mismatch"] <= 1e-8
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-2])
+def test_cli_taylor_check_default_K_on_a_light_graph(tmp_path, capsys, c):
+    # the default --K 0.5 stays fixed while the weights shrink: a grid sized
+    # from D alone put 2Kt at 1e7 (overflow) at x1e-8 and at 10, outside the
+    # small-t regime, at x1e-2
+    path = _write_graph(tmp_path, scaled_weights(generate("complete", 2), c))
+    code = run(["taylor-check", "--graph", path, "--vertex", "v0"])
+    report = _last_json(capsys)
+    assert code == 0, report
+    assert report["max_relative_mismatch"] <= 1e-8
 
 
 def test_cli_isolated_vertex_reports_inf(tmp_path, capsys):
