@@ -42,7 +42,9 @@ from .heat import build_heat
 
 # 2: verify-estimates reports a summary by default; the per-(function, t,
 # vertex) results are a columnar table behind --full
-REPORT_FORMAT_VERSION = 2
+# 3: estimate (ii) is exact, so quadrature_error_ii is gone from
+# first_counterexample and the --full table
+REPORT_FORMAT_VERSION = 3
 
 # Each check compares a mismatch with one of these times a scale that moves
 # with the units of the input: the reported values and the largest degree.
@@ -307,7 +309,6 @@ def _cmd_verify_estimates(args) -> int:
             "function_ids": result.function_ids,
             "vertices": result.vertices,
             **{f"slack_{name}": a for name, a in zip(ESTIMATES, result.slacks)},
-            "quadrature_error_ii": result.quadrature_error_ii,
             "verdicts": result.verdicts,
         }
     _emit("verify-estimates", payload,

@@ -109,6 +109,8 @@ def cd_check(
     where the condition is vacuous.
     """
     n = _check_dimension(n)
+    if not (-math.inf < K < math.inf):
+        raise ValueError(f"K must be finite, got {K}")
     if forms is None:
         forms = local_forms(g, x)
     if forms.size == 0:

@@ -16,7 +16,8 @@ four estimates do, for every nonnegative f, every t >= 0 and every vertex:
 with the K = 0 limit conventions (1 - e^{+-2Kt})/K = -+2t and
 (e^{+-2Kt} - 1 -+ 2Kt)/K^2 = 2t^2.  Conversely a failure of these estimates
 at small t certifies a CD violation, which makes the slack signs a complete
-numerical test of the curvature bound.
+numerical test of the curvature bound.  All four are evaluated exactly in
+the eigenbasis of the heat semigroup, the integral of (ii) included.
 
 Sign convention: K here is taken from the CD(-K, n) hypothesis verbatim, so
 a caller holding a solved curvature kappa passes K = -kappa.
@@ -93,7 +94,6 @@ class EstimateReport:
     slack_iii: float
     slack_iv: float
     slack_v: float
-    quadrature_error_ii: float
     verdicts: dict[str, bool]
 
     @property
@@ -106,8 +106,8 @@ class SweepResult(Sequence):
     """Columnar result of ``estimate_sweep``: one entry per (function, t, vertex).
 
     ``slacks`` is (4, B, T, N) with the estimates in ``ESTIMATES`` order and
-    ``verdicts`` is the matching boolean mask; ``quadrature_error_ii`` is
-    (B, T, N).  Axes follow ``function_ids``, ``t_grid`` and ``vertices``.
+    ``verdicts`` is the matching boolean mask.  Axes after the first follow
+    ``function_ids``, ``t_grid`` and ``vertices``.
     The result is a read-only sequence of ``EstimateReport`` in (function,
     t, vertex) order; a report is built only when it is indexed or iterated,
     and the result equals any sequence of the same reports.
@@ -119,15 +119,14 @@ class SweepResult(Sequence):
     K: float
     n: float
     slacks: np.ndarray
-    quadrature_error_ii: np.ndarray
     verdicts: np.ndarray
 
     def __post_init__(self):
-        for a in (self.slacks, self.quadrature_error_ii, self.verdicts):
+        for a in (self.slacks, self.verdicts):
             a.setflags(write=False)
 
     def __len__(self) -> int:
-        return self.quadrature_error_ii.size
+        return self.verdicts[0].size
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -135,7 +134,7 @@ class SweepResult(Sequence):
         i = operator.index(i)
         if not -len(self) <= i < len(self):
             raise IndexError("sweep result index out of range")
-        b, k, j = np.unravel_index(i % len(self), self.quadrature_error_ii.shape)
+        b, k, j = np.unravel_index(i % len(self), self.verdicts.shape[1:])
         return EstimateReport(
             self.function_ids[b],
             self.t_grid[k],
@@ -143,7 +142,6 @@ class SweepResult(Sequence):
             self.K,
             self.n,
             *self.slacks[:, b, k, j].tolist(),
-            float(self.quadrature_error_ii[b, k, j]),
             dict(zip(ESTIMATES, self.verdicts[:, b, k, j].tolist())),
         )
 
@@ -189,13 +187,15 @@ class CutoffResult:
 _PHI2_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(10))
 
 
-def _phi1(x: float) -> float:
-    """expm1(x)/x, equal to 1 at x = 0.
+def _phi1(x):
+    """expm1(x)/x elementwise, equal to 1 at x = 0; a float for a scalar x.
 
     expm1 is accurate to full relative precision at every x != 0, so only
     x = 0 itself needs the limit.
     """
-    return 1.0 if x == 0.0 else math.expm1(x) / x
+    x = np.asarray(x, dtype=float)
+    out = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+    return out if out.ndim else float(out)
 
 
 def _phi2(x: float) -> float:
@@ -217,39 +217,33 @@ def _phi2(x: float) -> float:
 
 def _gradient_integral(
     g: WeightedGraph, h: HeatOperator, K: float, lap_F: np.ndarray, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Int_0^t e^{2Ks} P_s (P_{t-s} Delta f)^2 ds for every vertex.
+) -> np.ndarray:
+    """Int_0^t e^{2Ks} P_s (P_{t-s} Delta f)^2 ds for every vertex, in closed form.
 
-    Works on a batch of functions at once (lap_F is (N,B)).  The integrand
-    is a sum of exponentials in s with rates up to about 2 lambda_max + 2|K|,
-    so it has boundary layers of width ~1/(lambda_max + 2|K|) at both ends
-    of [0, t] and is smooth in between.  [0, t] is therefore cut into
-    2(L+1) panels that halve toward both ends,
-    L = ceil(log2(max((lambda_max + 2|K|) t, 1))), so the end panels are at
-    most 1/(2 (lambda_max + 2|K|)) wide; 16- and 8-node
-    Gauss-Legendre rules run on the same panels.  Returns the 16-node value
-    and |16-node - 8-node| as its error estimate, both (N,B).
+    Works on a batch of functions at once (lap_F is (N,B)) and returns (N,B).
+    With S = U Lambda U' the symmetrized generator and c = U'(sqrt(m) Delta f)
+    with the kernel modes set to 0 (Delta f is mean-zero per component), the
+    integral is (U d) / sqrt(m), where
+
+        d_i = sum_jk T_ijk E_ijk c_j c_k,
+        T_ijk = sum_y U_yi U_yj U_yk / sqrt(m_y),
+        E_ijk = Int_0^t e^{a s + b (t-s)} ds = t e^{max(a,b) t} phi1(-|a-b| t),
+
+    a = 2K - lambda_i and b = -(lambda_j + lambda_k) (Van Loan, IEEE TAC
+    1978).  Since a <= 2K and b <= 0, E never exceeds t e^{2|K|t}, and E = 0
+    at t = 0.  One mode i is built at a time, so memory stays O(N^2 + NB).
     """
-    if t == 0:
-        return np.zeros_like(lap_F), np.zeros_like(lap_F)
-    lam_t = (float(h.eigenvalues.max(initial=0.0)) + 2.0 * abs(K)) * t
-    L = math.ceil(math.log2(max(lam_t, 1.0)))
-    half = 0.5 * 2.0 ** -np.arange(L + 1)  # t/2, t/4, ..., t 2^-(L+1)
-    cuts = np.concatenate(([0.0], half[::-1], 1.0 - half[1:], [1.0])) * t
-    lo, width = cuts[:-1, None], np.diff(cuts)[:, None]
-
-    def rule(order: int) -> np.ndarray:
-        x, w = np.polynomial.legendre.leggauss(order)
-        total = np.zeros_like(lap_F)
-        for s, ws in zip((lo + 0.5 * width * (x + 1.0)).ravel(), (0.5 * width * w).ravel()):
-            # Delta f is mean-zero per component, so the kernel-free apply
-            # is exact and stays accurate after long smoothing
-            u = h.apply_fluctuation_array(t - s, lap_F)
-            total += ws * math.exp(2.0 * K * s) * h.apply_array(s, u * u)
-        return total
-
-    fine = rule(16)
-    return fine, np.abs(fine - rule(8))
+    lam, U, sqrt_m = h.eigenvalues, h.eigenbasis, h.measure_half
+    C = U.T @ (sqrt_m[:, None] * lap_F)
+    C[h.kernel_modes] = 0.0
+    b = -(lam[:, None] + lam[None, :])
+    d = np.empty_like(C)
+    for i in range(len(lam)):
+        a = 2.0 * K - lam[i]
+        E = t * np.exp(np.maximum(a, b) * t) * _phi1(-np.abs(a - b) * t)
+        T = (U * (U[:, i] / sqrt_m)[:, None]).T @ U
+        d[i] = np.sum(((T * E) @ C) * C, axis=0)
+    return (U @ d) / sqrt_m[:, None]
 
 
 def _slack_arrays(
@@ -259,11 +253,11 @@ def _slack_arrays(
     n: float,
     F: np.ndarray,
     t: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All four slacks for a batch of functions, plus their verdict scales.
 
-    Returns slack_ii, slack_iii, slack_iv, slack_v and quadrature_error_ii,
-    each (N,B), and the verdict scales, (4,B): per function and estimate,
+    Returns slack_ii, slack_iii, slack_iv and slack_v, each (N,B), and the
+    verdict scales, (4,B): per function and estimate,
     the largest summed magnitude over the vertices of the slack's terms,
     plus a floor of ||f||_inf^2 max Deg for (ii)/(iii) and ||f||_inf^2 for
     (iv)/(v), so that rounding noise on a constant f is not judged against
@@ -292,13 +286,8 @@ def _slack_arrays(
 
     inv_n = 0.0 if math.isinf(n) else 1.0 / n
     e2kt = math.exp(2.0 * K * t)
-    if inv_n:
-        integral, diff = _gradient_integral(g, h, K, lap_F, t)
-        qerr = 2.0 * inv_n * diff  # refinement difference on the slack scale
-        lap_sq = pt_lap_F * pt_lap_F
-    else:
-        integral = qerr = np.zeros_like(F)
-        lap_sq = 0.0
+    integral = _gradient_integral(g, h, K, lap_F, t) if inv_n else 0.0
+    lap_sq = pt_lap_F * pt_lap_F if inv_n else 0.0
 
     # (e^{2Kt}-1)/K, (1-e^{-2Kt})/K, (e^{2Kt}-1-2Kt)/K^2, (e^{-2Kt}-1+2Kt)/K^2
     x = 2.0 * K * t
@@ -318,7 +307,7 @@ def _slack_arrays(
         for (a, b, c), floor in zip(terms, (gradient_floor, gradient_floor, f_sq, f_sq))
     ])
     slack_ii, slack_iii, slack_iv, slack_v = (a + b + c for a, b, c in terms)
-    return slack_ii, slack_iii, slack_iv, slack_v, qerr, scale
+    return slack_ii, slack_iii, slack_iv, slack_v, scale
 
 
 def _full_semigroup(g: WeightedGraph, h: HeatOperator | None) -> HeatOperator:
@@ -392,15 +381,17 @@ def estimate_sweep(
     """
     heat_op = _full_semigroup(g, heat_op)
     n = _check_dimension(n)
+    if not (-math.inf < K < math.inf):
+        raise ValueError(f"K must be finite, got {K}")
     times = tuple(float(t) for t in t_grid)
-    if any(t < 0 for t in times):
-        raise ValueError("t must be nonnegative")
+    if not all(0 <= t < math.inf for t in times):
+        raise ValueError("t must be finite and nonnegative")
     _check_exponent(K, max(times, default=0.0))
     for _, f in function_corpus:
         _check_nonnegative(g, f)
 
     N, B, T = g.num_vertices, len(function_corpus), len(times)
-    slacks, qerr, scale = np.empty((4, B, T, N)), np.empty((B, T, N)), np.empty((4, B, T))
+    slacks, scale = np.empty((4, B, T, N)), np.empty((4, B, T))
     if B:
         # one batched slack evaluation per t covers the whole corpus
         F = np.stack([f.array for _, f in function_corpus], axis=1)
@@ -413,9 +404,8 @@ def estimate_sweep(
                 per_t = list(pool.map(compute, times))
         else:
             per_t = [compute(t) for t in times]
-        for k, (*slacks_t, qerr_t, scale_t) in enumerate(per_t):  # (N,B) -> (B,N)
+        for k, (*slacks_t, scale_t) in enumerate(per_t):  # (N,B) -> (B,N)
             slacks[:, :, k] = np.stack(slacks_t).transpose(0, 2, 1)
-            qerr[:, k] = qerr_t.T
             scale[:, :, k] = scale_t
     tol = REPORT_TOL * scale[..., None]
     result = SweepResult(
@@ -425,7 +415,6 @@ def estimate_sweep(
         K=float(K),
         n=n,
         slacks=slacks,
-        quadrature_error_ii=qerr,
         verdicts=slacks >= -tol,
     )
     return result, _summarize(result, tol)
@@ -476,6 +465,8 @@ def default_corpus(
     the near-harmonic regime.
     """
     heat_op = _full_semigroup(g, heat_op)
+    if num_random < 0:
+        raise ValueError(f"num_random must be nonnegative, got {num_random}")
     rng = np.random.default_rng(seed)
     corpus: list[tuple[str, GraphFunction]] = []
     for v in g.vertices:
@@ -484,9 +475,9 @@ def default_corpus(
         corpus.append(
             (f"random:{i}", GraphFunction(g, rng.uniform(0.0, 1.0, g.num_vertices)))
         )
-    for v in g.vertices:
-        smoothed = heat_op.apply_array(smoothing_time, GraphFunction.indicator(g, v).array)
-        corpus.append((f"smoothed:{v}", GraphFunction(g, np.maximum(smoothed, 0.0))))
+    smoothed = np.maximum(heat_op.apply_array(smoothing_time, np.eye(g.num_vertices)), 0.0)
+    for v, column in zip(g.vertices, smoothed.T):
+        corpus.append((f"smoothed:{v}", GraphFunction(g, column)))
     return corpus
 
 
@@ -547,8 +538,8 @@ def build_cutoff(
     vertex or if P_t 1_U < 3/4 somewhere on S (the caller must choose U
     large enough).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (0 < epsilon < math.inf):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     _full_semigroup(g, h)
     s_idx = [g.index(v) for v in S]
     u_idx = [g.index(v) for v in U]
@@ -595,8 +586,8 @@ def finiteness_probe(
     ``jensen_scale`` the largest (Delta g)^2 + 2 Deg Gamma(g), the scale to
     judge the violation against.
     """
-    if not (K > 0):
-        raise ValueError("K must be positive")
+    if not (0 < K < math.inf):
+        raise ValueError(f"K must be positive and finite, got {K}")
     if not is_connected(g):
         raise PreconditionError("finiteness probe requires a connected graph")
     _require_curvature(g, K)
@@ -683,6 +674,8 @@ def taylor_check(
     """
     _check_nonnegative(g, f)
     heat_op = _full_semigroup(g, heat_op)
+    if not (-math.inf < K < math.inf):
+        raise ValueError(f"K must be finite, got {K}")
     ix = g.index(x)
     rate = max(float(np.max(g.weighted_degrees, initial=0.0)), abs(float(K))) or 1.0
     t0 = 0.1 / rate

@@ -15,6 +15,7 @@ where P_t 1 = 1.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,8 @@ KERNEL_TOL = 1e-12  # eigenvalues below this multiple of lambda_max are kernel m
 class HeatOperator:
     """Spectral factorization of the (possibly Dirichlet-restricted) generator.
 
+    ``kernel_modes`` masks the eigenvalues at or below KERNEL_TOL *
+    lambda_max, relative so that the split does not depend on units.
     Immutable after construction; concurrent ``apply`` calls are safe.
     """
 
@@ -48,7 +51,8 @@ class HeatOperator:
         self.measure_half = measure_half
         self.dirichlet_domain = dirichlet_domain
         self._domain_indices = domain_indices
-        for a in (eigenvalues, eigenbasis, measure_half, domain_indices):
+        self.kernel_modes = eigenvalues <= KERNEL_TOL * eigenvalues.max(initial=0.0)
+        for a in (eigenvalues, eigenbasis, measure_half, domain_indices, self.kernel_modes):
             a.setflags(write=False)
 
     def apply_array(self, t: float, F: np.ndarray) -> np.ndarray:
@@ -73,8 +77,8 @@ class HeatOperator:
         return self._apply(t, F, keep_kernel=False)
 
     def _apply(self, t: float, F: np.ndarray, keep_kernel: bool) -> np.ndarray:
-        if t < 0:
-            raise ValueError("the heat semigroup is only defined for t >= 0")
+        if not (0 <= t < math.inf):
+            raise ValueError(f"the heat semigroup is only defined for finite t >= 0, got {t}")
         squeeze = F.ndim == 1
         F2 = F[:, None] if squeeze else F
         out = np.zeros_like(F2, dtype=float)
@@ -86,9 +90,7 @@ class HeatOperator:
             coeff = self.eigenbasis.T @ v
             decay = np.exp(-t * self.eigenvalues)
             if not keep_kernel:
-                # relative to lambda_max, so the split does not depend on units
-                lam_max = self.eigenvalues.max(initial=0.0)
-                decay[self.eigenvalues <= KERNEL_TOL * lam_max] = 0.0
+                decay[self.kernel_modes] = 0.0
             coeff *= decay[:, None]
             out[idx] = (self.eigenbasis @ coeff) / self.measure_half[:, None]
         return out[:, 0] if squeeze else out

@@ -6,7 +6,7 @@ vectorized kernels so that agreement between the two is a genuine check.
 The reference curvature path (whole-graph indicator assembly of the local
 forms and a bisection solver) is the slow but formula-free computation the
 package's 2-ball assembly and closed-form solver are compared against, a
-dense uniform quadrature is the reference for the graded rule of the
+dense uniform quadrature is the reference for the closed form of the
 gradient integral in estimate (ii), an eager one-report-per-triple builder
 is the reference for the columnar estimate sweep, and edge and column
 loops are the references for the ellipticity constant and the adjacency
@@ -199,7 +199,7 @@ def eager_sweep(
     reports = []
     for col, (fid, _) in enumerate(corpus):
         for t in t_grid:
-            *slacks, qerr, scale = per_t[t]
+            *slacks, scale = per_t[t]
             for ix, x in enumerate(g.vertices):
                 values = [float(a[ix, col]) for a in slacks]
                 verdicts = {
@@ -207,7 +207,7 @@ def eager_sweep(
                     for k, (name, v) in enumerate(zip(("ii", "iii", "iv", "v"), values))
                 }
                 reports.append(EstimateReport(fid, float(t), x, float(K), float(n), *values,
-                                              float(qerr[ix, col]), verdicts))
+                                              verdicts))
     failures = [r for r in reports if not r.passed]
     return reports, len(failures), failures[0] if failures else None
 

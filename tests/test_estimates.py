@@ -55,7 +55,6 @@ def test_all_slacks_zero_at_t0():
         r = verify_estimates(g, -0.7, n, f, 0.0, g.vertices[0])
         for s in (r.slack_ii, r.slack_iii, r.slack_iv, r.slack_v):
             assert abs(s) <= 1e-10
-        assert r.quadrature_error_ii == 0.0
 
 
 def test_single_edge_forward_direction():
@@ -147,14 +146,6 @@ def test_k_zero_limit_matches_nearby_k():
                 assert float(np.max(np.abs(a - b))) <= 1e-6
 
 
-def test_quadrature_error_reported_small():
-    g = generate("cycle", 5)
-    h = build_heat(g)
-    f = GraphFunction.indicator(g, "v0")
-    r = verify_estimates(g, 0.3, 4.0, f, 2.0, "v1", heat_op=h)
-    assert 0.0 <= r.quadrature_error_ii <= 1e-6
-
-
 @pytest.mark.parametrize(
     "family, size, K, t",
     [
@@ -167,25 +158,37 @@ def test_quadrature_error_reported_small():
         ("cycle", 5, -200.0, 1.0),
         ("cycle", 5, 350.0, 1.0),
         ("cycle", 5, -350.0, 1.0),
+        ("disconnected", 9, 0.5, 2.0),  # cycle 5 + path 4: two kernel modes
+        ("measured", 12, -1.0, 1.0),  # measures spread over [1e-2, 1e2]
+        ("cycle", 5, 0.5, 0.0),
     ],
 )
 def test_gradient_integral_matches_dense_reference(family, size, K, t):
     if family == "fuzzed":
         g = random_connected_graph(np.random.default_rng(1), size)
+    elif family == "measured":
+        g = random_connected_graph(np.random.default_rng(2), size, measure_range=(1e-2, 1e2))
+    elif family == "disconnected":
+        parts = [generate("cycle", 5), generate("path", size - 5)]
+        g = WeightedGraph(
+            [f"{k}{v}" for k, p in enumerate(parts) for v in p.vertices],
+            {(f"{k}{u}", f"{k}{v}"): w for k, p in enumerate(parts) for u, v, w in p.edges()},
+            {f"{k}{v}": p.measure(v) for k, p in enumerate(parts) for v in p.vertices},
+        )
     else:
         g = generate(family, size)
     h = build_heat(g)
+    assert np.count_nonzero(h.kernel_modes) == (2 if family == "disconnected" else 1)
     rng = np.random.default_rng(70)
     F = np.stack([GraphFunction.indicator(g, g.vertices[0]).array,
                   rng.uniform(0.0, 1.0, g.num_vertices)], axis=1)
     lap_F = laplacian_array(g, F)
-    integral, reported = _gradient_integral(g, h, K, lap_F, t)
+    integral = _gradient_integral(g, h, K, lap_F, t)
     for b in range(F.shape[1]):
         ref = reference_gradient_integral(h, K, lap_F[:, b], t)
         scale = float(np.max(np.abs(ref)))
         err = np.abs(integral[:, b] - ref)
         assert float(np.max(err)) <= 1e-10 * scale
-        assert np.all(err <= reported[:, b] + 1e-13 * scale)
 
 
 def _coefficients(K, t):
@@ -339,7 +342,7 @@ def test_sweep_worst_entries_are_the_lowest_relative_slacks():
     assert summary.failures_by_estimate["ii"] > 0
     # the tolerance of every (estimate, function, t), from its verdict scale
     F = np.stack([f.array for _, f in corpus], axis=1)
-    tol = {t: REPORT_TOL * _slack_arrays(g, h, K, n, F, t)[5] for t in t_grid}
+    tol = {t: REPORT_TOL * _slack_arrays(g, h, K, n, F, t)[4] for t in t_grid}
     column = {fid: col for col, (fid, _) in enumerate(corpus)}
     for k, name in enumerate(("ii", "iii", "iv", "v")):
         worst = summary.worst[name]

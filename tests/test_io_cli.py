@@ -180,7 +180,8 @@ def test_cli_verify_estimates_default_schema(tmp_path, capsys):
     assert len(out.encode()) < 16 * 1024  # no per-triple table by default
     assert list(report) == ["format_version", "command", "K", "dimension", "t_grid",
                             "corpus_size", "summary"]
-    assert report["format_version"] == 2
+    assert report["format_version"] == 3
+    assert "quadrature_error_ii" not in out
     summary = report["summary"]
     assert list(summary) == ["passed", "num_reports", "num_failures", "first_counterexample",
                              "warning", "failures_by_estimate", "worst"]
@@ -190,6 +191,13 @@ def test_cli_verify_estimates_default_schema(tmp_path, capsys):
     for entry in summary["worst"].values():
         assert list(entry) == ["slack", "tolerance", "function_id", "t", "x"]
         assert entry["slack"] >= -entry["tolerance"]
+    # --full adds the table, which has no quadrature error column either
+    assert run(["verify-estimates", "--graph", str(path), "--paper-K", "0",
+                "--dimension", "4", "--t", "1", "--seed", "1", "--full"]) == 0
+    out = capsys.readouterr().out
+    assert list(json.loads(out)["table"]) == ["function_ids", "vertices", "slack_ii", "slack_iii",
+                                              "slack_iv", "slack_v", "verdicts"]
+    assert "quadrature_error_ii" not in out
 
 
 def test_cli_verify_estimates_full_table_matches_sweep(tmp_path, capsys):
@@ -209,7 +217,6 @@ def test_cli_verify_estimates_full_table_matches_sweep(tmp_path, capsys):
     assert table["vertices"] == list(result.vertices)
     for k, name in enumerate(("ii", "iii", "iv", "v")):
         assert np.array_equal(table[f"slack_{name}"], result.slacks[k])
-    assert np.array_equal(table["quadrature_error_ii"], result.quadrature_error_ii)
     assert np.array_equal(table["verdicts"], result.verdicts)
 
 
@@ -222,6 +229,31 @@ def test_cli_verify_estimates_exponent_overflow(edge_graph, capsys, paper_k):
     assert code == 1
     assert report["command"] == "verify-estimates"
     assert "overflow" in report["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-estimates", "--paper-K", "0", "--dimension", "4", "--t", "inf"],
+    ["verify-estimates", "--paper-K", "0", "--dimension", "4", "--t", "1,nan"],
+    ["verify-estimates", "--paper-K", "nan", "--dimension", "4", "--t", "1"],
+    ["verify-estimates", "--paper-K=-inf", "--t", "1"],
+    ["verify-estimates", "--paper-K", "0", "--t", "1", "--num-random", "-3"],
+    ["taylor-check", "--vertex", "v0", "--K", "nan"],
+    ["heat", "--t", "nan"],
+    ["heat", "--t", "inf"],
+    ["cutoff", "--target", "v0", "--epsilon", "nan"],
+    ["cutoff", "--target", "v0", "--epsilon", "inf"],
+    ["cd-check", "--K", "nan", "--vertex", "v0"],
+    ["finiteness", "--K", "inf", "--epsilons", "0.1"],
+    ["finiteness", "--K", "nan", "--epsilons", "0.1"],
+], ids=" ".join)
+def test_cli_non_finite_numbers_are_input_errors(edge_graph, capsys, argv):
+    code = run([argv[0], "--graph", edge_graph, *argv[1:]])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2
+    assert report["command"] == argv[0]
+    assert "finite" in report["error"] or "nonnegative" in report["error"]
+    assert "Traceback" not in captured.err
 
 
 def test_cli_sign_flags_mutually_exclusive(edge_graph):
