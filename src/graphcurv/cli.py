@@ -147,6 +147,11 @@ def _add_sign_flags(sp) -> None:
     )
 
 
+def _add_jobs_stub(sp) -> None:
+    # the benchmark workloads still pass --jobs 1; the commands run serially
+    sp.add_argument("--jobs", type=int, default=1, choices=[1], help=argparse.SUPPRESS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="graphcurv",
@@ -169,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("curvature", help="per-vertex curvature profile")
     _add_graph_flags(sp)
     sp.add_argument("--dimension", default="inf")
-    sp.add_argument("--jobs", type=int, default=1)
+    _add_jobs_stub(sp)
 
     sp = sub.add_parser("cd-check", help="decide CD(K, n) at one vertex")
     _add_graph_flags(sp)
@@ -193,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", required=True, help="comma-separated times")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--num-random", dest="num_random", type=int, default=20)
-    sp.add_argument("--jobs", type=int, default=1)
+    _add_jobs_stub(sp)
     sp.add_argument("--full", action="store_true",
                     help="also emit the per-(function, t, vertex) slack table")
 
@@ -248,7 +253,7 @@ def _cmd_generate(args) -> int:
 def _cmd_curvature(args) -> int:
     g = _load_graph(args)
     n = _parse_dimension(args.dimension)
-    profile = curvature_profile(g, n, jobs=args.jobs)
+    profile = curvature_profile(g, n)
     _emit("curvature", {"profile": profile},
           f"global curvature {profile.global_curvature:.9g} at dimension {args.dimension}")
     return 0
@@ -299,9 +304,8 @@ def _cmd_verify_estimates(args) -> int:
     n = _parse_dimension(args.dimension)
     K = _paper_k(args)
     t_grid = _parse_floats(args.t, "--t")
-    h = build_heat(g)
-    corpus = default_corpus(g, seed=args.seed, heat_op=h, num_random=args.num_random)
-    result, summary = estimate_sweep(g, K, n, t_grid, corpus, heat_op=h, jobs=args.jobs)
+    corpus = default_corpus(g, seed=args.seed, num_random=args.num_random)
+    result, summary = estimate_sweep(g, K, n, t_grid, corpus)
     payload = {"K": K, "dimension": n, "t_grid": t_grid, "corpus_size": len(corpus),
                "summary": summary}
     if args.full:
@@ -318,6 +322,8 @@ def _cmd_verify_estimates(args) -> int:
 
 def _cmd_green_check(args) -> int:
     g = _load_graph(args)
+    if args.samples < 1:
+        raise GraphFormatError(f"--samples must be at least 1, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     triples = []
@@ -350,8 +356,7 @@ def _cmd_cutoff(args) -> int:
     g = _load_graph(args)
     target = _split_ids(args.target)
     universe = _split_ids(args.universe) if args.universe else list(g.vertices)
-    h = build_heat(g)
-    result = build_cutoff(g, target, args.epsilon, universe, h)
+    result = build_cutoff(g, target, args.epsilon, universe)
     ok = result.max_gamma <= args.epsilon * (1.0 + CHECK_TOL)
     _emit("cutoff",
           {"epsilon": result.epsilon, "target_set": result.target_set,

@@ -26,7 +26,6 @@ sigma(K) of M(K), so its verdicts do not depend on the units of the input.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,14 +156,10 @@ def curvature_solve(g: WeightedGraph, x: str, n: float) -> CurvatureResult:
     )
 
 
-def curvature_profile(g: WeightedGraph, n: float, jobs: int = 1) -> CurvatureProfile:
+def curvature_profile(g: WeightedGraph, n: float) -> CurvatureProfile:
     """Solve every vertex and take the minimum (CD is a for-all-x condition)."""
     n = _check_dimension(n)
-    if jobs > 1 and g.num_vertices > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda v: curvature_solve(g, v, n), g.vertices))
-    else:
-        results = [curvature_solve(g, v, n) for v in g.vertices]
+    results = [curvature_solve(g, v, n) for v in g.vertices]
     global_curv = min((r.curvature for r in results), default=math.inf)
     return CurvatureProfile(per_vertex=tuple(results), global_curvature=global_curv)
 

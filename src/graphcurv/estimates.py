@@ -17,7 +17,9 @@ with the K = 0 limit conventions (1 - e^{+-2Kt})/K = -+2t and
 (e^{+-2Kt} - 1 -+ 2Kt)/K^2 = 2t^2.  Conversely a failure of these estimates
 at small t certifies a CD violation, which makes the slack signs a complete
 numerical test of the curvature bound.  All four are evaluated exactly in
-the eigenbasis of the heat semigroup, the integral of (ii) included.
+the eigenbasis of the heat semigroup, the integral of (ii) included.  P_t
+is always the graph's own full semigroup, ``build_heat(g)``, which every
+function here takes from the graph rather than from the caller.
 
 Sign convention: K here is taken from the CD(-K, n) hypothesis verbatim, so
 a caller holding a solved curvature kappa passes K = -kappa.
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,8 @@ from .operators import gamma_array, laplacian_array
 
 __all__ = [
     "REPORT_TOL",
+    "SMOOTHING_TIME",
+    "JENSEN_SAMPLES",
     "PreconditionError",
     "EstimateReport",
     "SweepResult",
@@ -68,6 +71,8 @@ __all__ = [
 
 REPORT_TOL = 1e-8  # verdict tolerance, relative to the scale of the slack's terms
 ESTIMATES = ("ii", "iii", "iv", "v")
+SMOOTHING_TIME = 0.1  # how long default_corpus smooths its indicators
+JENSEN_SAMPLES = 100  # random functions on which finiteness_probe samples the Jensen step
 _MAX_EXPONENT = math.log(np.finfo(float).max)  # largest 2|K|t with e^{2|K|t} finite
 
 
@@ -310,17 +315,6 @@ def _slack_arrays(
     return slack_ii, slack_iii, slack_iv, slack_v, scale
 
 
-def _full_semigroup(g: WeightedGraph, h: HeatOperator | None) -> HeatOperator:
-    """h if it is the full-graph semigroup of g (built when h is None), else raise."""
-    if h is None:
-        return build_heat(g)
-    if h.graph is not g and h.graph != g:
-        raise ValueError("heat operator does not belong to the given graph")
-    if h.dirichlet_domain is not None:
-        raise PreconditionError("needs the full-graph semigroup: a Dirichlet restriction loses mass")
-    return h
-
-
 def _check_nonnegative(g: WeightedGraph, f: GraphFunction) -> None:
     _check_graph_function(g, f)
     if float(np.min(f.array)) < 0:
@@ -353,12 +347,10 @@ def verify_estimates(
     f: GraphFunction,
     t: float,
     x: str,
-    heat_op: HeatOperator | None = None,
-    function_id: str = "f",
 ) -> EstimateReport:
-    """Slacks and verdicts of all four estimates at one (f, t, x)."""
+    """Slacks and verdicts of all four estimates at one (f, t, x); f is reported as "f"."""
     ix = g.index(x)
-    result, _ = estimate_sweep(g, K, n, [t], [(function_id, f)], heat_op=heat_op)
+    result, _ = estimate_sweep(g, K, n, [t], [("f", f)])
     return result[ix]
 
 
@@ -368,10 +360,8 @@ def estimate_sweep(
     n: float,
     t_grid: Sequence[float],
     function_corpus: Sequence[tuple[str, GraphFunction]],
-    heat_op: HeatOperator | None = None,
-    jobs: int = 1,
 ) -> tuple[SweepResult, SweepSummary]:
-    """Check the estimates on every (f, t, vertex) combination.
+    """Check the estimates on every (f, t, vertex) combination, under g's semigroup.
 
     Returns a columnar ``SweepResult`` that reads as the sequence of all
     reports in (function, t, vertex) order, and a summary: the failure
@@ -379,7 +369,6 @@ def estimate_sweep(
     all found by array reductions.  An empty corpus passes vacuously with a
     warning.
     """
-    heat_op = _full_semigroup(g, heat_op)
     n = _check_dimension(n)
     if not (-math.inf < K < math.inf):
         raise ValueError(f"K must be finite, got {K}")
@@ -395,17 +384,10 @@ def estimate_sweep(
     if B:
         # one batched slack evaluation per t covers the whole corpus
         F = np.stack([f.array for _, f in function_corpus], axis=1)
-
-        def compute(t: float):
-            return _slack_arrays(g, heat_op, K, n, F, t)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                per_t = list(pool.map(compute, times))
-        else:
-            per_t = [compute(t) for t in times]
-        for k, (*slacks_t, scale_t) in enumerate(per_t):  # (N,B) -> (B,N)
-            slacks[:, :, k] = np.stack(slacks_t).transpose(0, 2, 1)
+        h = build_heat(g)
+        for k, t in enumerate(times):
+            *slacks_t, scale_t = _slack_arrays(g, h, K, n, F, t)
+            slacks[:, :, k] = np.stack(slacks_t).transpose(0, 2, 1)  # (N,B) -> (B,N)
             scale[:, :, k] = scale_t
     tol = REPORT_TOL * scale[..., None]
     result = SweepResult(
@@ -454,17 +436,14 @@ def _summarize(result: SweepResult, tol: np.ndarray) -> SweepSummary:
 def default_corpus(
     g: WeightedGraph,
     seed: int = 0,
-    heat_op: HeatOperator | None = None,
     num_random: int = 20,
-    smoothing_time: float = 0.1,
 ) -> list[tuple[str, GraphFunction]]:
     """Standard nonnegative test functions for sweeps.
 
     All vertex indicators, ``num_random`` uniform [0,1] random functions and
-    heat-smoothed indicators (clipped at 0 against rounding), which probe
-    the near-harmonic regime.
+    the indicators smoothed by g's semigroup for SMOOTHING_TIME (clipped at 0
+    against rounding), which probe the near-harmonic regime.
     """
-    heat_op = _full_semigroup(g, heat_op)
     if num_random < 0:
         raise ValueError(f"num_random must be nonnegative, got {num_random}")
     rng = np.random.default_rng(seed)
@@ -475,7 +454,7 @@ def default_corpus(
         corpus.append(
             (f"random:{i}", GraphFunction(g, rng.uniform(0.0, 1.0, g.num_vertices)))
         )
-    smoothed = np.maximum(heat_op.apply_array(smoothing_time, np.eye(g.num_vertices)), 0.0)
+    smoothed = np.maximum(build_heat(g).apply_array(SMOOTHING_TIME, np.eye(g.num_vertices)), 0.0)
     for v, column in zip(g.vertices, smoothed.T):
         corpus.append((f"smoothed:{v}", GraphFunction(g, column)))
     return corpus
@@ -524,14 +503,14 @@ def build_cutoff(
     S: Sequence[str] | set[str] | frozenset[str],
     epsilon: float,
     U: Sequence[str] | set[str] | frozenset[str],
-    h: HeatOperator,
 ) -> CutoffResult:
     """Cutoff eta with eta = 1 on S and Gamma(eta) <= epsilon, via heat flow.
 
-    Takes t = 2/epsilon and sets eta = min(1, max(2 P_t 1_U - 1/2, 0)).  The
-    gradient bound needs nonnegative curvature: under CD(0, infinity) the
-    variance estimate gives Gamma(P_t 1_U) <= (1/2t)(P_t 1_U^2 - (P_t 1_U)^2),
-    and eta is a 1-Lipschitz contraction of 2 P_t 1_U, so
+    Takes t = 2/epsilon and sets eta = min(1, max(2 P_t 1_U - 1/2, 0)), with
+    P_t the semigroup of g.  The gradient bound needs nonnegative curvature:
+    under CD(0, infinity) the variance estimate gives
+    Gamma(P_t 1_U) <= (1/2t)(P_t 1_U^2 - (P_t 1_U)^2), and eta is a
+    1-Lipschitz contraction of 2 P_t 1_U, so
     Gamma(eta) <= 4 Gamma(P_t 1_U) <= 2/t = epsilon.
 
     Raises PreconditionError if cd_check refutes CD(0, infinity) at some
@@ -540,7 +519,6 @@ def build_cutoff(
     """
     if not (0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    _full_semigroup(g, h)
     s_idx = [g.index(v) for v in S]
     u_idx = [g.index(v) for v in U]
     _require_curvature(g, 0.0)
@@ -548,7 +526,7 @@ def build_cutoff(
     t = 2.0 / epsilon
     ones_u = np.zeros(g.num_vertices)
     ones_u[u_idx] = 1.0
-    pt_ones_u = h.apply_array(t, ones_u)
+    pt_ones_u = build_heat(g).apply_array(t, ones_u)
     if s_idx:
         worst = float(np.min(pt_ones_u[s_idx]))
         if worst < 0.75 - 1e-12:
@@ -572,7 +550,6 @@ def finiteness_probe(
     K: float,
     epsilon_grid: Sequence[float],
     seed: int = 0,
-    jensen_samples: int = 100,
 ) -> dict:
     """Quantify the cutoff/curvature obstruction to infinite measure.
 
@@ -584,16 +561,21 @@ def finiteness_probe(
     that the argument relies on: ``jensen_max_violation`` is the largest
     (Delta g)^2 - 2 Deg Gamma(g) over the samples (0 if none is positive) and
     ``jensen_scale`` the largest (Delta g)^2 + 2 Deg Gamma(g), the scale to
-    judge the violation against.
+    judge the violation against; the Jensen step is sampled on JENSEN_SAMPLES
+    random functions.
     """
     if not (0 < K < math.inf):
         raise ValueError(f"K must be positive and finite, got {K}")
+    epsilons = [float(eps) for eps in epsilon_grid]
+    for eps in epsilons:
+        if not (0 < eps < math.inf):
+            raise ValueError(f"epsilon must be positive and finite, got {eps}")
     if not is_connected(g):
         raise PreconditionError("finiteness probe requires a connected graph")
     _require_curvature(g, K)
 
     rng = np.random.default_rng(seed)
-    samples = rng.uniform(-1.0, 1.0, (g.num_vertices, jensen_samples))
+    samples = rng.uniform(-1.0, 1.0, (g.num_vertices, JENSEN_SAMPLES))
     lap = laplacian_array(g, samples)
     gam = gamma_array(g, samples, samples)
     deg = g.weighted_degrees
@@ -607,8 +589,7 @@ def finiteness_probe(
         vacuous = d == 0.0
         threshold = math.inf if vacuous else K * K / (2.0 * d)
         entries = []
-        for eps in epsilon_grid:
-            eps = float(eps)
+        for eps in epsilons:
             bound = math.sqrt(2.0 * eps * d) / K
             entries.append(
                 {
@@ -654,9 +635,8 @@ def taylor_check(
     f: GraphFunction,
     x: str,
     K: float = 0.5,
-    heat_op: HeatOperator | None = None,
 ) -> dict:
-    """Fit small-t expansion coefficients and compare with exact operators.
+    """Fit small-t expansion coefficients of g's semigroup and compare with exact operators.
 
     The variance t -> (P_t f^2 - (P_t f)^2)(x) expands as
     2t Gamma(f) + t^2 (Delta Gamma(f) + 2 Gamma(f, Delta f)) + O(t^3); the
@@ -673,7 +653,6 @@ def taylor_check(
     a coefficient mismatch of that order is judged.
     """
     _check_nonnegative(g, f)
-    heat_op = _full_semigroup(g, heat_op)
     if not (-math.inf < K < math.inf):
         raise ValueError(f"K must be finite, got {K}")
     ix = g.index(x)
@@ -693,10 +672,11 @@ def taylor_check(
         "gradient_of_heat": 2.0 * float(2.0 * gam_f_lapf[ix] - K * gam_f[ix]),
     }
 
+    h = build_heat(g)
     ts = [t0 / 2.0**j for j in range(7)]
     series = {name: [] for name in exact_c2}
     for t in ts:
-        pt_sq, ptf, pt_gam = heat_op.apply_array(t, np.column_stack([farr * farr, farr, gam_f])).T
+        pt_sq, ptf, pt_gam = h.apply_array(t, np.column_stack([farr * farr, farr, gam_f])).T
         series["variance"].append(float(pt_sq[ix] - ptf[ix] ** 2))
         series["heat_of_gradient"].append(2.0 * t * _phi1(2.0 * K * t) * float(pt_gam[ix]))
         series["gradient_of_heat"].append(

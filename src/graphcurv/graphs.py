@@ -174,6 +174,13 @@ class WeightedGraph:
         return d
 
     @cached_property
+    def _heat_semigroup(self):
+        """The full heat semigroup, shared by every ``build_heat(self)``."""
+        from .heat import _factorize
+
+        return _factorize(self, None, np.arange(self.num_vertices))
+
+    @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(iu, iv, w) index/weight arrays, one entry per unordered edge."""
         items = sorted(
@@ -239,6 +246,8 @@ class GraphFunction:
                 raise ValueError(
                     f"expected {graph.num_vertices} values, got shape {arr.shape}"
                 )
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("function values must be finite")
         arr.setflags(write=False)
         self._values = arr
 

@@ -10,7 +10,9 @@ which one full symmetric eigendecomposition turns into an exact propagator
 for every t at desk scale.  Restricting S to a vertex subset implements the
 Dirichlet (absorbing-boundary) semigroup used to model exhaustions of larger
 graphs; there heat mass may genuinely escape, unlike on a full finite graph
-where P_t 1 = 1.
+where P_t 1 = 1.  The full semigroup is fixed by the graph, so it is
+factorized once per graph and shared; Dirichlet restrictions are built on
+each request.
 """
 
 from __future__ import annotations
@@ -116,21 +118,26 @@ def build_heat(
     g: WeightedGraph,
     dirichlet_domain: Sequence[str] | set[str] | frozenset[str] | None = None,
 ) -> HeatOperator:
-    """Factorize the symmetrized generator, optionally Dirichlet-restricted."""
-    W = g.weight_matrix
-    m = g.measure_vector
-    n = g.num_vertices
-    if dirichlet_domain is not None:
-        dom = frozenset(str(v) for v in dirichlet_domain)
-        if not dom:
-            raise ValueError("Dirichlet domain must be nonempty")
-        idx = np.array(sorted(g.index(v) for v in dom), dtype=int)
-    else:
-        dom = None
-        idx = np.arange(n)
+    """The semigroup of g, or its restriction to a Dirichlet domain.
 
-    sqrt_m = np.sqrt(m[idx])
-    S = -W[np.ix_(idx, idx)] / np.outer(sqrt_m, sqrt_m)
+    Without a domain this is g's own full semigroup, factorized on first use
+    and then shared: every call for the same graph returns the same
+    operator.  A Dirichlet operator is factorized anew on every call.
+    """
+    if dirichlet_domain is None:
+        return g._heat_semigroup
+    dom = frozenset(str(v) for v in dirichlet_domain)
+    if not dom:
+        raise ValueError("Dirichlet domain must be nonempty")
+    return _factorize(g, dom, np.array(sorted(g.index(v) for v in dom), dtype=int))
+
+
+def _factorize(
+    g: WeightedGraph, dirichlet_domain: frozenset[str] | None, idx: np.ndarray
+) -> HeatOperator:
+    """Factorize the symmetrized generator restricted to the vertices idx."""
+    sqrt_m = np.sqrt(g.measure_vector[idx])
+    S = -g.weight_matrix[np.ix_(idx, idx)] / np.outer(sqrt_m, sqrt_m)
     # full-graph degrees: the restriction keeps boundary edges
     S[np.arange(len(idx)), np.arange(len(idx))] = g.weighted_degrees[idx]
     eigvals, eigvecs = np.linalg.eigh(S)
@@ -139,7 +146,7 @@ def build_heat(
         eigenvalues=eigvals,
         eigenbasis=eigvecs,
         measure_half=sqrt_m,
-        dirichlet_domain=dom,
+        dirichlet_domain=dirichlet_domain,
         domain_indices=idx,
     )
 

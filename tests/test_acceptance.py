@@ -102,11 +102,10 @@ def test_criterion_3_estimates_forward(corpus_graphs):
     worst = math.inf
     ok = True
     for name, g in corpus_graphs.items():
-        h = build_heat(g)
-        corpus = default_corpus(g, seed=0, heat_op=h)
+        corpus = default_corpus(g, seed=0)
         for n in (math.inf, 4.0):
             kappa = curvature_profile(g, n).global_curvature
-            reports, summary = estimate_sweep(g, -kappa, n, t_grid, corpus, heat_op=h)
+            reports, summary = estimate_sweep(g, -kappa, n, t_grid, corpus)
             ok &= summary.passed
             worst = min(
                 worst,
@@ -125,13 +124,12 @@ def test_criterion_4_estimates_converse(corpus_graphs):
     all_detected = True
     for name, g in corpus_graphs.items():
         kappa = curvature_profile(g, math.inf).global_curvature
-        h = build_heat(g)
-        corpus = default_corpus(g, seed=0, heat_op=h)
+        corpus = default_corpus(g, seed=0)
         for v in g.vertices:
             w = cd_extremal_function(g, v, math.inf, kappa + delta)
             shifted = w.array - min(0.0, float(w.array.min()))
             corpus.append((f"witness:{v}", GraphFunction(g, shifted)))
-        reports, _ = estimate_sweep(g, -kappa - delta, math.inf, t_scan, corpus, heat_op=h)
+        reports, _ = estimate_sweep(g, -kappa - delta, math.inf, t_scan, corpus)
         bad_t = [r.t for r in reports if r.slack_iii < -REPORT_TOL]
         detected = bool(bad_t) and min(bad_t) <= 1.0
         if not detected:
@@ -147,7 +145,7 @@ def test_criterion_5_k_zero_limit_forms(corpus_graphs):
     for name in ("cycle6", "star5", "random9"):
         g = corpus_graphs[name]
         h = build_heat(g)
-        F = np.stack([f.array for _, f in default_corpus(g, seed=1, heat_op=h)], axis=1)
+        F = np.stack([f.array for _, f in default_corpus(g, seed=1)], axis=1)
         for t in (0.01, 0.1, 1.0, 5.0):
             for n in (math.inf, 4.0):
                 base = _slack_arrays(g, h, 0.0, n, F, t)
@@ -245,7 +243,7 @@ def test_criterion_9_cutoff_bound(corpus_graphs):
         full = list(g.vertices)
         ones = np.ones(g.num_vertices)
         for eps in (0.1, 0.5, 1.0):
-            res = build_cutoff(g, {g.vertices[0]}, eps, full, h)
+            res = build_cutoff(g, {g.vertices[0]}, eps, full)
             ok &= res.max_gamma <= eps + 1e-10
             t = 2.0 / eps
             pt = h.apply_array(t, ones)
@@ -266,11 +264,10 @@ def test_criterion_10_taylor_coefficients():
               generate("star", 3), generate("weighted_tree", 8, seed=2)]
     worst = 0.0
     for g in graphs:
-        h = build_heat(g)
         for _ in range(5):
             f = GraphFunction(g, rng.uniform(0.0, 1.0, g.num_vertices))
             x = g.vertices[int(rng.integers(0, g.num_vertices))]
-            rep = taylor_check(g, f, x, K=0.7, heat_op=h)
+            rep = taylor_check(g, f, x, K=0.7)
             for sec in ("variance", "heat_of_gradient", "gradient_of_heat"):
                 for order in ("first_order", "second_order"):
                     pair = rep[sec][order]

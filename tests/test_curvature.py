@@ -274,14 +274,6 @@ def test_profile_large_n_approaches_infinity_case():
         assert a.curvature == pytest.approx(b.curvature, abs=1e-6)
 
 
-def test_profile_parallel_matches_serial():
-    rng = np.random.default_rng(30)
-    g = random_connected_graph(rng, 10)
-    serial = curvature_profile(g, math.inf)
-    parallel = curvature_profile(g, math.inf, jobs=4)
-    assert serial == parallel
-
-
 def test_known_family_values():
     # classical values for unit weights and counting measure: complete graphs
     # carry (N+2)/2, hypercubes carry 2, and the 4-cycle is the 2-cube

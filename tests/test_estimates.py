@@ -59,19 +59,17 @@ def test_all_slacks_zero_at_t0():
 
 def test_single_edge_forward_direction():
     g = single_edge()
-    h = build_heat(g)
     for t in (0.1, 1.0, 10.0):
-        r = verify_estimates(g, -2.0, math.inf, edge_function(g), t, "v0", heat_op=h)
+        r = verify_estimates(g, -2.0, math.inf, edge_function(g), t, "v0")
         assert r.passed, (t, r)
 
 
 def test_single_edge_overclaimed_curvature_fails_iii():
     g = single_edge()
-    h = build_heat(g)
     hits = [
         t
         for t in np.geomspace(1e-3, 1.0, 12)
-        if verify_estimates(g, -2.5, math.inf, edge_function(g), float(t), "v0", heat_op=h).slack_iii
+        if verify_estimates(g, -2.5, math.inf, edge_function(g), float(t), "v0").slack_iii
         < -REPORT_TOL
     ]
     assert hits and min(hits) <= 1.0
@@ -88,17 +86,13 @@ def test_constant_function_degenerates_to_equalities():
 
 def test_input_validation():
     g = single_edge()
-    h = build_heat(g)
     neg = GraphFunction(g, {"v0": -0.1, "v1": 1.0})
     with pytest.raises(ValueError, match="nonnegative"):
-        verify_estimates(g, 0.0, math.inf, neg, 1.0, "v0", heat_op=h)
+        verify_estimates(g, 0.0, math.inf, neg, 1.0, "v0")
     with pytest.raises(ValueError):
-        verify_estimates(g, 0.0, math.inf, edge_function(g), -1.0, "v0", heat_op=h)
+        verify_estimates(g, 0.0, math.inf, edge_function(g), -1.0, "v0")
     with pytest.raises(ValueError):
-        verify_estimates(g, 0.0, -2.0, edge_function(g), 1.0, "v0", heat_op=h)
-    dirichlet = build_heat(g, dirichlet_domain={"v0"})
-    with pytest.raises(PreconditionError, match="Dirichlet"):
-        verify_estimates(g, 0.0, math.inf, edge_function(g), 1.0, "v0", heat_op=dirichlet)
+        verify_estimates(g, 0.0, -2.0, edge_function(g), 1.0, "v0")
 
 
 def test_sweep_input_checks_run_on_empty_corpus():
@@ -107,37 +101,40 @@ def test_sweep_input_checks_run_on_empty_corpus():
         estimate_sweep(g, 0.0, -1.0, [1.0], [])
     with pytest.raises(ValueError, match="nonnegative"):
         estimate_sweep(g, 0.0, math.inf, [-1.0], [])
-    dirichlet = build_heat(g, dirichlet_domain={"v0"})
-    with pytest.raises(PreconditionError, match="Dirichlet"):
-        estimate_sweep(g, 0.0, math.inf, [1.0], [], heat_op=dirichlet)
 
 
-def test_foreign_heat_operator_rejected():
-    # path6's semigroup on cycle6 gave 2 estimate failures and a Taylor fit of
-    # 1.0 against the exact 26 without complaint
-    g, foreign = generate("cycle", 6), build_heat(generate("path", 6))
+def test_functions_use_the_graphs_own_semigroup():
+    # a Dirichlet operator of g and the semigroup of another graph, built
+    # first, must change nothing: path6's semigroup applied on cycle6 gives 2
+    # estimate failures and a Taylor fit of 1.0 against the exact 26
+    g = generate("cycle", 6)
+    build_heat(g, dirichlet_domain={"v0", "v1"})
+    build_heat(generate("path", 6))
+    fresh = WeightedGraph(g.vertices, list(g.edges()), {v: g.measure(v) for v in g.vertices})
     f = GraphFunction(g, np.arange(6.0))
-    with pytest.raises(ValueError, match="does not belong"):
-        estimate_sweep(g, 0.0, math.inf, [1.0], [("f", f)], heat_op=foreign)
-    with pytest.raises(ValueError, match="does not belong"):
-        verify_estimates(g, 0.0, math.inf, f, 1.0, "v0", heat_op=foreign)
-    with pytest.raises(ValueError, match="does not belong"):
-        default_corpus(g, heat_op=foreign)
-    with pytest.raises(ValueError, match="does not belong"):
-        taylor_check(g, f, "v0", heat_op=foreign)
-    with pytest.raises(ValueError, match="does not belong"):
-        build_cutoff(g, {"v0"}, 1.0, set(g.vertices), foreign)
-    # a Dirichlet semigroup is not g's either: it shifted the fitted variance
-    # coefficient of t^2 from 0 to 0.041 on path6
-    with pytest.raises(PreconditionError, match="Dirichlet"):
-        taylor_check(g, f, "v0", heat_op=build_heat(g, dirichlet_domain={"v0", "v1"}))
+
+    def results(h):
+        corpus = default_corpus(h, seed=4, num_random=3)
+        return (
+            corpus,
+            estimate_sweep(h, 0.0, 4.0, [0.1, 1.0], corpus),
+            taylor_check(h, GraphFunction(h, f.array), "v0"),
+            build_cutoff(h, {"v0"}, 2.0, ["v4", "v5", "v0", "v1", "v2"]),
+        )
+
+    corpus, (result, summary), taylor, cutoff = results(g)
+    corpus_f, (result_f, summary_f), taylor_f, cutoff_f = results(fresh)
+    assert corpus == corpus_f and result == result_f and summary == summary_f
+    assert taylor == taylor_f and cutoff == cutoff_f
+    assert summary.passed and cutoff.max_gamma > 0.0
+    assert taylor["variance"]["first_order"]["exact"] == 26.0
 
 
 def test_k_zero_limit_matches_nearby_k():
     rng = np.random.default_rng(51)
     g = random_connected_graph(rng, 8)
     h = build_heat(g)
-    F = np.stack([f.array for _, f in default_corpus(g, seed=1, heat_op=h)], axis=1)
+    F = np.stack([f.array for _, f in default_corpus(g, seed=1)], axis=1)
     for t in (0.01, 1.0, 5.0):
         base = _slack_arrays(g, h, 0.0, 4.0, F, t)
         for K in (1e-8, -1e-8):
@@ -233,9 +230,8 @@ def test_sweep_passes_at_solved_curvature():
     rng = np.random.default_rng(52)
     g = random_connected_graph(rng, 8, weight_range=(0.5, 1.5), measure_range=(0.5, 1.5))
     kappa = curvature_profile(g, math.inf).global_curvature
-    h = build_heat(g)
-    corpus = default_corpus(g, seed=0, heat_op=h)
-    reports, summary = estimate_sweep(g, -kappa, math.inf, [0.01, 0.5, 2.0], corpus, heat_op=h)
+    corpus = default_corpus(g, seed=0)
+    reports, summary = estimate_sweep(g, -kappa, math.inf, [0.01, 0.5, 2.0], corpus)
     assert summary.passed and summary.num_failures == 0
     assert summary.num_reports == len(corpus) * 3 * g.num_vertices
 
@@ -244,13 +240,12 @@ def test_sweep_converse_detects_overclaim():
     rng = np.random.default_rng(53)
     g = random_connected_graph(rng, 8, weight_range=(0.5, 1.5), measure_range=(0.5, 1.5))
     kappa = curvature_profile(g, math.inf).global_curvature
-    h = build_heat(g)
-    corpus = default_corpus(g, seed=0, heat_op=h)
+    corpus = default_corpus(g, seed=0)
     for v in g.vertices:
         w = cd_extremal_function(g, v, math.inf, kappa + 0.1)
         corpus.append((f"witness:{v}", GraphFunction(g, w.array - min(0.0, float(w.array.min())))))
     t_scan = [float(t) for t in np.geomspace(1e-3, 1.0, 11)]
-    reports, summary = estimate_sweep(g, -kappa - 0.1, math.inf, t_scan, corpus, heat_op=h)
+    reports, summary = estimate_sweep(g, -kappa - 0.1, math.inf, t_scan, corpus)
     bad = [r for r in reports if r.slack_iii < -REPORT_TOL]
     assert not summary.passed and bad
     assert min(r.t for r in bad) <= 1.0
@@ -286,21 +281,12 @@ def test_sweep_empty_t_grid_passes():
     assert summary.num_reports == 0 and summary.warning is None
 
 
-def test_sweep_parallel_matches_serial():
-    g = generate("cycle", 4)
-    h = build_heat(g)
-    corpus = default_corpus(g, seed=2, heat_op=h)
-    serial = estimate_sweep(g, -1.0, 4.0, [0.1, 1.0], corpus, heat_op=h)
-    parallel = estimate_sweep(g, -1.0, 4.0, [0.1, 1.0], corpus, heat_op=h, jobs=3)
-    assert serial[0] == parallel[0]
-
-
 def _overclaim_sweep_inputs():
     rng = np.random.default_rng(53)
     g = random_connected_graph(rng, 8, weight_range=(0.5, 1.5), measure_range=(0.5, 1.5))
     kappa = curvature_profile(g, math.inf).global_curvature
     h = build_heat(g)
-    corpus = default_corpus(g, seed=0, heat_op=h)
+    corpus = default_corpus(g, seed=0)
     for v in g.vertices:
         w = cd_extremal_function(g, v, math.inf, kappa + 0.1)
         corpus.append((f"witness:{v}", GraphFunction(g, w.array - min(0.0, float(w.array.min())))))
@@ -312,14 +298,14 @@ def _solved_sweep_inputs():
     rng = np.random.default_rng(52)
     g = random_connected_graph(rng, 8, weight_range=(0.5, 1.5), measure_range=(0.5, 1.5))
     h = build_heat(g)
-    corpus = default_corpus(g, seed=0, heat_op=h, num_random=5)
+    corpus = default_corpus(g, seed=0, num_random=5)
     return g, -curvature_profile(g, 4.0).global_curvature, 4.0, [0.01, 0.5, 2.0], corpus, h
 
 
 @pytest.mark.parametrize("inputs", [_overclaim_sweep_inputs, _solved_sweep_inputs])
 def test_sweep_result_matches_eager_reports(inputs):
     g, K, n, t_grid, corpus, h = inputs()
-    result, summary = estimate_sweep(g, K, n, t_grid, corpus, heat_op=h)
+    result, summary = estimate_sweep(g, K, n, t_grid, corpus)
     reports, num_failures, first = eager_sweep(g, K, n, t_grid, corpus, h)
     assert list(result) == reports and result == reports
     assert len(result) == summary.num_reports == len(reports)
@@ -338,7 +324,7 @@ def test_sweep_worst_entries_are_the_lowest_relative_slacks():
     # shifted x1e3 copy of a witness: its slacks are 1e6 times lower, but
     # its tolerance grows more, so the lowest slack is not the worst one
     corpus.append(("shifted", GraphFunction(g, 1e3 * (dict(corpus)["witness:v1"].array + 10.0))))
-    result, summary = estimate_sweep(g, K, n, t_grid, corpus, heat_op=h)
+    result, summary = estimate_sweep(g, K, n, t_grid, corpus)
     assert summary.failures_by_estimate["ii"] > 0
     # the tolerance of every (estimate, function, t), from its verdict scale
     F = np.stack([f.array for _, f in corpus], axis=1)
@@ -464,7 +450,7 @@ def test_ec_norm_fuzz():
 
 def test_cutoff_full_universe_is_trivial():
     g = single_edge()
-    c = build_cutoff(g, {"v0"}, 1.0, set(g.vertices), build_heat(g))
+    c = build_cutoff(g, {"v0"}, 1.0, set(g.vertices))
     assert np.allclose(c.eta.array, 1.0)
     assert c.max_gamma == 0.0
 
@@ -472,7 +458,7 @@ def test_cutoff_full_universe_is_trivial():
 def test_cutoff_negative_curvature_rejected():
     g = generate("star", 5)
     with pytest.raises(PreconditionError, match="CD\\(0"):
-        build_cutoff(g, {"c"}, 1.0, set(g.vertices), build_heat(g))
+        build_cutoff(g, {"c"}, 1.0, set(g.vertices))
 
 
 def test_cutoff_rejects_negative_curvature_at_any_scale():
@@ -480,14 +466,13 @@ def test_cutoff_rejects_negative_curvature_at_any_scale():
     # 1e-9 tolerance on the profile minimum let through
     g = scaled_weights(generate("star", 5), 1e-12)
     with pytest.raises(PreconditionError, match="CD\\(0"):
-        build_cutoff(g, {"c"}, 1.0, set(g.vertices), build_heat(g))
+        build_cutoff(g, {"c"}, 1.0, set(g.vertices))
 
 
 def test_cutoff_universe_too_small_rejected():
     g = generate("path", 20)
-    h = build_heat(g)
     with pytest.raises(PreconditionError, match="too small"):
-        build_cutoff(g, {"v19"}, 1.0, [f"v{i}" for i in range(10)], h)
+        build_cutoff(g, {"v19"}, 1.0, [f"v{i}" for i in range(10)])
 
 
 def test_cutoff_partial_universe_bounds():
@@ -495,7 +480,7 @@ def test_cutoff_partial_universe_bounds():
     h = build_heat(g)
     U = [f"v{i}" for i in range(10)]
     for eps in (0.5, 1.0, 2.0):
-        c = build_cutoff(g, ["v0", "v1"], eps, U, h)
+        c = build_cutoff(g, ["v0", "v1"], eps, U)
         eta = c.eta.array
         assert float(eta.min()) >= 0.0 and float(eta.max()) <= 1.0
         assert c.eta.value("v0") == 1.0 and c.eta.value("v1") == 1.0
@@ -510,13 +495,6 @@ def test_cutoff_partial_universe_bounds():
         g_pt = gamma_array(g, pt, pt)
         assert np.all(g_eta <= 4.0 * g_pt + 1e-10)
         assert np.all(4.0 * g_pt <= (2.0 / t) * variance + 1e-10)
-
-
-def test_cutoff_rejects_dirichlet_operator():
-    g = single_edge()
-    hd = build_heat(g, dirichlet_domain={"v0"})
-    with pytest.raises(ValueError, match="full-graph"):
-        build_cutoff(g, {"v0"}, 1.0, set(g.vertices), hd)
 
 
 # -- finiteness probe -----------------------------------------------------------------

@@ -40,6 +40,18 @@ def test_spectrum_dirichlet_restriction():
     assert h.eigenvalues == pytest.approx([1.0])
 
 
+def test_full_semigroup_is_built_once_per_graph():
+    g = generate("cycle", 6)
+    h = build_heat(g)
+    assert build_heat(g) is h and h.graph is g and h.dirichlet_domain is None
+    # a Dirichlet operator, even on every vertex, is built apart and anew
+    for domain in ({"v0", "v1"}, set(g.vertices)):
+        d = build_heat(g, dirichlet_domain=domain)
+        assert d is not h and d.dirichlet_domain == frozenset(domain)
+        assert build_heat(g, dirichlet_domain=domain) is not d
+    assert build_heat(g) is h
+
+
 def test_dirichlet_empty_domain_rejected():
     with pytest.raises(ValueError):
         build_heat(single_edge(), dirichlet_domain=set())

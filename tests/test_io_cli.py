@@ -7,7 +7,6 @@ from conftest import random_connected_graph, scaled_weights
 from graphcurv import (
     GraphFormatError,
     WeightedGraph,
-    build_heat,
     default_corpus,
     estimate_sweep,
     generate,
@@ -208,10 +207,8 @@ def test_cli_verify_estimates_full_table_matches_sweep(tmp_path, capsys):
                 "--dimension", "4", "--t", "0.1,1", "--seed", "3", "--num-random", "4",
                 "--full"])
     table = _last_json(capsys)["table"]
-    h = build_heat(g)
     result, summary = estimate_sweep(g, -2.0, 4.0, [0.1, 1.0],
-                                     default_corpus(g, seed=3, heat_op=h, num_random=4),
-                                     heat_op=h)
+                                     default_corpus(g, seed=3, num_random=4))
     assert code == 1 and 0 < summary.num_failures < summary.num_reports
     assert table["function_ids"] == list(result.function_ids)
     assert table["vertices"] == list(result.vertices)
@@ -245,6 +242,10 @@ def test_cli_verify_estimates_exponent_overflow(edge_graph, capsys, paper_k):
     ["cd-check", "--K", "nan", "--vertex", "v0"],
     ["finiteness", "--K", "inf", "--epsilons", "0.1"],
     ["finiteness", "--K", "nan", "--epsilons", "0.1"],
+    ["heat", "--t", "1", "--constant", "nan"],
+    ["heat", "--t", "1", "--constant", "inf"],
+    ["finiteness", "--K", "1", "--epsilons", "nan"],
+    ["finiteness", "--K", "1", "--epsilons", "-1"],
 ], ids=" ".join)
 def test_cli_non_finite_numbers_are_input_errors(edge_graph, capsys, argv):
     code = run([argv[0], "--graph", edge_graph, *argv[1:]])
@@ -293,6 +294,48 @@ def test_cli_input_error_exit_2(tmp_path, capsys):
     meas.write_text("a 1\nb 1\n", encoding="utf-8")
     capsys.readouterr()
     assert run(["curvature", "--graph", str(bad), "--measures", str(meas)]) == 2
+    # an empty sample list must not pass vacuously
+    good = tmp_path / "edge.txt"
+    good.write_text("a b 1\n", encoding="utf-8")
+    for samples in ("0", "-2"):
+        capsys.readouterr()
+        assert run(["green-check", "--graph", str(good), "--measures", str(meas),
+                    "--samples", samples]) == 2
+        assert "--samples" in _last_json(capsys)["error"]
+
+
+@pytest.mark.parametrize("command", [
+    ["curvature"],
+    ["verify-estimates", "--paper-K", "0", "--t", "1"],
+])
+def test_cli_jobs_accepts_only_one(edge_graph, capsys, command):
+    argv = [command[0], "--graph", edge_graph, *command[1:]]
+    assert run(argv + ["--jobs", "1"]) == 0
+    for jobs in ("0", "-3", "2"):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--jobs", jobs])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-estimates", "--paper-K", "0", "--dimension", "4", "--t", "0.1,1"],
+    ["cutoff", "--target", "v0", "--epsilon", "0.5"],
+])
+def test_cli_factorizes_the_semigroup_once(monkeypatch, capsys, tmp_path, command):
+    from graphcurv import heat
+
+    calls = []
+    factorize = heat._factorize
+
+    def counted(*args):
+        calls.append(args[1])
+        return factorize(*args)
+
+    monkeypatch.setattr(heat, "_factorize", counted)
+    path = tmp_path / "cycle6.json"
+    path.write_text(serialize_graph(generate("cycle", 6)), encoding="utf-8")
+    assert run([command[0], "--graph", str(path), *command[1:]]) == 0
+    assert calls == [None]  # one factorization, of the full graph
 
 
 def test_cli_unknown_vertex_exit_2(edge_graph, capsys):
