@@ -66,6 +66,8 @@ def _jsonify(obj):
     if isinstance(obj, (set, frozenset)):
         return sorted(_jsonify(v) for v in obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()  # already JSON-safe: no inf or nan to rewrite
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
@@ -104,9 +106,12 @@ def _load_graph(args, require_valid: bool = True) -> WeightedGraph:
 
 def _parse_floats(raw: str, flag: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         raise GraphFormatError(f"{flag}: expected comma-separated numbers, got {raw!r}") from None
+    if not values:
+        raise GraphFormatError(f"{flag}: expected at least one number, got {raw!r}")
+    return values
 
 
 def _parse_dimension(raw: str) -> float:

@@ -134,7 +134,7 @@ def curvature_solve(g: WeightedGraph, x: str, n: float) -> CurvatureResult:
     if forms.size == 0:
         return CurvatureResult(x, n, math.inf, True, 0.0)
 
-    k = len(g.neighbors(x))  # the support lists S1 first; d vanishes on S2
+    k = forms.num_neighbors  # the support lists S1 first; d vanishes on S2
     M = cd_matrix(forms, 0.0, n)
     r = np.diag(M)[k:]
     S = M[:k, :k] - (M[:k, k:] / r) @ M[k:, :k]

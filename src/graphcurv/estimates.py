@@ -489,9 +489,10 @@ def ec_norm_check(g: WeightedGraph) -> tuple[float, float]:
     """
     cert = ellipticity_constant(g)
     m = g.measure_vector
-    A = np.divide(g.weight_matrix, m[:, None])  # column iy is A applied to 1_{iy}
-    np.abs(A, out=A)
-    norm = float(np.max(A.max(axis=0, initial=0.0) / m, initial=0.0))
+    csr = g.csr
+    # A 1_y has the entries b(x,y)/m(x) at the neighbours x of y: row y of the CSR
+    column_max = csr.row_reduce(np.maximum, csr.weights / m[csr.indices])
+    norm = float(np.max(column_max / m, initial=0.0))
     return cert.constant, norm
 
 

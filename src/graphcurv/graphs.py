@@ -2,8 +2,12 @@
 
 A graph here is a finite vertex set X together with a symmetric edge weight
 b(x,y) > 0 (zero diagonal, no entry stored for non-edges) and a strictly
-positive vertex measure m(x).  All numerical kernels in the package work on
-dense arrays indexed by the graph's internal vertex order.
+positive vertex measure m(x).  Numerical kernels index vertices by the
+graph's internal order.  The local operators (Laplacian, carre du champ,
+degrees, curvature forms) read the compressed rows of ``WeightedGraph.csr``,
+so they run in memory linear in the number of vertices and edges.  The
+heat semigroup, and the estimates built on it, factorize a dense N x N
+matrix assembled from the edges.
 """
 
 from __future__ import annotations
@@ -26,6 +30,67 @@ __all__ = [
     "ellipticity_constant",
     "generate",
 ]
+
+
+class AdjacencyCSR:
+    """Compressed sparse rows of the weight matrix, every edge stored in both directions.
+
+    Row x lists the neighbours y of x in index order,
+    ``indices[indptr[x]:indptr[x + 1]]``, with the weights b(x, y) in
+    ``weights`` at the same positions; ``rows`` holds the row of every stored
+    entry.  All arrays are read-only.
+    """
+
+    def __init__(self, num_vertices: int, iu: np.ndarray, iv: np.ndarray, w: np.ndarray):
+        rows = np.concatenate((iu, iv))
+        cols = np.concatenate((iv, iu))
+        order = np.lexsort((cols, rows))
+        lengths = np.bincount(rows, minlength=num_vertices)
+        self.indptr = np.zeros(num_vertices + 1, dtype=np.intp)
+        np.cumsum(lengths, out=self.indptr[1:])
+        self.indices = cols[order]
+        self.weights = np.concatenate((w, w))[order]
+        self.rows = rows[order]
+        self._lengths = lengths
+        self._nonempty = lengths > 0
+        self._starts = self.indptr[:-1][self._nonempty]
+        for a in (self.indptr, self.indices, self.weights, self.rows, lengths,
+                  self._nonempty, self._starts):
+            a.setflags(write=False)
+
+    def row_reduce(self, ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+        """Reduce ``values`` (one entry per stored entry, or a batch (2E, B)) over each row.
+
+        Rows of isolated vertices are 0.  They are masked out of ``reduceat``,
+        which would return the first entry of the next row for an empty row
+        (and fails on empty rows at the end).
+        """
+        out = np.zeros((len(self._lengths),) + values.shape[1:])
+        if values.shape[0]:
+            out[self._nonempty] = ufunc.reduceat(values, self._starts, axis=0)
+        return out
+
+    def second_steps(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The walks x -> y -> z whose first steps are the stored entries lo..hi-1.
+
+        Returns the positions of their second steps y -> z, the whole row of
+        each y in the order of the first steps, and for each first step the
+        number of them (the length of row y).  The walk counts are summed
+        once per graph, so this takes a fixed number of numpy calls whatever
+        the degrees.
+        """
+        start, shift = self._walks
+        counts = self._lengths[self.indices[lo:hi]]
+        return np.arange(start[lo], start[hi]) + np.repeat(shift[lo:hi], counts), counts
+
+    @cached_property
+    def _walks(self) -> tuple[np.ndarray, np.ndarray]:
+        # start[e]: two-step walks whose first step precedes entry e;
+        # shift[e]: maps walk number start[e] + j to the j-th entry of its row
+        start = np.zeros(len(self.indices) + 1, dtype=np.intp)
+        np.cumsum(self._lengths[self.indices], out=start[1:])
+        shift = self.indptr[self.indices] - start[:-1]
+        return start, shift
 
 
 class WeightedGraph:
@@ -150,14 +215,23 @@ class WeightedGraph:
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:
-        """Dense symmetric weight matrix aligned with the vertex order."""
+        """Dense symmetric weight matrix aligned with the vertex order.
+
+        A view for callers, built on first access; it takes N^2 floats, and
+        no computation in the package reads it (they use ``csr``).
+        """
         n = self.num_vertices
+        iu, iv, w = self.edge_arrays
         W = np.zeros((n, n))
-        for (u, v), w in self._canonical_weights.items():
-            i, j = self._index[u], self._index[v]
-            W[i, j] = W[j, i] = w
+        W[iu, iv] = w
+        W[iv, iu] = w
         W.setflags(write=False)
         return W
+
+    @cached_property
+    def csr(self) -> AdjacencyCSR:
+        """Compressed rows of the weights, built once from ``edge_arrays``."""
+        return AdjacencyCSR(self.num_vertices, *self.edge_arrays)
 
     @cached_property
     def measure_vector(self) -> np.ndarray:
@@ -169,7 +243,8 @@ class WeightedGraph:
     @cached_property
     def weighted_degrees(self) -> np.ndarray:
         """Deg(x) = (1/m(x)) * sum_y b(x,y) for every vertex."""
-        d = self.weight_matrix.sum(axis=1) / self.measure_vector
+        csr = self.csr
+        d = csr.row_reduce(np.add, csr.weights) / self.measure_vector
         d.setflags(write=False)
         return d
 
@@ -194,12 +269,8 @@ class WeightedGraph:
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in self._vertices]
-        iu, iv, _ = self.edge_arrays
-        for i, j in zip(iu, iv):
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        ptr, nbrs = self.csr.indptr.tolist(), self.csr.indices.tolist()
+        return tuple(tuple(nbrs[ptr[i]:ptr[i + 1]]) for i in range(self.num_vertices))
 
     def weight(self, u: str, v: str) -> float:
         """b(u, v), symmetric; 0.0 for non-adjacent pairs."""

@@ -135,9 +135,19 @@ def build_heat(
 def _factorize(
     g: WeightedGraph, dirichlet_domain: frozenset[str] | None, idx: np.ndarray
 ) -> HeatOperator:
-    """Factorize the symmetrized generator restricted to the vertices idx."""
+    """Factorize the symmetrized generator restricted to the vertices idx.
+
+    S is assembled from the edges with both ends in idx.
+    """
     sqrt_m = np.sqrt(g.measure_vector[idx])
-    S = -g.weight_matrix[np.ix_(idx, idx)] / np.outer(sqrt_m, sqrt_m)
+    local = np.full(g.num_vertices, -1)
+    local[idx] = np.arange(len(idx))
+    iu, iv, w = g.edge_arrays
+    a, b = local[iu], local[iv]
+    inside = (a >= 0) & (b >= 0)
+    a, b = a[inside], b[inside]
+    S = np.zeros((len(idx), len(idx)))
+    S[a, b] = S[b, a] = -w[inside] / (sqrt_m[a] * sqrt_m[b])
     # full-graph degrees: the restriction keeps boundary edges
     S[np.arange(len(idx)), np.arange(len(idx))] = g.weighted_degrees[idx]
     eigvals, eigvecs = np.linalg.eigh(S)

@@ -37,27 +37,28 @@ __all__ = [
 
 
 def laplacian_array(g: WeightedGraph, F: np.ndarray) -> np.ndarray:
-    """Apply the Laplacian to one function (N,) or a batch (N,B)."""
-    W = g.weight_matrix
-    m = g.measure_vector
-    deg = g.weighted_degrees
-    if F.ndim == 1:
-        return (W @ F) / m - deg * F
-    return (W @ F) / m[:, None] - deg[:, None] * F
+    """Apply the Laplacian to one function (N,) or a batch (N,B), row by row of ``g.csr``."""
+    csr = g.csr
+    squeeze = F.ndim == 1
+    F2 = F[:, None] if squeeze else F
+    flow = csr.row_reduce(np.add, csr.weights[:, None] * F2[csr.indices])
+    out = flow / g.measure_vector[:, None] - g.weighted_degrees[:, None] * F2
+    return out[:, 0] if squeeze else out
 
 
 def gamma_array(g: WeightedGraph, F: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Closed-form Gamma, accumulated edge by edge to avoid cancellation."""
-    iu, iv, w = g.edge_arrays
-    m = g.measure_vector
+    """Closed-form Gamma, summed over each row of ``g.csr`` from per-edge products.
+
+    Each term b(x,y) (f(y)-f(x)) (h(y)-h(x)) is formed from the differences
+    themselves, which avoids the cancellation of the expanded form.
+    """
+    csr = g.csr
     squeeze = F.ndim == 1
     F2 = F[:, None] if squeeze else F
     H2 = H[:, None] if squeeze else H
-    contrib = w[:, None] * (F2[iu] - F2[iv]) * (H2[iu] - H2[iv])
-    out = np.zeros((F2.shape[0], contrib.shape[1]))
-    np.add.at(out, iu, contrib)
-    np.add.at(out, iv, contrib)
-    out /= 2.0 * m[:, None]
+    dF, dH = F2[csr.indices] - F2[csr.rows], H2[csr.indices] - H2[csr.rows]
+    contrib = csr.weights[:, None] * dF * dH
+    out = csr.row_reduce(np.add, contrib) / (2.0 * g.measure_vector[:, None])
     return out[:, 0] if squeeze else out
 
 
@@ -129,7 +130,8 @@ class LocalForms:
     Pinning f(center) = 0 is lossless because all three operators are
     invariant under adding constants, and it removes the trivial null
     direction from the curvature eigenproblem.  ``gamma_matrix`` and
-    ``laplace_vector`` vanish outside the 1-ball coordinates.
+    ``laplace_vector`` vanish outside the first ``num_neighbors``
+    coordinates, the 1-sphere.
     """
 
     center: str
@@ -137,6 +139,7 @@ class LocalForms:
     gamma2_matrix: np.ndarray
     gamma_matrix: np.ndarray
     laplace_vector: np.ndarray
+    num_neighbors: int
 
     @property
     def size(self) -> int:
@@ -159,15 +162,35 @@ def local_forms(g: WeightedGraph, x: str) -> LocalForms:
         sum_y L[x,y] G_y = diag(W a + a deg) - W diag(a) - diag(a) W.
 
     Pinning f(x) = 0 drops the center row and column.
+
+    a and G_x vanish off the 1-ball, so the block of W between 2-sphere
+    vertices never counts: W is gathered from the rows of ``g.csr`` at the
+    1-sphere only (they hold the center's row too, as the column of x), and
+    that block stays 0.  deg is then exact on the 1-ball, the only rows
+    where it is not multiplied by 0.
     """
     ix = g.index(x)
-    adj = g._adjacency
-    one_sphere = sorted(adj[ix])
-    two_sphere = sorted({z for y in one_sphere for z in adj[y]} - {ix, *one_sphere})
-    support_idx = one_sphere + two_sphere
-    names = tuple(g.vertices[i] for i in support_idx)
+    csr = g.csr
+    lo, hi = int(csr.indptr[ix]), int(csr.indptr[ix + 1])
+    k = hi - lo
+    one_sphere = csr.indices[lo:hi]
+    steps, counts = csr.second_steps(lo, hi)
+    ends = csr.indices[steps]
+    # local index of every 2-ball vertex: read only at 2-ball vertices, all
+    # written first, so the N-length array is never initialized in full
+    local = np.empty(g.num_vertices, dtype=np.intp)
+    local[ends] = -1
+    local[ix] = 0
+    local[one_sphere] = range(1, k + 1)
+    two_sphere = sorted(set(ends[local[ends] < 0].tolist()))
+    local[two_sphere] = range(k + 1, k + 1 + len(two_sphere))
+    support_idx = one_sphere.tolist() + two_sphere
+    vertices = g.vertices
+    names = tuple([vertices[i] for i in support_idx])
     b2 = [ix] + support_idx
-    W = g.weight_matrix[np.ix_(b2, b2)]
+    W = np.zeros((len(b2), len(b2)))
+    rows, cols = np.repeat(np.arange(1, k + 1), counts), local[ends]
+    W[rows, cols] = W[cols, rows] = csr.weights[steps]
     m = g.measure_vector[b2]
     deg = W.sum(axis=1)
     L = (W - np.diag(deg)) / m[:, None]
@@ -190,6 +213,7 @@ def local_forms(g: WeightedGraph, x: str) -> LocalForms:
         gamma2_matrix=_frozen(0.5 * A2[1:, 1:]),
         gamma_matrix=_frozen(Gx[1:, 1:]),
         laplace_vector=_frozen(L[0, 1:]),
+        num_neighbors=k,
     )
 
 

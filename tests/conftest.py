@@ -10,7 +10,8 @@ dense uniform quadrature is the reference for the closed form of the
 gradient integral in estimate (ii), an eager one-report-per-triple builder
 is the reference for the columnar estimate sweep, and edge and column
 loops are the references for the ellipticity constant and the adjacency
-operator norm.
+operator norm.  Dense N x N references, filled pair by pair from
+``WeightedGraph.weight``, check the package's edge-list kernels.
 """
 
 from __future__ import annotations
@@ -91,6 +92,37 @@ def naive_gamma2(g: WeightedGraph, f: dict[str, float], h: dict[str, float]) -> 
     return {x: 0.5 * (term1[x] - term2[x] - term3[x]) for x in g.vertices}
 
 
+def dense_weights(g: WeightedGraph) -> np.ndarray:
+    """W[i, j] = b(x_i, x_j), filled pair by pair."""
+    W = np.zeros((g.num_vertices, g.num_vertices))
+    for i, u in enumerate(g.vertices):
+        for j, v in enumerate(g.vertices):
+            if i != j:
+                W[i, j] = g.weight(u, v)
+    return W
+
+
+def dense_degrees(g: WeightedGraph) -> np.ndarray:
+    return dense_weights(g).sum(axis=1) / g.measure_vector
+
+
+def dense_laplacian(g: WeightedGraph, F: np.ndarray) -> np.ndarray:
+    """(W F - diag(row sums) F) / m for one function (N,) or a batch (N, B)."""
+    W = dense_weights(g)
+    F2 = F.reshape(g.num_vertices, -1)
+    out = (W @ F2 - W.sum(axis=1)[:, None] * F2) / g.measure_vector[:, None]
+    return out.reshape(F.shape)
+
+
+def dense_gamma(g: WeightedGraph, F: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """(1/2m(x)) sum_y W[x,y] (F[y]-F[x]) (H[y]-H[x]) over all N^2 pairs."""
+    W = dense_weights(g)
+    F2, H2 = F.reshape(g.num_vertices, -1), H.reshape(g.num_vertices, -1)
+    dF, dH = F2[None] - F2[:, None], H2[None] - H2[:, None]
+    out = np.einsum("xy,xyb,xyb->xb", W, dF, dH) / (2.0 * g.measure_vector[:, None])
+    return out.reshape(F.shape)
+
+
 # -- reference curvature path ---------------------------------------------------
 
 
@@ -108,7 +140,7 @@ def reference_local_forms(g: WeightedGraph, x: str) -> LocalForms:
     s = len(support_idx)
     names = tuple(g.vertices[i] for i in support_idx)
     if s == 0:
-        return LocalForms(x, (), np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0))
+        return LocalForms(x, (), np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), 0)
 
     basis = np.zeros((g.num_vertices, s))
     basis[support_idx, np.arange(s)] = 1.0
@@ -119,7 +151,7 @@ def reference_local_forms(g: WeightedGraph, x: str) -> LocalForms:
     B = np.zeros((s, s))
     A2[ii, jj] = A2[jj, ii] = g2_vals
     B[ii, jj] = B[jj, ii] = g1_vals
-    return LocalForms(x, names, A2, B, laplacian_array(g, basis)[ix])
+    return LocalForms(x, names, A2, B, laplacian_array(g, basis)[ix], len(one_ball))
 
 
 def bisection_solve(g: WeightedGraph, x: str, n: float) -> tuple[float, float]:

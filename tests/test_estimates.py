@@ -437,6 +437,17 @@ def test_ec_norm_matches_loops_on_fuzzed_graphs():
     assert ellipticity_constant(generate("cycle", 6)).witness_edge == ("v0", "v1")
 
 
+def test_ec_norm_with_isolated_vertices_matches_loops():
+    # column maxima over the CSR rows: empty rows (first, middle, last) must read 0
+    rng = np.random.default_rng(59)
+    core = random_connected_graph(rng, 8)
+    names = ["iso0", *core.vertices[:4], "iso1", *core.vertices[4:], "iso2"]
+    measure = {v: 0.01 if v.startswith("iso") else core.measure(v) for v in names}
+    g = WeightedGraph(names, {(u, v): w for u, v, w in core.edges()}, measure)
+    assert ec_norm_check(g) == (ellipticity_constant(g).constant, loop_adjacency_norm(g))
+    assert ec_norm_check(g) == ec_norm_check(core)
+
+
 def test_ec_norm_fuzz():
     rng = np.random.default_rng(55)
     for _ in range(20):

@@ -3,15 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_function
 from graphcurv import (
     GraphFunction,
     WeightedGraph,
     ball,
+    build_heat,
+    cd_check,
+    curvature_profile,
     degree,
+    ec_norm_check,
     ellipticity_constant,
+    finiteness_probe,
+    gamma_k,
     generate,
+    green_check,
     is_connected,
+    laplacian,
     validate,
 )
 
@@ -59,6 +67,38 @@ def test_invalid_graph_rejects_numeric_access():
     g = WeightedGraph(["a", "b"], {("a", "b"): 1.0, ("b", "a"): 2.0}, {"a": 1.0, "b": 1.0})
     with pytest.raises(ValueError, match="invalid graph"):
         _ = g.weight_matrix
+
+
+def _random_functions(g, k):
+    rng = np.random.default_rng(5)
+    return [random_function(rng, g) for _ in range(k)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: curvature_profile(g, 4.0),
+    lambda g: cd_check(g, 0.5, math.inf, "v1"),
+    lambda g: laplacian(g, *_random_functions(g, 1)),
+    lambda g: gamma_k(g, 2, *_random_functions(g, 2)),
+    lambda g: green_check(g, *_random_functions(g, 2)),
+    lambda g: ec_norm_check(g),
+    lambda g: finiteness_probe(g, 0.5, [0.1, 1.0]),
+    lambda g: build_heat(g).apply_array(1.0, np.ones(g.num_vertices)),
+    lambda g: build_heat(g, dirichlet_domain=["v0", "v2", "v3"]),
+], ids=["curvature_profile", "cd_check", "laplacian", "gamma_k", "green_check",
+        "ec_norm_check", "finiteness_probe", "build_heat", "build_heat_dirichlet"])
+def test_computations_never_build_the_dense_weight_matrix(call):
+    g = generate("complete", 6)
+    call(g)
+    assert "weight_matrix" not in g.__dict__
+
+
+def test_weight_matrix_view_matches_the_edges():
+    g = random_connected_graph(np.random.default_rng(8), 9)
+    W = g.weight_matrix
+    assert not W.flags.writeable
+    for i, u in enumerate(g.vertices):
+        for j, v in enumerate(g.vertices):
+            assert W[i, j] == (g.weight(u, v) if i != j else 0.0)
 
 
 # -- degree, ball, connectivity ------------------------------------------------

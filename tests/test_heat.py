@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, random_function, scaled_weights
+from conftest import dense_weights, random_connected_graph, random_function, scaled_weights
 from graphcurv import (
     GraphFunction,
     WeightedGraph,
@@ -33,6 +33,24 @@ def test_spectrum_single_edge():
 def test_spectrum_single_vertex():
     g = WeightedGraph(["a"], {}, {"a": 1.0})
     assert build_heat(g).eigenvalues == pytest.approx([0.0])
+
+
+def test_factorization_reconstructs_the_dense_generator():
+    # S = D_m^{1/2} (-Delta) D_m^{-1/2} is assembled from the edges; compare it
+    # with the dense reference, full and Dirichlet, with isolated vertices
+    rng = np.random.default_rng(61)
+    core = random_connected_graph(rng, 9)
+    names = ["iso0", *core.vertices[:5], "iso1", *core.vertices[5:], "iso2"]
+    g = WeightedGraph(names, {(u, v): w for u, v, w in core.edges()},
+                      {v: float(rng.uniform(0.1, 2.0)) for v in names})
+    W, m = dense_weights(g), g.measure_vector
+    S_ref = -W / np.sqrt(np.outer(m, m))
+    np.fill_diagonal(S_ref, W.sum(axis=1) / m)
+    for domain in (None, names[::2]):
+        h = build_heat(g, dirichlet_domain=domain)
+        idx = np.arange(g.num_vertices) if domain is None else sorted(g.index(v) for v in domain)
+        S = (h.eigenbasis * h.eigenvalues) @ h.eigenbasis.T
+        assert np.max(np.abs(S - S_ref[np.ix_(idx, idx)])) <= 1e-13 * np.max(np.abs(S_ref))
 
 
 def test_spectrum_dirichlet_restriction():

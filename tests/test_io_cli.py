@@ -13,7 +13,7 @@ from graphcurv import (
     parse_graph,
     serialize_graph,
 )
-from graphcurv.cli import run
+from graphcurv.cli import _jsonify, run
 
 EDGES = "a b 1.0\n"
 MEASURES = "a 1\nb 1\n"
@@ -255,6 +255,42 @@ def test_cli_non_finite_numbers_are_input_errors(edge_graph, capsys, argv):
     assert report["command"] == argv[0]
     assert "finite" in report["error"] or "nonnegative" in report["error"]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-estimates", "--paper-K", "0", "--t", ","],
+    ["heat", "--t", ","],
+    ["finiteness", "--K", "1", "--epsilons", ","],
+], ids=" ".join)
+def test_cli_empty_grids_are_input_errors(edge_graph, capsys, argv):
+    code = run([argv[0], "--graph", edge_graph, *argv[1:]])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2
+    assert report["command"] == argv[0]
+    assert "at least one number" in report["error"]
+    assert "Traceback" not in captured.err
+
+
+def _jsonify_elementwise(obj):
+    """The per-element conversion of an array, which the fast path must reproduce."""
+    if isinstance(obj, list):
+        return [_jsonify_elementwise(v) for v in obj]
+    return _jsonify(obj)
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([[0.1, -0.0, 1e-300], [2.5e300, -3.0, 7.0]]),
+    np.array([1.0, np.inf, -np.inf, np.nan, -2.0]),
+    np.array([[np.nan, 0.5], [np.inf, -np.inf]]),
+    np.arange(6).reshape(2, 3),
+    np.array([[True, False], [False, True]]),
+    np.zeros((2, 0)),
+], ids=["finite", "inf-nan", "inf-nan-2d", "int", "bool", "empty"])
+def test_jsonify_array_fast_path_matches_elementwise(arr):
+    got = _jsonify(arr)
+    assert json.dumps(got, indent=2) == json.dumps(_jsonify_elementwise(arr.tolist()), indent=2)
+    assert "Infinity" not in json.dumps(got) and "NaN" not in json.dumps(got)
 
 
 def test_cli_sign_flags_mutually_exclusive(edge_graph):

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_degrees,
+    dense_gamma,
+    dense_laplacian,
     naive_gamma,
     naive_gamma2,
     naive_laplacian,
@@ -20,7 +23,7 @@ from graphcurv import (
     local_forms,
 )
 from graphcurv.graphs import ball
-from graphcurv.operators import gamma_recursive_array
+from graphcurv.operators import gamma_array, gamma_recursive_array, laplacian_array
 
 
 def single_edge():
@@ -190,6 +193,50 @@ def test_gamma_nonnegative_and_zero_iff_locally_constant():
     assert gamma_closed_form(g, GraphFunction(g, bumped)).value(x) > 0.0
 
 
+# -- edge-list kernels against dense references ---------------------------------------
+
+
+def _graph_with_isolated(rng, places):
+    """A fuzzed connected graph with isolated vertices at the named places in the order."""
+    g = random_connected_graph(rng, int(rng.integers(3, 12)),
+                               extra_edge_prob=float(rng.uniform(0.05, 0.5)))
+    names = list(g.vertices)
+    for place in places:
+        names.insert({"first": 0, "middle": len(names) // 2, "last": len(names)}[place],
+                     f"isolated_{place}")
+    measure = {v: float(rng.uniform(0.1, 2.0)) for v in names}
+    return WeightedGraph(names, {(u, v): w for u, v, w in g.edges()}, measure)
+
+
+@pytest.mark.parametrize("places", [(), ("first",), ("middle",), ("last",),
+                                    ("first", "middle", "last"), "edgeless"], ids=str)
+def test_edge_list_kernels_match_dense_references(places):
+    # reduceat returns the next row's first entry for an empty row, so the
+    # rows of isolated vertices must come out as exact zeros
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        if places == "edgeless":
+            names = ["a", "b", "c"]
+            g = WeightedGraph(names, {}, {v: float(rng.uniform(0.1, 2.0)) for v in names})
+        else:
+            g = _graph_with_isolated(rng, places)
+        F = rng.uniform(-1.0, 1.0, (g.num_vertices, 4))
+        H = rng.uniform(-1.0, 1.0, (g.num_vertices, 4))
+        pairs = [
+            (g.weighted_degrees, dense_degrees(g)),
+            (laplacian_array(g, F), dense_laplacian(g, F)),
+            (laplacian_array(g, F[:, 0]), dense_laplacian(g, F[:, 0])),
+            (gamma_array(g, F, H), dense_gamma(g, F, H)),
+            (gamma_array(g, F[:, 0], H[:, 0]), dense_gamma(g, F[:, 0], H[:, 0])),
+        ]
+        isolated = [g.index(v) for v in g.vertices if not g.neighbors(v)]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * np.max(np.abs(want),
+                                                                             initial=0.0)
+            assert np.all(got[isolated] == 0.0)
+
+
 # -- local forms --------------------------------------------------------------------
 
 
@@ -259,6 +306,7 @@ def test_local_forms_match_reference_assembly():
         for x in g.vertices:
             lf, ref = local_forms(g, x), reference_local_forms(g, x)
             assert lf.support == ref.support
+            assert lf.num_neighbors == ref.num_neighbors
             for got, want in ((lf.gamma2_matrix, ref.gamma2_matrix),
                               (lf.gamma_matrix, ref.gamma_matrix),
                               (lf.laplace_vector, ref.laplace_vector)):
