@@ -56,7 +56,7 @@ TAYLOR_TOL = 1e-6  # fitted vs exact coefficients, per the scale taylor_check re
 def _jsonify(obj):
     """Make reports JSON-safe: inf -> strings, arrays -> lists, etc."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonify(dataclasses.asdict(obj))
+        return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, GraphFunction):
         return _jsonify(obj.as_dict())
     if isinstance(obj, dict):

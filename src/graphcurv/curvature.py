@@ -19,8 +19,9 @@ complement of R, M(K) >= 0 exactly when
 one eigensolve of size |S1| (Cushing, Liu and Peyerimhoff, "Bakry-Emery
 curvature functions on graphs").
 
-``cd_check`` alone judges a bound, with a tolerance relative to a scale
-sigma(K) of M(K), so its verdicts do not depend on the units of the input.
+Vertices are solved and judged in stacks of one shape (|S1|, |S2|); one
+judge, ``_cd_holds``, decides every bound by a Cholesky test relative to a
+scale sigma(K) of M(K), so its verdicts do not depend on the units.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphFunction, WeightedGraph
-from .operators import LocalForms, local_forms
+from .operators import LocalForms, LocalFormStack, local_form_stack, local_form_stacks
 
 __all__ = [
     "EIG_TOL",
@@ -72,25 +73,56 @@ def _check_dimension(n: float) -> float:
     return n
 
 
-def cd_matrix(forms: LocalForms, K: float, n: float) -> np.ndarray:
-    """M(K) over the punctured 2-ball of the form's center."""
-    M = forms.gamma2_matrix - K * forms.gamma_matrix
-    if not math.isinf(n):
-        d = forms.laplace_vector
-        M = M - np.outer(d, d) / n
+def _stack_of(forms: LocalForms) -> LocalFormStack:
+    k = forms.num_neighbors
+    return LocalFormStack(forms.gamma2_matrix[None], np.diag(forms.gamma_matrix)[None, :k],
+                          forms.laplace_vector[None, :k])
+
+
+def _cd_matrices(stack: LocalFormStack, K, n: float, shift=0.0) -> np.ndarray:
+    """M(K) + shift I of every member; K and shift are one number or one per member."""
+    k, d = stack.gamma.shape[1], stack.laplace
+    M = stack.gamma2.copy()
+    M[:, :k, :k] -= d[:, :, None] * d[:, None, :] / n
+    diag = np.zeros(M.shape[:2]) + np.reshape(shift, (-1, 1))
+    diag[:, :k] -= np.reshape(K, (-1, 1)) * stack.gamma
+    M[:, np.arange(M.shape[1]), np.arange(M.shape[1])] += diag
     return M
 
 
-def _cd_scale(forms: LocalForms, K: float, n: float) -> float:
-    """sigma(K) = max |diag gamma2_matrix| + |K| max diag gamma_matrix + |d|^2 / n.
+def cd_matrix(forms: LocalForms, K: float, n: float) -> np.ndarray:
+    """M(K) over the punctured 2-ball of the form's center."""
+    return _cd_matrices(_stack_of(forms), K, n)[0]
+
+
+def _cd_scales(stack: LocalFormStack, K, n: float) -> np.ndarray:
+    """sigma(K) = max |diag gamma2_matrix| + |K| max diag gamma_matrix + |d|^2 / n per member.
 
     It scales by c^2 under (b, K) -> (c b, c K), does not change under
     (b, m) -> (c b, c m) or a relabelling, and is 0 at an isolated vertex.
     """
-    d = forms.laplace_vector
-    sigma = float(np.abs(np.diag(forms.gamma2_matrix)).max(initial=0.0))
-    sigma += abs(K) * float(np.diag(forms.gamma_matrix).max(initial=0.0))
-    return sigma if math.isinf(n) else sigma + float(d @ d) / n
+    sigma = np.abs(np.diagonal(stack.gamma2, axis1=1, axis2=2)).max(axis=1, initial=0.0)
+    return sigma + np.abs(K) * stack.gamma.max(axis=1, initial=0.0) + (stack.laplace**2).sum(axis=1) / n
+
+
+def _cd_holds(stack: LocalFormStack, K, n: float) -> np.ndarray:
+    """The judge: whether lambda_min(M(K)) >= -EIG_TOL sigma(K), member by member.
+
+    That holds exactly when M(K) + EIG_TOL sigma(K) I has a Cholesky factor (up to
+    rounding at the boundary).  When one member fails, ``np.linalg.cholesky``
+    refuses the whole stack, and each member is decided alone.
+    """
+    M = _cd_matrices(stack, K, n, EIG_TOL * _cd_scales(stack, K, n))
+    if _factorizes(M):
+        return np.ones(len(M), dtype=bool)
+    return np.array([_factorizes(A[None]) for A in M])
+
+
+def _factorizes(M: np.ndarray) -> bool:
+    try:
+        return np.linalg.cholesky(M) is not None
+    except np.linalg.LinAlgError:
+        return False
 
 
 def cd_check(
@@ -102,66 +134,64 @@ def cd_check(
 ) -> tuple[bool, float]:
     """Decide CD(K,n) at x; returns (holds, smallest eigenvalue of M(K)).
 
-    CD(K,n) holds when lambda_min(M(K)) >= -EIG_TOL sigma(K) (see
-    ``_cd_scale``), so the verdict is the same under (b, K) -> (c b, c K)
-    and (b, m) -> (c b, c m).  The eigenvalue is +inf for isolated vertices,
-    where the condition is vacuous.
+    ``holds`` is the judge's verdict (``_cd_holds``) on the stack of one, so it is
+    the same under (b, K) -> (c b, c K) and (b, m) -> (c b, c m).  The eigenvalue,
+    from ``eigvalsh``, is for the callers that report it; it is +inf at isolated
+    vertices, where the condition is vacuous.
     """
     n = _check_dimension(n)
     if not (-math.inf < K < math.inf):
         raise ValueError(f"K must be finite, got {K}")
-    if forms is None:
-        forms = local_forms(g, x)
-    if forms.size == 0:
+    stack = local_form_stack(g, np.array([g.index(x)]))[0] if forms is None else _stack_of(forms)
+    if stack.gamma2.shape[1] == 0:
         return True, math.inf
-    lam = float(np.linalg.eigvalsh(cd_matrix(forms, K, n))[0])
-    return lam >= -EIG_TOL * _cd_scale(forms, K, n), lam
+    return bool(_cd_holds(stack, K, n)[0]), float(np.linalg.eigvalsh(_cd_matrices(stack, K, n)[0])[0])
+
+
+def _solve(stack: LocalFormStack, n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, converged, bracket_width) of every member, by the Schur-complement closed form.
+
+    ``converged`` is the judge's verdict at K.  With y the unit eigenvector,
+    u = B^{-1/2} y and z = (u, -R^{-1} Q' u), z' M(K') z = K - K', so
+    lambda_min(M(K')) <= (K - K') / |z|^2; as sigma(K') <= sigma(K) + (K' - K) max B,
+    the judge refutes every K' beyond K + ``bracket_width`` =
+    e sigma(K) / (1 - e max B), e = EIG_TOL |z|^2 (up to rounding).  Isolated
+    vertices, where CD is vacuous, get +inf, converged and width 0.
+    """
+    G, B, d = stack.gamma2, stack.gamma, stack.laplace
+    V, k = B.shape
+    if k == 0:
+        return np.full(V, math.inf), np.ones(V, dtype=bool), np.zeros(V)
+    r, Q = np.diagonal(G[:, k:, k:], axis1=1, axis2=2), G[:, :k, k:]
+    S = G[:, :k, :k] - (Q / r[:, None, :]) @ Q.transpose(0, 2, 1)
+    S -= d[:, :, None] * d[:, None, :] / n
+    b = 1.0 / np.sqrt(B)
+    S *= b[:, :, None] * b[:, None, :]
+    eigs, vecs = np.linalg.eigh(S)
+    K, u = eigs[:, 0], b * vecs[:, :, 0]
+    z = (u[:, None, :] @ Q)[:, 0] / r
+    e = EIG_TOL * ((u * u).sum(axis=1) + (z * z).sum(axis=1))
+    slack = 1.0 - e * B.max(axis=1)
+    width = np.divide(e * _cd_scales(stack, K, n), slack, out=np.full(V, math.inf), where=slack > 0)
+    return K, _cd_holds(stack, K, n), width
 
 
 def curvature_solve(g: WeightedGraph, x: str, n: float) -> CurvatureResult:
-    """sup{K : CD(K,n) holds at x} by the Schur-complement closed form.
-
-    ``converged`` is cd_check's verdict at the returned K.  With y the unit
-    closed-form eigenvector, u = B^{-1/2} y and z = (u, -R^{-1} Q' u),
-    z' M(K') z = K - K', so lambda_min(M(K')) <= (K - K') / |z|^2; as also
-    sigma(K') <= sigma(K) + (K' - K) max B, cd_check refutes every K' beyond
-    K + ``bracket_width`` = e sigma(K) / (1 - e max B), e = EIG_TOL |z|^2 (up
-    to rounding).  Isolated vertices return +inf with converged = True and
-    width 0: the condition is vacuous there, so every K is admissible.
-    """
+    """sup{K : CD(K,n) holds at x}: ``_solve`` on the stack of one."""
     n = _check_dimension(n)
-    forms = local_forms(g, x)
-    if forms.size == 0:
-        return CurvatureResult(x, n, math.inf, True, 0.0)
-
-    k = forms.num_neighbors  # the support lists S1 first; d vanishes on S2
-    M = cd_matrix(forms, 0.0, n)
-    r = np.diag(M)[k:]
-    S = M[:k, :k] - (M[:k, k:] / r) @ M[k:, :k]
-    B = np.diag(forms.gamma_matrix)[:k]
-    b = 1.0 / np.sqrt(B)
-    eigs, vecs = np.linalg.eigh(b[:, None] * S * b)
-    K = float(eigs[0])
-
-    u = b * vecs[:, 0]
-    e = EIG_TOL * (float(u @ u) + float(np.sum((M[k:, :k] @ u / r) ** 2)))
-    growth = e * float(B.max())
-    width = e * _cd_scale(forms, K, n) / (1.0 - growth) if growth < 1.0 else math.inf
-    return CurvatureResult(
-        vertex=x,
-        dimension=n,
-        curvature=K,
-        converged=cd_check(g, K, n, x, forms)[0],
-        bracket_width=width,
-    )
+    K, converged, width = _solve(local_form_stack(g, np.array([g.index(x)]))[0], n)
+    return CurvatureResult(x, n, float(K[0]), bool(converged[0]), float(width[0]))
 
 
 def curvature_profile(g: WeightedGraph, n: float) -> CurvatureProfile:
-    """Solve every vertex and take the minimum (CD is a for-all-x condition)."""
+    """Solve every vertex, a stack at a time, and take the minimum (CD is a for-all-x condition)."""
     n = _check_dimension(n)
-    results = [curvature_solve(g, v, n) for v in g.vertices]
-    global_curv = min((r.curvature for r in results), default=math.inf)
-    return CurvatureProfile(per_vertex=tuple(results), global_curvature=global_curv)
+    K, converged, width = np.empty((3, g.num_vertices))
+    for stack in local_form_stacks(g):
+        K[stack.centers], converged[stack.centers], width[stack.centers] = _solve(stack, n)
+    results = tuple(map(CurvatureResult, g.vertices, [n] * g.num_vertices, K.tolist(),
+                        converged.astype(bool).tolist(), width.tolist()))
+    return CurvatureProfile(per_vertex=results, global_curvature=float(K.min(initial=math.inf)))
 
 
 def cd_extremal_function(g: WeightedGraph, x: str, n: float, K: float) -> GraphFunction:
@@ -172,11 +202,8 @@ def cd_extremal_function(g: WeightedGraph, x: str, n: float, K: float) -> GraphF
     Returns the zero function for isolated vertices.
     """
     n = _check_dimension(n)
-    forms = local_forms(g, x)
+    stack, support = local_form_stack(g, np.array([g.index(x)]))
     arr = np.zeros(g.num_vertices)
-    if forms.size > 0:
-        _, vecs = np.linalg.eigh(cd_matrix(forms, K, n))
-        v = vecs[:, 0]
-        for name, coeff in zip(forms.support, v):
-            arr[g.index(name)] = coeff
+    if support.size > 0:
+        arr[support[0]] = np.linalg.eigh(_cd_matrices(stack, K, n)[0])[1][:, 0]
     return GraphFunction(g, arr)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _check_dimension, cd_check
+from .curvature import _cd_holds, _check_dimension, cd_check
 from .graphs import (
     GraphFunction,
     WeightedGraph,
@@ -48,7 +48,7 @@ from .graphs import (
     is_connected,
 )
 from .heat import HeatOperator, build_heat
-from .operators import gamma_array, laplacian_array
+from .operators import gamma_array, laplacian_array, local_form_stacks
 
 __all__ = [
     "REPORT_TOL",
@@ -322,12 +322,14 @@ def _check_nonnegative(g: WeightedGraph, f: GraphFunction) -> None:
 
 
 def _require_curvature(g: WeightedGraph, K: float) -> None:
-    """Raise PreconditionError at the first vertex where cd_check refutes CD(K, inf)."""
-    for x in g.vertices:
-        holds, lam = cd_check(g, K, math.inf, x)
-        if not holds:
-            raise PreconditionError(f"graph violates CD({K:.6g}, infinity): the curvature "
-                                    f"at {x!r} is below {K:.6g} (lambda_min(M(K)) = {lam:.3g})")
+    """Raise PreconditionError at the first vertex that the judge refutes CD(K, inf) at."""
+    holds = np.ones(g.num_vertices, dtype=bool)
+    for stack in local_form_stacks(g):
+        holds[stack.centers] = _cd_holds(stack, K, math.inf)
+    if not holds.all():
+        x = g.vertices[int(np.argmin(holds))]
+        raise PreconditionError(f"graph violates CD({K:.6g}, infinity): the curvature at {x!r} is "
+                                f"below {K:.6g} (lambda_min(M(K)) = {cd_check(g, K, math.inf, x)[1]:.3g})")
 
 
 def _check_exponent(K: float, t: float) -> None:

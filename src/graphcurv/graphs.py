@@ -70,27 +70,15 @@ class AdjacencyCSR:
             out[self._nonempty] = ufunc.reduceat(values, self._starts, axis=0)
         return out
 
-    def second_steps(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The walks x -> y -> z whose first steps are the stored entries lo..hi-1.
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The stored entries of ``rows`` laid end to end, and the position in ``rows`` of each.
 
-        Returns the positions of their second steps y -> z, the whole row of
-        each y in the order of the first steps, and for each first step the
-        number of them (the length of row y).  The walk counts are summed
-        once per graph, so this takes a fixed number of numpy calls whatever
-        the degrees.
+        Applied to the centers' entries x -> y and then to their ends y, it
+        gives the two-step walks x -> y -> z in a fixed number of numpy calls.
         """
-        start, shift = self._walks
-        counts = self._lengths[self.indices[lo:hi]]
-        return np.arange(start[lo], start[hi]) + np.repeat(shift[lo:hi], counts), counts
-
-    @cached_property
-    def _walks(self) -> tuple[np.ndarray, np.ndarray]:
-        # start[e]: two-step walks whose first step precedes entry e;
-        # shift[e]: maps walk number start[e] + j to the j-th entry of its row
-        start = np.zeros(len(self.indices) + 1, dtype=np.intp)
-        np.cumsum(self._lengths[self.indices], out=start[1:])
-        shift = self.indptr[self.indices] - start[:-1]
-        return start, shift
+        lengths = self._lengths[rows]
+        owner = np.repeat(np.arange(len(lengths)), lengths)
+        return (self.indptr[rows] - np.cumsum(lengths) + lengths)[owner] + np.arange(len(owner)), owner
 
 
 class WeightedGraph:

@@ -19,6 +19,7 @@ modules, which need to evaluate the operators on many functions at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -146,75 +147,136 @@ class LocalForms:
         return len(self.support)
 
 
-def local_forms(g: WeightedGraph, x: str) -> LocalForms:
-    """Assemble the local forms at x on the induced 2-ball.
+class LocalFormStack(NamedTuple):
+    """The local forms of ``centers`` (vertex indices), whose 2-balls share one shape.
 
-    Gamma_2(f)(x) only reads f on the 2-ball, and only the 1-ball rows of
-    the Laplacian, which the induced subgraph keeps in full.  On the 2-ball
-    (center at local index 0) let L = (W - diag(deg))/m be the Laplacian and
-    G_y the matrix of Gamma(.,.)(y), so that f' G_y h = Gamma(f,h)(y).  Gamma
-    is bilinear, so the defining recursion acts on matrices:
-
-        2 Gamma_2(x) = sum_y L[x,y] G_y - G_x L - L' G_x,
-
-    and with a_y = L[x,y] / (2 m(y)) the weighted sum has the closed form
-
-        sum_y L[x,y] G_y = diag(W a + a deg) - W diag(a) - diag(a) W.
-
-    Pinning f(x) = 0 drops the center row and column.
-
-    a and G_x vanish off the 1-ball, so the block of W between 2-sphere
-    vertices never counts: W is gathered from the rows of ``g.csr`` at the
-    1-sphere only (they hold the center's row too, as the column of x), and
-    that block stays 0.  deg is then exact on the 1-ball, the only rows
-    where it is not multiplied by 0.
+    ``gamma2`` (V, s, s) stacks the ``gamma2_matrix``; ``gamma`` and ``laplace``
+    (V, |S1|) hold the S1 entries of ``gamma_matrix``'s diagonal and of the
+    ``laplace_vector``, which vanish elsewhere.
     """
-    ix = g.index(x)
-    csr = g.csr
-    lo, hi = int(csr.indptr[ix]), int(csr.indptr[ix + 1])
-    k = hi - lo
-    one_sphere = csr.indices[lo:hi]
-    steps, counts = csr.second_steps(lo, hi)
-    ends = csr.indices[steps]
-    # local index of every 2-ball vertex: read only at 2-ball vertices, all
-    # written first, so the N-length array is never initialized in full
-    local = np.empty(g.num_vertices, dtype=np.intp)
-    local[ends] = -1
-    local[ix] = 0
-    local[one_sphere] = range(1, k + 1)
-    two_sphere = sorted(set(ends[local[ends] < 0].tolist()))
-    local[two_sphere] = range(k + 1, k + 1 + len(two_sphere))
-    support_idx = one_sphere.tolist() + two_sphere
-    vertices = g.vertices
-    names = tuple([vertices[i] for i in support_idx])
-    b2 = [ix] + support_idx
-    W = np.zeros((len(b2), len(b2)))
-    rows, cols = np.repeat(np.arange(1, k + 1), counts), local[ends]
-    W[rows, cols] = W[cols, rows] = csr.weights[steps]
-    m = g.measure_vector[b2]
-    deg = W.sum(axis=1)
-    L = (W - np.diag(deg)) / m[:, None]
 
-    # G_x is supported on the 1-ball: row and column 0 plus a diagonal
-    wx = W[0]
-    Gx = np.diag(wx)
-    Gx[0, 0] = deg[0]
-    Gx[0, :] -= wx
-    Gx[:, 0] -= wx
-    Gx /= 2.0 * m[0]
+    gamma2: np.ndarray
+    gamma: np.ndarray
+    laplace: np.ndarray
+    centers: np.ndarray | None = None
 
-    a = L[0] / (2.0 * m)
-    GxL = Gx @ L
-    A2 = np.diag(W @ a + a * deg) - W * a - a[:, None] * W - GxL - GxL.T
 
-    return LocalForms(
-        center=x,
-        support=names,
-        gamma2_matrix=_frozen(0.5 * A2[1:, 1:]),
-        gamma_matrix=_frozen(Gx[1:, 1:]),
-        laplace_vector=_frozen(L[0, 1:]),
-        num_neighbors=k,
-    )
+STACK_ENTRIES = 2**14  # matrix entries of one stack, and the cost of one run of vertices
+
+
+def _two_balls(g: WeightedGraph, centers: np.ndarray):
+    """The punctured 2-balls of ``centers``, from one sort of their two-step walks.
+
+    Each center x, 1-sphere vertex y and walk x -> y -> z is keyed
+    (position of x) * N + (x, y or z) above its place in that list, so the
+    sort puts x or y first in each group; a walk heads a 2-sphere vertex.
+    Returns, per walk, its cell in blocks |S1| x (s + 1) laid end to end
+    (columns S1, then S2, each in index order, then x) and b(y, z); the
+    2-sphere vertices; and where each center's walks, 1-sphere, 2-sphere
+    and cells start, (4, V + 1).
+    """
+    csr, N, V = g.csr, g.num_vertices, len(centers)
+    ones, of_one = csr.entries(centers)
+    ys = csr.indices[ones]
+    fan = csr.indptr[ys + 1] - csr.indptr[ys]  # the walks through each first step
+    second = csr.entries(ys)[0]
+    m = V + len(ones)
+    bits = (m + len(second)).bit_length()
+    keys = np.empty(m + len(second), dtype=np.int32 if (V * N) << bits < 2**31 else np.int64)
+    keys[:V] = np.arange(V) * N + centers
+    keys[V:m] = of_one * N + ys
+    np.add(np.repeat(of_one * N, fan), csr.indices[second], out=keys[m:])
+    weight = csr.weights[second]
+    del second
+    keys <<= bits
+    keys |= np.arange(len(keys))
+    keys.sort()
+    pos = keys & ((1 << bits) - 1)
+    keys >>= bits
+    heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    at, key = pos[heads], keys[heads]
+    x, far = key // N, at >= m
+    k, s2 = csr.indptr[centers + 1] - csr.indptr[centers], np.bincount(x[far], minlength=V)
+    offsets = np.zeros((4, V + 1), dtype=np.intp)
+    np.cumsum([k, s2, k * (k + s2 + 1)], axis=1, out=offsets[1:, 1:])
+    offsets[0] = np.append(0, np.cumsum(fan))[offsets[1]]
+    rank = np.cumsum(far) - 1 - offsets[2, x]
+    col = np.where(far, k[x] + rank, np.where(at >= V, at - V - offsets[1, x], k[x] + s2[x]))
+    keys[pos] = np.repeat(col, np.diff(np.append(heads, len(keys))))  # the spent keys take the columns
+    del pos
+    rows = offsets[3, of_one] + (np.arange(len(ones)) - offsets[1, of_one]) * (k + s2 + 1)[of_one]
+    return np.repeat(rows, fan) + keys[m:], weight, key[far] % N, offsets
+
+
+def local_form_stack(g: WeightedGraph, centers: np.ndarray, balls=None) -> tuple[LocalFormStack, np.ndarray]:
+    """The local forms of ``centers``, whose 2-balls share one shape, and their supports.
+
+    ``balls`` holds ``_two_balls``' cells, weights and 2-sphere vertices.
+    With W1 (V, |S1|, s) the weights from S1 to the punctured 2-ball,
+    B_y = b(x,y) / (2 m(x)) the S1 diagonal of ``gamma_matrix`` and
+    a_y = B_y / m(y), the recursion 2 Gamma_2 = Delta Gamma - 2 Gamma(., Delta .)
+    gives ``gamma2_matrix`` = [[P, Q], [Q', R]], ``laplace_vector`` = 2 B on S1,
+
+        P = diag(B (3 Deg_y - Deg_x) + W1' a) / 2 - (a_i + a_j) W1 + 2 B B',
+        Q = -a_i W1,  R = diag(W1' a) / 2  (Deg the weighted degree).
+    """
+    csr, V = g.csr, len(centers)
+    cell, weight, far = _two_balls(g, centers)[:3] if balls is None else balls
+    k, s2 = int(csr.indptr[centers[0] + 1] - csr.indptr[centers[0]]), len(far) // V
+    s = k + s2
+    entries = csr.indptr[centers, None] + np.arange(k)
+    y = csr.indices[entries]
+    B = csr.weights[entries] / (2.0 * g.measure_vector[centers, None])
+    a = np.zeros((V, s))
+    a[:, :k] = B / g.measure_vector[y]
+    W1 = np.bincount(cell, weight, minlength=V * k * (s + 1)).reshape(V, k, s + 1)[:, :, :s]
+    G = np.zeros((V, s, s))
+    np.add(a[:, :k, None], a[:, None, :], out=G[:, :k])
+    G[:, :k] *= -W1
+    G[:, k:, :k] = G[:, :k, k:].transpose(0, 2, 1)
+    G[:, :k, :k] += 2.0 * B[:, :, None] * B[:, None, :]
+    diag = 0.5 * (a[:, None, :k] @ W1)[:, 0]
+    diag[:, :k] += 0.5 * B * (3.0 * g.weighted_degrees[y] - g.weighted_degrees[centers, None])
+    G[:, np.arange(s), np.arange(s)] += diag
+    return LocalFormStack(G, B, 2.0 * B, centers), np.concatenate((y, far.reshape(V, s2)), axis=1)
+
+
+def local_form_stacks(g: WeightedGraph) -> Iterator[LocalFormStack]:
+    """The local forms of every vertex, in stacks of one 2-ball shape.
+
+    Runs of vertices in index order, of at most ``STACK_ENTRIES`` in max(walks,
+    (|S1| + 1)^2), are sorted out at once; each shape of a run goes in stacks
+    of max(1, STACK_ENTRIES // (s + 1)^2), so memory stays linear in N + E.
+    """
+    csr, N = g.csr, g.num_vertices
+    k = np.diff(csr.indptr)
+    cost = np.append(0, np.cumsum(np.maximum(csr.row_reduce(np.add, k[csr.indices]), (k + 1) ** 2)))
+    first = 0
+    while first < N:
+        last = max(first + 1, int(np.searchsorted(cost, cost[first] + STACK_ENTRIES, side="right")) - 1)
+        run, first = np.arange(first, last), last
+        balls = _two_balls(g, run)
+        order = np.lexsort(np.diff(balls[3][[2, 1]]))
+        if np.any(np.diff(order) != 1):  # sort the run by shape
+            balls = _two_balls(g, run := run[order])
+        cell, weight, far, offsets = balls
+        k1, s2 = np.diff(offsets[1]), np.diff(offsets[2])
+        bounds = np.flatnonzero(np.diff(k1) | np.diff(s2)) + 1
+        for lo, hi in zip(np.append(0, bounds), np.append(bounds, len(run))):
+            height = max(1, STACK_ENTRIES // (k1[lo] + s2[lo] + 1) ** 2)
+            for at in range(lo, hi, height):
+                end = min(at + height, hi)
+                (w0, w1), _, (f0, f1), (c0, _) = offsets[:, [at, end]]
+                yield local_form_stack(g, run[at:end], (cell[w0:w1] - c0, weight[w0:w1], far[f0:f1]))[0]
+
+
+def local_forms(g: WeightedGraph, x: str) -> LocalForms:
+    """The local forms at x: ``local_form_stack`` on the stack of one."""
+    stack, support = local_form_stack(g, np.array([g.index(x)]))
+    k, pad = stack.gamma.shape[1], (0, support.shape[1] - stack.gamma.shape[1])
+    return LocalForms(x, tuple([g.vertices[i] for i in support[0]]), _frozen(stack.gamma2[0]),
+                      _frozen(np.diag(np.pad(stack.gamma[0], pad))),
+                      _frozen(np.pad(stack.laplace[0], pad)), k)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,8 +19,9 @@ from graphcurv import (
     laplacian,
     local_forms,
 )
-from graphcurv.curvature import cd_matrix
+from graphcurv.curvature import EIG_TOL, _cd_holds, _cd_scales, _stack_of, cd_matrix
 from graphcurv.graphs import ball
+from graphcurv.operators import local_form_stack
 
 
 CURVATURE_TOL = 1e-9  # absolute tolerance of the solver soundness and tightness checks
@@ -197,21 +199,86 @@ def test_curvature_scales_with_weights_property(exponent, n, order_seed):
 
 
 def test_solver_certifies_with_one_cd_check(monkeypatch):
+    # the profile's certificates come from the batched judge: it decides every
+    # vertex with a neighbour exactly once, and no isolated vertex
     import graphcurv.curvature as curvature
 
-    calls = []
+    decided = []
 
-    def counting_cd_check(g, K, n, x, forms=None):
-        calls.append(x)
-        return cd_check(g, K, n, x, forms)
+    def counting_judge(stack, K, n):
+        decided.extend(stack.centers.tolist())
+        return judge(stack, K, n)
 
-    monkeypatch.setattr(curvature, "cd_check", counting_cd_check)
+    judge = curvature._cd_holds
+    monkeypatch.setattr(curvature, "_cd_holds", counting_judge)
     g = random_connected_graph(np.random.default_rng(34), 12)
     with_isolated = WeightedGraph([*g.vertices, "iso"], {(u, v): w for u, v, w in g.edges()},
                                   {"iso": 1.0, **{v: g.measure(v) for v in g.vertices}})
     profile = curvature_profile(with_isolated, 4.0)
-    assert calls == list(g.vertices)
+    assert sorted(decided) == [with_isolated.index(v) for v in g.vertices]
     assert all(r.converged for r in profile.per_vertex)
+
+
+def _with_isolated_vertices(g: WeightedGraph) -> WeightedGraph:
+    """g with isolated vertices added first, in the middle and last."""
+    half = g.num_vertices // 2
+    names = ["iso0", *g.vertices[:half], "iso1", *g.vertices[half:], "iso2"]
+    return WeightedGraph(names, {(u, v): w for u, v, w in g.edges()},
+                         {**{v: g.measure(v) for v in g.vertices}, "iso0": 1.0, "iso1": 0.5,
+                          "iso2": 2.0})
+
+
+def test_profile_stacks_agree_with_the_stack_of_one():
+    # the batched profile against curvature_solve at each vertex, on graphs
+    # whose 2-balls take many shapes; the 300-vertex graph spans several runs
+    rng = np.random.default_rng(36)
+    graphs = [random_connected_graph(rng, int(rng.integers(8, 40)),
+                                     extra_edge_prob=float(rng.uniform(0.05, 0.4))) for _ in range(4)]
+    graphs.append(random_connected_graph(rng, 300, extra_edge_prob=0.03))
+    graphs = [_with_isolated_vertices(g) for g in graphs]
+    order = [graphs[-1].vertices[i] for i in rng.permutation(graphs[-1].num_vertices)]
+    graphs.append(scaled_weights(graphs[-1], 1.0, order=order))
+    for g in graphs:
+        for n in (4.0, math.inf):
+            for r in curvature_profile(g, n).per_vertex:
+                one = curvature_solve(g, r.vertex, n)
+                assert r.converged == one.converged
+                if math.isinf(one.curvature):
+                    assert r.curvature == one.curvature and r.bracket_width == 0.0
+                    continue
+                stack = local_form_stack(g, np.array([g.index(r.vertex)]))[0]
+                assert abs(r.curvature - one.curvature) <= 1e-13 * _cd_scales(stack, one.curvature, n)[0]
+                assert r.bracket_width == pytest.approx(one.bracket_width, rel=1e-12)
+
+
+def test_judge_refutes_only_the_failing_member_of_a_stack():
+    # a stack whose Cholesky fails as a whole is decided member by member
+    g = generate("cycle", 9)
+    stack = local_form_stack(g, np.arange(9))[0]
+    K = np.full(9, curvature_solve(g, "v0", 4.0).curvature)
+    assert _cd_holds(stack, K, 4.0).all()
+    K[4] += 0.5
+    assert _cd_holds(stack, K, 4.0).tolist() == [True] * 4 + [False] + [True] * 4
+
+
+@pytest.mark.parametrize("n", [4.0, math.inf])
+def test_judge_on_each_side_of_the_threshold(n):
+    # lambda_min(M(K)) moved to +-10 EIG_TOL sigma(K) by a shift of gamma2_matrix:
+    # the Cholesky judge accepts above the threshold -EIG_TOL sigma(K), refutes
+    # below it, and agrees with the sign of eigvalsh at both points
+    fuzzed = random_connected_graph(np.random.default_rng(37), 12)
+    for g, x in ((single_edge(), "v0"), (generate("complete", 30), "v0"), (fuzzed, "v5")):
+        r = curvature_solve(g, x, n)
+        assert r.converged
+        forms = local_forms(g, x)
+        lam = float(np.linalg.eigvalsh(cd_matrix(forms, r.curvature, n))[0])
+        sigma = _cd_scales(_stack_of(forms), r.curvature, n)[0]
+        for side in (10.0, -10.0):
+            shifted = dataclasses.replace(forms, gamma2_matrix=forms.gamma2_matrix
+                                          + (side * EIG_TOL * sigma - lam) * np.eye(forms.size))
+            holds, eig = cd_check(g, r.curvature, n, x, shifted)
+            assert holds == (side > 0) == (eig > 0)
+            assert eig == pytest.approx(side * EIG_TOL * sigma, rel=1e-2)
 
 
 def test_smallest_eigenvalue_decreases_in_K():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from graphcurv import (
     parse_graph,
     serialize_graph,
 )
+from graphcurv import cli
 from graphcurv.cli import _jsonify, run
 
 EDGES = "a b 1.0\n"
@@ -291,6 +293,33 @@ def test_jsonify_array_fast_path_matches_elementwise(arr):
     got = _jsonify(arr)
     assert json.dumps(got, indent=2) == json.dumps(_jsonify_elementwise(arr.tolist()), indent=2)
     assert "Infinity" not in json.dumps(got) and "NaN" not in json.dumps(got)
+
+
+def _jsonify_asdict(obj):
+    """The walk that copied every dataclass with ``dataclasses.asdict`` first."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonify_asdict(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): _jsonify_asdict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify_asdict(v) for v in obj]
+    return _jsonify(obj)
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--dimension", "4"],
+    ["verify-estimates", "--paper-K", "0", "--dimension", "4", "--t", "0.5,2", "--seed", "2",
+     "--num-random", "3", "--full"],
+], ids=["curvature", "verify-estimates-full"])
+def test_cli_output_matches_the_asdict_walk(tmp_path, capsys, monkeypatch, argv):
+    # the field walk must print what the deep-copying asdict walk printed
+    path = _write_graph(tmp_path, random_connected_graph(np.random.default_rng(5), 8))
+    argv = argv[:1] + ["--graph", path] + argv[1:]
+    run(argv)
+    fields = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_jsonify", _jsonify_asdict)
+    run(argv)
+    assert fields == capsys.readouterr().out
 
 
 def test_cli_sign_flags_mutually_exclusive(edge_graph):
