@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -157,7 +158,9 @@ def _add_jobs_stub(sp) -> None:
     sp.add_argument("--jobs", type=int, default=1, choices=[1], help=argparse.SUPPRESS)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` does not change it."""
     p = argparse.ArgumentParser(
         prog="graphcurv",
         description="Bakry-Emery curvature and heat semigroup estimates on weighted graphs",

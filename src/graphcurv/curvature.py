@@ -19,9 +19,12 @@ complement of R, M(K) >= 0 exactly when
 one eigensolve of size |S1| (Cushing, Liu and Peyerimhoff, "Bakry-Emery
 curvature functions on graphs").
 
-Vertices are solved and judged in stacks of one shape (|S1|, |S2|); one
-judge, ``_cd_holds``, decides every bound by a Cholesky test relative to a
-scale sigma(K) of M(K), so its verdicts do not depend on the units.
+Vertices are solved and judged in stacks of one |S1|, each 2-sphere padded
+to the widest in its stack by decoupled coordinates that change neither K nor
+a verdict (``operators.LocalFormStack``).  One judge, ``_cd_holds``, decides
+every bound by a Cholesky test of M(K) + EIG_TOL sigma(K) I, with sigma(K) a
+scale of M(K), so its verdicts do not depend on the units; as R is diagonal,
+it factors only the Schur complement on S1.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphFunction, WeightedGraph
-from .operators import LocalForms, LocalFormStack, local_form_stack, local_form_stacks
+from .operators import LocalForms, LocalFormStack, gamma2_matrices, local_form_stack, local_form_stacks
 
 __all__ = [
     "EIG_TOL",
@@ -74,19 +77,17 @@ def _check_dimension(n: float) -> float:
 
 
 def _stack_of(forms: LocalForms) -> LocalFormStack:
-    k = forms.num_neighbors
-    return LocalFormStack(forms.gamma2_matrix[None], np.diag(forms.gamma_matrix)[None, :k],
-                          forms.laplace_vector[None, :k])
+    k, G = forms.num_neighbors, forms.gamma2_matrix[None]
+    return LocalFormStack(G[:, :k, :k], G[:, :k, k:], np.diagonal(G, axis1=1, axis2=2)[:, k:],
+                          np.diag(forms.gamma_matrix)[None, :k], forms.laplace_vector[None, :k])
 
 
-def _cd_matrices(stack: LocalFormStack, K, n: float, shift=0.0) -> np.ndarray:
-    """M(K) + shift I of every member; K and shift are one number or one per member."""
+def _cd_matrices(stack: LocalFormStack, K, n: float) -> np.ndarray:
+    """M(K) of every member; K is one number or one per member."""
     k, d = stack.gamma.shape[1], stack.laplace
-    M = stack.gamma2.copy()
+    M = gamma2_matrices(stack)
     M[:, :k, :k] -= d[:, :, None] * d[:, None, :] / n
-    diag = np.zeros(M.shape[:2]) + np.reshape(shift, (-1, 1))
-    diag[:, :k] -= np.reshape(K, (-1, 1)) * stack.gamma
-    M[:, np.arange(M.shape[1]), np.arange(M.shape[1])] += diag
+    M[:, np.arange(k), np.arange(k)] -= np.reshape(K, (-1, 1)) * stack.gamma
     return M
 
 
@@ -101,21 +102,40 @@ def _cd_scales(stack: LocalFormStack, K, n: float) -> np.ndarray:
     It scales by c^2 under (b, K) -> (c b, c K), does not change under
     (b, m) -> (c b, c m) or a relabelling, and is 0 at an isolated vertex.
     """
-    sigma = np.abs(np.diagonal(stack.gamma2, axis1=1, axis2=2)).max(axis=1, initial=0.0)
+    diag = np.concatenate((np.diagonal(stack.p, axis1=1, axis2=2), stack.r), axis=1)
+    sigma = np.abs(diag).max(axis=1, initial=0.0)
     return sigma + np.abs(K) * stack.gamma.max(axis=1, initial=0.0) + (stack.laplace**2).sum(axis=1) / n
+
+
+def _schur(stack: LocalFormStack, n: float, shift=0.0) -> np.ndarray:
+    """P - Q (R + shift I)^{-1} Q' - d d'/n of every member; shift is one number or one per member.
+
+    R is diagonal, so this is the Schur complement of the 2-sphere block in M(0)
+    with shift added to that block's diagonal.
+    """
+    q, d = stack.q, stack.laplace
+    S = stack.p - (q / (stack.r + np.reshape(shift, (-1, 1)))[:, None, :]) @ q.transpose(0, 2, 1)
+    S -= d[:, :, None] * d[:, None, :] / n
+    return S
 
 
 def _cd_holds(stack: LocalFormStack, K, n: float) -> np.ndarray:
     """The judge: whether lambda_min(M(K)) >= -EIG_TOL sigma(K), member by member.
 
-    That holds exactly when M(K) + EIG_TOL sigma(K) I has a Cholesky factor (up to
-    rounding at the boundary).  When one member fails, ``np.linalg.cholesky``
-    refuses the whole stack, and each member is decided alone.
+    That holds exactly when M(K) + tau I, tau = EIG_TOL sigma(K), has a Cholesky
+    factor (up to rounding at the boundary).  Its 2-sphere block R + tau I is
+    diagonal and positive, so it has one exactly when its Schur complement,
+    ``_schur(stack, n, tau)`` - K B + tau I, does: the judge factors |S1| x |S1|
+    matrices.  When one member fails, ``np.linalg.cholesky`` refuses the whole
+    stack, and each member is decided alone.
     """
-    M = _cd_matrices(stack, K, n, EIG_TOL * _cd_scales(stack, K, n))
-    if _factorizes(M):
-        return np.ones(len(M), dtype=bool)
-    return np.array([_factorizes(A[None]) for A in M])
+    tau = EIG_TOL * _cd_scales(stack, K, n)
+    A = _schur(stack, n, tau)
+    k = A.shape[1]
+    A[:, np.arange(k), np.arange(k)] += tau[:, None] - np.reshape(K, (-1, 1)) * stack.gamma
+    if _factorizes(A):
+        return np.ones(len(A), dtype=bool)
+    return np.array([_factorizes(a[None]) for a in A])
 
 
 def _factorizes(M: np.ndarray) -> bool:
@@ -137,13 +157,15 @@ def cd_check(
     ``holds`` is the judge's verdict (``_cd_holds``) on the stack of one, so it is
     the same under (b, K) -> (c b, c K) and (b, m) -> (c b, c m).  The eigenvalue,
     from ``eigvalsh``, is for the callers that report it; it is +inf at isolated
-    vertices, where the condition is vacuous.
+    vertices, where the condition is vacuous.  ``forms``, when given, must have
+    the diagonal, positive 2-sphere block of ``gamma2_matrix`` that ``local_forms``
+    gives.
     """
     n = _check_dimension(n)
     if not (-math.inf < K < math.inf):
         raise ValueError(f"K must be finite, got {K}")
     stack = local_form_stack(g, np.array([g.index(x)]))[0] if forms is None else _stack_of(forms)
-    if stack.gamma2.shape[1] == 0:
+    if stack.gamma.shape[1] == 0:
         return True, math.inf
     return bool(_cd_holds(stack, K, n)[0]), float(np.linalg.eigvalsh(_cd_matrices(stack, K, n)[0])[0])
 
@@ -158,18 +180,16 @@ def _solve(stack: LocalFormStack, n: float) -> tuple[np.ndarray, np.ndarray, np.
     e sigma(K) / (1 - e max B), e = EIG_TOL |z|^2 (up to rounding).  Isolated
     vertices, where CD is vacuous, get +inf, converged and width 0.
     """
-    G, B, d = stack.gamma2, stack.gamma, stack.laplace
+    B = stack.gamma
     V, k = B.shape
     if k == 0:
         return np.full(V, math.inf), np.ones(V, dtype=bool), np.zeros(V)
-    r, Q = np.diagonal(G[:, k:, k:], axis1=1, axis2=2), G[:, :k, k:]
-    S = G[:, :k, :k] - (Q / r[:, None, :]) @ Q.transpose(0, 2, 1)
-    S -= d[:, :, None] * d[:, None, :] / n
+    S = _schur(stack, n)
     b = 1.0 / np.sqrt(B)
     S *= b[:, :, None] * b[:, None, :]
     eigs, vecs = np.linalg.eigh(S)
     K, u = eigs[:, 0], b * vecs[:, :, 0]
-    z = (u[:, None, :] @ Q)[:, 0] / r
+    z = (u[:, None, :] @ stack.q)[:, 0] / stack.r
     e = EIG_TOL * ((u * u).sum(axis=1) + (z * z).sum(axis=1))
     slack = 1.0 - e * B.max(axis=1)
     width = np.divide(e * _cd_scales(stack, K, n), slack, out=np.full(V, math.inf), where=slack > 0)

@@ -148,17 +148,38 @@ class LocalForms:
 
 
 class LocalFormStack(NamedTuple):
-    """The local forms of ``centers`` (vertex indices), whose 2-balls share one shape.
+    """The local forms of ``centers`` (vertex indices), whose 1-spheres have one size.
 
-    ``gamma2`` (V, s, s) stacks the ``gamma2_matrix``; ``gamma`` and ``laplace``
-    (V, |S1|) hold the S1 entries of ``gamma_matrix``'s diagonal and of the
-    ``laplace_vector``, which vanish elsewhere.
+    ``gamma2_matrix`` = [[P, Q], [Q', diag(R)]] is kept in its blocks: ``p``
+    (V, |S1|, |S1|), ``q`` (V, |S1|, |S2|) and ``r`` (V, |S2|), each 2-sphere
+    padded out to the widest in the stack.  ``gamma`` and ``laplace`` (V, |S1|)
+    hold the S1 entries of ``gamma_matrix``'s diagonal and of the
+    ``laplace_vector``, which vanish elsewhere.  A padding coordinate is
+    decoupled: its column of ``q`` is 0 and its entry of ``r`` is the member's
+    own max |diag gamma2_matrix|, so the Schur complement of the 2-sphere, the
+    scale sigma(K) and whether M(K) + EIG_TOL sigma(K) I factorizes are those
+    of the member alone.  An empty 2-sphere is not padded: that diagonal can
+    vanish (at the center of a star with five unit leaves).
     """
 
-    gamma2: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
     gamma: np.ndarray
     laplace: np.ndarray
     centers: np.ndarray | None = None
+
+
+def gamma2_matrices(stack: LocalFormStack) -> np.ndarray:
+    """The (V, s, s) ``gamma2_matrix`` of every member, assembled from its blocks."""
+    V, k = stack.gamma.shape
+    s = k + stack.r.shape[1]
+    G = np.zeros((V, s, s))
+    G[:, :k, :k] = stack.p
+    G[:, :k, k:] = stack.q
+    G[:, k:, :k] = stack.q.transpose(0, 2, 1)
+    G[:, np.arange(k, s), np.arange(k, s)] = stack.r
+    return G
 
 
 STACK_ENTRIES = 2**14  # matrix entries of one stack, and the cost of one run of vertices
@@ -170,10 +191,10 @@ def _two_balls(g: WeightedGraph, centers: np.ndarray):
     Each center x, 1-sphere vertex y and walk x -> y -> z is keyed
     (position of x) * N + (x, y or z) above its place in that list, so the
     sort puts x or y first in each group; a walk heads a 2-sphere vertex.
-    Returns, per walk, its cell in blocks |S1| x (s + 1) laid end to end
-    (columns S1, then S2, each in index order, then x) and b(y, z); the
-    2-sphere vertices; and where each center's walks, 1-sphere, 2-sphere
-    and cells start, (4, V + 1).
+    Returns, per walk x -> y -> z, the position of y among the centers'
+    1-spheres laid end to end, the column of z (S1, then S2, each in index
+    order; -1 for z = x) and b(y, z); the 2-sphere vertices; and where each
+    center's walks, 1-sphere and 2-sphere start, (3, V + 1).
     """
     csr, N, V = g.csr, g.num_vertices, len(centers)
     ones, of_one = csr.entries(centers)
@@ -197,56 +218,68 @@ def _two_balls(g: WeightedGraph, centers: np.ndarray):
     at, key = pos[heads], keys[heads]
     x, far = key // N, at >= m
     k, s2 = csr.indptr[centers + 1] - csr.indptr[centers], np.bincount(x[far], minlength=V)
-    offsets = np.zeros((4, V + 1), dtype=np.intp)
-    np.cumsum([k, s2, k * (k + s2 + 1)], axis=1, out=offsets[1:, 1:])
+    offsets = np.zeros((3, V + 1), dtype=np.intp)
+    np.cumsum([k, s2], axis=1, out=offsets[1:, 1:])
     offsets[0] = np.append(0, np.cumsum(fan))[offsets[1]]
     rank = np.cumsum(far) - 1 - offsets[2, x]
-    col = np.where(far, k[x] + rank, np.where(at >= V, at - V - offsets[1, x], k[x] + s2[x]))
+    col = np.where(far, k[x] + rank, np.where(at >= V, at - V - offsets[1, x], -1))
     keys[pos] = np.repeat(col, np.diff(np.append(heads, len(keys))))  # the spent keys take the columns
     del pos
-    rows = offsets[3, of_one] + (np.arange(len(ones)) - offsets[1, of_one]) * (k + s2 + 1)[of_one]
-    return np.repeat(rows, fan) + keys[m:], weight, key[far] % N, offsets
+    return np.repeat(np.arange(len(ones)), fan), keys[m:], weight, key[far] % N, offsets
 
 
 def local_form_stack(g: WeightedGraph, centers: np.ndarray, balls=None) -> tuple[LocalFormStack, np.ndarray]:
-    """The local forms of ``centers``, whose 2-balls share one shape, and their supports.
+    """The local forms of ``centers``, whose 1-spheres have one size, and their supports.
 
-    ``balls`` holds ``_two_balls``' cells, weights and 2-sphere vertices.
-    With W1 (V, |S1|, s) the weights from S1 to the punctured 2-ball,
-    B_y = b(x,y) / (2 m(x)) the S1 diagonal of ``gamma_matrix`` and
-    a_y = B_y / m(y), the recursion 2 Gamma_2 = Delta Gamma - 2 Gamma(., Delta .)
-    gives ``gamma2_matrix`` = [[P, Q], [Q', R]], ``laplace_vector`` = 2 B on S1,
+    ``balls`` holds ``_two_balls``' rows, columns, weights and 2-sphere
+    vertices, and |S2| per center.  With W1 (V, |S1|, s) the weights from S1
+    to the punctured 2-ball, B_y = b(x,y) / (2 m(x)) the S1 diagonal of
+    ``gamma_matrix`` and a_y = B_y / m(y), the recursion
+    2 Gamma_2 = Delta Gamma - 2 Gamma(., Delta .) gives ``laplace_vector`` =
+    2 B on S1 and the blocks of ``gamma2_matrix``,
 
         P = diag(B (3 Deg_y - Deg_x) + W1' a) / 2 - (a_i + a_j) W1 + 2 B B',
-        Q = -a_i W1,  R = diag(W1' a) / 2  (Deg the weighted degree).
+        Q = -a_i W1,  R = (W1' a) / 2 on S2  (Deg the weighted degree).
+
+    A 2-sphere narrower than the widest is padded as ``LocalFormStack`` says,
+    and its support with -1.
     """
     csr, V = g.csr, len(centers)
-    cell, weight, far = _two_balls(g, centers)[:3] if balls is None else balls
-    k, s2 = int(csr.indptr[centers[0] + 1] - csr.indptr[centers[0]]), len(far) // V
-    s = k + s2
+    if balls is None:
+        balls = _two_balls(g, centers)
+        balls = (*balls[:4], np.diff(balls[4][2]))
+    row, col, weight, far, s2 = balls
+    k = int(csr.indptr[centers[0] + 1] - csr.indptr[centers[0]])
+    s = k + int(s2.max())
     entries = csr.indptr[centers, None] + np.arange(k)
     y = csr.indices[entries]
     B = csr.weights[entries] / (2.0 * g.measure_vector[centers, None])
-    a = np.zeros((V, s))
-    a[:, :k] = B / g.measure_vector[y]
-    W1 = np.bincount(cell, weight, minlength=V * k * (s + 1)).reshape(V, k, s + 1)[:, :, :s]
-    G = np.zeros((V, s, s))
-    np.add(a[:, :k, None], a[:, None, :], out=G[:, :k])
-    G[:, :k] *= -W1
-    G[:, k:, :k] = G[:, :k, k:].transpose(0, 2, 1)
-    G[:, :k, :k] += 2.0 * B[:, :, None] * B[:, None, :]
-    diag = 0.5 * (a[:, None, :k] @ W1)[:, 0]
-    diag[:, :k] += 0.5 * B * (3.0 * g.weighted_degrees[y] - g.weighted_degrees[centers, None])
-    G[:, np.arange(s), np.arange(s)] += diag
-    return LocalFormStack(G, B, 2.0 * B, centers), np.concatenate((y, far.reshape(V, s2)), axis=1)
+    a = B / g.measure_vector[y]
+    W1 = np.bincount(row * (s + 1) + col % (s + 1), weight, minlength=V * k * (s + 1))
+    W1 = W1.reshape(V, k, s + 1)[:, :, :s]
+    aW1 = 0.5 * (a[:, None, :] @ W1)[:, 0]
+    p = (a[:, :, None] + a[:, None, :]) * -W1[:, :, :k] + 2.0 * B[:, :, None] * B[:, None, :]
+    p[:, np.arange(k), np.arange(k)] += aW1[:, :k] + 0.5 * B * (
+        3.0 * g.weighted_degrees[y] - g.weighted_degrees[centers, None])
+    q, r = a[:, :, None] * -W1[:, :, k:], aW1[:, k:]
+    pad = np.arange(s - k) >= s2[:, None]
+    diag = np.concatenate((np.diagonal(p, axis1=1, axis2=2), r), axis=1)
+    r = np.where(pad, np.abs(diag).max(axis=1, keepdims=True, initial=0.0), r)
+    support = np.full((V, s), -1, dtype=np.intp)
+    support[:, :k] = y
+    support[:, k:][~pad] = far
+    return LocalFormStack(p, q, r, B, 2.0 * B, centers), support
 
 
 def local_form_stacks(g: WeightedGraph) -> Iterator[LocalFormStack]:
-    """The local forms of every vertex, in stacks of one 2-ball shape.
+    """The local forms of every vertex, in stacks of one 1-sphere size.
 
     Runs of vertices in index order, of at most ``STACK_ENTRIES`` in max(walks,
-    (|S1| + 1)^2), are sorted out at once; each shape of a run goes in stacks
-    of max(1, STACK_ENTRIES // (s + 1)^2), so memory stays linear in N + E.
+    (|S1| + 1)^2), are sorted out at once and ordered by (|S1|, |S2|).  Each
+    |S1| of a run, apart from its empty 2-spheres, goes in stacks of as many
+    members as keep the padded entries, members x (|S1| + 1)(s + 1) with s the
+    widest punctured 2-ball, within ``STACK_ENTRIES`` (at least one), so memory
+    stays linear in N + E.
     """
     csr, N = g.csr, g.num_vertices
     k = np.diff(csr.indptr)
@@ -256,25 +289,28 @@ def local_form_stacks(g: WeightedGraph) -> Iterator[LocalFormStack]:
         last = max(first + 1, int(np.searchsorted(cost, cost[first] + STACK_ENTRIES, side="right")) - 1)
         run, first = np.arange(first, last), last
         balls = _two_balls(g, run)
-        order = np.lexsort(np.diff(balls[3][[2, 1]]))
+        order = np.lexsort(np.diff(balls[4][[2, 1]]))
         if np.any(np.diff(order) != 1):  # sort the run by shape
             balls = _two_balls(g, run := run[order])
-        cell, weight, far, offsets = balls
+        row, col, weight, far, offsets = balls
         k1, s2 = np.diff(offsets[1]), np.diff(offsets[2])
-        bounds = np.flatnonzero(np.diff(k1) | np.diff(s2)) + 1
-        for lo, hi in zip(np.append(0, bounds), np.append(bounds, len(run))):
-            height = max(1, STACK_ENTRIES // (k1[lo] + s2[lo] + 1) ** 2)
-            for at in range(lo, hi, height):
-                end = min(at + height, hi)
-                (w0, w1), _, (f0, f1), (c0, _) = offsets[:, [at, end]]
-                yield local_form_stack(g, run[at:end], (cell[w0:w1] - c0, weight[w0:w1], far[f0:f1]))[0]
+        entries = (k1 + 1) * (k1 + s2 + 1)  # bounds W1's, p's, q's and r's; nondecreasing in each |S1|
+        at = 0
+        for end in np.append(np.flatnonzero(np.diff(k1) | np.diff(s2 > 0)) + 1, len(run)):
+            while at < end:
+                padded = np.arange(1, end - at + 1) * entries[at:end]  # of the stacks at:at + 1, ...
+                hi = at + max(1, int(np.searchsorted(padded, STACK_ENTRIES, side="right")))
+                (w0, w1), (r0, _), (f0, f1) = offsets[:, [at, hi]]
+                yield local_form_stack(g, run[at:hi], (row[w0:w1] - r0, col[w0:w1], weight[w0:w1],
+                                                       far[f0:f1], s2[at:hi]))[0]
+                at = hi
 
 
 def local_forms(g: WeightedGraph, x: str) -> LocalForms:
     """The local forms at x: ``local_form_stack`` on the stack of one."""
     stack, support = local_form_stack(g, np.array([g.index(x)]))
     k, pad = stack.gamma.shape[1], (0, support.shape[1] - stack.gamma.shape[1])
-    return LocalForms(x, tuple([g.vertices[i] for i in support[0]]), _frozen(stack.gamma2[0]),
+    return LocalForms(x, tuple([g.vertices[i] for i in support[0]]), _frozen(gamma2_matrices(stack)[0]),
                       _frozen(np.diag(np.pad(stack.gamma[0], pad))),
                       _frozen(np.pad(stack.laplace[0], pad)), k)
 

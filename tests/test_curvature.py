@@ -19,9 +19,10 @@ from graphcurv import (
     laplacian,
     local_forms,
 )
-from graphcurv.curvature import EIG_TOL, _cd_holds, _cd_scales, _stack_of, cd_matrix
+from graphcurv import operators
+from graphcurv.curvature import EIG_TOL, _cd_holds, _cd_scales, _solve, _stack_of, cd_matrix
 from graphcurv.graphs import ball
-from graphcurv.operators import local_form_stack
+from graphcurv.operators import STACK_ENTRIES, local_form_stack, local_form_stacks
 
 
 CURVATURE_TOL = 1e-9  # absolute tolerance of the solver soundness and tightness checks
@@ -228,9 +229,10 @@ def _with_isolated_vertices(g: WeightedGraph) -> WeightedGraph:
                           "iso2": 2.0})
 
 
-def test_profile_stacks_agree_with_the_stack_of_one():
+def test_profile_stacks_agree_with_the_stack_of_one(monkeypatch):
     # the batched profile against curvature_solve at each vertex, on graphs
-    # whose 2-balls take many shapes; the 300-vertex graph spans several runs
+    # whose 2-balls take many shapes; at the smaller budget the 300-vertex graph
+    # spans several runs and each |S1| several stacks
     rng = np.random.default_rng(36)
     graphs = [random_connected_graph(rng, int(rng.integers(8, 40)),
                                      extra_edge_prob=float(rng.uniform(0.05, 0.4))) for _ in range(4)]
@@ -240,25 +242,126 @@ def test_profile_stacks_agree_with_the_stack_of_one():
     graphs.append(scaled_weights(graphs[-1], 1.0, order=order))
     for g in graphs:
         for n in (4.0, math.inf):
-            for r in curvature_profile(g, n).per_vertex:
-                one = curvature_solve(g, r.vertex, n)
-                assert r.converged == one.converged
-                if math.isinf(one.curvature):
-                    assert r.curvature == one.curvature and r.bracket_width == 0.0
-                    continue
-                stack = local_form_stack(g, np.array([g.index(r.vertex)]))[0]
-                assert abs(r.curvature - one.curvature) <= 1e-13 * _cd_scales(stack, one.curvature, n)[0]
-                assert r.bracket_width == pytest.approx(one.bracket_width, rel=1e-12)
+            alone = [curvature_solve(g, x, n) for x in g.vertices]
+            for budget in (STACK_ENTRIES, 2**12):
+                monkeypatch.setattr(operators, "STACK_ENTRIES", budget)
+                for r, one in zip(curvature_profile(g, n).per_vertex, alone):
+                    assert r.vertex == one.vertex and r.converged == one.converged
+                    if math.isinf(one.curvature):
+                        assert r.curvature == one.curvature and r.bracket_width == 0.0
+                        continue
+                    stack = local_form_stack(g, np.array([g.index(r.vertex)]))[0]
+                    sigma = _cd_scales(stack, one.curvature, n)[0]
+                    assert abs(r.curvature - one.curvature) <= 1e-13 * sigma
+                    assert r.bracket_width == pytest.approx(one.bracket_width, rel=1e-12)
+
+
+def _sphere_size(g: WeightedGraph, i: int) -> tuple[int, int]:
+    """(|S1|, |S2|) of vertex i."""
+    stack = local_form_stack(g, np.array([i]))[0]
+    return stack.gamma.shape[1], stack.r.shape[1]
+
+
+def _mixed_sphere_centers(g: WeightedGraph) -> np.ndarray:
+    """The vertices of the |S1| whose 2-spheres take the most sizes, in index order."""
+    shapes = [_sphere_size(g, i) for i in range(g.num_vertices)]
+    k = max({k for k, _ in shapes}, key=lambda k: len({s2 for kk, s2 in shapes if kk == k}))
+    return np.array([i for i, (kk, _) in enumerate(shapes) if kk == k])
+
+
+@pytest.mark.parametrize("n", [4.0, math.inf])
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+def test_padded_two_spheres_are_decoupled(n, c):
+    # a stack of one |S1| whose 2-spheres differ in size: each member's padded
+    # forms give its own scale, curvature, width and verdicts, in any units
+    g = scaled_weights(random_connected_graph(np.random.default_rng(38), 30, extra_edge_prob=0.1), c)
+    centers = _mixed_sphere_centers(g)
+    stack = local_form_stack(g, centers)[0]
+    K, converged, width = _solve(stack, n)
+    assert len({_sphere_size(g, x)[1] for x in centers}) >= 3
+    for i, x in enumerate(centers):
+        one = local_form_stack(g, np.array([x]))[0]
+        s2 = one.r.shape[1]
+        for padded, alone in ((stack.p[i], one.p[0]), (stack.q[i, :, :s2], one.q[0]), (stack.r[i, :s2], one.r[0])):
+            np.testing.assert_allclose(padded, alone, rtol=1e-15, atol=0.0)
+        assert not stack.q[i, :, s2:].any() and (stack.r[i, s2:] > 0).all()
+        K1, converged1, width1 = _solve(one, n)
+        sigma = _cd_scales(one, K1, n)[0]
+        assert _cd_scales(stack, K1, n)[i] == pytest.approx(sigma, rel=1e-15)
+        assert abs(K[i] - K1[0]) <= 1e-13 * sigma
+        assert converged[i] == converged1[0]
+        assert width[i] == pytest.approx(width1[0], rel=1e-12)
+        # the judge refutes beyond K + width; at K + width itself rounding decides
+        for at, holds in ((K1[0] - 10.0 * EIG_TOL * sigma, True),
+                          (K1[0] + 10.0 * EIG_TOL * sigma, _cd_holds(one, K1[0] + 10.0 * EIG_TOL * sigma, n)[0]),
+                          (K1[0] + 1.1 * width1[0], False)):
+            assert _cd_holds(stack, np.full(len(centers), at), n)[i] == _cd_holds(one, at, n)[0] == holds
+
+
+def test_empty_two_spheres_are_not_padded():
+    # the center of a star with five unit leaves has a zero gamma2 diagonal, so
+    # it cannot be padded; the hub of the second component has |S1| = 5 too
+    names = ["c", *[f"l{i}" for i in range(5)], "h", *[f"m{i}" for i in range(5)], "far"]
+    weights = {**{("c", f"l{i}"): 1.0 for i in range(5)}, **{("h", f"m{i}"): 1.0 for i in range(5)},
+               ("m0", "far"): 1.0}
+    g = WeightedGraph(names, weights, {v: 1.0 for v in names})
+    assert not np.diagonal(local_forms(g, "c").gamma2_matrix).any()
+    for n in (4.0, math.inf):
+        for r in curvature_profile(g, n).per_vertex:
+            assert math.isfinite(r.curvature) and r.converged
+            assert r.curvature == pytest.approx(curvature_solve(g, r.vertex, n).curvature, rel=1e-13)
+
+
+@pytest.mark.parametrize("extra_edge_prob", [0.04, 0.05, 0.06])
+def test_irregular_graphs_batch_by_one_sphere_size(extra_edge_prob):
+    # 100 vertices at the density of the benchmark's fuzzed graph: one run of
+    # vertices, and a stack for each |S1|, not for each (|S1|, |S2|)
+    g = random_connected_graph(np.random.default_rng(39), 100, extra_edge_prob=extra_edge_prob)
+    k = np.diff(g.csr.indptr)
+    cost = np.maximum(g.csr.row_reduce(np.add, k[g.csr.indices]), (k + 1) ** 2)
+    assert cost.sum() <= STACK_ENTRIES  # one run
+    assert len(_checked_stacks(g, STACK_ENTRIES)) <= len(set(k.tolist()))
+
+
+@pytest.mark.parametrize("budget", [2**10, STACK_ENTRIES])
+def test_padded_stacks_fit_the_budget(monkeypatch, budget):
+    # the 2-balls of a random tree take many shapes
+    monkeypatch.setattr(operators, "STACK_ENTRIES", budget)
+    _checked_stacks(generate("weighted_tree", 3000, seed=7), budget)
+
+
+def _checked_stacks(g: WeightedGraph, budget: int) -> list:
+    """``local_form_stacks(g)``, checked to cover every vertex once, each with one
+    |S1| and, when it has more than one member, its padded blocks within budget.
+    """
+    k = np.diff(g.csr.indptr)
+    stacks = list(local_form_stacks(g))
+    assert sorted(np.concatenate([stack.centers for stack in stacks]).tolist()) == list(range(g.num_vertices))
+    for stack in stacks:
+        (V, k1), s2 = stack.gamma.shape, stack.r.shape[1]
+        assert set(k[stack.centers].tolist()) == {k1}
+        assert V * (k1 + 1) * (k1 + s2 + 1) <= budget or V == 1
+    return stacks
 
 
 def test_judge_refutes_only_the_failing_member_of_a_stack():
-    # a stack whose Cholesky fails as a whole is decided member by member
+    # a stack whose Cholesky fails as a whole is decided member by member,
+    # also when the members' 2-spheres are padded to one size
     g = generate("cycle", 9)
     stack = local_form_stack(g, np.arange(9))[0]
     K = np.full(9, curvature_solve(g, "v0", 4.0).curvature)
     assert _cd_holds(stack, K, 4.0).all()
     K[4] += 0.5
     assert _cd_holds(stack, K, 4.0).tolist() == [True] * 4 + [False] + [True] * 4
+    g = random_connected_graph(np.random.default_rng(38), 30, extra_edge_prob=0.1)
+    centers = _mixed_sphere_centers(g)
+    stack = local_form_stack(g, centers)[0]
+    K = np.array([curvature_solve(g, g.vertices[c], 4.0).curvature for c in centers])
+    assert _cd_holds(stack, K, 4.0).all()
+    for i in (0, int(np.argmax([_sphere_size(g, c)[1] for c in centers]))):
+        bumped = K.copy()
+        bumped[i] += 0.5
+        assert _cd_holds(stack, bumped, 4.0).tolist() == [j != i for j in range(len(centers))]
 
 
 @pytest.mark.parametrize("n", [4.0, math.inf])

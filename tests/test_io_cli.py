@@ -445,6 +445,42 @@ def test_cli_green_ec_finiteness_taylor(edge_graph, capsys):
     assert run(["taylor-check", "--graph", edge_graph, "--vertex", "v0"]) == 0
 
 
+def test_cli_consecutive_runs_print_what_each_prints_alone(tmp_path, capsys):
+    # the parser is built once per process; no call may leave state behind for
+    # the next, whatever its subcommand and exit code
+    path = tmp_path / "cycle6.json"
+    path.write_text(serialize_graph(generate("cycle", 6, "normalizing")), encoding="utf-8")
+    g = str(path)
+    commands = [
+        ["generate", "--family", "star", "--size", "3"],
+        ["validate", "--graph", g],
+        ["curvature", "--graph", g, "--dimension", "4"],
+        ["cd-check", "--graph", g, "--K", "0.5", "--vertex", "v1"],
+        ["cd-check", "--graph", g, "--K", "1", "--vertex", "zz"],
+        ["heat", "--graph", g, "--t", "0.5,2", "--dirichlet", "v0"],
+        ["verify-estimates", "--graph", g, "--paper-K", "0", "--t", "0.5", "--seed", "3"],
+        ["green-check", "--graph", g, "--samples", "3", "--seed", "3"],
+        ["ec-check", "--graph", g],
+        ["cutoff", "--graph", g, "--target", "v2", "--epsilon", "1"],
+        ["finiteness", "--graph", g, "--K", "2", "--epsilons", "0.5"],
+        ["taylor-check", "--graph", g, "--vertex", "v3"],
+    ]
+
+    def outputs(argvs, fresh_parser):
+        out = []
+        for argv in argvs:
+            if fresh_parser:
+                cli.build_parser.cache_clear()
+            code = run(argv)
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    alone = outputs(commands, fresh_parser=True)
+    assert {code for code, _, _ in alone} == {0, 1, 2}
+    assert outputs(commands, fresh_parser=False) == alone
+    assert outputs(commands[::-1], fresh_parser=False) == alone[::-1]
+
+
 _SCALE_GRAPHS = {
     # name: (graph, its exact curvature at n = infinity, or None if negative)
     "edge": (lambda: generate("complete", 2), 2.0),
