@@ -25,6 +25,13 @@ a verdict (``operators.LocalFormStack``).  One judge, ``_cd_holds``, decides
 every bound by a Cholesky test of M(K) + EIG_TOL sigma(K) I, with sigma(K) a
 scale of M(K), so its verdicts do not depend on the units; as R is diagonal,
 it factors only the Schur complement on S1.
+
+Identical local forms are solved and judged once
+(``operators.local_form_stacks``).  Two forms are identical when they have one
+shape and their blocks are equal bit for bit; the result is copied to every
+vertex that shares the form.  Equal inputs give equal results, so each vertex
+gets what its own form gives.  The forms remembered for this take at most
+``STACK_ENTRIES`` entries, or one form when it alone is bigger.
 """
 
 from __future__ import annotations
@@ -178,11 +185,12 @@ def _solve(stack: LocalFormStack, n: float) -> tuple[np.ndarray, np.ndarray, np.
     lambda_min(M(K')) <= (K - K') / |z|^2; as sigma(K') <= sigma(K) + (K' - K) max B,
     the judge refutes every K' beyond K + ``bracket_width`` =
     e sigma(K) / (1 - e max B), e = EIG_TOL |z|^2 (up to rounding).  Isolated
-    vertices, where CD is vacuous, get +inf, converged and width 0.
+    vertices, where CD is vacuous, get +inf, converged and width 0.  A stack left
+    with no members (``operators.local_form_stacks``) is not solved.
     """
     B = stack.gamma
     V, k = B.shape
-    if k == 0:
+    if k == 0 or V == 0:
         return np.full(V, math.inf), np.ones(V, dtype=bool), np.zeros(V)
     S = _schur(stack, n)
     b = 1.0 / np.sqrt(B)
@@ -204,11 +212,13 @@ def curvature_solve(g: WeightedGraph, x: str, n: float) -> CurvatureResult:
 
 
 def curvature_profile(g: WeightedGraph, n: float) -> CurvatureProfile:
-    """Solve every vertex, a stack at a time, and take the minimum (CD is a for-all-x condition)."""
+    """Solve each distinct local form, a stack at a time, and take the minimum (CD is a for-all-x condition)."""
     n = _check_dimension(n)
-    K, converged, width = np.empty((3, g.num_vertices))
+    solved = np.empty((3, g.num_vertices))
     for stack in local_form_stacks(g):
-        K[stack.centers], converged[stack.centers], width[stack.centers] = _solve(stack, n)
+        solved[:, stack.centers] = _solve(stack, n)
+        solved[:, stack.copies[0]] = solved[:, stack.copies[1]]
+    K, converged, width = solved
     results = tuple(map(CurvatureResult, g.vertices, [n] * g.num_vertices, K.tolist(),
                         converged.astype(bool).tolist(), width.tolist()))
     return CurvatureProfile(per_vertex=results, global_curvature=float(K.min(initial=math.inf)))

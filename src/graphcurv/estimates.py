@@ -326,6 +326,7 @@ def _require_curvature(g: WeightedGraph, K: float) -> None:
     holds = np.ones(g.num_vertices, dtype=bool)
     for stack in local_form_stacks(g):
         holds[stack.centers] = _cd_holds(stack, K, math.inf)
+        holds[stack.copies[0]] = holds[stack.copies[1]]
     if not holds.all():
         x = g.vertices[int(np.argmin(holds))]
         raise PreconditionError(f"graph violates CD({K:.6g}, infinity): the curvature at {x!r} is "

@@ -18,6 +18,7 @@ modules, which need to evaluate the operators on many functions at once.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -160,6 +161,10 @@ class LocalFormStack(NamedTuple):
     scale sigma(K) and whether M(K) + EIG_TOL sigma(K) I factorizes are those
     of the member alone.  An empty 2-sphere is not padded: that diagonal can
     vanish (at the center of a star with five unit leaves).
+
+    ``copies`` (2, C), set by ``local_form_stacks``, lists vertices whose forms
+    the stack leaves out and, under each, a vertex with the identical form, a
+    member of this stack or of an earlier one.
     """
 
     p: np.ndarray
@@ -168,6 +173,7 @@ class LocalFormStack(NamedTuple):
     gamma: np.ndarray
     laplace: np.ndarray
     centers: np.ndarray | None = None
+    copies: np.ndarray | None = None
 
 
 def gamma2_matrices(stack: LocalFormStack) -> np.ndarray:
@@ -271,19 +277,114 @@ def local_form_stack(g: WeightedGraph, centers: np.ndarray, balls=None) -> tuple
     return LocalFormStack(p, q, r, B, 2.0 * B, centers), support
 
 
+def _permuted(balls, order: np.ndarray):
+    """``_two_balls``' output for its centers taken in ``order``, gathered, not walked again."""
+    row, col, weight, far, offsets = balls
+    lengths = np.diff(offsets)[:, order]
+    moved = np.zeros_like(offsets)
+    np.cumsum(lengths, axis=1, out=moved[:, 1:])
+    shift = offsets[:, order] - moved[:, :-1]  # old start - new start, per center and kind of segment
+    walks = np.repeat(shift[0], lengths[0]) + np.arange(moved[0, -1])
+    row = row[walks] - np.repeat(shift[1], lengths[0])
+    return row, col[walks], weight[walks], far[np.repeat(shift[2], lengths[2]) + np.arange(moved[2, -1])], moved
+
+
+class _SolvedForms:
+    """The distinct forms of the most recent stacks, by shape.
+
+    They are kept within ``STACK_ENTRIES`` entries, or the last stack's alone
+    when it is bigger, which only a stack of one member can be.
+    """
+
+    def __init__(self):
+        self.kept: dict[tuple, deque] = {}  # shape -> (stack, gamma row sums), oldest first
+        self.shapes: deque = deque()  # the shape of each kept stack, oldest first
+        self.size = 0
+        self.weights = np.empty(0)
+
+    def distinct(self, stack: LocalFormStack) -> LocalFormStack:
+        """``stack`` less the members whose forms are bitwise those of a kept or earlier member.
+
+        Equal forms have equal ``gamma`` rows, so the forms are compared only when
+        two ``gamma`` row sums (half the weighted degrees) of one shape are equal.
+        Then each member's fingerprint, the dot product of its entries with fixed
+        random weights, names one candidate, the first form with that
+        fingerprint; the member is a copy of it only when their entries are equal
+        as ``uint64``.
+        """
+        V, shape = len(stack.gamma), stack.q.shape[1:]
+        kept = self.kept.get(shape, ())
+        sums = stack.gamma.sum(axis=1)
+        ranked = np.sort(np.concatenate([entry[1] for entry in kept] + [sums]) if kept else sums)
+        copies = np.empty((2, 0), dtype=np.intp)
+        if (ranked[1:] == ranked[:-1]).any():
+            M = len(ranked) - V
+            stacks = [entry[0] for entry in kept] + [stack]
+            words = np.concatenate([np.concatenate([a.reshape(len(s.gamma), -1) for a in s[:5]], axis=1)
+                                    for s in stacks])
+            source = _first_equal(self._prints(words))[M:]
+            words = words.view(np.uint64)
+            copy = source < M + np.arange(V)
+            copy[copy] = (words[source[copy]] == words[M:][copy]).all(axis=1)
+            if copy.any():
+                centers = np.concatenate([s.centers for s in stacks])
+                copies = np.array([stack.centers[copy], centers[source[copy]]])
+                keep = ~copy
+                stack, sums = LocalFormStack(*(a[keep] for a in stack[:6])), sums[keep]
+        if len(sums):
+            self.kept.setdefault(shape, deque()).append((stack, sums))
+            self.shapes.append(shape)
+            self.size += sum(a.size for a in stack[:5])
+            while self.size > STACK_ENTRIES and len(self.shapes) > 1:
+                oldest = self.kept[self.shapes[0]]
+                self.size -= sum(a.size for a in oldest.popleft()[0][:5])
+                if not oldest:
+                    del self.kept[self.shapes[0]]
+                self.shapes.popleft()
+        return stack._replace(copies=copies)
+
+    def _prints(self, rows: np.ndarray) -> np.ndarray:
+        """The fingerprint of each row: its dot product with fixed random weights, one product per row."""
+        if len(self.weights) < rows.shape[1]:
+            self.weights = np.random.default_rng(0).random(max(rows.shape[1], 2 * len(self.weights)))
+        return (rows[:, None, :] @ self.weights[:rows.shape[1], None])[:, 0, 0]
+
+
+def _first_equal(values: np.ndarray) -> np.ndarray:
+    """For each value, the index of the first value equal to it."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    head = np.where(np.concatenate(([True], ranked[1:] != ranked[:-1])), np.arange(len(values)), 0)
+    first = np.empty_like(order)
+    first[order] = order[np.maximum.accumulate(head)]
+    return first
+
+
 def local_form_stacks(g: WeightedGraph) -> Iterator[LocalFormStack]:
-    """The local forms of every vertex, in stacks of one 1-sphere size.
+    """The distinct local forms of every vertex, in stacks of one 1-sphere size.
 
     Runs of vertices in index order, of at most ``STACK_ENTRIES`` in max(walks,
-    (|S1| + 1)^2), are sorted out at once and ordered by (|S1|, |S2|).  Each
-    |S1| of a run, apart from its empty 2-spheres, goes in stacks of as many
-    members as keep the padded entries, members x (|S1| + 1)(s + 1) with s the
-    widest punctured 2-ball, within ``STACK_ENTRIES`` (at least one), so memory
-    stays linear in N + E.
+    (|S1| + 1)^2), are walked at once and ordered by (|S1|, |S2|).  Each |S1| of
+    a run, apart from its empty 2-spheres, goes in stacks of as many members as
+    keep the padded entries, members x (|S1| + 1)(s + 1) with s the widest
+    punctured 2-ball, within ``STACK_ENTRIES`` (at least one), so memory stays
+    linear in N + E.
+
+    Identical forms are yielded once.  Two forms are identical when they have
+    one shape (|S1|, padded |S2|) and their ``p``, ``q``, ``r``, ``gamma`` and
+    ``laplace`` are equal bit for bit (compared as ``uint64``, so -0.0 and 0.0
+    differ).  A member whose form is identical to an earlier one of its stack,
+    or to one remembered from the most recent stacks, is left out of the stack
+    and listed in its ``copies``; a stack can be left with no members.  The
+    forms remembered are the most recent stacks' distinct forms within
+    ``STACK_ENTRIES`` entries, or the last form alone when it is bigger.  The
+    consumer copies each result to the vertices that share the form: identical
+    inputs give identical results.
     """
     csr, N = g.csr, g.num_vertices
     k = np.diff(csr.indptr)
     cost = np.append(0, np.cumsum(np.maximum(csr.row_reduce(np.add, k[csr.indices]), (k + 1) ** 2)))
+    solved = _SolvedForms()
     first = 0
     while first < N:
         last = max(first + 1, int(np.searchsorted(cost, cost[first] + STACK_ENTRIES, side="right")) - 1)
@@ -291,7 +392,7 @@ def local_form_stacks(g: WeightedGraph) -> Iterator[LocalFormStack]:
         balls = _two_balls(g, run)
         order = np.lexsort(np.diff(balls[4][[2, 1]]))
         if np.any(np.diff(order) != 1):  # sort the run by shape
-            balls = _two_balls(g, run := run[order])
+            run, balls = run[order], _permuted(balls, order)
         row, col, weight, far, offsets = balls
         k1, s2 = np.diff(offsets[1]), np.diff(offsets[2])
         entries = (k1 + 1) * (k1 + s2 + 1)  # bounds W1's, p's, q's and r's; nondecreasing in each |S1|
@@ -301,8 +402,8 @@ def local_form_stacks(g: WeightedGraph) -> Iterator[LocalFormStack]:
                 padded = np.arange(1, end - at + 1) * entries[at:end]  # of the stacks at:at + 1, ...
                 hi = at + max(1, int(np.searchsorted(padded, STACK_ENTRIES, side="right")))
                 (w0, w1), (r0, _), (f0, f1) = offsets[:, [at, hi]]
-                yield local_form_stack(g, run[at:hi], (row[w0:w1] - r0, col[w0:w1], weight[w0:w1],
-                                                       far[f0:f1], s2[at:hi]))[0]
+                yield solved.distinct(local_form_stack(g, run[at:hi], (
+                    row[w0:w1] - r0, col[w0:w1], weight[w0:w1], far[f0:f1], s2[at:hi]))[0])
                 at = hi
 
 

@@ -232,7 +232,9 @@ def _with_isolated_vertices(g: WeightedGraph) -> WeightedGraph:
 def test_profile_stacks_agree_with_the_stack_of_one(monkeypatch):
     # the batched profile against curvature_solve at each vertex, on graphs
     # whose 2-balls take many shapes; at the smaller budget the 300-vertex graph
-    # spans several runs and each |S1| several stacks
+    # spans several runs and each |S1| several stacks.  A relabelled complete
+    # graph and cycle repeat their forms within and across stacks, and in a
+    # unit-weight random graph forms of one degree differ in their 2-balls
     rng = np.random.default_rng(36)
     graphs = [random_connected_graph(rng, int(rng.integers(8, 40)),
                                      extra_edge_prob=float(rng.uniform(0.05, 0.4))) for _ in range(4)]
@@ -240,20 +242,107 @@ def test_profile_stacks_agree_with_the_stack_of_one(monkeypatch):
     graphs = [_with_isolated_vertices(g) for g in graphs]
     order = [graphs[-1].vertices[i] for i in rng.permutation(graphs[-1].num_vertices)]
     graphs.append(scaled_weights(graphs[-1], 1.0, order=order))
+    for family, size in (("complete", 40), ("cycle", 50)):
+        g = generate(family, size)
+        graphs.append(scaled_weights(g, 1.0, order=[g.vertices[i] for i in rng.permutation(size)]))
+    graphs.append(random_connected_graph(rng, 60, extra_edge_prob=0.08, weight_range=(1.0, 1.0),
+                                         measure_range=(1.0, 1.0)))
     for g in graphs:
         for n in (4.0, math.inf):
-            alone = [curvature_solve(g, x, n) for x in g.vertices]
             for budget in (STACK_ENTRIES, 2**12):
                 monkeypatch.setattr(operators, "STACK_ENTRIES", budget)
-                for r, one in zip(curvature_profile(g, n).per_vertex, alone):
-                    assert r.vertex == one.vertex and r.converged == one.converged
-                    if math.isinf(one.curvature):
-                        assert r.curvature == one.curvature and r.bracket_width == 0.0
-                        continue
-                    stack = local_form_stack(g, np.array([g.index(r.vertex)]))[0]
-                    sigma = _cd_scales(stack, one.curvature, n)[0]
-                    assert abs(r.curvature - one.curvature) <= 1e-13 * sigma
-                    assert r.bracket_width == pytest.approx(one.bracket_width, rel=1e-12)
+                _assert_profile_matches_the_stack_of_one(g, n)
+
+
+def _assert_profile_matches_the_stack_of_one(g: WeightedGraph, n: float) -> None:
+    """``curvature_profile`` against ``curvature_solve`` at each vertex."""
+    for r in curvature_profile(g, n).per_vertex:
+        one = curvature_solve(g, r.vertex, n)
+        assert r.vertex == one.vertex and r.converged == one.converged
+        if math.isinf(one.curvature):
+            assert r.curvature == one.curvature and r.bracket_width == 0.0
+            continue
+        stack = local_form_stack(g, np.array([g.index(r.vertex)]))[0]
+        sigma = _cd_scales(stack, one.curvature, n)[0]
+        assert abs(r.curvature - one.curvature) <= 1e-13 * sigma
+        assert r.bracket_width == pytest.approx(one.bracket_width, rel=1e-12)
+
+
+def _solved_members(monkeypatch, g: WeightedGraph, n: float):
+    """The profile of g and how many stack members reached ``curvature._solve``."""
+    import graphcurv.curvature as curvature
+
+    members = []
+
+    def counting_solve(stack, n):
+        members.append(len(stack.gamma))
+        return solve(stack, n)
+
+    solve = curvature._solve
+    monkeypatch.setattr(curvature, "_solve", counting_solve)
+    profile = curvature_profile(g, n)
+    monkeypatch.setattr(curvature, "_solve", solve)
+    return profile, sum(members)
+
+
+def test_identical_forms_are_solved_once(monkeypatch):
+    # K_60's forms are bitwise equal but spread over 15 stacks of 4; a cycle's
+    # take two patterns, by whether S2 lists the far neighbours in S1's order
+    profile, members = _solved_members(monkeypatch, generate("complete", 60), math.inf)
+    assert members == 1
+    for r in profile.per_vertex:
+        assert r.curvature == pytest.approx(31.0, rel=1e-9) and r.converged
+    assert _solved_members(monkeypatch, generate("cycle", 300), 4.0)[1] == 2
+
+
+def test_forms_one_ulp_apart_are_solved_apart(monkeypatch):
+    # identity is bitwise: one weight or one measure off by one ulp is a
+    # different form, solved on its own and reported as by curvature_solve
+    cycle = generate("cycle", 30)
+    near = {(u, v): np.nextafter(1.0, 2.0) if (u, v) == ("v10", "v11") else w for u, v, w in cycle.edges()}
+    complete = generate("complete", 20)
+    measure = {v: np.nextafter(1.0, 0.0) if v == "v7" else 1.0 for v in complete.vertices}
+    cases = ((cycle, WeightedGraph(cycle.vertices, near, {v: 1.0 for v in cycle.vertices})),
+             (complete, WeightedGraph(complete.vertices, {(u, v): w for u, v, w in complete.edges()}, measure)))
+    for exact, perturbed in cases:
+        for n in (4.0, math.inf):
+            assert _solved_members(monkeypatch, perturbed, n)[1] > _solved_members(monkeypatch, exact, n)[1]
+            _assert_profile_matches_the_stack_of_one(perturbed, n)
+
+
+def test_a_fingerprint_only_proposes(monkeypatch):
+    # with every fingerprint equal, each member is a candidate of the first
+    # form of its shape: only the bitwise comparison tells the forms apart.
+    # With unit weights, vertices of one degree tie on their gamma row sums
+    monkeypatch.setattr(operators._SolvedForms, "_prints", lambda self, rows: np.zeros(len(rows)))
+    unit = random_connected_graph(np.random.default_rng(41), 30, extra_edge_prob=0.2,
+                                  weight_range=(1.0, 1.0), measure_range=(1.0, 1.0))
+    for g in (unit, generate("hypercube", 4), generate("cycle", 30)):
+        for n in (4.0, math.inf):
+            _assert_profile_matches_the_stack_of_one(g, n)
+    assert _solved_members(monkeypatch, generate("complete", 30), math.inf)[1] == 1
+
+
+@pytest.mark.parametrize("budget", [2**10, STACK_ENTRIES])
+def test_each_run_is_walked_once(monkeypatch, budget):
+    # a run out of shape order is permuted, not walked a second time
+    g = random_connected_graph(np.random.default_rng(40), 300, extra_edge_prob=0.03)
+    k = np.diff(g.csr.indptr)
+    runs, total = 0, math.inf
+    for c in np.maximum(g.csr.row_reduce(np.add, k[g.csr.indices]), (k + 1) ** 2).tolist():
+        runs, total = (runs, total + c) if total + c <= budget else (runs + 1, c)
+    walked = []
+
+    def counting_two_balls(g, centers):
+        walked.append(len(centers))
+        return two_balls(g, centers)
+
+    two_balls = operators._two_balls
+    monkeypatch.setattr(operators, "STACK_ENTRIES", budget)
+    monkeypatch.setattr(operators, "_two_balls", counting_two_balls)
+    stacks = list(local_form_stacks(g))
+    assert len(walked) == runs > 1 and sum(walked) == g.num_vertices
+    assert sorted(np.concatenate([stack.centers for stack in stacks]).tolist()) == list(range(g.num_vertices))
 
 
 def _sphere_size(g: WeightedGraph, i: int) -> tuple[int, int]:
@@ -325,22 +414,45 @@ def test_irregular_graphs_batch_by_one_sphere_size(extra_edge_prob):
 
 @pytest.mark.parametrize("budget", [2**10, STACK_ENTRIES])
 def test_padded_stacks_fit_the_budget(monkeypatch, budget):
-    # the 2-balls of a random tree take many shapes
+    # the 2-balls of a random tree take many shapes; the forms remembered to
+    # find copies fit the budget too, unless one form alone is bigger
+    sizes = []
+
+    class Recorded(operators._SolvedForms):
+        def distinct(self, stack):
+            stack = super().distinct(stack)
+            kept = [entry[0] for entries in self.kept.values() for entry in entries]
+            assert self.size == sum(a.size for kept_stack in kept for a in kept_stack[:5])
+            assert len(kept) == len(self.shapes)
+            sizes.append(self.size if len(kept) > 1 else 0)
+            return stack
+
     monkeypatch.setattr(operators, "STACK_ENTRIES", budget)
+    monkeypatch.setattr(operators, "_SolvedForms", Recorded)
     _checked_stacks(generate("weighted_tree", 3000, seed=7), budget)
+    assert 0 < max(sizes) <= budget
 
 
 def _checked_stacks(g: WeightedGraph, budget: int) -> list:
-    """``local_form_stacks(g)``, checked to cover every vertex once, each with one
-    |S1| and, when it has more than one member, its padded blocks within budget.
+    """``local_form_stacks(g)``, checked to cover every vertex once, as a member
+    or as a copy of a member of that stack or an earlier one with a bitwise equal
+    form, each member with one |S1| and, when a stack has more than one member,
+    its padded blocks within budget.
     """
     k = np.diff(g.csr.indptr)
     stacks = list(local_form_stacks(g))
-    assert sorted(np.concatenate([stack.centers for stack in stacks]).tolist()) == list(range(g.num_vertices))
+    solved = []
     for stack in stacks:
+        solved.extend(stack.centers.tolist())
+        for x, source in stack.copies.T.tolist():
+            assert source in solved
+            one, other = (local_form_stack(g, np.array([v]))[0] for v in (x, source))
+            assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(one[:5], other[:5]))
         (V, k1), s2 = stack.gamma.shape, stack.r.shape[1]
-        assert set(k[stack.centers].tolist()) == {k1}
+        assert set(k[stack.centers].tolist()) <= {k1}
         assert V * (k1 + 1) * (k1 + s2 + 1) <= budget or V == 1
+    covered = np.concatenate([np.append(stack.centers, stack.copies[0]) for stack in stacks])
+    assert sorted(covered.tolist()) == list(range(g.num_vertices))
     return stacks
 
 

@@ -20,8 +20,10 @@ from graphcurv import (
     WeightedGraph,
     build_cutoff,
     build_heat,
+    cd_check,
     cd_extremal_function,
     curvature_profile,
+    curvature_solve,
     default_corpus,
     ec_norm_check,
     ellipticity_constant,
@@ -552,6 +554,21 @@ def test_finiteness_accepts_exact_bound_at_scale(family, size, K, c):
     # the exact curvature K c was refused against an absolute tolerance
     rep = finiteness_probe(scaled_weights(generate(family, size), c), K * c, [1.0])
     assert rep["curvature_bound"] == K * c
+
+
+def test_curvature_preconditions_on_repeated_forms():
+    # K_12 with one heavier vertex: v0..v6 share one form and v8..v11 another,
+    # each solved once; the refusal names the first vertex cd_check refutes
+    g = generate("complete", 12)
+    g = WeightedGraph(g.vertices, {(u, v): w for u, v, w in g.edges()},
+                      {v: 2.0 if v == "v7" else 1.0 for v in g.vertices})
+    K = [curvature_solve(g, x, math.inf).curvature for x in g.vertices]
+    for bound in (0.5 * (min(K) + max(K)), 1.01 * max(K)):
+        first = next(x for x in g.vertices if not cd_check(g, bound, math.inf, x)[0])
+        with pytest.raises(PreconditionError, match=f"curvature at {first!r} is below"):
+            finiteness_probe(g, bound, [1.0])
+    assert finiteness_probe(g, min(K), [1.0])["curvature_bound"] == min(K)
+    assert build_cutoff(g, {"v0"}, 1.0, g.vertices).max_gamma == 0.0
 
 
 def test_finiteness_isolated_vertex_vacuous():
