@@ -9,18 +9,23 @@ Two interchange formats:
   graph corpora.
 
 Each edge must be declared once per unordered pair; conflicting symmetric
-entries are rejected at parse time.
+entries are rejected at parse time.  Both parsers fill the index arrays of
+``WeightedGraph.from_arrays`` directly; one sort of the pairs finds an edge
+declared twice, and the first fault in file order is the one reported.
 """
 
 from __future__ import annotations
 
 import json
 
-from .graphs import WeightedGraph, validate
+import numpy as np
+
+from .graphs import WeightedGraph, _indices, _pair_order, validate
 
 __all__ = ["GraphFormatError", "parse_graph", "parse_edge_list", "serialize_graph"]
 
 FORMAT_VERSION = 1
+_EDGE_KEYS = frozenset(("u", "v", "weight"))
 
 
 class GraphFormatError(ValueError):
@@ -71,102 +76,130 @@ def _parse_document(text: str) -> WeightedGraph:
     if not isinstance(raw_edges, list):
         raise GraphFormatError("edges: expected a list")
 
-    vertices: list[str] = []
-    measure: dict[str, float] = {}
+    index, measure = {}, []
     for i, entry in enumerate(raw_vertices):
-        loc = f"vertices[{i}]"
         if not isinstance(entry, dict) or "id" not in entry or "measure" not in entry:
-            raise GraphFormatError(f"{loc}: expected an object with id and measure")
+            raise GraphFormatError(f"vertices[{i}]: expected an object with id and measure")
         vid = entry["id"]
         if not isinstance(vid, str):
-            raise GraphFormatError(f"{loc}.id: expected a string")
-        if vid in measure:
-            raise GraphFormatError(f"{loc}: duplicate vertex id {vid!r}")
+            raise GraphFormatError(f"vertices[{i}].id: expected a string")
+        if vid in index:
+            raise GraphFormatError(f"vertices[{i}]: duplicate vertex id {vid!r}")
         try:
-            measure[vid] = float(entry["measure"])
+            measure.append(float(entry["measure"]))
         except (TypeError, ValueError):
-            raise GraphFormatError(f"{loc}.measure: expected a number") from None
-        vertices.append(vid)
+            raise GraphFormatError(f"vertices[{i}].measure: expected a number") from None
+        index[vid] = i
+    columns = _edge_columns(raw_edges)
+    del doc, raw_vertices, raw_edges  # the document goes before the graph is built
+    return _graph(index, measure, *columns, lambda k, u, v: (
+        f"edges[{k}]: conflicting symmetric entries for edge ({u!r}, {v!r})"))
 
-    weights: dict[tuple[str, str], float] = {}
-    seen_pairs: set[frozenset[str]] = set()
-    for i, entry in enumerate(raw_edges):
-        loc = f"edges[{i}]"
-        if not isinstance(entry, dict) or not {"u", "v", "weight"} <= entry.keys():
-            raise GraphFormatError(f"{loc}: expected an object with u, v and weight")
-        u, v = entry["u"], entry["v"]
-        if not isinstance(u, str) or not isinstance(v, str):
-            raise GraphFormatError(f"{loc}: endpoints must be strings")
-        try:
-            w = float(entry["weight"])
-        except (TypeError, ValueError):
-            raise GraphFormatError(f"{loc}.weight: expected a number") from None
-        pair = frozenset((u, v))
-        if pair in seen_pairs:
-            raise GraphFormatError(
-                f"{loc}: conflicting symmetric entries for edge ({u!r}, {v!r})"
-            )
-        seen_pairs.add(pair)
-        weights[(u, v)] = w
 
-    return WeightedGraph(vertices, weights, measure)
+def _edge_columns(raw_edges: list) -> tuple[list, list, list, GraphFormatError | None]:
+    """u, v and weight of the edge entries before the first malformed one, and its fault.
+
+    Entries are read column by column.  Only if one is malformed are they
+    checked one by one, to name the first fault; the entries before it are
+    then read again, column by column.
+    """
+    try:
+        us, vs = [e["u"] for e in raw_edges], [e["v"] for e in raw_edges]
+        weights = [float(e["weight"]) for e in raw_edges]
+        if {*map(type, us), *map(type, vs)} <= {str}:
+            return us, vs, weights, None
+    except (KeyError, TypeError, ValueError):
+        pass
+    k, fault = next((k, fault) for k, fault in enumerate(map(_edge_fault, raw_edges)) if fault)
+    return (*_edge_columns(raw_edges[:k])[:3], GraphFormatError(f"edges[{k}]{fault}"))
+
+
+def _edge_fault(entry) -> str | None:
+    """What is wrong with one edge entry, as the message after its location; None if nothing is."""
+    if not isinstance(entry, dict) or not entry.keys() >= _EDGE_KEYS:
+        return ": expected an object with u, v and weight"
+    if not isinstance(entry["u"], str) or not isinstance(entry["v"], str):
+        return ": endpoints must be strings"
+    try:
+        float(entry["weight"])
+    except (TypeError, ValueError):
+        return ".weight: expected a number"
+    return None
+
+
+def _graph(index: dict[str, int], measure: list[float], us: list[str], vs: list[str],
+           weights: list[float], fault: GraphFormatError | None, repeated) -> WeightedGraph:
+    """The graph of the edge entries read, or else the first fault in file order.
+
+    That is the first entry that repeats the pair of an earlier one, named by
+    ``repeated(k, u, v)``, or else ``fault``, found after the entries.
+    Endpoints that are not vertices go to ``validate`` by name.
+    """
+    unknown: dict[str, int] = {}
+    iu, iv = _indices(us, index, unknown), _indices(vs, index, unknown)
+    order, _, _, repeat = _pair_order(iu, iv)
+    if repeat.any():
+        k = int(order[repeat].min())
+        raise GraphFormatError(repeated(k, us[k], vs[k]))
+    if fault is not None:
+        raise fault
+    return WeightedGraph.from_arrays(list(index), iu, iv, np.array(weights), np.array(measure),
+                                     undeclared=list(unknown))
+
+
+def _lines(text: str, label: str, fields: str):
+    """(line number, fields) of each line with content, which must have the named ``fields``."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split("#", 1)[0].split()
+        if parts and len(parts) != len(fields.split()):
+            raise GraphFormatError(f"{label} line {lineno}: expected {fields!r}")
+        if parts:
+            yield lineno, parts
 
 
 def parse_edge_list(edge_text: str, measure_text: str) -> WeightedGraph:
     """Parse ``u v weight`` lines plus ``v m`` measure lines."""
-    measure: dict[str, float] = {}
-    vertices: list[str] = []
-    for lineno, line in enumerate(measure_text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"measures line {lineno}: expected 'vertex measure'")
-        vid, raw = parts
-        if vid in measure:
+    index, measure = {}, []
+    for lineno, (vid, raw) in _lines(measure_text, "measures", "vertex measure"):
+        if vid in index:
             raise GraphFormatError(f"measures line {lineno}: duplicate measure for {vid!r}")
         try:
-            measure[vid] = float(raw)
+            measure.append(float(raw))
         except ValueError:
             raise GraphFormatError(f"measures line {lineno}: bad measure {raw!r}") from None
-        vertices.append(vid)
+        index[vid] = len(index)
 
-    weights: dict[tuple[str, str], float] = {}
-    seen_pairs: set[frozenset[str]] = set()
-    for lineno, line in enumerate(edge_text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) != 3:
-            raise GraphFormatError(f"edges line {lineno}: expected 'u v weight'")
-        u, v, raw = parts
-        try:
-            w = float(raw)
-        except ValueError:
-            raise GraphFormatError(f"edges line {lineno}: bad weight {raw!r}") from None
-        pair = frozenset((u, v))
-        if pair in seen_pairs:
-            raise GraphFormatError(
-                f"edges line {lineno}: conflicting symmetric entries for ({u!r}, {v!r})"
-            )
-        seen_pairs.add(pair)
-        weights[(u, v)] = w
-        for endpoint in (u, v):
-            if endpoint not in measure:
-                raise GraphFormatError(
-                    f"edges line {lineno}: no measure declared for vertex {endpoint!r}"
-                )
-
-    return WeightedGraph(vertices, weights, measure)
+    us, vs, weights, lines, fault = [], [], [], [], None
+    try:
+        for lineno, (u, v, raw) in _lines(edge_text, "edges", "u v weight"):
+            try:
+                w = float(raw)
+            except ValueError:
+                raise GraphFormatError(f"edges line {lineno}: bad weight {raw!r}") from None
+            for endpoint in (u, v):
+                if endpoint not in index:
+                    raise GraphFormatError(
+                        f"edges line {lineno}: no measure declared for vertex {endpoint!r}"
+                    )
+            us.append(u)
+            vs.append(v)
+            weights.append(w)
+            lines.append(lineno)
+    except GraphFormatError as exc:
+        # a line naming a vertex without a measure cannot repeat an earlier
+        # line: that line's endpoints would have been reported first
+        fault = exc
+    return _graph(index, measure, us, vs, weights, fault, lambda k, u, v: (
+        f"edges line {lines[k]}: conflicting symmetric entries for ({u!r}, {v!r})"))
 
 
 def serialize_graph(g: WeightedGraph) -> str:
     """Emit the JSON document; floats round-trip exactly."""
+    names = g.vertices
+    iu, iv, w = (a.tolist() for a in g.edge_arrays)
     doc = {
         "format_version": FORMAT_VERSION,
-        "vertices": [{"id": v, "measure": g.measure(v)} for v in g.vertices],
-        "edges": [{"u": u, "v": v, "weight": w} for u, v, w in g.edges()],
+        "vertices": [{"id": v, "measure": m} for v, m in zip(names, g.measure_vector.tolist())],
+        "edges": [{"u": names[i], "v": names[j], "weight": x} for i, j, x in zip(iu, iv, w)],
     }
     return json.dumps(doc, indent=2)

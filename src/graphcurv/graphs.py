@@ -2,12 +2,12 @@
 
 A graph here is a finite vertex set X together with a symmetric edge weight
 b(x,y) > 0 (zero diagonal, no entry stored for non-edges) and a strictly
-positive vertex measure m(x).  Numerical kernels index vertices by the
-graph's internal order.  The local operators (Laplacian, carre du champ,
-degrees, curvature forms) read the compressed rows of ``WeightedGraph.csr``,
-so they run in memory linear in the number of vertices and edges.  The
-heat semigroup, and the estimates built on it, factorize a dense N x N
-matrix assembled from the edges.
+positive vertex measure m(x).  The graph is held in arrays: one dict maps
+vertex ids to indices, and ``WeightedGraph.from_arrays`` takes the edges
+as index arrays.  The local operators (Laplacian, carre du champ, degrees,
+curvature forms) read the compressed rows of ``WeightedGraph.csr``, so they
+run in memory linear in the number of vertices and edges.  The heat
+semigroup, and the estimates built on it, factorize a dense N x N matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,13 +42,17 @@ class AdjacencyCSR:
     """
 
     def __init__(self, num_vertices: int, iu: np.ndarray, iv: np.ndarray, w: np.ndarray):
-        rows = np.concatenate((iu, iv))
-        cols = np.concatenate((iv, iu))
-        order = np.lexsort((cols, rows))
+        """From ``WeightedGraph.edge_arrays``: each edge once, iu < iv, sorted by (iu, iv).
+
+        Row x is then the edges (a, x) in the order of a < x followed by the
+        edges (x, b) in the order of b > x, so a stable sort by row alone puts
+        every row in index order.
+        """
+        rows = np.concatenate((iv, iu))
+        order = np.argsort(rows, kind="stable")
         lengths = np.bincount(rows, minlength=num_vertices)
-        self.indptr = np.zeros(num_vertices + 1, dtype=np.intp)
-        np.cumsum(lengths, out=self.indptr[1:])
-        self.indices = cols[order]
+        self.indptr = np.append(0, np.cumsum(lengths))
+        self.indices = np.concatenate((iu, iv))[order]
         self.weights = np.concatenate((w, w))[order]
         self.rows = rows[order]
         self._lengths = lengths
@@ -81,35 +85,95 @@ class AdjacencyCSR:
         return (self.indptr[rows] - np.cumsum(lengths) + lengths)[owner] + np.arange(len(owner)), owner
 
 
+def _pair_order(iu: np.ndarray, iv: np.ndarray):
+    """The entries' stable order by unordered pair (min, max), the sorted min and max, and repeats.
+
+    ``repeat`` marks the sorted entries whose pair is that of the entry
+    before.  Input already in that order, as ``serialize_graph`` writes it,
+    is not sorted again.
+    """
+    lo, hi = np.minimum(iu, iv), np.maximum(iu, iv)
+    if ((lo[1:] > lo[:-1]) | (lo[1:] == lo[:-1]) & (hi[1:] >= hi[:-1])).all():
+        order = np.arange(len(lo))
+    else:
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+    repeat = np.zeros(len(lo), dtype=bool)
+    repeat[1:] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    return order, lo, hi, repeat
+
+
+def _indices(names: list[str], index: dict[str, int], unknown: dict[str, int]) -> np.ndarray:
+    """The index of each name; a name that is not a vertex is numbered -1, -2, ... in ``unknown``."""
+    try:
+        return np.fromiter(map(index.__getitem__, names), np.intp, len(names))
+    except KeyError:
+        return np.array([index[x] if x in index else unknown.setdefault(x, -1 - len(unknown))
+                         for x in names], dtype=np.intp)
+
+
 class WeightedGraph:
     """Finite weighted graph over a discrete measure space.
 
-    Vertex ids are opaque strings mapped internally to dense indices
-    0..N-1, which keeps file round-trips stable while letting the linear
-    algebra run on contiguous arrays.  Edge weights are canonically stored
-    once per unordered pair and accessed symmetrically, so a successfully
-    constructed graph cannot represent an asymmetric weight; ``validate``
-    exists to diagnose raw ingested data before the numeric caches are
-    touched.
-
-    Instances are immutable after construction and safe to share across
-    threads.
+    Vertex ids are opaque strings mapped to dense indices 0..N-1 by one dict.
+    The graph holds its edges as index arrays, once per unordered pair
+    (``edge_arrays``), its measure as a vector in vertex order, and the
+    compressed rows ``csr`` built from them on first use.  ``from_arrays``
+    is the one constructor; the mapping constructor converts names to
+    indices and calls it.  Construction does not fail on bad data: the
+    structural checks run once on the arrays, ``validate`` returns what they
+    found, and the numeric views of an invalid graph raise ``ValueError``.
+    Instances are immutable and safe to share across threads.
     """
 
-    def __init__(
-        self,
-        vertices: Iterable[str],
-        weights: Mapping[tuple[str, str], float] | Iterable[tuple[str, str, float]],
-        measure: Mapping[str, float],
-    ):
-        self._vertices = tuple(str(v) for v in vertices)
-        if isinstance(weights, Mapping):
-            raw = {(str(u), str(v)): float(w) for (u, v), w in weights.items()}
-        else:
-            raw = {(str(u), str(v)): float(w) for u, v, w in weights}
-        self._raw_weights = raw
-        self._raw_measure = {str(v): float(mv) for v, mv in measure.items()}
-        self._index = {v: i for i, v in enumerate(self._vertices)}
+    def __init__(self, vertices: Iterable[str],
+                 weights: Mapping[tuple[str, str], float] | Iterable[tuple[str, str, float]],
+                 measure: Mapping[str, float]):
+        """The graph with b(u, v) = ``weights[u, v]`` (or (u, v, w) triples) and m = ``measure``.
+
+        A thin converter onto ``from_arrays``: endpoints and measure keys
+        that are not vertices, and vertices without a measure, are passed on
+        by name for ``validate``.
+        """
+        names = [str(v) for v in vertices]
+        pairs = weights.items() if isinstance(weights, Mapping) else (((u, v), w) for u, v, w in weights)
+        raw = {(str(u), str(v)): float(w) for (u, v), w in pairs}
+        measure = {str(v): float(mv) for v, mv in measure.items()}
+        index, unknown = dict(zip(names, range(len(names)))), {}
+        ends = _indices([x for pair in raw for x in pair], index, unknown).reshape(-1, 2)
+        self.__dict__.update(vars(WeightedGraph.from_arrays(
+            names, ends[:, 0], ends[:, 1], np.fromiter(raw.values(), float, len(raw)),
+            [measure.get(v, math.nan) for v in names], undeclared=list(unknown), measure_keys=measure)))
+
+    @classmethod
+    def from_arrays(cls, vertices: Sequence[str], iu: np.ndarray, iv: np.ndarray, w: np.ndarray,
+                    m: np.ndarray, *, undeclared: Sequence[str] = (),
+                    measure_keys: Collection[str] | None = None) -> "WeightedGraph":
+        """Edges (iu[k], iv[k]) of weight w[k] and the measure m, over ``vertices`` in index order.
+
+        A pair may be listed in both orientations, with one weight, but not twice in one.
+        Index -1 - j is an endpoint that is not a vertex, ``undeclared[j]``.  ``measure_keys``,
+        if given, are the ids with a declared measure: a vertex outside them has none (m is
+        not read there), and a key that is not a vertex is a violation.
+        """
+        g = cls.__new__(cls)
+        g._vertices = tuple(vertices)
+        g._index = dict(zip(g._vertices, range(len(g._vertices))))
+        iu, iv = np.asarray(iu, dtype=np.intp), np.asarray(iv, dtype=np.intp)
+        w, m = np.asarray(w, dtype=float), np.array(m, dtype=float)
+        n = len(g._vertices)
+        if (not iu.shape == iv.shape == w.shape == (len(w),) or m.shape != (n,) or len(w)
+                and (max(iu.max(), iv.max()) >= n or min(iu.min(), iv.min()) < -len(undeclared))):
+            raise ValueError("expected edge arrays of one length, with indices in range, and m per vertex")
+        order, lo, hi, repeat = _pair_order(iu, iv)
+        up = (iu < iv)[order]  # the orientation of each entry, in pair order
+        if (repeat[1:] & (repeat[:-1] | (up[1:] == up[:-1]))).any():
+            raise ValueError("an edge is listed twice in one orientation")
+        g._violations = _violations(g, iu, iv, w, m, order, repeat, tuple(undeclared), measure_keys)
+        g._edges, g._measure = tuple(a[~repeat] for a in (lo, hi, w[order])), m
+        for a in (*g._edges, m):
+            a.setflags(write=False)
+        return g
 
     # -- basic accessors -------------------------------------------------
 
@@ -136,51 +200,15 @@ class WeightedGraph:
             return NotImplemented
         return (
             self._vertices == other._vertices
-            and self._canonical_weights == other._canonical_weights
-            and self._raw_measure == other._raw_measure
+            and all(map(np.array_equal, self.edge_arrays, other.edge_arrays))
+            and np.array_equal(self.measure_vector, other.measure_vector)
         )
 
     __hash__ = None  # equality is structural; instances are not hashable
 
     def __repr__(self) -> str:
-        return (
-            f"WeightedGraph({self.num_vertices} vertices, "
-            f"{len(self._canonical_weights) if not self._violations else '?'} edges)"
-        )
-
-    # -- validity and canonical storage ----------------------------------
-
-    @cached_property
-    def _violations(self) -> tuple[str, ...]:
-        out: list[str] = []
-        seen: set[str] = set()
-        for v in self._vertices:
-            if v in seen:
-                out.append(f"duplicate vertex id {v!r}")
-            seen.add(v)
-        for (u, v), w in self._raw_weights.items():
-            if u not in self._index or v not in self._index:
-                out.append(f"edge ({u!r}, {v!r}) has an undeclared endpoint")
-                continue
-            if u == v:
-                out.append(f"nonzero diagonal at {u!r}")
-                continue
-            if not math.isfinite(w) or w <= 0.0:
-                out.append(f"nonpositive weight at ({u!r}, {v!r})")
-                continue
-            mirror = self._raw_weights.get((v, u))
-            if mirror is not None and mirror != w and u < v:
-                out.append(f"asymmetry at ({u!r}, {v!r})")
-        for v in self._vertices:
-            mv = self._raw_measure.get(v)
-            if mv is None:
-                out.append(f"missing measure at {v!r}")
-            elif not math.isfinite(mv) or mv <= 0.0:
-                out.append(f"nonpositive measure at {v!r}")
-        for v in self._raw_measure:
-            if v not in self._index:
-                out.append(f"measure entry for unknown vertex {v!r}")
-        return tuple(out)
+        edges = len(self.edge_arrays[2]) if not self._violations else "?"
+        return f"WeightedGraph({self.num_vertices} vertices, {edges} edges)"
 
     def _require_valid(self) -> None:
         if self._violations:
@@ -188,18 +216,13 @@ class WeightedGraph:
                 "invalid graph: " + "; ".join(self._violations)
             )
 
-    @cached_property
-    def _canonical_weights(self) -> dict[tuple[str, str], float]:
-        """Edges keyed once per unordered pair, endpoint indices ascending."""
-        self._require_valid()
-        canon: dict[tuple[str, str], float] = {}
-        for (u, v), w in self._raw_weights.items():
-            if self._index[u] > self._index[v]:
-                u, v = v, u
-            canon[(u, v)] = w
-        return canon
-
     # -- numeric views ----------------------------------------------------
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(iu, iv, w), one entry per unordered edge, iu < iv, sorted by (iu, iv); read-only."""
+        self._require_valid()
+        return self._edges
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:
@@ -221,12 +244,11 @@ class WeightedGraph:
         """Compressed rows of the weights, built once from ``edge_arrays``."""
         return AdjacencyCSR(self.num_vertices, *self.edge_arrays)
 
-    @cached_property
+    @property
     def measure_vector(self) -> np.ndarray:
+        """m in vertex order; read-only."""
         self._require_valid()
-        m = np.array([self._raw_measure[v] for v in self._vertices])
-        m.setflags(write=False)
-        return m
+        return self._measure
 
     @cached_property
     def weighted_degrees(self) -> np.ndarray:
@@ -243,43 +265,56 @@ class WeightedGraph:
 
         return _factorize(self, None, np.arange(self.num_vertices))
 
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(iu, iv, w) index/weight arrays, one entry per unordered edge."""
-        items = sorted(
-            ((self._index[u], self._index[v], w) for (u, v), w in self._canonical_weights.items())
-        )
-        if not items:
-            empty = np.zeros(0, dtype=int)
-            return empty, empty.copy(), np.zeros(0)
-        iu, iv, w = zip(*items)
-        return np.array(iu, dtype=int), np.array(iv, dtype=int), np.array(w)
-
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        ptr, nbrs = self.csr.indptr.tolist(), self.csr.indices.tolist()
-        return tuple(tuple(nbrs[ptr[i]:ptr[i + 1]]) for i in range(self.num_vertices))
-
     def weight(self, u: str, v: str) -> float:
-        """b(u, v), symmetric; 0.0 for non-adjacent pairs."""
-        i, j = self.index(u), self.index(v)
-        if i > j:
-            u, v = v, u
-        return self._canonical_weights.get((u, v), 0.0)
+        """b(u, v), symmetric; 0.0 for non-adjacent pairs: a binary search in row u."""
+        i, j, csr = self.index(u), self.index(v), self.csr
+        start, end = csr.indptr[i], csr.indptr[i + 1]
+        k = start + int(np.searchsorted(csr.indices[start:end], j))
+        return float(csr.weights[k]) if k < end and csr.indices[k] == j else 0.0
 
     def measure(self, x: str) -> float:
-        self.index(x)
-        self._require_valid()
-        return self._raw_measure[x]
+        return float(self.measure_vector[self.index(x)])
 
     def edges(self) -> Iterable[tuple[str, str, float]]:
         """Iterate edges once per unordered pair in index order."""
-        iu, iv, w = self.edge_arrays
-        for i, j, wij in zip(iu, iv, w):
-            yield self._vertices[i], self._vertices[j], float(wij)
+        names = self._vertices
+        for i, j, wij in zip(*(a.tolist() for a in self.edge_arrays)):
+            yield names[i], names[j], wij
 
     def neighbors(self, x: str) -> tuple[str, ...]:
-        return tuple(self._vertices[i] for i in self._adjacency[self.index(x)])
+        i, csr = self.index(x), self.csr
+        return tuple(self._vertices[j] for j in csr.indices[csr.indptr[i]:csr.indptr[i + 1]].tolist())
+
+
+def _violations(g: WeightedGraph, iu, iv, w, m, order, repeat, undeclared, measure_keys) -> tuple[str, ...]:
+    """One message per violation: duplicate ids, then the edge entries in order, then the measures.
+
+    Each edge entry is reported for its first fault of: an endpoint that is
+    not a vertex, a diagonal, a weight that is not finite and positive, and
+    an asymmetry.  A pair listed in both orientations with two weights is an
+    asymmetry at the entry whose endpoint names ascend.  Only flagged
+    entries are named.
+    """
+    names, seen = g._vertices, set()
+    out = [f"duplicate vertex id {v!r}" for v in names if v in seen or seen.add(v)]
+    labels = names + tuple(reversed(undeclared))  # index -1 - j is undeclared[j]
+    outside = (iu < 0) | (iv < 0)
+    diagonal = ~outside & (iu == iv)
+    bad = ~(outside | diagonal) & ~(np.isfinite(w) & (w > 0.0))
+    asymmetric, ws = np.zeros(len(w), dtype=bool), w[order]
+    for s in np.flatnonzero(repeat[1:] & (ws[1:] != ws[:-1])).tolist():  # the two entries of a pair
+        for k in order[[s, s + 1]].tolist():
+            asymmetric[k] = not (outside[k] or bad[k]) and labels[iu[k]] < labels[iv[k]]
+    kinds = ("edge ({!r}, {!r}) has an undeclared endpoint", "nonzero diagonal at {!r}",
+             "nonpositive weight at ({!r}, {!r})", "asymmetry at ({!r}, {!r})")
+    flags = np.stack((outside, diagonal, bad, asymmetric))
+    for k in np.flatnonzero(flags.any(axis=0)).tolist():
+        out.append(kinds[int(np.argmax(flags[:, k]))].format(labels[iu[k]], labels[iv[k]]))
+    for i in np.flatnonzero(~(np.isfinite(m) & (m > 0.0))).tolist():
+        missing = measure_keys is not None and names[i] not in measure_keys
+        out.append(f"{'missing' if missing else 'nonpositive'} measure at {names[i]!r}")
+    out += [f"measure entry for unknown vertex {v!r}" for v in measure_keys or () if v not in g._index]
+    return tuple(out)
 
 
 class GraphFunction:
@@ -374,38 +409,37 @@ def degree(g: WeightedGraph, x: str) -> float:
 
 
 def ball(g: WeightedGraph, x: str, r: int) -> set[str]:
-    """Vertices within combinatorial distance r of x (edges are b > 0 pairs)."""
+    """Vertices within combinatorial distance r of x (edges are b > 0 pairs), by a BFS on ``csr``."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    start = g.index(x)
-    seen = {start}
-    frontier = [start]
+    frontier = np.array([g.index(x)])
+    csr, seen = g.csr, np.zeros(g.num_vertices, dtype=bool)
+    seen[frontier] = True
     for _ in range(r):
-        nxt = []
-        for i in frontier:
-            for j in g._adjacency[i]:
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        if not nxt:
+        ends = csr.indices[csr.entries(frontier)[0]]
+        frontier = np.unique(ends[~seen[ends]])
+        if not frontier.size:
             break
-        frontier = nxt
-    return {g.vertices[i] for i in seen}
+        seen[frontier] = True
+    return {g.vertices[i] for i in np.flatnonzero(seen).tolist()}
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    """True iff every pair of vertices is joined by a positive-weight path."""
+    """True iff every pair of vertices is joined by a positive-weight path.
+
+    Each round hooks every root label onto the smallest root label across
+    its edges, then jumps every label to its root.  A BFS would take as many
+    rounds as the diameter.
+    """
     if g.num_vertices == 0:
         raise ValueError("connectivity is undefined for the empty graph")
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in g._adjacency[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == g.num_vertices
+    iu, iv, _ = g.edge_arrays
+    label = np.arange(g.num_vertices)
+    while (label[iu] != label[iv]).any():
+        np.minimum.at(label, np.maximum(label[iu], label[iv]), np.minimum(label[iu], label[iv]))
+        while (label[label] != label).any():
+            label = label[label]
+    return bool((label == 0).all())
 
 
 def ellipticity_constant(g: WeightedGraph) -> EllipticityCertificate:
@@ -419,17 +453,6 @@ def ellipticity_constant(g: WeightedGraph) -> EllipticityCertificate:
     return EllipticityCertificate(
         constant=float(ratio[k]), witness_edge=(g.vertices[iu[k]], g.vertices[iv[k]])
     )
-
-
-def _hypercube_edges(d: int) -> tuple[list[str], list[tuple[str, str]]]:
-    names = [format(i, f"0{d}b") for i in range(2**d)]
-    edges = []
-    for i in range(2**d):
-        for bit in range(d):
-            j = i ^ (1 << bit)
-            if i < j:
-                edges.append((names[i], names[j]))
-    return names, edges
 
 
 def generate(
@@ -450,51 +473,39 @@ def generate(
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-
+    names, w = [f"v{i}" for i in range(size)], None
     if family == "path":
-        names = [f"v{i}" for i in range(size)]
-        pairs = [(names[i], names[i + 1]) for i in range(size - 1)]
-        weights = {p: 1.0 for p in pairs}
+        iu, iv = np.arange(size - 1), np.arange(1, size)
     elif family == "cycle":
         if size < 3:
             raise ValueError("a cycle needs at least 3 vertices")
-        names = [f"v{i}" for i in range(size)]
-        weights = {(names[i], names[(i + 1) % size]): 1.0 for i in range(size)}
+        iu, iv = np.arange(size), (np.arange(size) + 1) % size
     elif family == "complete":
-        names = [f"v{i}" for i in range(size)]
-        weights = {
-            (names[i], names[j]): 1.0 for i in range(size) for j in range(i + 1, size)
-        }
+        iu, iv = np.triu_indices(size, 1)
     elif family == "star":
         names = ["c"] + [f"l{i}" for i in range(size)]
-        weights = {("c", leaf): 1.0 for leaf in names[1:]}
+        iu, iv = np.zeros(size, dtype=np.intp), np.arange(1, size + 1)
     elif family == "hypercube":
-        names, pairs = _hypercube_edges(size)
-        weights = {p: 1.0 for p in pairs}
+        names = [format(i, f"0{size}b") for i in range(2**size)]
+        i = np.arange(2**size)[:, None]
+        flips = i ^ (1 << np.arange(size))
+        iu, iv = np.nonzero(flips > i)[0], flips[flips > i]
     elif family == "weighted_tree":
         rng = np.random.default_rng(0 if seed is None else seed)
-        names = [f"v{i}" for i in range(size)]
-        weights = {}
-        for i in range(1, size):
-            parent = int(rng.integers(0, i))
-            weights[(names[parent], names[i])] = float(rng.uniform(0.5, 2.0))
+        draws = np.array([(rng.integers(0, i), rng.uniform(0.5, 2.0)) for i in range(1, size)]).reshape(-1, 2)
+        iu, iv, w = draws[:, 0].astype(np.intp), np.arange(1, size), draws[:, 1]
     else:
         raise ValueError(f"unknown graph family {family!r}")
+    w = np.ones(len(iu)) if w is None else w
 
     if measure_profile == "unit":
-        measure = {v: 1.0 for v in names}
+        m = np.ones(len(names))
     elif measure_profile == "normalizing":
-        sums = {v: 0.0 for v in names}
-        for (u, v), w in weights.items():
-            sums[u] += w
-            sums[v] += w
-        isolated = [v for v, s in sums.items() if s == 0.0]
-        if isolated:
-            raise ValueError(
-                f"normalizing measure undefined for isolated vertices {isolated!r}"
-            )
-        measure = sums
+        # each vertex adds up its edges in edge order, as a sum over a weights mapping does
+        m = np.bincount(np.column_stack((iu, iv)).ravel(), np.repeat(w, 2), minlength=len(names))
+        if not m.all():
+            isolated = [names[i] for i in np.flatnonzero(m == 0.0).tolist()]
+            raise ValueError(f"normalizing measure undefined for isolated vertices {isolated!r}")
     else:
         raise ValueError(f"unknown measure profile {measure_profile!r}")
-
-    return WeightedGraph(names, weights, measure)
+    return WeightedGraph.from_arrays(names, iu, iv, w, m)

@@ -293,11 +293,13 @@ class _SolvedForms:
     """The distinct forms of the most recent stacks, by shape.
 
     They are kept within ``STACK_ENTRIES`` entries, or the last stack's alone
-    when it is bigger, which only a stack of one member can be.
+    when it is bigger, which only a stack of one member can be.  A kept
+    stack's ``uint64`` words and fingerprints are made once, the first time
+    it is compared.
     """
 
     def __init__(self):
-        self.kept: dict[tuple, deque] = {}  # shape -> (stack, gamma row sums), oldest first
+        self.kept: dict[tuple, deque] = {}  # shape -> [stack, gamma row sums, words, prints], oldest first
         self.shapes: deque = deque()  # the shape of each kept stack, oldest first
         self.size = 0
         self.weights = np.empty(0)
@@ -310,29 +312,39 @@ class _SolvedForms:
         Then each member's fingerprint, the dot product of its entries with fixed
         random weights, names one candidate, the first form with that
         fingerprint; the member is a copy of it only when their entries are equal
-        as ``uint64``.
+        as ``uint64``.  Each candidate is compared with its source row where that
+        row is kept, without gathering the kept forms into one pool.
         """
         V, shape = len(stack.gamma), stack.q.shape[1:]
         kept = self.kept.get(shape, ())
-        sums = stack.gamma.sum(axis=1)
-        ranked = np.sort(np.concatenate([entry[1] for entry in kept] + [sums]) if kept else sums)
+        new = [stack, stack.gamma.sum(axis=1), None, None]
+        ranked = np.sort(np.concatenate([entry[1] for entry in kept] + [new[1]]))
         copies = np.empty((2, 0), dtype=np.intp)
         if (ranked[1:] == ranked[:-1]).any():
+            pool = [*kept, new]
+            for entry in pool:
+                if entry[2] is None:
+                    rows = np.concatenate([a.reshape(len(entry[1]), -1) for a in entry[0][:5]], axis=1)
+                    entry[2:] = rows.view(np.uint64), self._prints(rows)
             M = len(ranked) - V
-            stacks = [entry[0] for entry in kept] + [stack]
-            words = np.concatenate([np.concatenate([a.reshape(len(s.gamma), -1) for a in s[:5]], axis=1)
-                                    for s in stacks])
-            source = _first_equal(self._prints(words))[M:]
-            words = words.view(np.uint64)
-            copy = source < M + np.arange(V)
-            copy[copy] = (words[source[copy]] == words[M:][copy]).all(axis=1)
+            source = _first_equal(np.concatenate([entry[3] for entry in pool]))[M:]
+            candidate = source < M + np.arange(V)
+            copy, words, start = np.zeros(V, dtype=bool), new[2], 0
+            for entry in pool:  # one source row is broadcast, not gathered
+                here = np.flatnonzero(candidate & (source >= start) & (source < start + len(entry[1])))
+                if len(here):
+                    src = source[here] - start
+                    ref = entry[2][src[0]] if (src == src[0]).all() else entry[2][src]
+                    copy[here] = ((words if len(here) == V else words[here]) == ref).all(axis=1)
+                start += len(entry[1])
             if copy.any():
-                centers = np.concatenate([s.centers for s in stacks])
+                centers = np.concatenate([entry[0].centers for entry in pool])
                 copies = np.array([stack.centers[copy], centers[source[copy]]])
                 keep = ~copy
-                stack, sums = LocalFormStack(*(a[keep] for a in stack[:6])), sums[keep]
-        if len(sums):
-            self.kept.setdefault(shape, deque()).append((stack, sums))
+                stack = LocalFormStack(*(a[keep] for a in stack[:6]))
+                new = [stack, new[1][keep], words[keep], new[3][keep]]
+        if len(new[1]):
+            self.kept.setdefault(shape, deque()).append(new)
             self.shapes.append(shape)
             self.size += sum(a.size for a in stack[:5])
             while self.size > STACK_ENTRIES and len(self.shapes) > 1:

@@ -11,7 +11,9 @@ gradient integral in estimate (ii), an eager one-report-per-triple builder
 is the reference for the columnar estimate sweep, and edge and column
 loops are the references for the ellipticity constant and the adjacency
 operator norm.  Dense N x N references, filled pair by pair from
-``WeightedGraph.weight``, check the package's edge-list kernels.
+``WeightedGraph.weight``, check the package's edge-list kernels, and a
+dict-of-dicts adjacency with a plain breadth-first search checks the
+graph's own lookups (``weight``, ``neighbors``, ``ball``, ``is_connected``).
 """
 
 from __future__ import annotations
@@ -261,3 +263,28 @@ def loop_adjacency_norm(g: WeightedGraph) -> float:
     for iy in range(g.num_vertices):
         norm = max(norm, float(np.max(np.abs(W[:, iy] / m))) / float(m[iy]))
     return norm
+
+
+# -- reference adjacency and breadth-first search -----------------------------------
+
+
+def naive_adjacency(names, triples) -> dict[str, dict[str, float]]:
+    """b(u, v) by name from (u, v, w) triples, each pair stored both ways."""
+    adjacency: dict[str, dict[str, float]] = {v: {} for v in names}
+    for u, v, w in triples:
+        adjacency[u][v] = adjacency[v][u] = w
+    return adjacency
+
+
+def bfs_ball(adjacency: dict[str, dict[str, float]], x: str, r: int) -> set[str]:
+    """Vertices within r steps of x, by a plain breadth-first search."""
+    seen, frontier = {x}, [x]
+    for _ in range(r):
+        reached = []
+        for y in frontier:
+            for z in adjacency[y]:
+                if z not in seen:
+                    seen.add(z)
+                    reached.append(z)
+        frontier = reached
+    return seen

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph, random_function
+from conftest import bfs_ball, naive_adjacency, random_connected_graph, random_function
 from graphcurv import (
     GraphFunction,
     WeightedGraph,
@@ -20,6 +20,8 @@ from graphcurv import (
     green_check,
     is_connected,
     laplacian,
+    parse_graph,
+    serialize_graph,
     validate,
 )
 
@@ -67,6 +69,121 @@ def test_invalid_graph_rejects_numeric_access():
     g = WeightedGraph(["a", "b"], {("a", "b"): 1.0, ("b", "a"): 2.0}, {"a": 1.0, "b": 1.0})
     with pytest.raises(ValueError, match="invalid graph"):
         _ = g.weight_matrix
+
+
+def test_validate_lists_every_kind_of_violation_in_order():
+    # duplicate ids first, then the weight entries in the order given (each
+    # for its first fault), then the measures in vertex order, then the
+    # measure keys that name no vertex
+    g = WeightedGraph(
+        ["a", "b", "c", "a", "d", "e"],
+        {("a", "zz"): 1.0, ("c", "c"): 2.0, ("a", "b"): -1.0, ("b", "c"): 1.0, ("c", "b"): 2.0,
+         ("d", "e"): math.nan, ("e", "d"): 3.0, ("qq", "rr"): 1.0, ("d", "c"): math.inf},
+        {"a": 1.0, "b": 0.0, "c": math.nan, "d": -1.0, "ghost": 1.0, "zz": 2.0},
+    )
+    assert validate(g) == [
+        "duplicate vertex id 'a'",
+        "edge ('a', 'zz') has an undeclared endpoint",
+        "nonzero diagonal at 'c'",
+        "nonpositive weight at ('a', 'b')",
+        "asymmetry at ('b', 'c')",
+        "nonpositive weight at ('d', 'e')",
+        "edge ('qq', 'rr') has an undeclared endpoint",
+        "nonpositive weight at ('d', 'c')",
+        "nonpositive measure at 'b'",
+        "nonpositive measure at 'c'",
+        "nonpositive measure at 'd'",
+        "missing measure at 'e'",
+        "measure entry for unknown vertex 'ghost'",
+        "measure entry for unknown vertex 'zz'",
+    ]
+    with pytest.raises(ValueError, match="^invalid graph: duplicate vertex id 'a'; edge"):
+        _ = g.csr
+
+
+@pytest.mark.parametrize("weights,expected", [
+    ({("b", "a"): 1.0, ("a", "b"): 2.0}, ["asymmetry at ('a', 'b')"]),  # at the entry named in order
+    ({("a", "b"): -1.0, ("b", "a"): 2.0}, ["nonpositive weight at ('a', 'b')"]),
+    ({("a", "b"): 1.0, ("b", "a"): math.nan},
+     ["asymmetry at ('a', 'b')", "nonpositive weight at ('b', 'a')"]),
+])
+def test_validate_names_an_asymmetry_once(weights, expected):
+    assert validate(WeightedGraph(["b", "a"], weights, {"a": 1.0, "b": 1.0})) == expected
+
+
+def test_from_arrays_rejects_malformed_arrays():
+    names, m = ["a", "b", "c"], np.ones(3)
+    with pytest.raises(ValueError, match="one length"):
+        WeightedGraph.from_arrays(names, [0, 1], [1], [1.0, 1.0], m)
+    with pytest.raises(ValueError, match="in range"):
+        WeightedGraph.from_arrays(names, [0], [3], [1.0], m)
+    with pytest.raises(ValueError, match="in range"):
+        WeightedGraph.from_arrays(names, [0], [-1], [1.0], m)  # no undeclared names
+    with pytest.raises(ValueError, match="m per vertex"):
+        WeightedGraph.from_arrays(names, [0], [1], [1.0], np.ones(2))
+    with pytest.raises(ValueError, match="twice in one orientation"):
+        WeightedGraph.from_arrays(names, [0, 0], [1, 1], [1.0, 1.0], m)
+    both = WeightedGraph.from_arrays(names, [0, 1], [1, 0], [1.0, 1.0], m)
+    assert validate(both) == [] and both.edge_arrays[2].tolist() == [1.0]
+    undeclared = WeightedGraph.from_arrays(names, [0, -2], [-1, 1], [1.0, 1.0], m, undeclared=["x", "y"])
+    assert validate(undeclared) == ["edge ('a', 'x') has an undeclared endpoint",
+                                    "edge ('y', 'b') has an undeclared endpoint"]
+
+
+def _parity_graphs():
+    for family, size in [("path", 1), ("path", 6), ("cycle", 7), ("complete", 5), ("star", 4),
+                         ("hypercube", 3), ("weighted_tree", 9)]:
+        for profile in ("unit", "normalizing"):
+            if (family, size) != ("path", 1) or profile == "unit":
+                yield generate(family, size, profile, seed=2)
+    rng = np.random.default_rng(17)
+    for n in (2, 9, 20):
+        yield random_connected_graph(rng, n)
+    yield WeightedGraph(["a", "b", "c"], {("a", "b"): 0.5}, {"a": 1.0, "b": 2.0, "c": 3.0})
+
+
+def _four_ways(names, triples, measure):
+    """The graph of (u, v, w) triples and a measure by name, built by each constructor and parser."""
+    at = {v: i for i, v in enumerate(names)}
+    iu = np.array([at[u] for u, _, _ in triples], dtype=int)
+    iv = np.array([at[v] for _, v, _ in triples], dtype=int)
+    arrays = WeightedGraph.from_arrays(names, iu, iv, [w for _, _, w in triples],
+                                       [measure[v] for v in names])
+    mapping = WeightedGraph(names, {(u, v): w for u, v, w in triples}, measure)
+    edge_list = parse_graph("".join(f"{u} {v} {w!r}\n" for u, v, w in triples),
+                            "".join(f"{v} {measure[v]!r}\n" for v in names))
+    return arrays, mapping, parse_graph(serialize_graph(mapping)), edge_list
+
+
+def _numeric_arrays(g):
+    return (*g.edge_arrays, g.measure_vector, g.csr.indptr, g.csr.indices, g.csr.weights, g.csr.rows)
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["as_built", "relabelled"])
+def test_every_constructor_builds_one_graph(relabel):
+    # relabelled: the vertices in another order, the edges shuffled and half
+    # of them listed the other way round
+    rng = np.random.default_rng(23)
+    for g in _parity_graphs():
+        names, triples = list(g.vertices), list(g.edges())
+        measure = {v: g.measure(v) for v in names}
+        if relabel:
+            names = [names[i] for i in rng.permutation(len(names))]
+            triples = [(v, u, w) if rng.random() < 0.5 else (u, v, w)
+                       for u, v, w in (triples[i] for i in rng.permutation(len(triples)))]
+        graphs = _four_ways(names, triples, measure)
+        for other in graphs[1:]:
+            assert other.vertices == graphs[0].vertices == tuple(names)
+            for a, b in zip(_numeric_arrays(graphs[0]), _numeric_arrays(other)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        adjacency = naive_adjacency(names, triples)
+        connected = bfs_ball(adjacency, names[0], len(names)) == set(names)
+        for h in graphs:
+            assert is_connected(h) == connected
+            for u in names:
+                assert h.neighbors(u) == tuple(sorted(adjacency[u], key=names.index))
+                assert [h.weight(u, v) for v in names] == [adjacency[u].get(v, 0.0) for v in names]
+                assert all(ball(h, u, r) == bfs_ball(adjacency, u, r) for r in range(4))
 
 
 def _random_functions(g, k):

@@ -100,6 +100,55 @@ def test_parse_json_undeclared_endpoint_rejected():
         parse_graph(json.dumps(doc))
 
 
+def _doc(vertices, edges, version=1):
+    return json.dumps({"format_version": version, "vertices": vertices, "edges": edges})
+
+
+_ABC = [{"id": v, "measure": 1} for v in "abc"]
+_AB = {"u": "a", "v": "b", "weight": 1}
+_ABC_MEASURES = "a 1\nb 1\nc 1\n"
+
+
+@pytest.mark.parametrize("text,measures,message", [
+    ("{not json", None,
+     "JSON parse error: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (_doc([], [], version=2), None, "format_version: expected 1, got 2"),
+    ('{"format_version": 1, "vertices": {}, "edges": []}', None, "vertices: expected a list"),
+    ('{"format_version": 1, "vertices": [], "edges": null}', None, "edges: expected a list"),
+    (_doc(["a"], []), None, "vertices[0]: expected an object with id and measure"),
+    (_doc([{"id": 1, "measure": 1}], []), None, "vertices[0].id: expected a string"),
+    (_doc(_ABC + [{"id": "b", "measure": 2}], []), None, "vertices[3]: duplicate vertex id 'b'"),
+    (_doc([{"id": "a", "measure": "heavy"}], []), None, "vertices[0].measure: expected a number"),
+    (_doc(_ABC, [_AB, 7]), None, "edges[1]: expected an object with u, v and weight"),
+    (_doc(_ABC, [_AB, {"u": "a", "v": ["c"], "weight": 1}]), None, "edges[1]: endpoints must be strings"),
+    (_doc(_ABC, [_AB, {"u": "b", "v": "c", "weight": None}]), None, "edges[1].weight: expected a number"),
+    (_doc(_ABC, [_AB, {"u": "c", "v": "b", "weight": 1}, {"u": "b", "v": "a", "weight": 1}]), None,
+     "edges[2]: conflicting symmetric entries for edge ('b', 'a')"),
+    ("a b 1\n", None, "edge-list input requires a measure file"),
+    ("a b 1\n", "a 1 2\n", "measures line 1: expected 'vertex measure'"),
+    ("a b 1\n", "a 1\nb 2\na 3\n", "measures line 3: duplicate measure for 'a'"),
+    ("a b 1\n", "a one\n", "measures line 1: bad measure 'one'"),
+    ("a b 1\nb c\n", _ABC_MEASURES, "edges line 2: expected 'u v weight'"),
+    ("a b 1\nb c one\n", _ABC_MEASURES, "edges line 2: bad weight 'one'"),
+    ("a b 1\nb d 1\n", _ABC_MEASURES, "edges line 2: no measure declared for vertex 'd'"),
+    ("a b 1\nb c 1\nc b 2\n", _ABC_MEASURES, "edges line 3: conflicting symmetric entries for ('c', 'b')"),
+    # of two repeated pairs, the one repeated first in the file, not the first pair
+    ("a b 1\nb c 1\nc b 1\nb a 1\n", _ABC_MEASURES,
+     "edges line 3: conflicting symmetric entries for ('c', 'b')"),
+    # two faults: the first in file order is reported, a repeated pair or not
+    (_doc(_ABC, [_AB, {"u": "b", "v": "a", "weight": 1}, {"u": "a", "v": "c", "weight": "x"}]), None,
+     "edges[1]: conflicting symmetric entries for edge ('b', 'a')"),
+    (_doc(_ABC, [_AB, {"u": "a", "v": "c", "weight": "x"}, {"u": "b", "v": "a", "weight": 1}]), None,
+     "edges[1].weight: expected a number"),
+    ("a b 1\nb a 1\nb c x\n", _ABC_MEASURES, "edges line 2: conflicting symmetric entries for ('b', 'a')"),
+    ("a b 1\nb c x\nb a 1\n", _ABC_MEASURES, "edges line 2: bad weight 'x'"),
+])
+def test_parse_errors_are_pinned(text, measures, message):
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(text, measures)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "family,size,profile",
     [("path", 5, "unit"), ("cycle", 6, "normalizing"), ("complete", 4, "unit"),
