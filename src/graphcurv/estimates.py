@@ -32,6 +32,7 @@ finite-measure threshold probe, and small-t Taylor coefficient fits.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators
 from .curvature import _cd_holds, _check_dimension, cd_check
 from .graphs import (
     GraphFunction,
@@ -221,14 +223,15 @@ def _phi2(x: float) -> float:
 
 
 def _gradient_integral(
-    g: WeightedGraph, h: HeatOperator, K: float, lap_F: np.ndarray, t: float
+    g: WeightedGraph, h: HeatOperator, K: float, lap_F: np.ndarray, times: Sequence[float]
 ) -> np.ndarray:
-    """Int_0^t e^{2Ks} P_s (P_{t-s} Delta f)^2 ds for every vertex, in closed form.
+    """Int_0^t e^{2Ks} P_s (P_{t-s} Delta f)^2 ds at every t of times and vertex, in closed form.
 
-    Works on a batch of functions at once (lap_F is (N,B)) and returns (N,B).
-    With S = U Lambda U' the symmetrized generator and c = U'(sqrt(m) Delta f)
-    with the kernel modes set to 0 (Delta f is mean-zero per component), the
-    integral is (U d) / sqrt(m), where
+    Works on a batch of functions at once (lap_F is (N,B)) and returns one
+    (N,B) block per t, stacked in the order of times.  With S = U Lambda U'
+    the symmetrized generator and c = U'(sqrt(m) Delta f) with the kernel
+    modes set to 0 (Delta f is mean-zero per component), the integral is
+    (U d) / sqrt(m), where
 
         d_i = sum_jk T_ijk E_ijk c_j c_k,
         T_ijk = sum_y U_yi U_yj U_yk / sqrt(m_y),
@@ -236,18 +239,29 @@ def _gradient_integral(
 
     a = 2K - lambda_i and b = -(lambda_j + lambda_k) (Van Loan, IEEE TAC
     1978).  Since a <= 2K and b <= 0, E never exceeds t e^{2|K|t}, and E = 0
-    at t = 0.  One mode i is built at a time, so memory stays O(N^2 + NB).
+    at t = 0.  T does not depend on t: the modes i go in chunks of
+    floor(``operators.STACK_ENTRIES`` / (N max(N, B))), at least one, and
+    each chunk builds its T once, as one batched product, for every t.  So
+    every array of a chunk, the (chunk,N,N) tensors and the (chunk,N,B)
+    products alike, holds at most STACK_ENTRIES entries, or one mode's
+    N max(N, B) when that is more; the result comes on top.
     """
     lam, U, sqrt_m = h.eigenvalues, h.eigenbasis, h.measure_half
     C = U.T @ (sqrt_m[:, None] * lap_F)
     C[h.kernel_modes] = 0.0
     b = -(lam[:, None] + lam[None, :])
-    d = np.empty_like(C)
-    for i in range(len(lam)):
-        a = 2.0 * K - lam[i]
-        E = t * np.exp(np.maximum(a, b) * t) * _phi1(-np.abs(a - b) * t)
-        T = (U * (U[:, i] / sqrt_m)[:, None]).T @ U
-        d[i] = np.sum(((T * E) @ C) * C, axis=0)
+    d = np.empty((len(times),) + C.shape)
+    N, B = C.shape
+    chunk = max(1, operators.STACK_ENTRIES // (N * max(N, B)))
+    for lo in range(0, N, chunk):
+        modes = slice(lo, lo + chunk)
+        a = (2.0 * K - lam[modes])[:, None, None]
+        top, gap = np.maximum(a, b), -np.abs(a - b)
+        W = U[:, modes] / sqrt_m[:, None]
+        T = (U * W.T[:, :, None]).transpose(0, 2, 1) @ U  # T[i] = (U * W[:, i, None]).T @ U
+        for k, t in enumerate(times):
+            E = t * np.exp(top * t) * _phi1(gap * t)
+            d[k, modes] = np.sum(((T * E) @ C) * C, axis=1)
     return (U @ d) / sqrt_m[:, None]
 
 
@@ -257,68 +271,102 @@ def _slack_arrays(
     K: float,
     n: float,
     F: np.ndarray,
-    t: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All four slacks for a batch of functions, plus their verdict scales.
+    times: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """All four slacks for a batch of functions at every t of a grid, plus their verdict scales.
 
-    Returns slack_ii, slack_iii, slack_iv and slack_v, each (N,B), and the
-    verdict scales, (4,B): per function and estimate,
-    the largest summed magnitude over the vertices of the slack's terms,
-    plus a floor of ||f||_inf^2 max Deg for (ii)/(iii) and ||f||_inf^2 for
-    (iv)/(v), so that rounding noise on a constant f is not judged against
-    zero.  Both the slacks and the scales of (ii)/(iii) scale by c under
-    (b, t, K) -> (c b, t/c, c K), and those of (iv)/(v) do not change.
-    The scales are graph-wide, not per vertex, so where the weights vary a
-    lot a light vertex is judged against the heavy ones: on a unit path with
-    one far edge of weight 1e4, an overclaimed (ii)/(iii) fails at 3 light
-    (t, x) pairs where it fails at 7 with weight 100, and at none with 1e6,
-    because the max Deg floor outgrows the slack.
+    F is (N,B).  Returns the slacks, (4,B,T,N) with the estimates in
+    ``ESTIMATES`` order, and the verdict scales, (4,B,T): per function, t
+    and estimate, the largest summed magnitude over the vertices of the
+    slack's terms, plus a floor of ||f||_inf^2 max Deg for (ii)/(iii) and
+    ||f||_inf^2 for (iv)/(v), so that rounding noise on a constant f is not
+    judged against zero.  Both the slacks and the scales of (ii)/(iii)
+    scale by c under (b, t, K) -> (c b, t/c, c K), and those of (iv)/(v) do
+    not change.  The scales are graph-wide, not per vertex, so where the
+    weights vary a lot a light vertex is judged against the heavy ones: on a
+    unit path with one far edge of weight 1e4, an overclaimed (ii)/(iii)
+    fails at 3 light (t, x) pairs where it fails at 7 with weight 100, and
+    at none with 1e6, because the max Deg floor outgrows the slack.
 
-    Gamma(P_t f) and P_t Delta f are evaluated through the kernel-free
-    apply: the dropped modes are gradient-free (resp. absent from the
-    mean-zero Delta f), and keeping them would swamp the exponentially
-    small fluctuations with rounding noise that the e^{2Kt}-sized
-    coefficients then amplify past any verdict tolerance.
+    Delta f, Gamma(f) and f^2, their coefficients in the heat eigenbasis and
+    those of f are computed once for the grid; each t costs its decays and
+    transforms back, Gamma(P_t f), and the terms and scales of the four
+    slacks.  Gamma(P_t f) and P_t Delta f are evaluated through the
+    kernel-free apply: the dropped modes are gradient-free (resp. absent
+    from the mean-zero Delta f), and keeping them would swamp the
+    exponentially small fluctuations with rounding noise that the
+    e^{2Kt}-sized coefficients then amplify past any verdict tolerance.
     """
     lap_F = laplacian_array(g, F)
     gam_F = gamma_array(g, F, F)
-    ptF = h.apply_array(t, F)
-    pt_gam_F = h.apply_array(t, gam_F)
-    ptF_fluct = h.apply_fluctuation_array(t, F)
-    gam_ptF = gamma_array(g, ptF_fluct, ptF_fluct)
-    pt_lap_F = h.apply_fluctuation_array(t, lap_F)
-    variance = h.apply_array(t, F * F) - ptF * ptF
-
+    kept = zip(*(h._apply(times, A, keep_kernel=True) for A in (F, gam_F, F * F)))
+    fluct = h._apply(times, F, keep_kernel=False)
     inv_n = 0.0 if math.isinf(n) else 1.0 / n
-    e2kt = math.exp(2.0 * K * t)
-    integral = _gradient_integral(g, h, K, lap_F, t) if inv_n else 0.0
-    lap_sq = pt_lap_F * pt_lap_F if inv_n else 0.0
+    if inv_n:
+        integrals = _gradient_integral(g, h, K, lap_F, times)
+        pt_lap = h._apply(times, lap_F, keep_kernel=False)
+    else:
+        integrals = pt_lap = itertools.repeat(0.0)
 
-    # (e^{2Kt}-1)/K, (1-e^{-2Kt})/K, (e^{2Kt}-1-2Kt)/K^2, (e^{-2Kt}-1+2Kt)/K^2
-    x = 2.0 * K * t
-    ratio_plus, ratio_minus = 2.0 * t * _phi1(x), 2.0 * t * _phi1(-x)
-    ratio2_plus, ratio2_minus = 4.0 * t * t * _phi2(x), 4.0 * t * t * _phi2(-x)
-    heat_of_gradient = e2kt * pt_gam_F
-    terms = (
-        (heat_of_gradient, -2.0 * inv_n * integral, -gam_ptF),
-        (heat_of_gradient, -ratio_plus * inv_n * lap_sq, -gam_ptF),
-        (ratio_plus * pt_gam_F, -ratio2_plus * inv_n * lap_sq, -variance),
-        (variance, -ratio_minus * gam_ptF, -ratio2_minus * inv_n * lap_sq),
-    )
     f_sq = np.max(np.abs(F), axis=0, initial=0.0) ** 2
     gradient_floor = f_sq * float(np.max(g.weighted_degrees, initial=0.0))
-    scale = np.stack([
-        np.max(np.abs(a) + np.abs(b) + np.abs(c), axis=0, initial=0.0) + floor
-        for (a, b, c), floor in zip(terms, (gradient_floor, gradient_floor, f_sq, f_sq))
-    ])
-    slack_ii, slack_iii, slack_iv, slack_v = (a + b + c for a, b, c in terms)
-    return slack_ii, slack_iii, slack_iv, slack_v, scale
+    floors = (gradient_floor, gradient_floor, f_sq, f_sq)
+    slacks = np.empty((4, F.shape[1], len(times), g.num_vertices))
+    scale = np.empty((4, F.shape[1], len(times)))
+    for k, (t, (ptF, pt_gam_F, pt_sq_F), ptF_fluct, integral, pt_lap_F) in enumerate(
+        zip(times, kept, fluct, integrals, pt_lap)
+    ):
+        gam_ptF = gamma_array(g, ptF_fluct, ptF_fluct)
+        variance = pt_sq_F - ptF * ptF
+        lap_sq = pt_lap_F * pt_lap_F
+
+        # (e^{2Kt}-1)/K, (1-e^{-2Kt})/K, (e^{2Kt}-1-2Kt)/K^2, (e^{-2Kt}-1+2Kt)/K^2
+        x = 2.0 * K * t
+        ratio_plus, ratio_minus = 2.0 * t * _phi1(x), 2.0 * t * _phi1(-x)
+        ratio2_plus, ratio2_minus = 4.0 * t * t * _phi2(x), 4.0 * t * t * _phi2(-x)
+        heat_of_gradient = math.exp(x) * pt_gam_F
+        terms = (
+            (heat_of_gradient, -2.0 * inv_n * integral, -gam_ptF),
+            (heat_of_gradient, -ratio_plus * inv_n * lap_sq, -gam_ptF),
+            (ratio_plus * pt_gam_F, -ratio2_plus * inv_n * lap_sq, -variance),
+            (variance, -ratio_minus * gam_ptF, -ratio2_minus * inv_n * lap_sq),
+        )
+        for i, ((a, b, c), floor) in enumerate(zip(terms, floors)):
+            scale[i, :, k] = np.max(np.abs(a) + np.abs(b) + np.abs(c), axis=0, initial=0.0) + floor
+            slacks[i, :, k] = (a + b + c).T
+    return slacks, scale
 
 
 def _check_nonnegative(g: WeightedGraph, f: GraphFunction) -> None:
     _check_graph_function(g, f)
     if float(np.min(f.array)) < 0:
         raise ValueError("f must be nonnegative")
+
+
+def _stack_corpus(
+    g: WeightedGraph, function_corpus: Sequence[tuple[str, GraphFunction]]
+) -> np.ndarray:
+    """The corpus as an (N,B) array; refuses it at its first function off g or negative.
+
+    The graph of each function is checked in order up to the first one on
+    another graph; the functions before it are then checked for a negative
+    value by one reduction, so a negative function is reported when it
+    comes first, as a check of one function at a time would.
+    """
+    arrays, off_graph = [], None
+    for _, f in function_corpus:
+        try:
+            _check_graph_function(g, f)
+        except ValueError as err:
+            off_graph = err
+            break
+        arrays.append(f.array)
+    F = np.stack(arrays, axis=1) if arrays else np.empty((g.num_vertices, 0))
+    if np.min(F, initial=0.0) < 0:
+        raise ValueError("f must be nonnegative")
+    if off_graph is not None:
+        raise off_graph
+    return F
 
 
 def _require_curvature(g: WeightedGraph, K: float) -> None:
@@ -379,19 +427,13 @@ def estimate_sweep(
     if not all(0 <= t < math.inf for t in times):
         raise ValueError("t must be finite and nonnegative")
     _check_exponent(K, max(times, default=0.0))
-    for _, f in function_corpus:
-        _check_nonnegative(g, f)
+    F = _stack_corpus(g, function_corpus)
 
-    N, B, T = g.num_vertices, len(function_corpus), len(times)
-    slacks, scale = np.empty((4, B, T, N)), np.empty((4, B, T))
-    if B:
-        # one batched slack evaluation per t covers the whole corpus
-        F = np.stack([f.array for _, f in function_corpus], axis=1)
-        h = build_heat(g)
-        for k, t in enumerate(times):
-            *slacks_t, scale_t = _slack_arrays(g, h, K, n, F, t)
-            slacks[:, :, k] = np.stack(slacks_t).transpose(0, 2, 1)  # (N,B) -> (B,N)
-            scale[:, :, k] = scale_t
+    if function_corpus:
+        # one batched slack evaluation covers the whole corpus and t grid
+        slacks, scale = _slack_arrays(g, build_heat(g), K, n, F, times)
+    else:
+        slacks, scale = np.empty((4, 0, len(times), g.num_vertices)), np.empty((4, 0, len(times)))
     tol = REPORT_TOL * scale[..., None]
     result = SweepResult(
         function_ids=tuple(fid for fid, _ in function_corpus),
@@ -679,8 +721,9 @@ def taylor_check(
     h = build_heat(g)
     ts = [t0 / 2.0**j for j in range(7)]
     series = {name: [] for name in exact_c2}
-    for t in ts:
-        pt_sq, ptf, pt_gam = h.apply_array(t, np.column_stack([farr * farr, farr, gam_f])).T
+    applied = h._apply(ts, np.column_stack([farr * farr, farr, gam_f]), keep_kernel=True)
+    for t, columns in zip(ts, applied):
+        pt_sq, ptf, pt_gam = columns.T
         series["variance"].append(float(pt_sq[ix] - ptf[ix] ** 2))
         series["heat_of_gradient"].append(2.0 * t * _phi1(2.0 * K * t) * float(pt_gam[ix]))
         series["gradient_of_heat"].append(

@@ -18,7 +18,7 @@ each request.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -64,7 +64,8 @@ class HeatOperator:
         output.  t = 0 reproduces the input exactly (restricted to the
         domain).
         """
-        return self._apply(t, F, keep_kernel=True)
+        (out,) = self._apply((t,), F, keep_kernel=True)
+        return out
 
     def apply_fluctuation_array(self, t: float, F: np.ndarray) -> np.ndarray:
         """P_t with the generator's kernel modes (eigenvalue <= KERNEL_TOL * lambda_max) dropped.
@@ -76,26 +77,40 @@ class HeatOperator:
         would return amplified rounding instead.  t = 0 returns the input
         unchanged (the projection is a hygiene device for t > 0 only).
         """
-        return self._apply(t, F, keep_kernel=False)
+        (out,) = self._apply((t,), F, keep_kernel=False)
+        return out
 
-    def _apply(self, t: float, F: np.ndarray, keep_kernel: bool) -> np.ndarray:
-        if not (0 <= t < math.inf):
-            raise ValueError(f"the heat semigroup is only defined for finite t >= 0, got {t}")
+    def _apply(
+        self, times: Sequence[float], F: np.ndarray, keep_kernel: bool
+    ) -> Iterator[np.ndarray]:
+        """P_t F for each t of times, in order, as an iterator of arrays shaped like F.
+
+        The times are checked and F is carried into the eigenbasis once, on
+        the call; each t then costs only its decay e^{-t lambda} (kernel
+        modes set to 0 unless keep_kernel) and the transform back, made as
+        the iterator reaches it.  t = 0 returns the input exactly.
+        """
+        for t in times:
+            if not (0 <= t < math.inf):
+                raise ValueError(f"the heat semigroup is only defined for finite t >= 0, got {t}")
         squeeze = F.ndim == 1
         F2 = F[:, None] if squeeze else F
-        out = np.zeros_like(F2, dtype=float)
         idx = self._domain_indices
-        if t == 0:
-            out[idx] = F2[idx]
-        else:
-            v = self.measure_half[:, None] * F2[idx]
-            coeff = self.eigenbasis.T @ v
-            decay = np.exp(-t * self.eigenvalues)
-            if not keep_kernel:
-                decay[self.kernel_modes] = 0.0
-            coeff *= decay[:, None]
-            out[idx] = (self.eigenbasis @ coeff) / self.measure_half[:, None]
-        return out[:, 0] if squeeze else out
+        sqrt_m = self.measure_half[:, None]
+        coeff = self.eigenbasis.T @ (sqrt_m * F2[idx]) if any(times) else None
+
+        def at(t: float) -> np.ndarray:
+            out = np.zeros_like(F2, dtype=float)
+            if t == 0:
+                out[idx] = F2[idx]
+            else:
+                decay = np.exp(-t * self.eigenvalues)
+                if not keep_kernel:
+                    decay[self.kernel_modes] = 0.0
+                out[idx] = (self.eigenbasis @ (coeff * decay[:, None])) / sqrt_m
+            return out[:, 0] if squeeze else out
+
+        return map(at, times)
 
     def apply(self, t: float, f: GraphFunction) -> GraphFunction:
         """P_t f (zero-extended outside the Dirichlet domain, if any)."""
@@ -187,8 +202,7 @@ def semigroup_gamma_path(
         raise ValueError("grid must be sorted")
     ix = h.graph.index(x)
     out = []
-    for s in grid:
-        inner = h.apply_array(t - s, f.array)
+    for s, inner in zip(grid, h._apply([t - s for s in grid], f.array, keep_kernel=True)):
         gk = gamma_recursive_array(h.graph, k, inner, inner)
         out.append(float(h.apply_array(s, gk)[ix]))
     return out

@@ -226,18 +226,19 @@ def eager_sweep(
 
     One ``EstimateReport`` per (function, t, vertex), in that order, each
     judged on its own against REPORT_TOL times the verdict scale of its
-    (function, t).
+    (function, t).  The slacks are evaluated one t at a time, each t a grid
+    of one.
     """
     F = np.stack([f.array for _, f in corpus], axis=1)
-    per_t = {t: _slack_arrays(g, h, K, n, F, t) for t in t_grid}
+    per_t = {t: _slack_arrays(g, h, K, n, F, [t]) for t in t_grid}
     reports = []
     for col, (fid, _) in enumerate(corpus):
         for t in t_grid:
-            *slacks, scale = per_t[t]
+            slacks, scale = per_t[t]
             for ix, x in enumerate(g.vertices):
-                values = [float(a[ix, col]) for a in slacks]
+                values = [float(a[col, 0, ix]) for a in slacks]
                 verdicts = {
-                    name: v >= -REPORT_TOL * float(scale[k, col])
+                    name: v >= -REPORT_TOL * float(scale[k, col, 0])
                     for k, (name, v) in enumerate(zip(("ii", "iii", "iv", "v"), values))
                 }
                 reports.append(EstimateReport(fid, float(t), x, float(K), float(n), *values,

@@ -34,6 +34,7 @@ from graphcurv import (
     taylor_check,
     verify_estimates,
 )
+from graphcurv import operators
 from graphcurv.estimates import REPORT_TOL, _gradient_integral, _phi1, _phi2, _slack_arrays
 from graphcurv.operators import gamma_array, laplacian_array
 
@@ -97,6 +98,17 @@ def test_input_validation():
         verify_estimates(g, 0.0, -2.0, edge_function(g), 1.0, "v0")
 
 
+def test_sweep_refuses_the_corpus_at_its_first_faulty_function():
+    g, other = single_edge(), generate("path", 3)
+    good, neg = edge_function(g), GraphFunction(g, {"v0": -0.1, "v1": 1.0})
+    off = GraphFunction(other, [0.0, 1.0, 2.0])
+    corpus = [(f"f{k}", good) for k in range(5)]
+    with pytest.raises(ValueError, match="nonnegative"):
+        estimate_sweep(g, 0.0, math.inf, [1.0], corpus + [("neg", neg), ("off", off)])
+    with pytest.raises(ValueError, match="not defined on the given graph"):
+        estimate_sweep(g, 0.0, math.inf, [1.0], corpus + [("off", off), ("neg", neg)])
+
+
 def test_sweep_input_checks_run_on_empty_corpus():
     g = single_edge()
     with pytest.raises(ValueError, match="dimension"):
@@ -138,10 +150,10 @@ def test_k_zero_limit_matches_nearby_k():
     h = build_heat(g)
     F = np.stack([f.array for _, f in default_corpus(g, seed=1)], axis=1)
     for t in (0.01, 1.0, 5.0):
-        base = _slack_arrays(g, h, 0.0, 4.0, F, t)
+        base = _slack_arrays(g, h, 0.0, 4.0, F, [t])[0]
         for K in (1e-8, -1e-8):
-            pert = _slack_arrays(g, h, K, 4.0, F, t)
-            for a, b in zip(base[:4], pert[:4]):
+            pert = _slack_arrays(g, h, K, 4.0, F, [t])[0]
+            for a, b in zip(base, pert):
                 assert float(np.max(np.abs(a - b))) <= 1e-6
 
 
@@ -163,6 +175,13 @@ def test_k_zero_limit_matches_nearby_k():
     ],
 )
 def test_gradient_integral_matches_dense_reference(family, size, K, t):
+    g, h, lap_F = _integral_inputs(family, size)
+    integral = _gradient_integral(g, h, K, lap_F, [t])[0]
+    _assert_matches_reference(h, K, lap_F, t, integral)
+
+
+def _integral_inputs(family, size):
+    """(g, its semigroup, the Laplacians of an indicator and a random function)."""
     if family == "fuzzed":
         g = random_connected_graph(np.random.default_rng(1), size)
     elif family == "measured":
@@ -181,13 +200,58 @@ def test_gradient_integral_matches_dense_reference(family, size, K, t):
     rng = np.random.default_rng(70)
     F = np.stack([GraphFunction.indicator(g, g.vertices[0]).array,
                   rng.uniform(0.0, 1.0, g.num_vertices)], axis=1)
-    lap_F = laplacian_array(g, F)
-    integral = _gradient_integral(g, h, K, lap_F, t)
-    for b in range(F.shape[1]):
+    return g, h, laplacian_array(g, F)
+
+
+def _assert_matches_reference(h, K, lap_F, t, integral):
+    for b in range(lap_F.shape[1]):
         ref = reference_gradient_integral(h, K, lap_F[:, b], t)
         scale = float(np.max(np.abs(ref)))
         err = np.abs(integral[:, b] - ref)
         assert float(np.max(err)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("family, size, K", [("hypercube", 5, -1.0), ("disconnected", 9, 0.5),
+                                             ("measured", 12, 3.0)])
+def test_gradient_integral_over_a_grid_matches_dense_reference(family, size, K):
+    # one call covers the grid: the mode tensors are built once and reused
+    # for every t, t = 0 included, where the integral is exactly 0
+    g, h, lap_F = _integral_inputs(family, size)
+    times = (0.0, 0.003, 1.0, 10.0)
+    integrals = _gradient_integral(g, h, K, lap_F, times)
+    assert integrals.shape == (len(times),) + lap_F.shape
+    assert not np.any(integrals[0])
+    for t, integral in zip(times, integrals):
+        _assert_matches_reference(h, K, lap_F, t, integral)
+
+
+def test_gradient_integral_does_not_depend_on_the_chunk_size(monkeypatch):
+    # one mode per chunk, chunks of 5 modes (the last of 2) and all 32 modes
+    # in one chunk give the same bits; lap_F has 2 columns, so the budget
+    # counts 32 x 32 entries a mode
+    g, h, lap_F = _integral_inputs("hypercube", 5)
+    times = (0.0, 0.1, 1.0, 10.0)
+    results = set()
+    for budget in (1, 5 * 32 * 32, 32**3):
+        monkeypatch.setattr(operators, "STACK_ENTRIES", budget)
+        results.add(_gradient_integral(g, h, 0.5, lap_F, times).tobytes())
+    assert len(results) == 1
+
+
+@pytest.mark.parametrize("n", [4.0, math.inf])
+def test_swept_slacks_equal_per_t_evaluation(n):
+    # the t-independent work is done once for the grid; every slack and
+    # verdict scale must still equal, bit for bit, a grid of one at each t
+    g = random_connected_graph(np.random.default_rng(53), 9)
+    h = build_heat(g)
+    F = np.stack([f.array for _, f in default_corpus(g, seed=2, num_random=4)], axis=1)
+    times = (0.0, 0.01, 0.5, 3.0)
+    slacks, scale = _slack_arrays(g, h, -0.7, n, F, times)
+    assert slacks.shape == (4, F.shape[1], len(times), g.num_vertices)
+    for k, t in enumerate(times):
+        one_slacks, one_scale = _slack_arrays(g, h, -0.7, n, F, [t])
+        assert slacks[:, :, k].tobytes() == one_slacks[:, :, 0].tobytes()
+        assert scale[:, :, k].tobytes() == one_scale[:, :, 0].tobytes()
 
 
 def _coefficients(K, t):
@@ -218,9 +282,9 @@ def test_slacks_scale_covariant_property(exponent, K):
     scaled = WeightedGraph(
         g.vertices, {(u, v): c * w for u, v, w in g.edges()}, {x: g.measure(x) for x in g.vertices}
     )
-    base = _slack_arrays(g, build_heat(g), K, 3.0, F, 0.9)
-    slacks = _slack_arrays(scaled, build_heat(scaled), K * c, 3.0, F, 0.9 / c)
-    for got, want, power in zip(slacks[:4], base[:4], (1, 1, 0, 0)):
+    base = _slack_arrays(g, build_heat(g), K, 3.0, F, [0.9])[0]
+    slacks = _slack_arrays(scaled, build_heat(scaled), K * c, 3.0, F, [0.9 / c])[0]
+    for got, want, power in zip(slacks, base, (1, 1, 0, 0)):
         scale = float(np.max(np.abs(want)))
         assert float(np.max(np.abs(got / c**power - want))) <= 1e-12 * scale
 
@@ -330,7 +394,7 @@ def test_sweep_worst_entries_are_the_lowest_relative_slacks():
     assert summary.failures_by_estimate["ii"] > 0
     # the tolerance of every (estimate, function, t), from its verdict scale
     F = np.stack([f.array for _, f in corpus], axis=1)
-    tol = {t: REPORT_TOL * _slack_arrays(g, h, K, n, F, t)[4] for t in t_grid}
+    tol = {t: REPORT_TOL * _slack_arrays(g, h, K, n, F, [t])[1][:, :, 0] for t in t_grid}
     column = {fid: col for col, (fid, _) in enumerate(corpus)}
     for k, name in enumerate(("ii", "iii", "iv", "v")):
         worst = summary.worst[name]
