@@ -281,11 +281,11 @@ def _cmd_cd_check(args) -> int:
 
 
 def _cmd_heat(args) -> int:
+    if args.indicator is not None and args.constant is not None:
+        raise GraphFormatError("--indicator and --constant are mutually exclusive")
     g = _load_graph(args)
     domain = _split_ids(args.dirichlet) if args.dirichlet else None
     h = build_heat(g, dirichlet_domain=domain)
-    if args.indicator is not None and args.constant is not None:
-        raise GraphFormatError("--indicator and --constant are mutually exclusive")
     if args.indicator is not None:
         f = GraphFunction.indicator(g, args.indicator)
         initial = f"indicator:{args.indicator}"

@@ -30,8 +30,10 @@ Identical local forms are solved and judged once
 (``operators.local_form_stacks``).  Two forms are identical when they have one
 shape and their blocks are equal bit for bit; the result is copied to every
 vertex that shares the form.  Equal inputs give equal results, so each vertex
-gets what its own form gives.  The forms remembered for this take at most
-``STACK_ENTRIES`` entries, or one form when it alone is bigger.
+gets what its own form gives.  The vertices are ordered by (|S1|, two-step
+walks), which puts identical forms next to each other, so only the last stack
+that kept forms is remembered for this, one with empty 2-spheres and one with
+others.
 """
 
 from __future__ import annotations

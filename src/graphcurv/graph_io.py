@@ -87,7 +87,7 @@ def _parse_document(text: str) -> WeightedGraph:
             raise GraphFormatError(f"vertices[{i}]: duplicate vertex id {vid!r}")
         try:
             measure.append(float(entry["measure"]))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise GraphFormatError(f"vertices[{i}].measure: expected a number") from None
         index[vid] = i
     columns = _edge_columns(raw_edges)
@@ -108,7 +108,7 @@ def _edge_columns(raw_edges: list) -> tuple[list, list, list, GraphFormatError |
         weights = [float(e["weight"]) for e in raw_edges]
         if {*map(type, us), *map(type, vs)} <= {str}:
             return us, vs, weights, None
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         pass
     k, fault = next((k, fault) for k, fault in enumerate(map(_edge_fault, raw_edges)) if fault)
     return (*_edge_columns(raw_edges[:k])[:3], GraphFormatError(f"edges[{k}]{fault}"))
@@ -122,7 +122,7 @@ def _edge_fault(entry) -> str | None:
         return ": endpoints must be strings"
     try:
         float(entry["weight"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return ".weight: expected a number"
     return None
 

@@ -18,8 +18,8 @@ modules, which need to evaluate the operators on many functions at once.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -164,7 +164,8 @@ class LocalFormStack(NamedTuple):
 
     ``copies`` (2, C), set by ``local_form_stacks``, lists vertices whose forms
     the stack leaves out and, under each, a vertex with the identical form, a
-    member of this stack or of an earlier one.
+    member of this stack or of the last stack of its kind (empty 2-spheres or
+    not) that kept members.
     """
 
     p: np.ndarray
@@ -277,89 +278,58 @@ def local_form_stack(g: WeightedGraph, centers: np.ndarray, balls=None) -> tuple
     return LocalFormStack(p, q, r, B, 2.0 * B, centers), support
 
 
-def _permuted(balls, order: np.ndarray):
-    """``_two_balls``' output for its centers taken in ``order``, gathered, not walked again."""
-    row, col, weight, far, offsets = balls
-    lengths = np.diff(offsets)[:, order]
-    moved = np.zeros_like(offsets)
-    np.cumsum(lengths, axis=1, out=moved[:, 1:])
-    shift = offsets[:, order] - moved[:, :-1]  # old start - new start, per center and kind of segment
-    walks = np.repeat(shift[0], lengths[0]) + np.arange(moved[0, -1])
-    row = row[walks] - np.repeat(shift[1], lengths[0])
-    return row, col[walks], weight[walks], far[np.repeat(shift[2], lengths[2]) + np.arange(moved[2, -1])], moved
+def _distinct(stack: LocalFormStack, kept: list | None) -> tuple[LocalFormStack, list | None]:
+    """``stack`` less the members whose forms are bitwise those of an earlier member, and what to keep.
 
-
-class _SolvedForms:
-    """The distinct forms of the most recent stacks, by shape.
-
-    They are kept within ``STACK_ENTRIES`` entries, or the last stack's alone
-    when it is bigger, which only a stack of one member can be.  A kept
-    stack's ``uint64`` words and fingerprints are made once, the first time
-    it is compared.
+    ``kept`` is [stack, gamma row sums, ``uint64`` words, fingerprints] of the
+    last stack of ``stack``'s kind that kept members, its words and
+    fingerprints made the first time it is compared.  A member is compared
+    with its own stack and with ``kept`` when that has its shape.  Equal forms
+    have equal ``gamma`` rows, so the forms are compared only when two
+    ``gamma`` row sums (half the weighted degrees) are equal.  Then each
+    member's fingerprint names one candidate, the first form with that
+    fingerprint; the member is a copy of it only when their entries are equal
+    as ``uint64``.  A candidate is compared with its source row in place,
+    without gathering the forms into one pool.
     """
+    V, new = len(stack.gamma), [stack, stack.gamma.sum(axis=1), None, None]
+    pool = [kept, new] if kept is not None and kept[0].q.shape[1:] == stack.q.shape[1:] else [new]
+    ranked = np.sort(np.concatenate([entry[1] for entry in pool]))
+    copies = np.empty((2, 0), dtype=np.intp)
+    if (ranked[1:] == ranked[:-1]).any():
+        for entry in pool:
+            if entry[2] is None:
+                rows = np.concatenate([a.reshape(len(entry[1]), -1) for a in entry[0][:5]], axis=1)
+                entry[2:] = rows.view(np.uint64), _prints(rows)
+        M = len(ranked) - V
+        source = _first_equal(np.concatenate([entry[3] for entry in pool]))[M:]
+        candidate = source < M + np.arange(V)
+        copy, words, start = np.zeros(V, dtype=bool), new[2], 0
+        for entry in pool:  # one source row is broadcast, not gathered
+            here = np.flatnonzero(candidate & (source >= start) & (source < start + len(entry[1])))
+            if len(here):
+                src = source[here] - start
+                ref = entry[2][src[0]] if (src == src[0]).all() else entry[2][src]
+                copy[here] = ((words if len(here) == V else words[here]) == ref).all(axis=1)
+            start += len(entry[1])
+        if copy.any():
+            centers = np.concatenate([entry[0].centers for entry in pool])
+            copies = np.array([stack.centers[copy], centers[source[copy]]])
+            keep = ~copy
+            stack = LocalFormStack(*(a[keep] for a in stack[:6]))
+            new = [stack, new[1][keep], words[keep], new[3][keep]]
+    return stack._replace(copies=copies), new if len(new[1]) else kept
 
-    def __init__(self):
-        self.kept: dict[tuple, deque] = {}  # shape -> [stack, gamma row sums, words, prints], oldest first
-        self.shapes: deque = deque()  # the shape of each kept stack, oldest first
-        self.size = 0
-        self.weights = np.empty(0)
 
-    def distinct(self, stack: LocalFormStack) -> LocalFormStack:
-        """``stack`` less the members whose forms are bitwise those of a kept or earlier member.
+def _prints(rows: np.ndarray) -> np.ndarray:
+    """The fingerprint of each row: its dot product with fixed random weights, one product per row."""
+    return (rows[:, None, :] @ _print_weights(rows.shape[1]))[:, 0, 0]
 
-        Equal forms have equal ``gamma`` rows, so the forms are compared only when
-        two ``gamma`` row sums (half the weighted degrees) of one shape are equal.
-        Then each member's fingerprint, the dot product of its entries with fixed
-        random weights, names one candidate, the first form with that
-        fingerprint; the member is a copy of it only when their entries are equal
-        as ``uint64``.  Each candidate is compared with its source row where that
-        row is kept, without gathering the kept forms into one pool.
-        """
-        V, shape = len(stack.gamma), stack.q.shape[1:]
-        kept = self.kept.get(shape, ())
-        new = [stack, stack.gamma.sum(axis=1), None, None]
-        ranked = np.sort(np.concatenate([entry[1] for entry in kept] + [new[1]]))
-        copies = np.empty((2, 0), dtype=np.intp)
-        if (ranked[1:] == ranked[:-1]).any():
-            pool = [*kept, new]
-            for entry in pool:
-                if entry[2] is None:
-                    rows = np.concatenate([a.reshape(len(entry[1]), -1) for a in entry[0][:5]], axis=1)
-                    entry[2:] = rows.view(np.uint64), self._prints(rows)
-            M = len(ranked) - V
-            source = _first_equal(np.concatenate([entry[3] for entry in pool]))[M:]
-            candidate = source < M + np.arange(V)
-            copy, words, start = np.zeros(V, dtype=bool), new[2], 0
-            for entry in pool:  # one source row is broadcast, not gathered
-                here = np.flatnonzero(candidate & (source >= start) & (source < start + len(entry[1])))
-                if len(here):
-                    src = source[here] - start
-                    ref = entry[2][src[0]] if (src == src[0]).all() else entry[2][src]
-                    copy[here] = ((words if len(here) == V else words[here]) == ref).all(axis=1)
-                start += len(entry[1])
-            if copy.any():
-                centers = np.concatenate([entry[0].centers for entry in pool])
-                copies = np.array([stack.centers[copy], centers[source[copy]]])
-                keep = ~copy
-                stack = LocalFormStack(*(a[keep] for a in stack[:6]))
-                new = [stack, new[1][keep], words[keep], new[3][keep]]
-        if len(new[1]):
-            self.kept.setdefault(shape, deque()).append(new)
-            self.shapes.append(shape)
-            self.size += sum(a.size for a in stack[:5])
-            while self.size > STACK_ENTRIES and len(self.shapes) > 1:
-                oldest = self.kept[self.shapes[0]]
-                self.size -= sum(a.size for a in oldest.popleft()[0][:5])
-                if not oldest:
-                    del self.kept[self.shapes[0]]
-                self.shapes.popleft()
-        return stack._replace(copies=copies)
 
-    def _prints(self, rows: np.ndarray) -> np.ndarray:
-        """The fingerprint of each row: its dot product with fixed random weights, one product per row."""
-        if len(self.weights) < rows.shape[1]:
-            self.weights = np.random.default_rng(0).random(max(rows.shape[1], 2 * len(self.weights)))
-        return (rows[:, None, :] @ self.weights[:rows.shape[1], None])[:, 0, 0]
+@lru_cache(maxsize=1)
+def _print_weights(width: int) -> np.ndarray:
+    """The (width, 1) weights of ``_prints``, made once for a run of stacks of one shape."""
+    return _frozen(np.random.default_rng(0).random((width, 1)))
 
 
 def _first_equal(values: np.ndarray) -> np.ndarray:
@@ -375,47 +345,47 @@ def _first_equal(values: np.ndarray) -> np.ndarray:
 def local_form_stacks(g: WeightedGraph) -> Iterator[LocalFormStack]:
     """The distinct local forms of every vertex, in stacks of one 1-sphere size.
 
-    Runs of vertices in index order, of at most ``STACK_ENTRIES`` in max(walks,
-    (|S1| + 1)^2), are walked at once and ordered by (|S1|, |S2|).  Each |S1| of
-    a run, apart from its empty 2-spheres, goes in stacks of as many members as
-    keep the padded entries, members x (|S1| + 1)(s + 1) with s the widest
-    punctured 2-ball, within ``STACK_ENTRIES`` (at least one), so memory stays
-    linear in N + E.
+    The vertices are ordered once by (|S1|, two-step walks), ties in index
+    order.  Runs of that order, of at most ``STACK_ENTRIES`` in max(walks,
+    (|S1| + 1)^2), are walked at once.  Each |S1| of a run, apart from its
+    empty 2-spheres, goes in stacks of as many members as keep the padded
+    entries, members x (|S1| + 1)(s + 1) with s the widest punctured 2-ball,
+    within ``STACK_ENTRIES`` (at least one), so memory stays linear in N + E.
 
     Identical forms are yielded once.  Two forms are identical when they have
     one shape (|S1|, padded |S2|) and their ``p``, ``q``, ``r``, ``gamma`` and
     ``laplace`` are equal bit for bit (compared as ``uint64``, so -0.0 and 0.0
-    differ).  A member whose form is identical to an earlier one of its stack,
-    or to one remembered from the most recent stacks, is left out of the stack
-    and listed in its ``copies``; a stack can be left with no members.  The
-    forms remembered are the most recent stacks' distinct forms within
-    ``STACK_ENTRIES`` entries, or the last form alone when it is bigger.  The
-    consumer copies each result to the vertices that share the form: identical
-    inputs give identical results.
+    differ).  Identical forms have one |S1| and one walk count, so only
+    vertices that share both lie between them in the order.  A member whose
+    form is identical to an earlier one of its stack, or to one of the last
+    stack of its kind (empty 2-spheres or not, which can interleave in the
+    order) that kept members, is left out of the stack and listed in its
+    ``copies``; a stack can be left with no members.  The consumer copies each
+    result to the vertices that share the form: identical inputs give
+    identical results.
     """
     csr, N = g.csr, g.num_vertices
     k = np.diff(csr.indptr)
-    cost = np.append(0, np.cumsum(np.maximum(csr.row_reduce(np.add, k[csr.indices]), (k + 1) ** 2)))
-    solved = _SolvedForms()
-    first = 0
+    walks = csr.row_reduce(np.add, k[csr.indices])
+    order = np.lexsort((walks, k))
+    cost = np.append(0, np.cumsum(np.maximum(walks, (k + 1) ** 2)[order]))
+    kept, first = [None, None], 0  # per kind, nonempty or empty 2-spheres: the last stack that kept members
     while first < N:
         last = max(first + 1, int(np.searchsorted(cost, cost[first] + STACK_ENTRIES, side="right")) - 1)
-        run, first = np.arange(first, last), last
-        balls = _two_balls(g, run)
-        order = np.lexsort(np.diff(balls[4][[2, 1]]))
-        if np.any(np.diff(order) != 1):  # sort the run by shape
-            run, balls = run[order], _permuted(balls, order)
-        row, col, weight, far, offsets = balls
+        run, first = order[first:last], last
+        row, col, weight, far, offsets = _two_balls(g, run)
         k1, s2 = np.diff(offsets[1]), np.diff(offsets[2])
-        entries = (k1 + 1) * (k1 + s2 + 1)  # bounds W1's, p's, q's and r's; nondecreasing in each |S1|
+        entries = (k1 + 1) * (k1 + s2 + 1)  # bounds W1's, p's, q's and r's
         at = 0
         for end in np.append(np.flatnonzero(np.diff(k1) | np.diff(s2 > 0)) + 1, len(run)):
             while at < end:
-                padded = np.arange(1, end - at + 1) * entries[at:end]  # of the stacks at:at + 1, ...
+                padded = np.arange(1, end - at + 1) * np.maximum.accumulate(entries[at:end])  # of at:at + 1, ...
                 hi = at + max(1, int(np.searchsorted(padded, STACK_ENTRIES, side="right")))
                 (w0, w1), (r0, _), (f0, f1) = offsets[:, [at, hi]]
-                yield solved.distinct(local_form_stack(g, run[at:hi], (
-                    row[w0:w1] - r0, col[w0:w1], weight[w0:w1], far[f0:f1], s2[at:hi]))[0])
+                empty = int(s2[at] == 0)
+                stack, kept[empty] = _distinct(local_form_stack(g, run[at:hi], (
+                    row[w0:w1] - r0, col[w0:w1], weight[w0:w1], far[f0:f1], s2[at:hi]))[0], kept[empty])
+                yield stack
                 at = hi
 
 

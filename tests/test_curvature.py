@@ -287,12 +287,35 @@ def _solved_members(monkeypatch, g: WeightedGraph, n: float):
 
 def test_identical_forms_are_solved_once(monkeypatch):
     # K_60's forms are bitwise equal but spread over 15 stacks of 4; a cycle's
-    # take two patterns, by whether S2 lists the far neighbours in S1's order
+    # take two patterns, by whether S2 lists the far neighbours in S1's order.
+    # Relabelled, the vertices of one form are scattered over the index order
     profile, members = _solved_members(monkeypatch, generate("complete", 60), math.inf)
     assert members == 1
     for r in profile.per_vertex:
         assert r.curvature == pytest.approx(31.0, rel=1e-9) and r.converged
     assert _solved_members(monkeypatch, generate("cycle", 300), 4.0)[1] == 2
+    rng = np.random.default_rng(42)
+    for family, size, solved in (("complete", 40, 1), ("cycle", 50, 2)):
+        g = generate(family, size)
+        relabelled = scaled_weights(g, 1.0, order=[g.vertices[i] for i in rng.permutation(size)])
+        for n in (4.0, math.inf):
+            assert _solved_members(monkeypatch, relabelled, n)[1] == solved
+    # two K_12 at the two ends of the index order and a 3,000-vertex weighted
+    # tree, whose vertices all have forms of their own, between them
+    tree = generate("weighted_tree", 3000, seed=7)
+    names = [f"a{i}" for i in range(12)] + list(tree.vertices) + [f"b{i}" for i in range(12)]
+    weights = {(u, v): w for u, v, w in tree.edges()}
+    for side in "ab":
+        weights.update({(f"{side}{i}", f"{side}{j}"): 1.0 for i in range(12) for j in range(i + 1, 12)})
+    g = WeightedGraph(names, weights, {v: 1.0 if v[0] in "ab" else tree.measure(v) for v in names})
+    assert _solved_members(monkeypatch, g, math.inf)[1] == 3000 + 1
+    # x and x2, centers of two paths of 5 vertices, share |S1| = 2 and 4 walks
+    # with a triangle between them in the index order, whose 2-spheres are empty
+    names = ["c", "a", "x", "b", "d", "t0", "t1", "t2", "c2", "a2", "x2", "b2", "d2"]
+    edges = [("c", "a"), ("a", "x"), ("x", "b"), ("b", "d"), ("t0", "t1"), ("t1", "t2"), ("t0", "t2"),
+             ("c2", "a2"), ("a2", "x2"), ("x2", "b2"), ("b2", "d2")]
+    g = WeightedGraph(names, dict.fromkeys(edges, 1.0), dict.fromkeys(names, 1.0))
+    assert _solved_members(monkeypatch, g, math.inf)[1] == 5  # c, a, x, b and t0
 
 
 def test_forms_one_ulp_apart_are_solved_apart(monkeypatch):
@@ -314,7 +337,7 @@ def test_a_fingerprint_only_proposes(monkeypatch):
     # with every fingerprint equal, each member is a candidate of the first
     # form of its shape: only the bitwise comparison tells the forms apart.
     # With unit weights, vertices of one degree tie on their gamma row sums
-    monkeypatch.setattr(operators._SolvedForms, "_prints", lambda self, rows: np.zeros(len(rows)))
+    monkeypatch.setattr(operators, "_prints", lambda rows: np.zeros(len(rows)))
     unit = random_connected_graph(np.random.default_rng(41), 30, extra_edge_prob=0.2,
                                   weight_range=(1.0, 1.0), measure_range=(1.0, 1.0))
     for g in (unit, generate("hypercube", 4), generate("cycle", 30)):
@@ -325,23 +348,27 @@ def test_a_fingerprint_only_proposes(monkeypatch):
 
 @pytest.mark.parametrize("budget", [2**10, STACK_ENTRIES])
 def test_each_run_is_walked_once(monkeypatch, budget):
-    # a run out of shape order is permuted, not walked a second time
+    # the vertices are ordered by (|S1|, walks) before any walk, and each run
+    # of that order is walked once.  |S2| is not sorted within one |S1| and
+    # walk count, yet each stack keeps within the budget
     g = random_connected_graph(np.random.default_rng(40), 300, extra_edge_prob=0.03)
     k = np.diff(g.csr.indptr)
+    walks = g.csr.row_reduce(np.add, k[g.csr.indices])
+    order = np.lexsort((walks, k))
     runs, total = 0, math.inf
-    for c in np.maximum(g.csr.row_reduce(np.add, k[g.csr.indices]), (k + 1) ** 2).tolist():
+    for c in np.maximum(walks, (k + 1) ** 2)[order].tolist():
         runs, total = (runs, total + c) if total + c <= budget else (runs + 1, c)
     walked = []
 
     def counting_two_balls(g, centers):
-        walked.append(len(centers))
+        walked.append(centers)
         return two_balls(g, centers)
 
     two_balls = operators._two_balls
     monkeypatch.setattr(operators, "STACK_ENTRIES", budget)
     monkeypatch.setattr(operators, "_two_balls", counting_two_balls)
-    stacks = list(local_form_stacks(g))
-    assert len(walked) == runs > 1 and sum(walked) == g.num_vertices
+    stacks = _checked_stacks(g, budget)
+    assert len(walked) == runs > 1 and np.array_equal(np.concatenate(walked), order)
     assert sorted(np.concatenate([stack.centers for stack in stacks]).tolist()) == list(range(g.num_vertices))
 
 
@@ -414,23 +441,29 @@ def test_irregular_graphs_batch_by_one_sphere_size(extra_edge_prob):
 
 @pytest.mark.parametrize("budget", [2**10, STACK_ENTRIES])
 def test_padded_stacks_fit_the_budget(monkeypatch, budget):
-    # the 2-balls of a random tree take many shapes; the forms remembered to
-    # find copies fit the budget too, unless one form alone is bigger
-    sizes = []
+    # the 2-balls of a random tree take many shapes; the only forms remembered
+    # to find copies are those of the last stack that kept members, one with
+    # empty 2-spheres and one with others
+    last = {}
 
-    class Recorded(operators._SolvedForms):
-        def distinct(self, stack):
-            stack = super().distinct(stack)
-            kept = [entry[0] for entries in self.kept.values() for entry in entries]
-            assert self.size == sum(a.size for kept_stack in kept for a in kept_stack[:5])
-            assert len(kept) == len(self.shapes)
-            sizes.append(self.size if len(kept) > 1 else 0)
-            return stack
+    def recorded(stack, kept):
+        empty = stack.r.shape[1] == 0
+        assert kept is last.get(empty)
+        stack, kept = distinct(stack, kept)
+        if len(stack.centers):
+            assert kept[0].centers is stack.centers and len(kept[1]) == len(stack.centers)
+            last[empty] = kept
+            remembered.append(kept)
+        else:
+            assert kept is last.get(empty)
+        return stack, kept
 
+    distinct = operators._distinct
     monkeypatch.setattr(operators, "STACK_ENTRIES", budget)
-    monkeypatch.setattr(operators, "_SolvedForms", Recorded)
-    _checked_stacks(generate("weighted_tree", 3000, seed=7), budget)
-    assert 0 < max(sizes) <= budget
+    monkeypatch.setattr(operators, "_distinct", recorded)
+    remembered = []
+    stacks = _checked_stacks(generate("weighted_tree", 3000, seed=7), budget)
+    assert 1 < len(remembered) <= len(stacks)
 
 
 def _checked_stacks(g: WeightedGraph, budget: int) -> list:

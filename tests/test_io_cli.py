@@ -396,6 +396,32 @@ def test_cli_validate_ok(edge_graph, capsys):
     assert _last_json(capsys)["violations"] == []
 
 
+@pytest.mark.parametrize("field,message", [
+    ("measure", "vertices[0].measure: expected a number"),
+    ("weight", "edges[0].weight: expected a number"),
+])
+def test_cli_validate_huge_integer_literal_exit_2(tmp_path, capsys, field, message):
+    # float() of an integer literal beyond float range raises OverflowError
+    huge = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(_doc([{"id": "a", "measure": huge if field == "measure" else 1}, {"id": "b", "measure": 1}],
+                         [{"u": "a", "v": "b", "weight": huge if field == "weight" else 1}]), encoding="utf-8")
+    assert run(["validate", "--graph", str(path)]) == 2
+    assert _last_json(capsys)["error"] == message
+
+
+def test_cli_heat_exclusive_flags_checked_before_the_semigroup(monkeypatch, edge_graph, capsys):
+    # the pair is refused before the graph is factorized, also when
+    # --dirichlet names a vertex the graph does not have
+    def refused(*args, **kwargs):
+        raise AssertionError("build_heat called")
+
+    monkeypatch.setattr(cli, "build_heat", refused)
+    assert run(["heat", "--graph", edge_graph, "--t", "1", "--indicator", "v0", "--constant", "2",
+                "--dirichlet", "zz"]) == 2
+    assert _last_json(capsys)["error"] == "--indicator and --constant are mutually exclusive"
+
+
 def test_cli_input_error_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert run(["curvature", "--graph", missing]) == 2
