@@ -3,10 +3,10 @@
 The package computes the carre du champ operators Gamma and Gamma_2 of a
 weighted graph Laplacian, decides the curvature-dimension condition CD(K,n)
 exactly via local quadratic forms, applies the heat semigroup through a
-spectral factorization, and numerically verifies the equivalence between
-curvature bounds and the semigroup gradient/variance estimates, together
-with Green's formula, the ellipticity norm identity and the heat-kernel
-cutoff machinery.
+Chebyshev expansion or a spectral factorization, and numerically verifies
+the equivalence between curvature bounds and the semigroup
+gradient/variance estimates, together with Green's formula, the
+ellipticity norm identity and the heat-kernel cutoff machinery.
 """
 
 from .curvature import (

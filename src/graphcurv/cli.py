@@ -45,7 +45,9 @@ from .heat import build_heat
 # vertex) results are a columnar table behind --full
 # 3: estimate (ii) is exact, so quadrature_error_ii is gone from
 # first_counterexample and the --full table
-REPORT_FORMAT_VERSION = 3
+# 4: each heat result carries truncation_bound, the l2(m) error bound of its
+# Chebyshev expansion relative to ||f||
+REPORT_FORMAT_VERSION = 4
 
 # Each check compares a mismatch with one of these times a scale that moves
 # with the units of the input: the reported values and the largest degree.
@@ -294,13 +296,15 @@ def _cmd_heat(args) -> int:
         initial = f"constant:{1.0 if args.constant is None else args.constant}"
     results = []
     domain_vertices = sorted(h.dirichlet_domain) if h.dirichlet_domain else list(g.vertices)
-    for t in _parse_floats(args.t, "--t"):
-        ft = h.apply(t, f)
-        mass = h.mass_array(t)
+    times = _parse_floats(args.t, "--t")
+    columns = np.column_stack([f.array, np.ones(g.num_vertices)])
+    for t, (out, bound) in zip(times, h.expand(times, columns)):
+        mass = np.clip(out[:, 1], 0.0, 1.0)  # as mass_array clamps it
         results.append({
             "t": t,
-            "values": ft.as_dict(),
+            "values": GraphFunction(g, out[:, 0]).as_dict(),
             "mass": {v: float(mass[g.index(v)]) for v in domain_vertices},
+            "truncation_bound": bound,
         })
     _emit("heat", {"initial": initial, "dirichlet": domain, "results": results},
           f"applied semigroup at {len(results)} time(s)")

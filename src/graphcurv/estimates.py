@@ -499,7 +499,8 @@ def default_corpus(
         corpus.append(
             (f"random:{i}", GraphFunction(g, rng.uniform(0.0, 1.0, g.num_vertices)))
         )
-    smoothed = np.maximum(build_heat(g).apply_array(SMOOTHING_TIME, np.eye(g.num_vertices)), 0.0)
+    (smoothed,) = build_heat(g)._apply((SMOOTHING_TIME,), np.eye(g.num_vertices), keep_kernel=True)
+    smoothed = np.maximum(smoothed, 0.0)
     for v, column in zip(g.vertices, smoothed.T):
         corpus.append((f"smoothed:{v}", GraphFunction(g, column)))
     return corpus
@@ -553,8 +554,9 @@ def build_cutoff(
     """Cutoff eta with eta = 1 on S and Gamma(eta) <= epsilon, via heat flow.
 
     Takes t = 2/epsilon and sets eta = min(1, max(2 P_t 1_U - 1/2, 0)), with
-    P_t the semigroup of g.  The gradient bound needs nonnegative curvature:
-    under CD(0, infinity) the variance estimate gives
+    P_t the semigroup of g, applied by its Chebyshev expansion.  The gradient
+    bound needs nonnegative curvature: under CD(0, infinity) the variance
+    estimate gives
     Gamma(P_t 1_U) <= (1/2t)(P_t 1_U^2 - (P_t 1_U)^2), and eta is a
     1-Lipschitz contraction of 2 P_t 1_U, so
     Gamma(eta) <= 4 Gamma(P_t 1_U) <= 2/t = epsilon.

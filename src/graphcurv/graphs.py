@@ -6,8 +6,9 @@ positive vertex measure m(x).  The graph is held in arrays: one dict maps
 vertex ids to indices, and ``WeightedGraph.from_arrays`` takes the edges
 as index arrays.  The local operators (Laplacian, carre du champ, degrees,
 curvature forms) read the compressed rows of ``WeightedGraph.csr``, so they
-run in memory linear in the number of vertices and edges.  The heat
-semigroup, and the estimates built on it, factorize a dense N x N matrix.
+run in memory linear in the number of vertices and edges, and so does the
+heat semigroup's Chebyshev expansion; the estimates factorize a dense
+N x N matrix.
 """
 
 from __future__ import annotations
@@ -261,9 +262,9 @@ class WeightedGraph:
     @cached_property
     def _heat_semigroup(self):
         """The full heat semigroup, shared by every ``build_heat(self)``."""
-        from .heat import _factorize
+        from .heat import HeatOperator
 
-        return _factorize(self, None, np.arange(self.num_vertices))
+        return HeatOperator(self, None, np.arange(self.num_vertices))
 
     def weight(self, u: str, v: str) -> float:
         """b(u, v), symmetric; 0.0 for non-adjacent pairs: a binary search in row u."""

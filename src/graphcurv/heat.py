@@ -1,23 +1,48 @@
-"""Exact heat semigroup P_t = e^{t Delta} via spectral factorization.
+"""The heat semigroup P_t = e^{t Delta}: a Chebyshev expansion, and an exact eigenbasis.
 
 -Delta is self-adjoint in the m-weighted inner product, so conjugating by
 sqrt(m) produces the plainly symmetric matrix
 
     S = D_m^{1/2} (-Delta) D_m^{-1/2},
-    S[x,y] = -b(x,y) / sqrt(m(x) m(y)),   S[x,x] = Deg(x),
+    S[x,y] = -b(x,y) / sqrt(m(x) m(y)),   S[x,x] = Deg(x).
 
-which one full symmetric eigendecomposition turns into an exact propagator
-for every t at desk scale.  Restricting S to a vertex subset implements the
-Dirichlet (absorbing-boundary) semigroup used to model exhaustions of larger
-graphs; there heat mass may genuinely escape, unlike on a full finite graph
-where P_t 1 = 1.  The full semigroup is fixed by the graph, so it is
-factorized once per graph and shared; Dirichlet restrictions are built on
-each request.
+Restricting -Delta to a vertex subset, with the full degrees kept on the
+diagonal, implements the Dirichlet (absorbing-boundary) semigroup used to
+model exhaustions of larger graphs; there heat mass may genuinely escape,
+unlike on a full finite graph where P_t 1 = 1.
+
+P_t is computed along one of two paths, fixed by the consumer:
+
+* ``apply_array``, ``apply``, ``expand``, ``mass_array``, ``heat_mass``
+  and ``semigroup_gamma_path`` sum a Chebyshev expansion of e^{-tS} over the
+  compressed rows of the graph (Tal-Ezer and Kosloff, J. Chem. Phys. 1984),
+  in memory linear in the number of vertices and edges.  The spectrum of
+  -Delta on the domain lies in [0, 2D], D the largest Deg over the domain
+  (Gershgorin: each row of Delta sums in absolute value to 2 Deg(x)), so
+  with c = tD
+
+      e^{-t lambda} = sum_k (2 - delta_k0) (-1)^k e^{-c} I_k(c) T_k(lambda / D - 1).
+
+  The series stops at the first degree K whose coefficient tail
+  2 sum_{k>K} e^{-c} I_k(c) is below TAIL_TOL, a fixed rule in the manner
+  of Al-Mohy and Higham (SIAM J. Sci. Comput. 2011).  As |T_k| <= 1 on the
+  spectrum, the tail bounds the error in l2(m) relative to ||f||_{l2(m)}.
+  K is about sqrt(2 c ln 10^15), and each degree costs one sum over the
+  stored entries of the domain's rows.
+* ``_apply`` and ``apply_fluctuation_array`` carry their input into the
+  eigenbasis of S, which one dense ``eigh`` computes on the first access to
+  ``eigenvalues``, ``eigenbasis`` or ``kernel_modes``.  The estimates layer
+  uses them: its sweeps need per-mode relative accuracy, the closed form of
+  (ii) needs the modes, and its corpus applies P_t to N columns at once.
+
+The full semigroup is fixed by the graph, so it is built once per graph and
+shared; Dirichlet restrictions are built on each request.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -28,43 +53,137 @@ from .operators import gamma_recursive_array
 __all__ = ["HeatOperator", "build_heat", "semigroup_gamma_path"]
 
 KERNEL_TOL = 1e-12  # eigenvalues below this multiple of lambda_max are kernel modes
+TAIL_TOL = 1e-15  # the Chebyshev series stops once its coefficient tail is below this
 
 
 class HeatOperator:
-    """Spectral factorization of the (possibly Dirichlet-restricted) generator.
+    """P_t on a graph or on a Dirichlet domain, by Chebyshev expansion or in the eigenbasis.
 
-    ``kernel_modes`` masks the eigenvalues at or below KERNEL_TOL *
-    lambda_max, relative so that the split does not depend on units.
-    Immutable after construction; concurrent ``apply`` calls are safe.
+    The eigenbasis is factorized lazily: ``eigenvalues``, ``eigenbasis``
+    and ``kernel_modes`` are computed together on the first access to any
+    of them and then kept, so an operator that only expands never calls
+    ``eigh``.  ``kernel_modes`` masks the eigenvalues at or below
+    KERNEL_TOL * lambda_max, relative so that the split does not depend on
+    units.  Apart from these caches the operator is immutable, and
+    concurrent ``apply`` calls are safe (two threads reaching an empty
+    cache at once may both fill it, with equal values).
     """
 
     def __init__(
         self,
         graph: WeightedGraph,
-        eigenvalues: np.ndarray,
-        eigenbasis: np.ndarray,
-        measure_half: np.ndarray,
         dirichlet_domain: frozenset[str] | None,
         domain_indices: np.ndarray,
     ):
         self.graph = graph
-        self.eigenvalues = eigenvalues
-        self.eigenbasis = eigenbasis
-        self.measure_half = measure_half
         self.dirichlet_domain = dirichlet_domain
+        self.measure_half = np.sqrt(graph.measure_vector[domain_indices])
         self._domain_indices = domain_indices
-        self.kernel_modes = eigenvalues <= KERNEL_TOL * eigenvalues.max(initial=0.0)
-        for a in (eigenvalues, eigenbasis, measure_half, domain_indices, self.kernel_modes):
+        for a in (self.measure_half, domain_indices):
             a.setflags(write=False)
 
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        eigvals, eigvecs = _factorize(self)
+        for a in (eigvals, eigvecs):
+            a.setflags(write=False)
+        return eigvals, eigvecs
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of S on the domain, ascending; read-only."""
+        return self._spectrum[0]
+
+    @cached_property
+    def eigenbasis(self) -> np.ndarray:
+        """Orthonormal eigenvectors of S, one column per eigenvalue; read-only."""
+        return self._spectrum[1]
+
+    @cached_property
+    def kernel_modes(self) -> np.ndarray:
+        """The eigenvalues at or below KERNEL_TOL * lambda_max; read-only."""
+        kernel = self.eigenvalues <= KERNEL_TOL * self.eigenvalues.max(initial=0.0)
+        kernel.setflags(write=False)
+        return kernel
+
     def apply_array(self, t: float, F: np.ndarray) -> np.ndarray:
-        """P_t on a full-length vector (N,) or batch (N,B).
+        """P_t on a full-length vector (N,) or batch (N,B), by the Chebyshev expansion.
 
         Values outside a Dirichlet domain are ignored on input and zero on
         output.  t = 0 reproduces the input exactly (restricted to the
-        domain).
+        domain), and so does a domain whose degrees are all 0.
         """
-        (out,) = self._apply((t,), F, keep_kernel=True)
+        ((out, _),) = self.expand((t,), F)
+        return out
+
+    def expand(self, times: Sequence[float], F: np.ndarray) -> list[tuple[np.ndarray, float]]:
+        """(P_t F, its truncation bound) for each t of times, by one Chebyshev recurrence.
+
+        F is (N,) or (N,B), with values outside a Dirichlet domain ignored
+        and the output zero there.  The terms T_k(A) F, A = -Delta / D - 1,
+        are computed once for every t; each t only weighs them by its own
+        coefficients.  The bound is the coefficient tail at t's stop degree:
+        ||P_t F - result||_{l2(m)} <= bound * ||F||_{l2(m)} per column, up to
+        rounding.  It is 0 where the series is exact (t = 0 or D = 0).
+        """
+        _check_times(times)
+        squeeze = F.ndim == 1
+        F2 = F[:, None] if squeeze else F
+        idx = self._domain_indices
+        series = [_chebyshev_coefficients(t * self._max_degree) for t in times]
+        term = np.ascontiguousarray(F2[idx].T, dtype=float)  # one row per column of F
+        sums = [coeffs[0] * term for coeffs, _ in series]
+        previous = None
+        for k in range(1, max(len(coeffs) for coeffs, _ in series)):
+            following = self._shifted_generator(term)
+            if k > 1:
+                following *= 2.0
+                following -= previous
+            previous, term = term, following
+            for total, (coeffs, _) in zip(sums, series):
+                if k < len(coeffs):
+                    total += coeffs[k] * term
+        results = []
+        for total, (_, tail) in zip(sums, series):
+            out = np.zeros_like(F2, dtype=float)
+            out[idx] = total.T
+            results.append((out[:, 0] if squeeze else out, tail))
+        return results
+
+    @cached_property
+    def _max_degree(self) -> float:
+        """D = max Deg over the domain: -Delta restricted to it has its spectrum in [0, 2D]."""
+        return float(self.graph.weighted_degrees[self._domain_indices].max(initial=0.0))
+
+    @cached_property
+    def _shifted_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """A = -Delta / D - 1 on the domain: its diagonal, and the rows, columns and values of the rest.
+
+        A[x,y] = -values for the stored entries of ``csr`` with both ends in
+        the domain, values = b(x,y) / (m(x) D), in domain-local indices; the
+        diagonal Deg(x) / D - 1 keeps the full degrees, boundary edges
+        included.
+        """
+        g, idx, D = self.graph, self._domain_indices, self._max_degree
+        csr = g.csr
+        rows, cols, inside = self._local_pairs(csr.rows, csr.indices)
+        values = csr.weights[inside] / (g.measure_vector[idx][rows] * D)
+        return g.weighted_degrees[idx] / D - 1.0, rows, cols, values
+
+    def _local_pairs(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs (u, v) with both ends in the domain, in domain-local indices, and their mask."""
+        local = np.full(self.graph.num_vertices, -1)
+        local[self._domain_indices] = np.arange(len(self._domain_indices))
+        a, b = local[u], local[v]
+        inside = (a >= 0) & (b >= 0)
+        return a[inside], b[inside], inside
+
+    def _shifted_generator(self, X: np.ndarray) -> np.ndarray:
+        """A applied to each row of X, (B, n) on the domain."""
+        diagonal, rows, cols, values = self._shifted_entries
+        out = diagonal * X
+        for x, y in zip(X, out):
+            y -= np.bincount(rows, values * x[cols], len(diagonal))
         return out
 
     def apply_fluctuation_array(self, t: float, F: np.ndarray) -> np.ndarray:
@@ -83,16 +202,14 @@ class HeatOperator:
     def _apply(
         self, times: Sequence[float], F: np.ndarray, keep_kernel: bool
     ) -> Iterator[np.ndarray]:
-        """P_t F for each t of times, in order, as an iterator of arrays shaped like F.
+        """P_t F in the eigenbasis for each t of times, in order, as an iterator of arrays shaped like F.
 
         The times are checked and F is carried into the eigenbasis once, on
         the call; each t then costs only its decay e^{-t lambda} (kernel
         modes set to 0 unless keep_kernel) and the transform back, made as
         the iterator reaches it.  t = 0 returns the input exactly.
         """
-        for t in times:
-            if not (0 <= t < math.inf):
-                raise ValueError(f"the heat semigroup is only defined for finite t >= 0, got {t}")
+        _check_times(times)
         squeeze = F.ndim == 1
         F2 = F[:, None] if squeeze else F
         idx = self._domain_indices
@@ -129,51 +246,89 @@ class HeatOperator:
         return np.clip(self.apply_array(t, np.ones(self.graph.num_vertices)), 0.0, 1.0)
 
 
+def _check_times(times: Sequence[float]) -> None:
+    for t in times:
+        if not (0 <= t < math.inf):
+            raise ValueError(f"the heat semigroup is only defined for finite t >= 0, got {t}")
+
+
+def _chebyshev_coefficients(c: float) -> tuple[np.ndarray, float]:
+    """The coefficients (2 - delta_k0) (-1)^k e^{-c} I_k(c) up to the stop degree K, and the tail after K.
+
+    K is the first degree whose tail 2 sum_{k>K} e^{-c} I_k(c) is below
+    TAIL_TOL.  The recurrence starts at n = 2 sqrt(2 c ln(1 / TAIL_TOL)) + 32
+    and at twice that while K does not lie in the lower half of 0..n, so the
+    pass costs O(K) whatever c; far above K the coefficients are negligible
+    (about e^{-k^2 / 2c} for large c, below (c/2)^k / k! for small c).
+    c = 0 gives the identity exactly.
+    """
+    if c == 0.0:
+        return np.ones(1), 0.0
+    n = 2 * math.ceil(math.sqrt(2.0 * c * math.log(1.0 / TAIL_TOL))) + 32
+    while True:
+        scaled = _scaled_bessel(c, n)
+        after = 2.0 * np.cumsum(scaled[:0:-1])[::-1]  # after[k] = 2 sum_{j>k} e^{-c} I_j(c)
+        stop = int(np.argmax(after < TAIL_TOL))
+        if after[stop] < TAIL_TOL and 2 * stop <= n:
+            break
+        n *= 2
+    coeffs = scaled[: stop + 1].copy()
+    coeffs[1:] *= 2.0
+    coeffs[1::2] *= -1.0
+    return coeffs, float(after[stop])
+
+
+def _scaled_bessel(c: float, n: int) -> np.ndarray:
+    """e^{-c} I_k(c) for k = 0..n, by Miller's backward recurrence from I_{n+1} = 0.
+
+    The recurrence I_{k-1} = I_{k+1} + (2k/c) I_k runs on the ratios
+    r_k = I_k / I_{k-1} = 1 / (2k/c + r_{k+1}), which rescales it at every
+    step so that nothing overflows; their running products are
+    I_k / I_0 <= 1, normalized by e^{-c} (I_0 + 2 sum_{k>=1} I_k) = 1.
+    """
+    ratios = np.empty(n + 1)
+    ratios[0] = 1.0
+    r = 0.0
+    for k in range(n, 0, -1):
+        r = 1.0 / (2.0 * k / c + r)
+        ratios[k] = r
+    relative = np.cumprod(ratios)
+    return relative / (2.0 * relative.sum() - 1.0)
+
+
 def build_heat(
     g: WeightedGraph,
     dirichlet_domain: Sequence[str] | set[str] | frozenset[str] | None = None,
 ) -> HeatOperator:
     """The semigroup of g, or its restriction to a Dirichlet domain.
 
-    Without a domain this is g's own full semigroup, factorized on first use
-    and then shared: every call for the same graph returns the same
-    operator.  A Dirichlet operator is factorized anew on every call.
+    Without a domain this is g's own full semigroup, built on first use and
+    then shared: every call for the same graph returns the same operator,
+    so its eigenbasis, once factorized, is shared too.  A Dirichlet operator
+    is built anew on every call.  Building one factorizes nothing.
     """
     if dirichlet_domain is None:
         return g._heat_semigroup
     dom = frozenset(str(v) for v in dirichlet_domain)
     if not dom:
         raise ValueError("Dirichlet domain must be nonempty")
-    return _factorize(g, dom, np.array(sorted(g.index(v) for v in dom), dtype=int))
+    return HeatOperator(g, dom, np.array(sorted(g.index(v) for v in dom), dtype=int))
 
 
-def _factorize(
-    g: WeightedGraph, dirichlet_domain: frozenset[str] | None, idx: np.ndarray
-) -> HeatOperator:
-    """Factorize the symmetrized generator restricted to the vertices idx.
+def _factorize(h: HeatOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of S restricted to h's domain.
 
-    S is assembled from the edges with both ends in idx.
+    S is assembled from the edges with both ends in the domain, with the
+    full-graph degrees on its diagonal.
     """
-    sqrt_m = np.sqrt(g.measure_vector[idx])
-    local = np.full(g.num_vertices, -1)
-    local[idx] = np.arange(len(idx))
+    g, idx, sqrt_m = h.graph, h._domain_indices, h.measure_half
     iu, iv, w = g.edge_arrays
-    a, b = local[iu], local[iv]
-    inside = (a >= 0) & (b >= 0)
-    a, b = a[inside], b[inside]
+    a, b, inside = h._local_pairs(iu, iv)
     S = np.zeros((len(idx), len(idx)))
     S[a, b] = S[b, a] = -w[inside] / (sqrt_m[a] * sqrt_m[b])
     # full-graph degrees: the restriction keeps boundary edges
     S[np.arange(len(idx)), np.arange(len(idx))] = g.weighted_degrees[idx]
-    eigvals, eigvecs = np.linalg.eigh(S)
-    return HeatOperator(
-        graph=g,
-        eigenvalues=eigvals,
-        eigenbasis=eigvecs,
-        measure_half=sqrt_m,
-        dirichlet_domain=dirichlet_domain,
-        domain_indices=idx,
-    )
+    return np.linalg.eigh(S)
 
 
 def semigroup_gamma_path(
@@ -188,7 +343,8 @@ def semigroup_gamma_path(
 
     The derivative of this path in s is 2 P_s Gamma_{k+1}(P_{t-s} f)(x),
     which is how curvature information enters the semigroup estimates; the
-    caller checks that identity by finite differences.
+    caller checks that identity by finite differences.  Both semigroups go
+    through the Chebyshev expansion, the inner one in one pass over the grid.
     """
     if k not in (0, 1):
         raise ValueError(f"k must be 0 or 1, got {k}")
@@ -202,7 +358,7 @@ def semigroup_gamma_path(
         raise ValueError("grid must be sorted")
     ix = h.graph.index(x)
     out = []
-    for s, inner in zip(grid, h._apply([t - s for s in grid], f.array, keep_kernel=True)):
+    for s, (inner, _) in zip(grid, h.expand([t - s for s in grid], f.array)):
         gk = gamma_recursive_array(h.graph, k, inner, inner)
         out.append(float(h.apply_array(s, gk)[ix]))
     return out

@@ -12,6 +12,7 @@ from graphcurv import (
     build_heat,
     gamma_k,
     generate,
+    heat,
     laplacian,
     semigroup_gamma_path,
 )
@@ -20,6 +21,14 @@ from graphcurv.operators import gamma_recursive_array
 
 def single_edge():
     return generate("complete", 2)
+
+
+def graph_with_isolated_vertices():
+    rng = np.random.default_rng(61)
+    core = random_connected_graph(rng, 9)
+    names = ["iso0", *core.vertices[:5], "iso1", *core.vertices[5:], "iso2"]
+    return WeightedGraph(names, {(u, v): w for u, v, w in core.edges()},
+                         {v: float(rng.uniform(0.1, 2.0)) for v in names})
 
 
 # -- construction ---------------------------------------------------------------
@@ -38,11 +47,8 @@ def test_spectrum_single_vertex():
 def test_factorization_reconstructs_the_dense_generator():
     # S = D_m^{1/2} (-Delta) D_m^{-1/2} is assembled from the edges; compare it
     # with the dense reference, full and Dirichlet, with isolated vertices
-    rng = np.random.default_rng(61)
-    core = random_connected_graph(rng, 9)
-    names = ["iso0", *core.vertices[:5], "iso1", *core.vertices[5:], "iso2"]
-    g = WeightedGraph(names, {(u, v): w for u, v, w in core.edges()},
-                      {v: float(rng.uniform(0.1, 2.0)) for v in names})
+    g = graph_with_isolated_vertices()
+    names = g.vertices
     W, m = dense_weights(g), g.measure_vector
     S_ref = -W / np.sqrt(np.outer(m, m))
     np.fill_diagonal(S_ref, W.sum(axis=1) / m)
@@ -112,7 +118,7 @@ def test_apply_single_edge_formula():
     g = single_edge()
     h = build_heat(g)
     f = GraphFunction(g, {"v0": 0.0, "v1": 1.0})
-    for t in (0.05, 0.3, 1.0, 4.0):
+    for t in (1e-9, 0.05, 0.3, 1.0, 4.0, 30.0):
         out = h.apply(t, f)
         assert out.value("v0") == pytest.approx(0.5 - math.exp(-2 * t) / 2, abs=1e-12)
         assert out.value("v1") == pytest.approx(0.5 + math.exp(-2 * t) / 2, abs=1e-12)
@@ -195,6 +201,80 @@ def test_self_adjoint_in_weighted_inner_product():
         assert lhs == pytest.approx(rhs, abs=1e-10, rel=1e-10)
 
 
+# -- the Chebyshev expansion against the eigenbasis -------------------------------------
+
+
+_FAMILIES = [generate(family, size, profile)
+             for family, size in (("path", 12), ("cycle", 11), ("complete", 9), ("star", 7),
+                                  ("hypercube", 4), ("weighted_tree", 14))
+             for profile in ("unit", "normalizing")] + [graph_with_isolated_vertices()]
+
+
+@pytest.mark.parametrize("g", _FAMILIES, ids=lambda g: repr(g))
+def test_expansion_matches_the_eigenbasis(g):
+    rng = np.random.default_rng(62)
+    F = np.column_stack([rng.uniform(-1.0, 1.0, g.num_vertices), np.ones(g.num_vertices),
+                         np.eye(g.num_vertices)[0]])
+    times = (1e-9, 0.1, 1.0, 10.0, 100.0)
+    for domain in (None, g.vertices[1::2]):
+        h = build_heat(g, dirichlet_domain=domain)
+        expanded = h.expand(times, F)
+        assert "_spectrum" not in h.__dict__  # the expansion factorizes nothing
+        for (got, bound), expected in zip(expanded, h._apply(times, F, keep_kernel=True)):
+            assert 0.0 <= bound <= 1e-15
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(F))
+        for t, (got, _) in zip(times, expanded):
+            assert np.array_equal(h.apply_array(t, F[:, 0]), got[:, 0])  # one pass, same values
+
+
+def test_expansion_is_exact_at_time_zero_and_without_degrees():
+    g = graph_with_isolated_vertices()
+    F = np.random.default_rng(63).uniform(-1.0, 1.0, (g.num_vertices, 2))
+    ((out, bound),) = build_heat(g).expand((0.0,), F)
+    assert np.array_equal(out, F) and bound == 0.0
+    isolated = ["iso0", "iso1", "iso2"]
+    rows = [g.index(v) for v in isolated]
+    h = build_heat(g, dirichlet_domain=isolated)
+    for (out, bound) in h.expand((0.0, 1.0, 1e6), F):
+        assert np.array_equal(out[rows], F[rows]) and bound == 0.0
+        assert not np.any(np.delete(out, rows, axis=0))
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e8])
+def test_expansion_follows_the_units(c):
+    # P_{t/c} under the weights c b is P_t under b: the coefficients depend on t max Deg only
+    g = graph_with_isolated_vertices()
+    F = np.random.default_rng(64).uniform(-1.0, 1.0, (g.num_vertices, 3))
+    times = (0.1, 1.0, 10.0)
+    for domain in (None, g.vertices[::2]):
+        expected = build_heat(g, dirichlet_domain=domain).expand(times, F)
+        got = build_heat(scaled_weights(g, c), dirichlet_domain=domain).expand([t / c for t in times], F)
+        for (a, _), (b, _) in zip(got, expected):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(F))
+
+
+def test_expansion_coefficient_pass_is_linear_in_the_stop_degree(monkeypatch):
+    starts = []
+    scaled_bessel = heat._scaled_bessel
+
+    def counted(c, n):
+        starts.append(n)
+        return scaled_bessel(c, n)
+
+    monkeypatch.setattr(heat, "_scaled_bessel", counted)
+    for c in (1e-12, 0.5, 30.0, 1e5):
+        starts.clear()
+        coeffs, tail = heat._chebyshev_coefficients(c)
+        stop = len(coeffs) - 1
+        assert tail < 1e-15 and np.sum(np.abs(coeffs)) == pytest.approx(1.0, abs=1e-13)
+        assert sum(starts) <= 4 * stop + 64
+        assert stop <= math.sqrt(2 * c * math.log(1e15)) + 16
+    # t max Deg = 1e5 on the 20-cycle: P_t has reached its uniform limit 1/20
+    g = generate("cycle", 20)
+    ((out, bound),) = build_heat(g).expand((5e4,), np.eye(20)[0])
+    assert np.max(np.abs(out - 1 / 20)) <= 1e-12 and bound < 1e-15
+
+
 # -- heat mass ---------------------------------------------------------------------
 
 
@@ -209,7 +289,8 @@ def test_mass_conserved_without_dirichlet():
 
 def test_mass_dirichlet_single_edge():
     h = build_heat(single_edge(), dirichlet_domain={"v0"})
-    assert h.heat_mass(1.0, "v0") == pytest.approx(math.exp(-1.0), abs=1e-12)
+    for t in (1e-9, 0.3, 1.0, 4.0, 30.0):
+        assert h.heat_mass(t, "v0") == pytest.approx(math.exp(-t), abs=1e-12)
     assert h.heat_mass(0.0, "v0") == 1.0
     with pytest.raises(ValueError):
         h.heat_mass(1.0, "v1")

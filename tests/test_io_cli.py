@@ -230,7 +230,7 @@ def test_cli_verify_estimates_default_schema(tmp_path, capsys):
     assert len(out.encode()) < 16 * 1024  # no per-triple table by default
     assert list(report) == ["format_version", "command", "K", "dimension", "t_grid",
                             "corpus_size", "summary"]
-    assert report["format_version"] == 3
+    assert report["format_version"] == 4
     assert "quadrature_error_ii" not in out
     summary = report["summary"]
     assert list(summary) == ["passed", "num_reports", "num_failures", "first_counterexample",
@@ -457,25 +457,30 @@ def test_cli_jobs_accepts_only_one(edge_graph, capsys, command):
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", [
-    ["verify-estimates", "--paper-K", "0", "--dimension", "4", "--t", "0.1,1"],
-    ["cutoff", "--target", "v0", "--epsilon", "0.5"],
+@pytest.mark.parametrize("command, factorizations", [
+    (["verify-estimates", "--paper-K", "0", "--dimension", "4", "--t", "0.1,1"], [None]),
+    (["taylor-check", "--vertex", "v0"], [None]),
+    (["cutoff", "--target", "v0", "--epsilon", "0.5"], []),
+    (["heat", "--t", "0.5,2", "--indicator", "v0"], []),
+    (["heat", "--t", "0.5,2", "--indicator", "v0", "--dirichlet", "v0,v1,v2"], []),
 ])
-def test_cli_factorizes_the_semigroup_once(monkeypatch, capsys, tmp_path, command):
+def test_cli_factorizes_the_semigroup_once(monkeypatch, capsys, tmp_path, command, factorizations):
+    # the estimates factorize the full graph once; the cutoff and heat apply
+    # P_t by the Chebyshev expansion and factorize nothing
     from graphcurv import heat
 
     calls = []
     factorize = heat._factorize
 
-    def counted(*args):
-        calls.append(args[1])
-        return factorize(*args)
+    def counted(h):
+        calls.append(h.dirichlet_domain)
+        return factorize(h)
 
     monkeypatch.setattr(heat, "_factorize", counted)
     path = tmp_path / "cycle6.json"
     path.write_text(serialize_graph(generate("cycle", 6)), encoding="utf-8")
     assert run([command[0], "--graph", str(path), *command[1:]]) == 0
-    assert calls == [None]  # one factorization, of the full graph
+    assert calls == factorizations
 
 
 def test_cli_unknown_vertex_exit_2(edge_graph, capsys):
