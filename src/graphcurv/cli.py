@@ -39,14 +39,14 @@ from .estimates import (
 )
 from .graph_io import GraphFormatError, parse_graph, serialize_graph
 from .graphs import GraphFunction, WeightedGraph, generate, validate
-from .heat import build_heat
+from .heat import build_heat, clamp_mass
 
 # 2: verify-estimates reports a summary by default; the per-(function, t,
 # vertex) results are a columnar table behind --full
 # 3: estimate (ii) is exact, so quadrature_error_ii is gone from
 # first_counterexample and the --full table
-# 4: each heat result carries truncation_bound, the l2(m) error bound of its
-# Chebyshev expansion relative to ||f||
+# 4: each heat result carries truncation_bound, the l2(m) bound of its
+# Chebyshev expansion's truncation error relative to ||f||, rounding excluded
 REPORT_FORMAT_VERSION = 4
 
 # Each check compares a mismatch with one of these times a scale that moves
@@ -299,7 +299,7 @@ def _cmd_heat(args) -> int:
     times = _parse_floats(args.t, "--t")
     columns = np.column_stack([f.array, np.ones(g.num_vertices)])
     for t, (out, bound) in zip(times, h.expand(times, columns)):
-        mass = np.clip(out[:, 1], 0.0, 1.0)  # as mass_array clamps it
+        mass = clamp_mass(out[:, 1])
         results.append({
             "t": t,
             "values": GraphFunction(g, out[:, 0]).as_dict(),

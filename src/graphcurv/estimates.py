@@ -554,9 +554,10 @@ def build_cutoff(
     """Cutoff eta with eta = 1 on S and Gamma(eta) <= epsilon, via heat flow.
 
     Takes t = 2/epsilon and sets eta = min(1, max(2 P_t 1_U - 1/2, 0)), with
-    P_t the semigroup of g, applied by its Chebyshev expansion.  The gradient
-    bound needs nonnegative curvature: under CD(0, infinity) the variance
-    estimate gives
+    P_t the semigroup of g, applied in its eigenbasis: t grows without bound
+    as epsilon falls, and the terms of the Chebyshev expansion as sqrt(t).
+    The gradient bound needs nonnegative curvature: under CD(0, infinity)
+    the variance estimate gives
     Gamma(P_t 1_U) <= (1/2t)(P_t 1_U^2 - (P_t 1_U)^2), and eta is a
     1-Lipschitz contraction of 2 P_t 1_U, so
     Gamma(eta) <= 4 Gamma(P_t 1_U) <= 2/t = epsilon.
@@ -574,7 +575,7 @@ def build_cutoff(
     t = 2.0 / epsilon
     ones_u = np.zeros(g.num_vertices)
     ones_u[u_idx] = 1.0
-    pt_ones_u = build_heat(g).apply_array(t, ones_u)
+    (pt_ones_u,) = build_heat(g)._apply((t,), ones_u, keep_kernel=True)
     if s_idx:
         worst = float(np.min(pt_ones_u[s_idx]))
         if worst < 0.75 - 1e-12:

@@ -26,14 +26,18 @@ P_t is computed along one of two paths, fixed by the consumer:
   The series stops at the first degree K whose coefficient tail
   2 sum_{k>K} e^{-c} I_k(c) is below TAIL_TOL, a fixed rule in the manner
   of Al-Mohy and Higham (SIAM J. Sci. Comput. 2011).  As |T_k| <= 1 on the
-  spectrum, the tail bounds the error in l2(m) relative to ||f||_{l2(m)}.
-  K is about sqrt(2 c ln 10^15), and each degree costs one sum over the
-  stored entries of the domain's rows.
+  spectrum, the tail bounds the truncation error in l2(m) relative to
+  ||f||_{l2(m)}.  Rounding is not in that bound; it grows with K, to about
+  K eps ||f||_inf.  K is about sqrt(2 c ln 10^15), and each degree costs one
+  ``laplacian_array`` over the whole graph, with the rows outside a
+  Dirichlet domain set to 0.
 * ``_apply`` and ``apply_fluctuation_array`` carry their input into the
   eigenbasis of S, which one dense ``eigh`` computes on the first access to
   ``eigenvalues``, ``eigenbasis`` or ``kernel_modes``.  The estimates layer
   uses them: its sweeps need per-mode relative accuracy, the closed form of
-  (ii) needs the modes, and its corpus applies P_t to N columns at once.
+  (ii) needs the modes, its corpus applies P_t to N columns at once, and
+  the cutoff's t = 2 / epsilon has no ceiling, where the expansion's cost
+  would grow as sqrt(t).
 
 The full semigroup is fixed by the graph, so it is built once per graph and
 shared; Dirichlet restrictions are built on each request.
@@ -48,7 +52,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graphs import GraphFunction, WeightedGraph, _check_graph_function
-from .operators import gamma_recursive_array
+from .operators import gamma_recursive_array, laplacian_array
 
 __all__ = ["HeatOperator", "build_heat", "semigroup_gamma_path"]
 
@@ -83,28 +87,27 @@ class HeatOperator:
             a.setflags(write=False)
 
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         eigvals, eigvecs = _factorize(self)
-        for a in (eigvals, eigvecs):
+        kernel = eigvals <= KERNEL_TOL * eigvals.max(initial=0.0)
+        for a in (eigvals, eigvecs, kernel):
             a.setflags(write=False)
-        return eigvals, eigvecs
+        return eigvals, eigvecs, kernel
 
-    @cached_property
+    @property
     def eigenvalues(self) -> np.ndarray:
         """The eigenvalues of S on the domain, ascending; read-only."""
         return self._spectrum[0]
 
-    @cached_property
+    @property
     def eigenbasis(self) -> np.ndarray:
         """Orthonormal eigenvectors of S, one column per eigenvalue; read-only."""
         return self._spectrum[1]
 
-    @cached_property
+    @property
     def kernel_modes(self) -> np.ndarray:
         """The eigenvalues at or below KERNEL_TOL * lambda_max; read-only."""
-        kernel = self.eigenvalues <= KERNEL_TOL * self.eigenvalues.max(initial=0.0)
-        kernel.setflags(write=False)
-        return kernel
+        return self._spectrum[2]
 
     def apply_array(self, t: float, F: np.ndarray) -> np.ndarray:
         """P_t on a full-length vector (N,) or batch (N,B), by the Chebyshev expansion.
@@ -120,22 +123,30 @@ class HeatOperator:
         """(P_t F, its truncation bound) for each t of times, by one Chebyshev recurrence.
 
         F is (N,) or (N,B), with values outside a Dirichlet domain ignored
-        and the output zero there.  The terms T_k(A) F, A = -Delta / D - 1,
-        are computed once for every t; each t only weighs them by its own
-        coefficients.  The bound is the coefficient tail at t's stop degree:
-        ||P_t F - result||_{l2(m)} <= bound * ||F||_{l2(m)} per column, up to
-        rounding.  It is 0 where the series is exact (t = 0 or D = 0).
+        and the output zero there.  The terms T_k(A) F, A = -Delta / D - 1
+        restricted to the domain, are computed once for every t; each t only
+        weighs them by its own coefficients.  The bound is the coefficient
+        tail at t's stop degree, which bounds the truncation error alone:
+        ||P_t F - sum_{k<=K} a_k T_k(A) F||_{l2(m)} <= bound * ||F||_{l2(m)}
+        per column.  Rounding is not in it; it grows with the stop degree
+        (see the module docstring).  The bound is 0 where the series is
+        exact (t = 0 or D = 0).
         """
         _check_times(times)
-        squeeze = F.ndim == 1
-        F2 = F[:, None] if squeeze else F
-        idx = self._domain_indices
-        series = [_chebyshev_coefficients(t * self._max_degree) for t in times]
-        term = np.ascontiguousarray(F2[idx].T, dtype=float)  # one row per column of F
+        g, D = self.graph, self._max_degree
+        outside = np.ones(g.num_vertices, dtype=bool)
+        outside[self._domain_indices] = False
+        series = [_chebyshev_coefficients(t * D) for t in times]
+        term = np.array(F, dtype=float)
+        term[outside] = 0.0
         sums = [coeffs[0] * term for coeffs, _ in series]
         previous = None
-        for k in range(1, max(len(coeffs) for coeffs, _ in series)):
-            following = self._shifted_generator(term)
+        for k in range(1, max((len(coeffs) for coeffs, _ in series), default=1)):
+            # zero outside the domain, -Delta is the Dirichlet generator with full degrees
+            following = laplacian_array(g, term)
+            following /= -D
+            following -= term
+            following[outside] = 0.0
             if k > 1:
                 following *= 2.0
                 following -= previous
@@ -143,48 +154,12 @@ class HeatOperator:
             for total, (coeffs, _) in zip(sums, series):
                 if k < len(coeffs):
                     total += coeffs[k] * term
-        results = []
-        for total, (_, tail) in zip(sums, series):
-            out = np.zeros_like(F2, dtype=float)
-            out[idx] = total.T
-            results.append((out[:, 0] if squeeze else out, tail))
-        return results
+        return [(total, tail) for total, (_, tail) in zip(sums, series)]
 
     @cached_property
     def _max_degree(self) -> float:
         """D = max Deg over the domain: -Delta restricted to it has its spectrum in [0, 2D]."""
         return float(self.graph.weighted_degrees[self._domain_indices].max(initial=0.0))
-
-    @cached_property
-    def _shifted_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """A = -Delta / D - 1 on the domain: its diagonal, and the rows, columns and values of the rest.
-
-        A[x,y] = -values for the stored entries of ``csr`` with both ends in
-        the domain, values = b(x,y) / (m(x) D), in domain-local indices; the
-        diagonal Deg(x) / D - 1 keeps the full degrees, boundary edges
-        included.
-        """
-        g, idx, D = self.graph, self._domain_indices, self._max_degree
-        csr = g.csr
-        rows, cols, inside = self._local_pairs(csr.rows, csr.indices)
-        values = csr.weights[inside] / (g.measure_vector[idx][rows] * D)
-        return g.weighted_degrees[idx] / D - 1.0, rows, cols, values
-
-    def _local_pairs(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pairs (u, v) with both ends in the domain, in domain-local indices, and their mask."""
-        local = np.full(self.graph.num_vertices, -1)
-        local[self._domain_indices] = np.arange(len(self._domain_indices))
-        a, b = local[u], local[v]
-        inside = (a >= 0) & (b >= 0)
-        return a[inside], b[inside], inside
-
-    def _shifted_generator(self, X: np.ndarray) -> np.ndarray:
-        """A applied to each row of X, (B, n) on the domain."""
-        diagonal, rows, cols, values = self._shifted_entries
-        out = diagonal * X
-        for x, y in zip(X, out):
-            y -= np.bincount(rows, values * x[cols], len(diagonal))
-        return out
 
     def apply_fluctuation_array(self, t: float, F: np.ndarray) -> np.ndarray:
         """P_t with the generator's kernel modes (eigenvalue <= KERNEL_TOL * lambda_max) dropped.
@@ -243,7 +218,12 @@ class HeatOperator:
 
     def mass_array(self, t: float) -> np.ndarray:
         """P_t 1 at every vertex, clamped to [0, 1] against rounding; 0 outside a Dirichlet domain."""
-        return np.clip(self.apply_array(t, np.ones(self.graph.num_vertices)), 0.0, 1.0)
+        return clamp_mass(self.apply_array(t, np.ones(self.graph.num_vertices)))
+
+
+def clamp_mass(p: np.ndarray) -> np.ndarray:
+    """P_t 1 clamped to [0, 1], where the semigroup keeps it, against rounding."""
+    return np.clip(p, 0.0, 1.0)
 
 
 def _check_times(times: Sequence[float]) -> None:
@@ -322,8 +302,12 @@ def _factorize(h: HeatOperator) -> tuple[np.ndarray, np.ndarray]:
     full-graph degrees on its diagonal.
     """
     g, idx, sqrt_m = h.graph, h._domain_indices, h.measure_half
+    local = np.full(g.num_vertices, -1)
+    local[idx] = np.arange(len(idx))
     iu, iv, w = g.edge_arrays
-    a, b, inside = h._local_pairs(iu, iv)
+    a, b = local[iu], local[iv]
+    inside = (a >= 0) & (b >= 0)
+    a, b = a[inside], b[inside]
     S = np.zeros((len(idx), len(idx)))
     S[a, b] = S[b, a] = -w[inside] / (sqrt_m[a] * sqrt_m[b])
     # full-graph degrees: the restriction keeps boundary edges

@@ -269,10 +269,26 @@ def test_expansion_coefficient_pass_is_linear_in_the_stop_degree(monkeypatch):
         assert tail < 1e-15 and np.sum(np.abs(coeffs)) == pytest.approx(1.0, abs=1e-13)
         assert sum(starts) <= 4 * stop + 64
         assert stop <= math.sqrt(2 * c * math.log(1e15)) + 16
-    # t max Deg = 1e5 on the 20-cycle: P_t has reached its uniform limit 1/20
-    g = generate("cycle", 20)
-    ((out, bound),) = build_heat(g).expand((5e4,), np.eye(20)[0])
-    assert np.max(np.abs(out - 1 / 20)) <= 1e-12 and bound < 1e-15
+
+
+@pytest.mark.parametrize("g", _FAMILIES[:-1], ids=lambda g: repr(g))
+def test_expansion_rounding_at_large_c(g):
+    # t max Deg = 1e5, far past mixing: P_t f is the m-mean of f on the full
+    # (connected) graph and 0 on the Dirichlet domain.  The truncation bound
+    # leaves rounding out; the rounding stays below 1e-12 ||f||_inf, where
+    # the eigenbasis path is off by up to about 1e-11 on these graphs
+    rng = np.random.default_rng(65)
+    F = np.column_stack([rng.uniform(-1.0, 1.0, g.num_vertices), np.eye(g.num_vertices)[0]])
+    m = g.measure_vector
+    for domain, limit in ((None, np.tile(m @ F / m.sum(), (g.num_vertices, 1))),
+                          (g.vertices[1::2], np.zeros_like(F))):
+        h = build_heat(g, dirichlet_domain=domain)
+        t = 1e5 / h._max_degree
+        ((out, bound),) = h.expand((t,), F)
+        gap = h.eigenvalues[1] if domain is None else h.eigenvalues[0]
+        assert gap * t > 40  # the limit is exact to machine precision
+        assert bound < 1e-15
+        assert np.max(np.abs(out - limit)) <= 1e-12 * np.max(np.abs(F))
 
 
 # -- heat mass ---------------------------------------------------------------------
@@ -359,6 +375,8 @@ def test_gamma_path_grid_validation():
         semigroup_gamma_path(h, 1, f, 1.0, [0.5, 0.25], "v0")
     with pytest.raises(ValueError):
         semigroup_gamma_path(h, 2, f, 1.0, [0.5], "v0")
+    assert semigroup_gamma_path(h, 1, f, 1.0, [], "v0") == []
+    assert h.expand((), np.ones(2)) == []
 
 
 @pytest.mark.parametrize("k", [0, 1])

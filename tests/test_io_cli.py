@@ -460,13 +460,13 @@ def test_cli_jobs_accepts_only_one(edge_graph, capsys, command):
 @pytest.mark.parametrize("command, factorizations", [
     (["verify-estimates", "--paper-K", "0", "--dimension", "4", "--t", "0.1,1"], [None]),
     (["taylor-check", "--vertex", "v0"], [None]),
-    (["cutoff", "--target", "v0", "--epsilon", "0.5"], []),
+    (["cutoff", "--target", "v0", "--epsilon", "0.5"], [None]),
     (["heat", "--t", "0.5,2", "--indicator", "v0"], []),
     (["heat", "--t", "0.5,2", "--indicator", "v0", "--dirichlet", "v0,v1,v2"], []),
 ])
 def test_cli_factorizes_the_semigroup_once(monkeypatch, capsys, tmp_path, command, factorizations):
-    # the estimates factorize the full graph once; the cutoff and heat apply
-    # P_t by the Chebyshev expansion and factorize nothing
+    # the estimates and the cutoff factorize the full graph once; heat
+    # applies P_t by the Chebyshev expansion and factorizes nothing
     from graphcurv import heat
 
     calls = []
