@@ -26,14 +26,22 @@ every bound by a Cholesky test of M(K) + EIG_TOL sigma(K) I, with sigma(K) a
 scale of M(K), so its verdicts do not depend on the units; as R is diagonal,
 it factors only the Schur complement on S1.
 
-Identical local forms are solved and judged once
+Twins are solved once per class (``operators.twin_representatives``).  x != y
+are twins when m(x) = m(y) and b(x, z) = b(y, z) for every z outside {x, y}:
+the vertices of K_n, a star's leaves, each sphere of an anti-tree.  Swapping
+twins is an automorphism, so K_x = K_y.  Only the lowest index of each class,
+its representative, is walked, assembled and solved, and its result is copied
+to its twins; a twin's own form is a permutation of its representative's, so
+its own solve differs from the copy by rounding only.
+
+Identical local forms of the representatives are solved and judged once
 (``operators.local_form_stacks``).  Two forms are identical when they have one
 shape and their blocks are equal bit for bit; the result is copied to every
-vertex that shares the form.  Equal inputs give equal results, so each vertex
-gets what its own form gives.  The vertices are ordered by (|S1|, two-step
-walks), which puts identical forms next to each other, so only the last stack
-that kept forms is remembered for this, one with empty 2-spheres and one with
-others.
+vertex that shares the form.  Equal inputs give equal results, so each such
+vertex gets what its own form gives.  The representatives are ordered by
+(|S1|, two-step walks), which puts identical forms next to each other, so only
+the last stack that kept forms is remembered for this, one with empty
+2-spheres and one with others.
 """
 
 from __future__ import annotations
@@ -44,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphFunction, WeightedGraph
-from .operators import LocalForms, LocalFormStack, gamma2_matrices, local_form_stack, local_form_stacks
+from .operators import (LocalForms, LocalFormStack, gamma2_matrices, local_form_stack, local_form_stacks,
+                        twin_representatives)
 
 __all__ = [
     "EIG_TOL",
@@ -214,13 +223,17 @@ def curvature_solve(g: WeightedGraph, x: str, n: float) -> CurvatureResult:
 
 
 def curvature_profile(g: WeightedGraph, n: float) -> CurvatureProfile:
-    """Solve each distinct local form, a stack at a time, and take the minimum (CD is a for-all-x condition)."""
+    """Solve each distinct local form of a class representative, a stack at a time, and take the minimum.
+
+    CD is a for-all-x condition; each twin gets its representative's result.
+    """
     n = _check_dimension(n)
+    rep = twin_representatives(g)
     solved = np.empty((3, g.num_vertices))
-    for stack in local_form_stacks(g):
+    for stack in local_form_stacks(g, rep):
         solved[:, stack.centers] = _solve(stack, n)
         solved[:, stack.copies[0]] = solved[:, stack.copies[1]]
-    K, converged, width = solved
+    K, converged, width = solved[:, rep]
     results = tuple(map(CurvatureResult, g.vertices, [n] * g.num_vertices, K.tolist(),
                         converged.astype(bool).tolist(), width.tolist()))
     return CurvatureProfile(per_vertex=results, global_curvature=float(K.min(initial=math.inf)))

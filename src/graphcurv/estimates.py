@@ -50,7 +50,7 @@ from .graphs import (
     is_connected,
 )
 from .heat import HeatOperator, build_heat
-from .operators import gamma_array, laplacian_array, local_form_stacks
+from .operators import gamma_array, laplacian_array, local_form_stacks, twin_representatives
 
 __all__ = [
     "REPORT_TOL",
@@ -371,10 +371,12 @@ def _stack_corpus(
 
 def _require_curvature(g: WeightedGraph, K: float) -> None:
     """Raise PreconditionError at the first vertex that the judge refutes CD(K, inf) at."""
+    rep = twin_representatives(g)
     holds = np.ones(g.num_vertices, dtype=bool)
-    for stack in local_form_stacks(g):
+    for stack in local_form_stacks(g, rep):
         holds[stack.centers] = _cd_holds(stack, K, math.inf)
         holds[stack.copies[0]] = holds[stack.copies[1]]
+    holds = holds[rep]
     if not holds.all():
         x = g.vertices[int(np.argmin(holds))]
         raise PreconditionError(f"graph violates CD({K:.6g}, infinity): the curvature at {x!r} is "
@@ -537,7 +539,7 @@ def ec_norm_check(g: WeightedGraph) -> tuple[float, float]:
     m = g.measure_vector
     csr = g.csr
     # A 1_y has the entries b(x,y)/m(x) at the neighbours x of y: row y of the CSR
-    column_max = csr.row_reduce(np.maximum, csr.weights / m[csr.indices])
+    column_max = csr.row_reduce(np.maximum, csr.weights / m.take(csr.indices))
     norm = float(np.max(column_max / m, initial=0.0))
     return cert.constant, norm
 

@@ -60,7 +60,8 @@ def gamma_array(g: WeightedGraph, F: np.ndarray, H: np.ndarray) -> np.ndarray:
     squeeze = F.ndim == 1
     F2 = F[:, None] if squeeze else F
     H2 = H[:, None] if squeeze else H
-    dF, dH = F2[csr.indices] - F2[csr.rows], H2[csr.indices] - H2[csr.rows]
+    dF = F2.take(csr.indices, axis=0) - F2.take(csr.rows, axis=0)
+    dH = H2.take(csr.indices, axis=0) - H2.take(csr.rows, axis=0)
     contrib = csr.weights[:, None] * dF * dH
     out = csr.row_reduce(np.add, contrib) / (2.0 * g.measure_vector[:, None])
     return out[:, 0] if squeeze else out
@@ -344,15 +345,77 @@ def _first_equal(values: np.ndarray) -> np.ndarray:
     return first
 
 
-def local_form_stacks(g: WeightedGraph) -> Iterator[LocalFormStack]:
-    """The distinct local forms of every vertex, in stacks of one 1-sphere size.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # spreads the vertex indices over the 64 bits
 
-    The vertices are ordered once by (|S1|, two-step walks), ties in index
-    order.  Runs of that order, of at most ``STACK_ENTRIES`` in max(walks,
-    (|S1| + 1)^2), are walked at once.  Each |S1| of a run, apart from its
-    empty 2-spheres, goes in stacks of as many members as keep the padded
-    entries, members x (|S1| + 1)(s + 1) with s the widest punctured 2-ball,
-    within ``STACK_ENTRIES`` (at least one), so memory stays linear in N + E.
+
+def _entry_words(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A ``uint64`` hash of each row entry (y, b), by the splitmix64 finalizer."""
+    h = b.view(np.uint64) ^ y.astype(np.uint64) * _GOLDEN
+    h ^= h >> np.uint64(30)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    h ^= h >> np.uint64(27)
+    h *= np.uint64(0x94D049BB133111EB)
+    h ^= h >> np.uint64(31)
+    return h
+
+
+def twin_representatives(g: WeightedGraph) -> np.ndarray:
+    """The representative of each vertex's class of twins, the lowest index in the class, (N,).
+
+    x != y are twins when m(x) = m(y) and b(x, z) = b(y, z) for every z
+    outside {x, y}.  Swapping them is an automorphism, so their curvatures are
+    equal.  False twins (not adjacent) have equal rows of ``g.csr``; true twins
+    (adjacent) have equal rows less their mutual entry.  Both relations are
+    transitive, and a vertex with a twin of one kind has none of the other, so
+    the classes partition the vertices.  A vertex without twins is its own
+    representative.
+
+    Each entry (y, b(x, y)) of row x is hashed to a ``uint64`` word, and the
+    words of a row add up, modulo 2^64 and so in any order, to its
+    fingerprint fp(x).  Equal fingerprints with equal measures propose false
+    twins; fp(x) - h(y, b) = fp(y) - h(x, b) on an edge (x, y) of weight b
+    proposes true twins.  Each vertex is compared with the lowest vertex
+    proposed for it, and is its twin only when their measures and their rows
+    (indices and weights, each less the other) are equal as ``uint64``.  A
+    fingerprint collision can only leave a twin its own representative.
+    """
+    csr, N, k, m = g.csr, g.num_vertices, np.diff(g.csr.indptr), g.measure_vector
+    fp = np.diff(np.append(np.uint64(0), np.cumsum(_entry_words(csr.indices, csr.weights)))[csr.indptr])
+    lowest = _first_equal(fp + _entry_words(np.zeros(N, dtype=np.intp), m))  # the measure as one more word
+    iu, iv, b = g.edge_arrays
+    e = (k[iu] == k[iv]) & (m[iu] == m[iv])
+    iu, iv, b = iu[e], iv[e], b[e]
+    true = fp[iu] - _entry_words(iv, b) == fp[iv] - _entry_words(iu, b)
+    np.minimum.at(lowest, iv[true], iu[true])
+    x = np.flatnonzero(lowest != np.arange(N))
+    c = lowest[x]
+    same = (k[x] == k[c]) & (m.view(np.uint64)[x] == m.view(np.uint64)[c])
+    x, c, y, w = x[same], c[same], csr.indices, csr.weights.view(np.uint64)
+    ex, pair = csr.entries(x)
+    ec = csr.entries(c)[0]
+    keep = y[ex] != c[pair]  # row x less its entry at c, and row c less its entry at x
+    ex, ec, pair = ex[keep], ec[y[ec] != x[pair]], pair[keep]
+    twin = np.bincount(pair[(y[ex] != y[ec]) | (w[ex] != w[ec])], minlength=len(x)) == 0
+    rep = np.arange(N)
+    rep[x[twin]] = c[twin]
+    return rep
+
+
+def local_form_stacks(g: WeightedGraph, rep: np.ndarray) -> Iterator[LocalFormStack]:
+    """The distinct local forms of the representatives ``rep`` names, in stacks of one 1-sphere size.
+
+    ``rep`` maps each vertex to the representative of its class of twins
+    (``twin_representatives``).  Twins have equal curvatures, so only the
+    representatives, the vertices x with rep[x] = x, are walked, assembled and
+    solved; the consumer copies each representative's result to its twins.
+
+    The representatives are ordered once by (|S1|, two-step walks), ties in
+    index order.  Runs of that order, of at most ``STACK_ENTRIES`` in
+    max(walks, (|S1| + 1)^2), are walked at once.  Each |S1| of a run, apart
+    from its empty 2-spheres, goes in stacks of as many members as keep the
+    padded entries, members x (|S1| + 1)(s + 1) with s the widest punctured
+    2-ball, within ``STACK_ENTRIES`` (at least one), so memory stays linear in
+    N + E.
 
     Identical forms are yielded once.  Two forms are identical when they have
     one shape (|S1|, padded |S2|) and their ``p``, ``q``, ``r``, ``gamma`` and
@@ -366,13 +429,14 @@ def local_form_stacks(g: WeightedGraph) -> Iterator[LocalFormStack]:
     result to the vertices that share the form: identical inputs give
     identical results.
     """
-    csr, N = g.csr, g.num_vertices
+    csr = g.csr
     k = np.diff(csr.indptr)
     walks = csr.row_reduce(np.add, k[csr.indices])
-    order = np.lexsort((walks, k))
+    reps = np.flatnonzero(rep == np.arange(len(rep)))
+    order = reps[np.lexsort((walks[reps], k[reps]))]
     cost = np.append(0, np.cumsum(np.maximum(walks, (k + 1) ** 2)[order]))
     kept, first = [None, None], 0  # per kind, nonempty or empty 2-spheres: the last stack that kept members
-    while first < N:
+    while first < len(order):
         last = max(first + 1, int(np.searchsorted(cost, cost[first] + STACK_ENTRIES, side="right")) - 1)
         run, first = order[first:last], last
         row, col, weight, far, offsets = _two_balls(g, run)

@@ -13,7 +13,8 @@ loops are the references for the ellipticity constant and the adjacency
 operator norm.  Dense N x N references, filled pair by pair from
 ``WeightedGraph.weight``, check the package's edge-list kernels, and a
 dict-of-dicts adjacency with a plain breadth-first search checks the
-graph's own lookups (``weight``, ``neighbors``, ``ball``, ``is_connected``).
+graph's own lookups (``weight``, ``neighbors``, ``ball``, ``is_connected``),
+and a pair-by-pair comparison of weights checks the classes of twins.
 """
 
 from __future__ import annotations
@@ -59,6 +60,54 @@ def scaled_weights(g: WeightedGraph, c: float, measure_factor: float = 1.0,
         {(u, v): c * w for u, v, w in g.edges()},
         {v: measure_factor * g.measure(v) for v in g.vertices},
     )
+
+
+def antitree(p: int, radius: int) -> tuple[WeightedGraph, list[range]]:
+    """The unit anti-tree with spheres of (r + 1)^p vertices, r < radius, consecutive
+    spheres completely joined, and its spheres as ranges of vertex indices."""
+    starts = np.cumsum([0] + [(r + 1) ** p for r in range(radius)]).tolist()
+    spheres = [range(a, b) for a, b in zip(starts, starts[1:])]
+    iu = np.concatenate([np.repeat(s, len(t)) for s, t in zip(spheres, spheres[1:])])
+    iv = np.concatenate([np.tile(t, len(s)) for s, t in zip(spheres, spheres[1:])])
+    g = WeightedGraph.from_arrays([f"v{i}" for i in range(starts[-1])], iu, iv, np.ones(len(iu)),
+                                  np.ones(starts[-1]))
+    return g, spheres
+
+
+def planted_twins(rng: np.random.Generator, g: WeightedGraph, false: int, true: int) -> tuple[
+        WeightedGraph, list[set[str]]]:
+    """g with planted classes of twins, listed in a random order, and the classes.
+
+    Each of ``false`` vertices gets one or two copies of its row and measure,
+    not joined to it; each of ``true`` vertices gets one or two copies joined to
+    it and to each other by one drawn weight.
+    """
+    weights = {(u, v): w for u, v, w in g.edges()}
+    measure = {v: g.measure(v) for v in g.vertices}
+    classes = []
+    for i, x in enumerate(rng.choice(g.vertices, false + true, replace=False).tolist()):
+        mutual = float(rng.uniform(0.1, 2.0))
+        classes.append({x})
+        for j in range(int(rng.integers(1, 3))):
+            twin = f"{x}'{j}"
+            row = {(twin, y if u == x else u): w for (u, y), w in weights.items() if x in (u, y)}
+            weights.update(row)
+            if i >= false:
+                weights.update({(twin, c): mutual for c in classes[-1]})
+            measure[twin] = measure[x]
+            classes[-1].add(twin)
+    names = list(measure)
+    return WeightedGraph([names[i] for i in rng.permutation(len(names))], weights, measure), classes
+
+
+def naive_twin_representatives(g: WeightedGraph) -> list[int]:
+    """The lowest index y with m(y) = m(x) and b(x, z) = b(y, z) for every z
+    outside {x, y}, for each vertex x, pair by pair from ``WeightedGraph.weight``."""
+    names, rep = g.vertices, []
+    for x in names:
+        rep.append(next(i for i, y in enumerate(names) if y == x or g.measure(y) == g.measure(x) and all(
+            g.weight(x, z) == g.weight(y, z) for z in names if z not in (x, y))))
+    return rep
 
 
 def random_function(rng: np.random.Generator, g: WeightedGraph, lo=-1.0, hi=1.0) -> GraphFunction:

@@ -35,7 +35,7 @@ from graphcurv import (
     verify_estimates,
 )
 from graphcurv import operators
-from graphcurv.estimates import REPORT_TOL, _gradient_integral, _phi1, _phi2, _slack_arrays
+from graphcurv.estimates import REPORT_TOL, _gradient_integral, _phi1, _phi2, _require_curvature, _slack_arrays
 from graphcurv.operators import gamma_array, laplacian_array
 
 
@@ -544,6 +544,17 @@ def test_cutoff_rejects_negative_curvature_at_any_scale():
     g = scaled_weights(generate("star", 5), 1e-12)
     with pytest.raises(PreconditionError, match="CD\\(0"):
         build_cutoff(g, {"c"}, 1.0, set(g.vertices))
+
+
+def test_curvature_precondition_names_the_first_failing_vertex():
+    # the star's leaves are one class of twins, judged once at its lowest
+    # index; the refusal names the first vertex in index order below K
+    star = generate("star", 5)
+    g = scaled_weights(star, 1.0, order=["l3", "l1", "c", "l0", "l2", "l4"])
+    _require_curvature(g, -1.5)
+    for K, first in ((-0.5, "c"), (0.5, "l3")):
+        with pytest.raises(PreconditionError, match=f"the curvature at '{first}' is below"):
+            _require_curvature(g, K)
 
 
 def test_cutoff_universe_too_small_rejected():

@@ -4,26 +4,32 @@ import numpy as np
 import pytest
 
 from conftest import (
+    antitree,
     dense_degrees,
     dense_gamma,
     dense_laplacian,
     naive_gamma,
     naive_gamma2,
     naive_laplacian,
+    naive_twin_representatives,
+    planted_twins,
     random_connected_graph,
     random_function,
     reference_local_forms,
+    scaled_weights,
 )
 from graphcurv import (
     GraphFunction,
     WeightedGraph,
     gamma_closed_form,
     gamma_k,
+    generate,
     laplacian,
     local_forms,
 )
+from graphcurv import operators
 from graphcurv.graphs import ball
-from graphcurv.operators import gamma_array, gamma_recursive_array, laplacian_array
+from graphcurv.operators import gamma_array, gamma_recursive_array, laplacian_array, twin_representatives
 
 
 def single_edge():
@@ -336,3 +342,85 @@ def test_gamma_batch_matches_single():
     for j in range(6):
         single = gamma_recursive_array(g, 2, F[:, j], F[:, j])
         assert np.allclose(batch[:, j], single, rtol=1e-13, atol=1e-14)
+
+
+# -- twin classes -------------------------------------------------------------
+
+
+def _representatives(g: WeightedGraph) -> list[int]:
+    """``twin_representatives``, checked against the pair-by-pair reference."""
+    rep = twin_representatives(g).tolist()
+    assert rep == naive_twin_representatives(g)
+    return rep
+
+
+def _twin_classes(g: WeightedGraph) -> set[frozenset[str]]:
+    rep = _representatives(g)
+    return {frozenset(v for v, r in zip(g.vertices, rep) if r == c) for c in set(rep)}
+
+
+def _moved(g: WeightedGraph, edge: tuple[str, str] | None = None, vertex: str | None = None) -> WeightedGraph:
+    """g with the weight of ``edge`` or the measure of ``vertex`` one ulp up."""
+    up = lambda value: float(np.nextafter(value, math.inf))  # noqa: E731
+    return WeightedGraph(g.vertices, {(u, v): up(w) if {u, v} == set(edge or ()) else w for u, v, w in g.edges()},
+                         {v: up(g.measure(v)) if v == vertex else g.measure(v) for v in g.vertices})
+
+
+def test_twin_classes_of_the_paper_families():
+    # all of K_n is one class (true twins), the star's leaves are one (false
+    # twins), and so is each sphere of an anti-tree
+    assert _representatives(generate("complete", 9)) == [0] * 9
+    assert _representatives(generate("star", 6)) == [0] + [1] * 6
+    g, spheres = antitree(2, 6)
+    assert _representatives(g) == [s.start for s in spheres for _ in s]
+
+
+@pytest.mark.parametrize("g", [generate("cycle", n) for n in (5, 6, 31)]
+                         + [generate("hypercube", d) for d in (3, 4, 6)]
+                         + [random_connected_graph(np.random.default_rng(s), 40, extra_edge_prob=0.1)
+                            for s in range(3)])
+def test_graphs_without_twins(g):
+    assert _representatives(g) == list(range(g.num_vertices))
+
+
+def test_one_ulp_splits_a_class():
+    # b(v0, v2) one ulp up: v0 and v2 stay twins (their mutual weight is
+    # theirs alone) and leave the rest of K_6; m(v3) one ulp up splits v3 off
+    complete, star = generate("complete", 6), generate("star", 6)
+    assert _representatives(_moved(complete, edge=("v0", "v2"))) == [0, 1, 0, 1, 1, 1]
+    assert _representatives(_moved(complete, vertex="v3")) == [0, 0, 0, 3, 0, 0]
+    assert _representatives(_moved(star, edge=("c", "l2"))) == [0, 1, 1, 3, 1, 1, 1]
+    assert _representatives(_moved(star, vertex="l0")) == [0, 1, 2, 2, 2, 2, 2]
+    # b(v1, v5) one ulp up splits v1 off the anti-tree's sphere 1 and v5 off sphere 2
+    assert _representatives(_moved(antitree(2, 4)[0], edge=("v1", "v5"))) == (
+        [0, 1, 2, 2, 2, 5] + [6] * 8 + [14] * 16)
+
+
+def test_a_row_fingerprint_only_proposes(monkeypatch):
+    # with every word 0, each vertex is proposed the lowest vertex of its
+    # measure or of its edges: only the exact comparison keeps non-twins apart
+    monkeypatch.setattr(operators, "_entry_words", lambda y, b: np.zeros(len(y), dtype=np.uint64))
+    unit = random_connected_graph(np.random.default_rng(46), 20, extra_edge_prob=0.2,
+                                  weight_range=(1.0, 1.0), measure_range=(1.0, 1.0))
+    star = generate("star", 6)
+    leaves_first = scaled_weights(_moved(star, vertex="l0"), 1.0, order=[*star.vertices[1:], "c"])
+    for g in (star, leaves_first, antitree(2, 4)[0], generate("cycle", 8), unit):
+        naive = naive_twin_representatives(g)
+        assert all(naive[r] == naive[x] for x, r in enumerate(twin_representatives(g).tolist()))
+    assert not twin_representatives(generate("complete", 9)).any()
+
+
+def test_twin_classes_do_not_depend_on_the_labels():
+    rng = np.random.default_rng(44)
+    fuzzed = random_connected_graph(np.random.default_rng(45), 30, extra_edge_prob=0.1)
+    for g in (antitree(2, 5)[0], generate("star", 6), generate("complete", 9), planted_twins(rng, fuzzed, 3, 3)[0]):
+        relabelled = scaled_weights(g, 1.0, order=[g.vertices[i] for i in rng.permutation(g.num_vertices)])
+        assert _twin_classes(relabelled) == _twin_classes(g)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_planted_twins_are_found(seed):
+    rng = np.random.default_rng(seed)
+    g, classes = planted_twins(rng, random_connected_graph(rng, 30, extra_edge_prob=0.1), 3, 3)
+    planted = {frozenset(c) for c in classes}
+    assert _twin_classes(g) == planted | {frozenset([v]) for v in g.vertices if not any(v in c for c in classes)}
