@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Every command reads a graph (JSON document or edge list + measure file),
-writes a versioned JSON report to standard output and a one-line summary to
-standard error.  Exit codes: 0 for success/pass, 1 for a verdict failure
+writes a versioned JSON report to standard output as one compact line and a
+one-line summary to standard error.  Exit codes: 0 for success/pass, 1 for a verdict failure
 (an estimate violated, a check mismatch, a failed precondition), 2 for
 input errors.
 
@@ -57,29 +57,43 @@ TAYLOR_TOL = 1e-6  # fitted vs exact coefficients, per the scale taylor_check re
 
 
 def _jsonify(obj):
-    """Make reports JSON-safe: inf -> strings, arrays -> lists, etc."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, GraphFunction):
-        return _jsonify(obj.as_dict())
+    """Make reports JSON-safe: inf -> strings, arrays -> lists, etc.
+
+    A report is mostly Python floats, strings, ints and bools in plain dicts
+    and lists, so those exact types are tested first.  numpy scalars are not
+    exact floats and go through ``.item()``.
+    """
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else _non_finite(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, GraphFunction):
+        return _jsonify(obj.as_dict())
     if isinstance(obj, (set, frozenset)):
         return sorted(_jsonify(v) for v in obj)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
             return obj.tolist()  # already JSON-safe: no inf or nan to rewrite
         return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         obj = obj.item()
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return _non_finite(obj)
     return obj
+
+
+def _non_finite(x: float) -> str:
+    """The report's spelling of inf, -inf and nan."""
+    if math.isnan(x):
+        return "nan"
+    return "inf" if x > 0 else "-inf"
 
 
 def _relative(mismatch: float, scale: float) -> float:
@@ -87,10 +101,17 @@ def _relative(mismatch: float, scale: float) -> float:
     return mismatch / scale if scale > 0 else (0.0 if mismatch == 0 else math.inf)
 
 
+def _print_report(command: str, body: dict) -> None:
+    """Print the report {format_version, command, **body} as one compact JSON line.
+
+    Every report goes through here.  ``body`` is JSON-safe already
+    (``_jsonify``), and ``json.dumps`` without ``indent`` runs the C encoder.
+    """
+    print(json.dumps({"format_version": REPORT_FORMAT_VERSION, "command": command, **body}))
+
+
 def _emit(command: str, payload: dict, summary: str) -> None:
-    report = {"format_version": REPORT_FORMAT_VERSION, "command": command}
-    report.update(_jsonify(payload))
-    print(json.dumps(report, indent=2))
+    _print_report(command, _jsonify(payload))
     print(summary, file=sys.stderr)
 
 
@@ -264,8 +285,14 @@ def _cmd_curvature(args) -> int:
     g = _load_graph(args)
     n = _parse_dimension(args.dimension)
     profile = curvature_profile(g, n)
-    _emit("curvature", {"profile": profile},
-          f"global curvature {profile.global_curvature:.9g} at dimension {args.dimension}")
+    # the per-vertex objects of the report are built from the columns, each made JSON-safe once
+    dimension = _jsonify(profile.dimension)
+    columns = map(_jsonify, (profile.curvature, profile.converged, profile.bracket_width))
+    per_vertex = [{"vertex": x, "dimension": dimension, "curvature": k, "converged": c, "bracket_width": w}
+                  for x, k, c, w in zip(profile.vertices, *columns)]
+    _print_report("curvature", {"profile": {"per_vertex": per_vertex,
+                                            "global_curvature": _jsonify(profile.global_curvature)}})
+    print(f"global curvature {profile.global_curvature:.9g} at dimension {args.dimension}", file=sys.stderr)
     return 0
 
 
@@ -296,14 +323,14 @@ def _cmd_heat(args) -> int:
         initial = f"constant:{1.0 if args.constant is None else args.constant}"
     results = []
     domain_vertices = sorted(h.dirichlet_domain) if h.dirichlet_domain else list(g.vertices)
+    where = np.fromiter(map(g.index, domain_vertices), np.intp, len(domain_vertices))
     times = _parse_floats(args.t, "--t")
     columns = np.column_stack([f.array, np.ones(g.num_vertices)])
     for t, (out, bound) in zip(times, h.expand(times, columns)):
-        mass = clamp_mass(out[:, 1])
         results.append({
             "t": t,
             "values": GraphFunction(g, out[:, 0]).as_dict(),
-            "mass": {v: float(mass[g.index(v)]) for v in domain_vertices},
+            "mass": dict(zip(domain_vertices, clamp_mass(out[where, 1]).tolist())),
             "truncation_bound": bound,
         })
     _emit("heat", {"initial": initial, "dirichlet": domain, "results": results},
@@ -431,14 +458,12 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except PreconditionError as exc:
-        print(json.dumps({"format_version": REPORT_FORMAT_VERSION,
-                          "command": args.command, "error": str(exc)}, indent=2))
+        _print_report(args.command, {"error": str(exc)})
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 1
     except (GraphFormatError, KeyError, ValueError) as exc:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
-        print(json.dumps({"format_version": REPORT_FORMAT_VERSION,
-                          "command": args.command, "error": str(msg)}, indent=2))
+        _print_report(args.command, {"error": str(msg)})
         print(f"input error: {msg}", file=sys.stderr)
         return 2
 

@@ -46,7 +46,10 @@ the last stack that kept forms is remembered for this, one with empty
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +82,74 @@ class CurvatureResult:
     bracket_width: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureProfile:
-    """Per-vertex curvatures and their minimum, the graph's global bound."""
+    """Per-vertex curvatures, held as columns, and their minimum, the graph's global bound.
 
-    per_vertex: tuple[CurvatureResult, ...]
+    ``curvature``, ``converged`` and ``bracket_width`` are read-only arrays in
+    the order of ``vertices``.  ``per_vertex`` is the same profile as a
+    read-only sequence of ``CurvatureResult``; a result is built only when it
+    is indexed or iterated.
+    """
+
+    vertices: tuple[str, ...]
+    dimension: float
+    curvature: np.ndarray
+    converged: np.ndarray
+    bracket_width: np.ndarray
     global_curvature: float
+
+    def __post_init__(self):
+        for a in (self.curvature, self.converged, self.bracket_width):
+            a.setflags(write=False)
+
+    @property
+    def per_vertex(self) -> "_PerVertex":
+        return _PerVertex(self)
+
+    def _columns(self) -> tuple:
+        return (self.vertices, self.dimension, self.curvature.tolist(), self.converged.tolist(),
+                self.bracket_width.tolist(), self.global_curvature)
+
+    def __eq__(self, other):
+        if not isinstance(other, CurvatureProfile):
+            return NotImplemented
+        return self._columns() == other._columns()
+
+
+class _PerVertex(Sequence):
+    """``CurvatureProfile.per_vertex``: it equals any sequence of the same ``CurvatureResult``s."""
+
+    __slots__ = ("_profile",)
+
+    def __init__(self, profile: CurvatureProfile):
+        self._profile = profile
+
+    def __len__(self) -> int:
+        return len(self._profile.vertices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("per-vertex index out of range")
+        p = self._profile
+        return CurvatureResult(p.vertices[i], p.dimension, float(p.curvature[i]), bool(p.converged[i]),
+                               float(p.bracket_width[i]))
+
+    def __iter__(self):
+        p = self._profile
+        return map(CurvatureResult, p.vertices, itertools.repeat(p.dimension), p.curvature.tolist(),
+                   p.converged.tolist(), p.bracket_width.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"_PerVertex({tuple(self)!r})"
 
 
 def _check_dimension(n: float) -> float:
@@ -234,9 +299,7 @@ def curvature_profile(g: WeightedGraph, n: float) -> CurvatureProfile:
         solved[:, stack.centers] = _solve(stack, n)
         solved[:, stack.copies[0]] = solved[:, stack.copies[1]]
     K, converged, width = solved[:, rep]
-    results = tuple(map(CurvatureResult, g.vertices, [n] * g.num_vertices, K.tolist(),
-                        converged.astype(bool).tolist(), width.tolist()))
-    return CurvatureProfile(per_vertex=results, global_curvature=float(K.min(initial=math.inf)))
+    return CurvatureProfile(g.vertices, n, K, converged.astype(bool), width, float(K.min(initial=math.inf)))
 
 
 def cd_extremal_function(g: WeightedGraph, x: str, n: float, K: float) -> GraphFunction:

@@ -9,13 +9,17 @@ Two interchange formats:
   graph corpora.
 
 Each edge must be declared once per unordered pair; conflicting symmetric
-entries are rejected at parse time.  Both parsers fill the index arrays of
-``WeightedGraph.from_arrays`` directly; one sort of the pairs finds an edge
-declared twice, and the first fault in file order is the one reported.
+entries are rejected at parse time.  Both parsers read their entries column
+by column and fill the index arrays of ``WeightedGraph.from_arrays``
+directly; only an input with a fault is walked entry by entry, to name it.
+One sort of the pairs finds an edge declared twice, and the first fault in
+file order is the one reported.  ``serialize_graph`` writes the document as
+one compact line; the parser accepts any whitespace.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -157,10 +161,55 @@ def _lines(text: str, label: str, fields: str):
             yield lineno, parts
 
 
+def _columns(text: str, width: int) -> list[list[str]] | None:
+    """The fields of the lines with content, column by column; None if a line has not ``width`` fields."""
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    if not {*map(len, map(str.split, text.splitlines()))} <= {0, width}:
+        return None
+    fields = text.split()  # each line break is whitespace, so these are the lines' fields in turn
+    return [fields[i::width] for i in range(width)]
+
+
+def _floats(raw: list[str]) -> list[float] | None:
+    try:
+        return list(map(float, raw))
+    except ValueError:
+        return None
+
+
+def _line_number(text: str, k: int) -> int:
+    """The number of the k-th line with content (from 0), all of whose lines up to it are well formed."""
+    return next(itertools.islice(_lines(text, "edges", "u v weight"), k, None))[0]
+
+
 def parse_edge_list(edge_text: str, measure_text: str) -> WeightedGraph:
-    """Parse ``u v weight`` lines plus ``v m`` measure lines."""
+    """Parse ``u v weight`` lines plus ``v m`` measure lines.
+
+    Each file is read column by column.  Only if that finds a fault is it
+    walked line by line, to name the first fault.
+    """
+    index, measure = _parse_measures(measure_text)
+    columns = _columns(edge_text, 3)
+    weights = None if columns is None else _floats(columns[2])
+    if weights is not None and index.keys() >= {*columns[0], *columns[1]}:
+        us, vs, fault = columns[0], columns[1], None
+    else:
+        us, vs, weights, fault = _walk_edges(edge_text, index)
+    return _graph(index, measure, us, vs, weights, fault, lambda k, u, v: (
+        f"edges line {_line_number(edge_text, k)}: conflicting symmetric entries for ({u!r}, {v!r})"))
+
+
+def _parse_measures(text: str) -> tuple[dict[str, int], list[float]]:
+    """The id -> index dict and the measures of the ``v m`` lines."""
+    columns = _columns(text, 2)
+    measure = None if columns is None else _floats(columns[1])
+    if measure is not None:
+        index = dict(zip(columns[0], range(len(measure))))
+        if len(index) == len(measure):
+            return index, measure
     index, measure = {}, []
-    for lineno, (vid, raw) in _lines(measure_text, "measures", "vertex measure"):
+    for lineno, (vid, raw) in _lines(text, "measures", "vertex measure"):
         if vid in index:
             raise GraphFormatError(f"measures line {lineno}: duplicate measure for {vid!r}")
         try:
@@ -168,10 +217,14 @@ def parse_edge_list(edge_text: str, measure_text: str) -> WeightedGraph:
         except ValueError:
             raise GraphFormatError(f"measures line {lineno}: bad measure {raw!r}") from None
         index[vid] = len(index)
+    return index, measure
 
-    us, vs, weights, lines, fault = [], [], [], [], None
+
+def _walk_edges(text: str, index: dict[str, int]):
+    """u, v and weight of the lines before the first faulty one, and its fault."""
+    us, vs, weights = [], [], []
     try:
-        for lineno, (u, v, raw) in _lines(edge_text, "edges", "u v weight"):
+        for lineno, (u, v, raw) in _lines(text, "edges", "u v weight"):
             try:
                 w = float(raw)
             except ValueError:
@@ -184,17 +237,15 @@ def parse_edge_list(edge_text: str, measure_text: str) -> WeightedGraph:
             us.append(u)
             vs.append(v)
             weights.append(w)
-            lines.append(lineno)
     except GraphFormatError as exc:
         # a line naming a vertex without a measure cannot repeat an earlier
         # line: that line's endpoints would have been reported first
-        fault = exc
-    return _graph(index, measure, us, vs, weights, fault, lambda k, u, v: (
-        f"edges line {lines[k]}: conflicting symmetric entries for ({u!r}, {v!r})"))
+        return us, vs, weights, exc
+    return us, vs, weights, None
 
 
 def serialize_graph(g: WeightedGraph) -> str:
-    """Emit the JSON document; floats round-trip exactly."""
+    """Emit the JSON document as one compact line; floats round-trip exactly."""
     names = g.vertices
     iu, iv, w = (a.tolist() for a in g.edge_arrays)
     doc = {
@@ -202,4 +253,4 @@ def serialize_graph(g: WeightedGraph) -> str:
         "vertices": [{"id": v, "measure": m} for v, m in zip(names, g.measure_vector.tolist())],
         "edges": [{"u": names[i], "v": names[j], "weight": x} for i, j, x in zip(iu, iv, w)],
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc)

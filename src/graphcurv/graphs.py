@@ -368,7 +368,7 @@ class GraphFunction:
         return float(self._values[self._graph.index(x)])
 
     def as_dict(self) -> dict[str, float]:
-        return {v: float(val) for v, val in zip(self._graph.vertices, self._values)}
+        return dict(zip(self._graph.vertices, self._values.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphFunction):

@@ -606,6 +606,56 @@ def test_profile_single_edge_symmetric():
     assert p.global_curvature == min(r.curvature for r in p.per_vertex)
 
 
+def test_profile_per_vertex_is_a_sequence_of_results():
+    g = random_connected_graph(np.random.default_rng(36), 7)
+    p = curvature_profile(g, 3.0)
+    results = tuple(curvature_solve(g, x, 3.0) for x in g.vertices)
+    # the profile and the single-vertex solve share one closed form, so only K may differ by rounding
+    expected = tuple(dataclasses.replace(r, curvature=float(k), converged=bool(c), bracket_width=float(w))
+                     for r, k, c, w in zip(results, p.curvature, p.converged, p.bracket_width))
+    assert [r.curvature for r in expected] == pytest.approx([r.curvature for r in results], rel=1e-12)
+    per_vertex = p.per_vertex
+    assert len(per_vertex) == 7
+    assert per_vertex == expected and expected == per_vertex and per_vertex == list(expected)
+    assert tuple(per_vertex) == expected
+    assert per_vertex[-1] == expected[-1] and per_vertex[-7] == expected[0]
+    assert per_vertex[1:6:2] == expected[1:6:2] and per_vertex[::-1] == expected[::-1]
+    assert isinstance(per_vertex[2:4], tuple) and per_vertex[5:2] == ()
+    for i in (7, -8):
+        with pytest.raises(IndexError):
+            per_vertex[i]
+    with pytest.raises(TypeError):
+        per_vertex["v0"]
+    assert per_vertex != expected[:-1] and per_vertex != expected[::-1]
+    assert all(type(r.curvature) is float and type(r.converged) is bool for r in per_vertex)
+
+
+def test_profile_columns_are_read_only():
+    p = curvature_profile(generate("cycle", 5), 4.0)
+    assert p.vertices == ("v0", "v1", "v2", "v3", "v4") and p.dimension == 4.0
+    assert p.converged.dtype == bool
+    for column in (p.curvature, p.converged, p.bracket_width):
+        assert column.shape == (5,)
+        with pytest.raises(ValueError):
+            column[0] = 0
+
+
+def test_profile_equality():
+    g = random_connected_graph(np.random.default_rng(37), 6)
+    p, q = curvature_profile(g, math.inf), curvature_profile(g, math.inf)
+    assert p == q and not p != q
+    assert p != curvature_profile(g, 4.0)
+    assert p != curvature_profile(scaled_weights(g, 2.0), math.inf)
+    assert p != dataclasses.replace(p, global_curvature=p.global_curvature - 1.0)
+    assert p != dataclasses.replace(p, bracket_width=p.bracket_width + 1.0)
+    assert p != dataclasses.replace(p, converged=~p.converged)
+    assert p != dataclasses.replace(p, vertices=p.vertices[::-1])
+    assert p != p.per_vertex and p != "profile"
+    # an isolated vertex reports +inf, which equals itself
+    iso = WeightedGraph(["iso"], {}, {"iso": 1.0})
+    assert curvature_profile(iso, 2.0) == curvature_profile(iso, 2.0)
+
+
 def test_profile_path3_cross_checked_pointwise():
     g = generate("path", 3)
     p = curvature_profile(g, math.inf)

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from conftest import random_connected_graph, scaled_weights
 from graphcurv import (
     GraphFormatError,
+    GraphFunction,
     WeightedGraph,
     default_corpus,
     estimate_sweep,
@@ -14,7 +18,7 @@ from graphcurv import (
     parse_graph,
     serialize_graph,
 )
-from graphcurv import cli
+from graphcurv import cli, graph_io
 from graphcurv.cli import _jsonify, run
 
 EDGES = "a b 1.0\n"
@@ -142,6 +146,12 @@ _ABC_MEASURES = "a 1\nb 1\nc 1\n"
      "edges[1].weight: expected a number"),
     ("a b 1\nb a 1\nb c x\n", _ABC_MEASURES, "edges line 2: conflicting symmetric entries for ('b', 'a')"),
     ("a b 1\nb c x\nb a 1\n", _ABC_MEASURES, "edges line 2: bad weight 'x'"),
+    # line numbers count comment and blank lines, on the column pass and on the walk
+    ("# header\na b 1\n\nb c 1  # note\nc b 2\n", _ABC_MEASURES,
+     "edges line 5: conflicting symmetric entries for ('c', 'b')"),
+    ("# header\na b 1\n\nb c 1  # note\nc b 2\na b c d\n", _ABC_MEASURES,
+     "edges line 5: conflicting symmetric entries for ('c', 'b')"),
+    ("a b 1\n", "# header\na 1\nb 2  # note\n\na 3\n", "measures line 5: duplicate measure for 'a'"),
 ])
 def test_parse_errors_are_pinned(text, measures, message):
     with pytest.raises(GraphFormatError) as info:
@@ -157,6 +167,32 @@ def test_parse_errors_are_pinned(text, measures, message):
 def test_round_trip_generated_graphs(family, size, profile):
     g = generate(family, size, profile, seed=5)
     assert parse_graph(serialize_graph(g)) == g
+
+
+def _edge_list(g: WeightedGraph, comments: bool = False) -> tuple[str, str]:
+    note = "  # entry\n" if comments else "\n"
+    head = "# u v weight\n\n" if comments else ""
+    edges = "".join(f"{u} {v} {w!r}{note}" for u, v, w in g.edges())
+    measures = "".join(f"{x} {g.measure(x)!r}{note}" for x in g.vertices)
+    return head + edges, head + measures
+
+
+@pytest.mark.parametrize("family", ["path", "cycle", "complete", "star", "hypercube", "weighted_tree"])
+@pytest.mark.parametrize("comments", [False, True], ids=["plain", "comments"])
+def test_edge_list_round_trip_matches_the_json_path(family, comments, monkeypatch):
+    g = generate(family, 5, "normalizing", seed=3)
+    expected = parse_graph(serialize_graph(g))
+    # well-formed files are read column by column: the line-by-line walk only names faults
+    monkeypatch.setattr(graph_io, "_walk_edges", None)
+    assert parse_graph(*_edge_list(g, comments)) == expected == g
+
+
+def test_serialize_graph_is_one_compact_line():
+    g = generate("hypercube", 3, "normalizing")
+    text = serialize_graph(g)
+    assert "\n" not in text
+    assert json.loads(text) == json.loads(json.dumps(json.loads(text), indent=2))
+    assert parse_graph(json.dumps(json.loads(text), indent=4)) == g
 
 
 def test_round_trip_random_graphs():
@@ -341,6 +377,57 @@ def _jsonify_elementwise(obj):
 def test_jsonify_array_fast_path_matches_elementwise(arr):
     got = _jsonify(arr)
     assert json.dumps(got, indent=2) == json.dumps(_jsonify_elementwise(arr.tolist()), indent=2)
+    assert "Infinity" not in json.dumps(got) and "NaN" not in json.dumps(got)
+
+
+def _jsonify_isinstance(obj):
+    """The walk that tested every value against each container type before the scalars."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonify_isinstance(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, GraphFunction):
+        return _jsonify_isinstance(obj.as_dict())
+    if isinstance(obj, dict):
+        return {str(k): _jsonify_isinstance(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify_isinstance(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(_jsonify_isinstance(v) for v in obj)
+    if isinstance(obj, np.ndarray):
+        return [_jsonify_isinstance(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        if math.isnan(obj):
+            return "nan"
+    return obj
+
+
+_SCALARS = [0.1, -0.0, 2.5e300, math.inf, -math.inf, math.nan, np.float64(-0.0), np.float64(np.inf),
+            np.float64(np.nan), np.float32(0.1), np.float32(-np.inf), np.int64(-7), True, False,
+            None, 0, -3, 10**30, "inf", ""]
+
+
+@pytest.mark.parametrize("value", _SCALARS, ids=repr)
+def test_jsonify_scalar_first_matches_the_isinstance_walk(value):
+    got = _jsonify(value)
+    assert type(got) is type(_jsonify_isinstance(value)) and repr(got) == repr(_jsonify_isinstance(value))
+
+
+def test_jsonify_numpy_bools_become_json_bools():
+    # the isinstance walk passed them through, and json.dumps refused them
+    for value in (np.bool_(True), np.bool_(False)):
+        got = _jsonify(value)
+        assert type(got) is bool and got == _jsonify_isinstance(value)
+
+
+def test_jsonify_nested_payload_matches_the_isinstance_walk():
+    g = generate("path", 3)
+    payload = {"floats": _SCALARS, 1: (np.array([1.0, np.nan]), np.arange(3)), "set": {3, 1, 2},
+               "f": GraphFunction(g, [0.5, -0.0, 2.0]), "nested": [{"x": [math.inf, (np.float32(2),)]}]}
+    got = _jsonify(payload)
+    assert json.dumps(got) == json.dumps(_jsonify_isinstance(payload))
     assert "Infinity" not in json.dumps(got) and "NaN" not in json.dumps(got)
 
 
@@ -652,3 +739,43 @@ def test_cli_reports_deterministic_with_seed(edge_graph, capsys):
     run(args)
     second = capsys.readouterr().out
     assert first == second
+
+
+class _RecordingJson:
+    """The json module, with each object given to ``dumps`` recorded."""
+
+    def __init__(self):
+        self.dumped = []
+
+    def dumps(self, obj, **kwargs):
+        self.dumped.append(obj)
+        return json.dumps(obj, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.partition(" > ")[0])[1:] for line in block.strip().splitlines()]
+
+
+def test_every_report_is_one_compact_json_line(tmp_path, capsys, monkeypatch):
+    # the README's commands (its first is a generate), and an input-error report
+    commands = _readme_commands() + [["curvature", "--graph", str(tmp_path / "missing.json")]]
+    assert commands[0][0] == "generate" and len(commands) > 5
+    monkeypatch.chdir(tmp_path)
+    recorder = _RecordingJson()
+    monkeypatch.setattr(cli, "json", recorder)
+    monkeypatch.setattr(graph_io, "json", recorder)
+    for argv in commands:
+        recorder.dumped.clear()
+        code = run(argv)
+        out = capsys.readouterr().out
+        if argv[0] == "generate":
+            (tmp_path / "cube.json").write_text(out, encoding="utf-8")
+        assert code == (2 if argv[-1].endswith("missing.json") else 0), argv
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        (payload,) = recorder.dumped
+        assert json.loads(out) == json.loads(json.dumps(payload, indent=2)), argv
