@@ -34,14 +34,14 @@ its representative, is walked, assembled and solved, and its result is copied
 to its twins; a twin's own form is a permutation of its representative's, so
 its own solve differs from the copy by rounding only.
 
-Identical local forms of the representatives are solved and judged once
-(``operators.local_form_stacks``).  Two forms are identical when they have one
-shape and their blocks are equal bit for bit; the result is copied to every
-vertex that shares the form.  Equal inputs give equal results, so each such
-vertex gets what its own form gives.  The representatives are ordered by
-(|S1|, two-step walks), which puts identical forms next to each other, so only
-the last stack that kept forms is remembered for this, one with empty
-2-spheres and one with others.
+Identical local forms of the representatives are solved and judged once per
+stack (``operators.local_form_stacks``).  Two forms are identical when they
+have one shape and their blocks are equal bit for bit; the result is copied to
+every member of the stack that shares the form.  Equal inputs give equal
+results, so each such vertex gets what its own form gives.  The
+representatives are ordered by (|S1|, two-step walks), which puts identical
+forms next to each other: a cycle takes two solves per stack, the 7-cube 17 in
+all.  ``_each_vertex`` alone spreads the results to the copies and the twins.
 """
 
 from __future__ import annotations
@@ -261,12 +261,11 @@ def _solve(stack: LocalFormStack, n: float) -> tuple[np.ndarray, np.ndarray, np.
     lambda_min(M(K')) <= (K - K') / |z|^2; as sigma(K') <= sigma(K) + (K' - K) max B,
     the judge refutes every K' beyond K + ``bracket_width`` =
     e sigma(K) / (1 - e max B), e = EIG_TOL |z|^2 (up to rounding).  Isolated
-    vertices, where CD is vacuous, get +inf, converged and width 0.  A stack left
-    with no members (``operators.local_form_stacks``) is not solved.
+    vertices, where CD is vacuous, get +inf, converged and width 0.
     """
     B = stack.gamma
     V, k = B.shape
-    if k == 0 or V == 0:
+    if k == 0:
         return np.full(V, math.inf), np.ones(V, dtype=bool), np.zeros(V)
     S = _schur(stack, n)
     b = 1.0 / np.sqrt(B)
@@ -287,18 +286,26 @@ def curvature_solve(g: WeightedGraph, x: str, n: float) -> CurvatureResult:
     return CurvatureResult(x, n, float(K[0]), bool(converged[0]), float(width[0]))
 
 
+def _each_vertex(g: WeightedGraph, judge, out: np.ndarray) -> np.ndarray:
+    """``out``, (..., N), with ``judge(stack)``'s column of each vertex's local form.
+
+    ``judge`` runs once per stack of ``operators.local_form_stacks``; each copy
+    takes its source's column, and each twin its representative's.
+    """
+    rep = twin_representatives(g)
+    for stack in local_form_stacks(g, rep):
+        out[..., stack.centers] = judge(stack)
+        out[..., stack.copies[0]] = out[..., stack.copies[1]]
+    return out[..., rep]
+
+
 def curvature_profile(g: WeightedGraph, n: float) -> CurvatureProfile:
     """Solve each distinct local form of a class representative, a stack at a time, and take the minimum.
 
     CD is a for-all-x condition; each twin gets its representative's result.
     """
     n = _check_dimension(n)
-    rep = twin_representatives(g)
-    solved = np.empty((3, g.num_vertices))
-    for stack in local_form_stacks(g, rep):
-        solved[:, stack.centers] = _solve(stack, n)
-        solved[:, stack.copies[0]] = solved[:, stack.copies[1]]
-    K, converged, width = solved[:, rep]
+    K, converged, width = _each_vertex(g, lambda stack: _solve(stack, n), np.empty((3, g.num_vertices)))
     return CurvatureProfile(g.vertices, n, K, converged.astype(bool), width, float(K.min(initial=math.inf)))
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .curvature import _cd_holds, _check_dimension, cd_check
+from .curvature import _cd_holds, _check_dimension, _each_vertex, cd_check
 from .graphs import (
     GraphFunction,
     WeightedGraph,
@@ -50,7 +50,7 @@ from .graphs import (
     is_connected,
 )
 from .heat import HeatOperator, build_heat
-from .operators import gamma_array, laplacian_array, local_form_stacks, twin_representatives
+from .operators import gamma_array, laplacian_array
 
 __all__ = [
     "REPORT_TOL",
@@ -371,12 +371,7 @@ def _stack_corpus(
 
 def _require_curvature(g: WeightedGraph, K: float) -> None:
     """Raise PreconditionError at the first vertex that the judge refutes CD(K, inf) at."""
-    rep = twin_representatives(g)
-    holds = np.ones(g.num_vertices, dtype=bool)
-    for stack in local_form_stacks(g, rep):
-        holds[stack.centers] = _cd_holds(stack, K, math.inf)
-        holds[stack.copies[0]] = holds[stack.copies[1]]
-    holds = holds[rep]
+    holds = _each_vertex(g, lambda stack: _cd_holds(stack, K, math.inf), np.empty(g.num_vertices, dtype=bool))
     if not holds.all():
         x = g.vertices[int(np.argmin(holds))]
         raise PreconditionError(f"graph violates CD({K:.6g}, infinity): the curvature at {x!r} is "

@@ -226,21 +226,6 @@ class WeightedGraph:
         return self._edges
 
     @cached_property
-    def weight_matrix(self) -> np.ndarray:
-        """Dense symmetric weight matrix aligned with the vertex order.
-
-        A view for callers, built on first access; it takes N^2 floats, and
-        no computation in the package reads it (they use ``csr``).
-        """
-        n = self.num_vertices
-        iu, iv, w = self.edge_arrays
-        W = np.zeros((n, n))
-        W[iu, iv] = w
-        W[iv, iu] = w
-        W.setflags(write=False)
-        return W
-
-    @cached_property
     def csr(self) -> AdjacencyCSR:
         """Compressed rows of the weights, built once from ``edge_arrays``."""
         return AdjacencyCSR(self.num_vertices, *self.edge_arrays)
@@ -296,8 +281,9 @@ def _violations(g: WeightedGraph, iu, iv, w, m, order, repeat, undeclared, measu
     asymmetry at the entry whose endpoint names ascend.  Only flagged
     entries are named.
     """
-    names, seen = g._vertices, set()
-    out = [f"duplicate vertex id {v!r}" for v in names if v in seen or seen.add(v)]
+    names, seen, out = g._vertices, set(), []
+    if len(g._index) < len(names):
+        out = [f"duplicate vertex id {v!r}" for v in names if v in seen or seen.add(v)]
     labels = names + tuple(reversed(undeclared))  # index -1 - j is undeclared[j]
     outside = (iu < 0) | (iv < 0)
     diagonal = ~outside & (iu == iv)

@@ -166,9 +166,8 @@ class LocalFormStack(NamedTuple):
     vanish (at the center of a star with five unit leaves).
 
     ``copies`` (2, C), set by ``local_form_stacks``, lists vertices whose forms
-    the stack leaves out and, under each, a vertex with the identical form, a
-    member of this stack or of the last stack of its kind (empty 2-spheres or
-    not) that kept members.
+    the stack leaves out and, under each, the member of this stack with the
+    identical form.
     """
 
     p: np.ndarray
@@ -281,47 +280,26 @@ def local_form_stack(g: WeightedGraph, centers: np.ndarray, balls=None) -> tuple
     return LocalFormStack(p, q, r, B, 2.0 * B, centers), support
 
 
-def _distinct(stack: LocalFormStack, kept: list | None) -> tuple[LocalFormStack, list | None]:
-    """``stack`` less the members whose forms are bitwise those of an earlier member, and what to keep.
+def _distinct(stack: LocalFormStack) -> LocalFormStack:
+    """``stack`` less the members whose forms are bitwise those of an earlier member, listed in ``copies``.
 
-    ``kept`` is [stack, gamma row sums, ``uint64`` words, fingerprints] of the
-    last stack of ``stack``'s kind that kept members, its words and
-    fingerprints made the first time it is compared.  A member is compared
-    with its own stack and with ``kept`` when that has its shape.  Equal forms
-    have equal ``gamma`` rows, so the forms are compared only when two
-    ``gamma`` row sums (half the weighted degrees) are equal.  Then each
-    member's fingerprint names one candidate, the first form with that
+    Equal forms have equal ``gamma`` rows, so the forms are compared only when
+    two ``gamma`` row sums (half the weighted degrees) are equal.  Then each
+    member's fingerprint names one candidate, the first member with that
     fingerprint; the member is a copy of it only when their entries are equal
-    as ``uint64``.  A candidate is compared with its source row in place,
-    without gathering the forms into one pool.
+    as ``uint64``.
     """
-    V, new = len(stack.gamma), [stack, stack.gamma.sum(axis=1), None, None]
-    pool = [kept, new] if kept is not None and kept[0].q.shape[1:] == stack.q.shape[1:] else [new]
-    ranked = np.sort(np.concatenate([entry[1] for entry in pool]))
-    copies = np.empty((2, 0), dtype=np.intp)
+    V, copies = len(stack.gamma), np.empty((2, 0), dtype=np.intp)
+    ranked = np.sort(stack.gamma.sum(axis=1))
     if (ranked[1:] == ranked[:-1]).any():
-        for entry in pool:
-            if entry[2] is None:
-                rows = np.concatenate([a.reshape(len(entry[1]), -1) for a in entry[0][:5]], axis=1)
-                entry[2:] = rows.view(np.uint64), _prints(rows)
-        M = len(ranked) - V
-        source = _first_equal(np.concatenate([entry[3] for entry in pool]))[M:]
-        candidate = source < M + np.arange(V)
-        copy, words, start = np.zeros(V, dtype=bool), new[2], 0
-        for entry in pool:  # one source row is broadcast, not gathered
-            here = np.flatnonzero(candidate & (source >= start) & (source < start + len(entry[1])))
-            if len(here):
-                src = source[here] - start
-                ref = entry[2][src[0]] if (src == src[0]).all() else entry[2][src]
-                copy[here] = ((words if len(here) == V else words[here]) == ref).all(axis=1)
-            start += len(entry[1])
+        rows = np.concatenate([a.reshape(V, -1) for a in stack[:5]], axis=1)
+        source, words = _first_equal(_prints(rows)), rows.view(np.uint64)
+        copy = source < np.arange(V)
+        copy[copy] = (words[copy] == words[source[copy]]).all(axis=1)
         if copy.any():
-            centers = np.concatenate([entry[0].centers for entry in pool])
-            copies = np.array([stack.centers[copy], centers[source[copy]]])
-            keep = ~copy
-            stack = LocalFormStack(*(a[keep] for a in stack[:6]))
-            new = [stack, new[1][keep], words[keep], new[3][keep]]
-    return stack._replace(copies=copies), new if len(new[1]) else kept
+            copies = np.array([stack.centers[copy], stack.centers[source[copy]]])
+            stack = LocalFormStack(*(a[~copy] for a in stack[:6]))
+    return stack._replace(copies=copies)
 
 
 def _prints(rows: np.ndarray) -> np.ndarray:
@@ -417,17 +395,16 @@ def local_form_stacks(g: WeightedGraph, rep: np.ndarray) -> Iterator[LocalFormSt
     2-ball, within ``STACK_ENTRIES`` (at least one), so memory stays linear in
     N + E.
 
-    Identical forms are yielded once.  Two forms are identical when they have
-    one shape (|S1|, padded |S2|) and their ``p``, ``q``, ``r``, ``gamma`` and
-    ``laplace`` are equal bit for bit (compared as ``uint64``, so -0.0 and 0.0
-    differ).  Identical forms have one |S1| and one walk count, so only
-    vertices that share both lie between them in the order.  A member whose
-    form is identical to an earlier one of its stack, or to one of the last
-    stack of its kind (empty 2-spheres or not, which can interleave in the
-    order) that kept members, is left out of the stack and listed in its
-    ``copies``; a stack can be left with no members.  The consumer copies each
-    result to the vertices that share the form: identical inputs give
-    identical results.
+    Identical forms within a stack are yielded once.  Two forms are identical
+    when they have one shape (|S1|, padded |S2|) and their ``p``, ``q``, ``r``,
+    ``gamma`` and ``laplace`` are equal bit for bit (compared as ``uint64``, so
+    -0.0 and 0.0 differ).  Identical forms have one |S1| and one walk count, so
+    the order puts them next to each other, and most of them share a stack.  A
+    member whose form is identical to an earlier member of its stack is left
+    out of it and listed in its ``copies``; no state is carried from one stack
+    to the next, so a form met again in a later stack is solved again.  The
+    consumer copies each result to the vertices that share the form: identical
+    inputs give identical results.
     """
     csr = g.csr
     k = np.diff(csr.indptr)
@@ -435,7 +412,7 @@ def local_form_stacks(g: WeightedGraph, rep: np.ndarray) -> Iterator[LocalFormSt
     reps = np.flatnonzero(rep == np.arange(len(rep)))
     order = reps[np.lexsort((walks[reps], k[reps]))]
     cost = np.append(0, np.cumsum(np.maximum(walks, (k + 1) ** 2)[order]))
-    kept, first = [None, None], 0  # per kind, nonempty or empty 2-spheres: the last stack that kept members
+    first = 0
     while first < len(order):
         last = max(first + 1, int(np.searchsorted(cost, cost[first] + STACK_ENTRIES, side="right")) - 1)
         run, first = order[first:last], last
@@ -448,10 +425,8 @@ def local_form_stacks(g: WeightedGraph, rep: np.ndarray) -> Iterator[LocalFormSt
                 padded = np.arange(1, end - at + 1) * np.maximum.accumulate(entries[at:end])  # of at:at + 1, ...
                 hi = at + max(1, int(np.searchsorted(padded, STACK_ENTRIES, side="right")))
                 (w0, w1), (r0, _), (f0, f1) = offsets[:, [at, hi]]
-                empty = int(s2[at] == 0)
-                stack, kept[empty] = _distinct(local_form_stack(g, run[at:hi], (
-                    row[w0:w1] - r0, col[w0:w1], weight[w0:w1], far[f0:f1], s2[at:hi]))[0], kept[empty])
-                yield stack
+                yield _distinct(local_form_stack(g, run[at:hi], (
+                    row[w0:w1] - r0, col[w0:w1], weight[w0:w1], far[f0:f1], s2[at:hi]))[0])
                 at = hi
 
 

@@ -308,7 +308,7 @@ def loop_ellipticity_constant(g: WeightedGraph) -> tuple[float, tuple[str, str] 
 
 def loop_adjacency_norm(g: WeightedGraph) -> float:
     """max over y of ||A 1_y||_inf / ||1_y||_1, one indicator column at a time."""
-    W, m = g.weight_matrix, g.measure_vector
+    W, m = dense_weights(g), g.measure_vector
     norm = 0.0
     for iy in range(g.num_vertices):
         norm = max(norm, float(np.max(np.abs(W[:, iy] / m))) / float(m[iy]))

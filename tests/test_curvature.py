@@ -310,12 +310,13 @@ def test_identical_forms_are_solved_once(monkeypatch):
     g = WeightedGraph(names, weights, {v: 1.0 if v[0] in "ab" else tree.measure(v) for v in names})
     assert _solved_members(monkeypatch, g, math.inf)[1] == 3000 + 1
     # x and x2, centers of two paths of 5 vertices, share |S1| = 2 and 4 walks
-    # with a triangle between them in the index order, whose 2-spheres are empty
+    # with a triangle between them in the index order, whose 2-spheres are
+    # empty: its stack separates theirs, so x2 is solved again
     names = ["c", "a", "x", "b", "d", "t0", "t1", "t2", "c2", "a2", "x2", "b2", "d2"]
     edges = [("c", "a"), ("a", "x"), ("x", "b"), ("b", "d"), ("t0", "t1"), ("t1", "t2"), ("t0", "t2"),
              ("c2", "a2"), ("a2", "x2"), ("x2", "b2"), ("b2", "d2")]
     g = WeightedGraph(names, dict.fromkeys(edges, 1.0), dict.fromkeys(names, 1.0))
-    assert _solved_members(monkeypatch, g, math.inf)[1] == 5  # c, a, x, b and t0
+    assert _solved_members(monkeypatch, g, math.inf)[1] == 6  # c, a, x, b, t0 and x2
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -478,49 +479,30 @@ def test_irregular_graphs_batch_by_one_sphere_size(extra_edge_prob):
 
 @pytest.mark.parametrize("budget", [2**10, STACK_ENTRIES])
 def test_padded_stacks_fit_the_budget(monkeypatch, budget):
-    # the 2-balls of a random tree take many shapes; the only forms remembered
-    # to find copies are those of the last stack that kept members, one with
-    # empty 2-spheres and one with others
-    last = {}
-
-    def recorded(stack, kept):
-        empty = stack.r.shape[1] == 0
-        assert kept is last.get(empty)
-        stack, kept = distinct(stack, kept)
-        if len(stack.centers):
-            assert kept[0].centers is stack.centers and len(kept[1]) == len(stack.centers)
-            last[empty] = kept
-            remembered.append(kept)
-        else:
-            assert kept is last.get(empty)
-        return stack, kept
-
-    distinct = operators._distinct
+    # the 2-balls of a random tree take many shapes
     monkeypatch.setattr(operators, "STACK_ENTRIES", budget)
-    monkeypatch.setattr(operators, "_distinct", recorded)
-    remembered = []
-    stacks = _checked_stacks(generate("weighted_tree", 3000, seed=7), budget)
-    assert 1 < len(remembered) <= len(stacks)
+    assert len(_checked_stacks(generate("weighted_tree", 3000, seed=7), budget)) > 1
 
 
 def _checked_stacks(g: WeightedGraph, budget: int) -> list:
     """``local_form_stacks`` of the twin representatives, checked to cover each
-    representative once, as a member or as a copy of a member of that stack or an
-    earlier one with a bitwise equal form, each member with one |S1| and, when a
-    stack has more than one member, its padded blocks within budget.  Twins are
-    checked against their own solves by ``test_twins_get_their_own_curvature``.
+    representative once, as a member or as a copy of a member of its own stack
+    with a bitwise equal form, no two members of a stack bitwise equal, each
+    member with one |S1| and, when a stack has more than one member, its padded
+    blocks within budget.  Twins are checked against their own solves by
+    ``test_twins_get_their_own_curvature``.
     """
     k = np.diff(g.csr.indptr)
     rep = twin_representatives(g)
     stacks = list(local_form_stacks(g, rep))
-    solved = []
     for stack in stacks:
-        solved.extend(stack.centers.tolist())
         for x, source in stack.copies.T.tolist():
-            assert source in solved
+            assert source in stack.centers
             one, other = (local_form_stack(g, np.array([v]))[0] for v in (x, source))
             assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(one[:5], other[:5]))
         (V, k1), s2 = stack.gamma.shape, stack.r.shape[1]
+        rows = np.concatenate([a.reshape(V, -1) for a in stack[:5]], axis=1).view(np.uint64)
+        assert len(np.unique(rows, axis=0)) == V
         assert set(k[stack.centers].tolist()) <= {k1}
         assert V * (k1 + 1) * (k1 + s2 + 1) <= budget or V == 1
     covered = np.concatenate([np.append(stack.centers, stack.copies[0]) for stack in stacks])

@@ -68,7 +68,7 @@ def test_validate_flags_diagonal_and_bad_weight():
 def test_invalid_graph_rejects_numeric_access():
     g = WeightedGraph(["a", "b"], {("a", "b"): 1.0, ("b", "a"): 2.0}, {"a": 1.0, "b": 1.0})
     with pytest.raises(ValueError, match="invalid graph"):
-        _ = g.weight_matrix
+        _ = g.edge_arrays
 
 
 def test_validate_lists_every_kind_of_violation_in_order():
@@ -206,16 +206,8 @@ def _random_functions(g, k):
 def test_computations_never_build_the_dense_weight_matrix(call):
     g = generate("complete", 6)
     call(g)
-    assert "weight_matrix" not in g.__dict__
-
-
-def test_weight_matrix_view_matches_the_edges():
-    g = random_connected_graph(np.random.default_rng(8), 9)
-    W = g.weight_matrix
-    assert not W.flags.writeable
-    for i, u in enumerate(g.vertices):
-        for j, v in enumerate(g.vertices):
-            assert W[i, j] == (g.weight(u, v) if i != j else 0.0)
+    N = g.num_vertices  # no dense N x N array is cached on the graph
+    assert not [k for k, v in vars(g).items() if getattr(v, "shape", None) == (N, N)]
 
 
 # -- degree, ball, connectivity ------------------------------------------------
