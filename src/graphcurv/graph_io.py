@@ -9,9 +9,10 @@ Two interchange formats:
   graph corpora.
 
 Each edge must be declared once per unordered pair; conflicting symmetric
-entries are rejected at parse time.  Both parsers read their entries column
-by column and fill the index arrays of ``WeightedGraph.from_arrays``
-directly; only an input with a fault is walked entry by entry, to name it.
+entries are rejected at parse time.  Both parsers read their entries,
+vertices and edges alike, column by column and fill the index arrays of
+``WeightedGraph.from_arrays`` directly; only an input with a fault is
+walked entry by entry, to name it.
 One sort of the pairs finds an edge declared twice, and the first fault in
 file order is the one reported.  ``serialize_graph`` writes the document as
 one compact line; the parser accepts any whitespace.
@@ -29,6 +30,7 @@ from .graphs import WeightedGraph, _indices, _pair_order, validate
 __all__ = ["GraphFormatError", "parse_graph", "parse_edge_list", "serialize_graph"]
 
 FORMAT_VERSION = 1
+_VERTEX_KEYS = frozenset(("id", "measure"))
 _EDGE_KEYS = frozenset(("u", "v", "weight"))
 
 
@@ -80,24 +82,45 @@ def _parse_document(text: str) -> WeightedGraph:
     if not isinstance(raw_edges, list):
         raise GraphFormatError("edges: expected a list")
 
-    index, measure = {}, []
-    for i, entry in enumerate(raw_vertices):
-        if not isinstance(entry, dict) or "id" not in entry or "measure" not in entry:
-            raise GraphFormatError(f"vertices[{i}]: expected an object with id and measure")
-        vid = entry["id"]
-        if not isinstance(vid, str):
-            raise GraphFormatError(f"vertices[{i}].id: expected a string")
-        if vid in index:
-            raise GraphFormatError(f"vertices[{i}]: duplicate vertex id {vid!r}")
-        try:
-            measure.append(float(entry["measure"]))
-        except (TypeError, ValueError, OverflowError):
-            raise GraphFormatError(f"vertices[{i}].measure: expected a number") from None
-        index[vid] = i
+    index, measure = _vertex_columns(raw_vertices)
     columns = _edge_columns(raw_edges)
     del doc, raw_vertices, raw_edges  # the document goes before the graph is built
     return _graph(index, measure, *columns, lambda k, u, v: (
         f"edges[{k}]: conflicting symmetric entries for edge ({u!r}, {v!r})"))
+
+
+def _vertex_columns(raw_vertices: list) -> tuple[dict[str, int], list[float]]:
+    """The id -> index dict and the measures of the vertex entries.
+
+    Entries are read column by column.  Only if one is malformed or repeats
+    an earlier id are they checked one by one, to name the first fault.
+    """
+    try:
+        ids = [e["id"] for e in raw_vertices]
+        measure = [float(e["measure"]) for e in raw_vertices]
+        if {*map(type, ids)} <= {str}:
+            index = dict(zip(ids, range(len(ids))))
+            if len(index) == len(ids):
+                return index, measure
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    i, fault = next((i, fault) for i, fault in enumerate(_vertex_faults(raw_vertices)) if fault)
+    raise GraphFormatError(f"vertices[{i}]{fault}")
+
+
+def _vertex_faults(raw_vertices: list):
+    """What is wrong with each vertex entry in turn, as the message after its location; None if nothing is."""
+    seen: set[str] = set()
+    for entry in raw_vertices:
+        if not isinstance(entry, dict) or not entry.keys() >= _VERTEX_KEYS:
+            yield ": expected an object with id and measure"
+        elif not isinstance(entry["id"], str):
+            yield ".id: expected a string"
+        elif entry["id"] in seen:
+            yield f": duplicate vertex id {entry['id']!r}"
+        else:
+            seen.add(entry["id"])
+            yield _number_fault(entry["measure"], ".measure")
 
 
 def _edge_columns(raw_edges: list) -> tuple[list, list, list, GraphFormatError | None]:
@@ -124,10 +147,14 @@ def _edge_fault(entry) -> str | None:
         return ": expected an object with u, v and weight"
     if not isinstance(entry["u"], str) or not isinstance(entry["v"], str):
         return ": endpoints must be strings"
+    return _number_fault(entry["weight"], ".weight")
+
+
+def _number_fault(value, field: str) -> str | None:
     try:
-        float(entry["weight"])
+        float(value)
     except (TypeError, ValueError, OverflowError):
-        return ".weight: expected a number"
+        return f"{field}: expected a number"
     return None
 
 

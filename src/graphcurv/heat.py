@@ -16,21 +16,34 @@ P_t is computed along one of two paths, fixed by the consumer:
 * ``apply_array``, ``apply``, ``expand``, ``mass_array``, ``heat_mass``
   and ``semigroup_gamma_path`` sum a Chebyshev expansion of e^{-tS} over the
   compressed rows of the graph (Tal-Ezer and Kosloff, J. Chem. Phys. 1984),
-  in memory linear in the number of vertices and edges.  The spectrum of
-  -Delta on the domain lies in [0, 2D], D the largest Deg over the domain
-  (Gershgorin: each row of Delta sums in absolute value to 2 Deg(x)), so
-  with c = tD
+  in memory linear in the number of vertices and edges.  Take d = Deg on
+  the domain and 0 outside, and
 
-      e^{-t lambda} = sum_k (2 - delta_k0) (-1)^k e^{-c} I_k(c) T_k(lambda / D - 1).
+      Lambda = max(max over edges {x,y} of d(x) + d(y), max d).
+
+  The spectrum of -Delta on the domain lies in [0, Lambda] (Anderson and
+  Morley, Linear Multilinear Algebra 1985), with any vertex measure: for f
+  supported on the domain, <f, -Delta f>_m = sum_e b_e (f(x) - f(y))^2 is
+  at most ||R^T |f|||^2, R the domain x edges matrix with R[x,e] = sqrt(b_e)
+  at each end x of e in the domain, so lambda_max <= lambda_max(R^T M^-1 R);
+  after the similarity by diag(sqrt(b)) the row e of that matrix sums to
+  the sum of Deg(x) over the ends x of e in the domain, at most Lambda.
+  Lambda <= 2 max d, the Gershgorin bound, and is much lower where large
+  degrees do not meet.  With h = Lambda / 2 and c = t h
+
+      e^{-t lambda} = sum_k (2 - delta_k0) (-1)^k e^{-c} I_k(c) T_k(lambda / h - 1).
 
   The series stops at the first degree K whose coefficient tail
   2 sum_{k>K} e^{-c} I_k(c) is below TAIL_TOL, a fixed rule in the manner
   of Al-Mohy and Higham (SIAM J. Sci. Comput. 2011).  As |T_k| <= 1 on the
   spectrum, the tail bounds the truncation error in l2(m) relative to
   ||f||_{l2(m)}.  Rounding is not in that bound; it grows with K, to about
-  K eps ||f||_inf.  K is about sqrt(2 c ln 10^15), and each degree costs one
-  ``laplacian_array`` over the whole graph, with the rows outside a
-  Dirichlet domain set to 0.
+  K eps ||f||_inf.  K is about sqrt(2 c ln 10^15).  Each degree costs one
+  gather of the stored entries with both ends in the domain, one product
+  with their weights, one ``reduceat`` over their rows and a few passes over
+  the (B, N) batch.  Each column is scaled by a power of 2 to a largest
+  value in [1/2, 1) and back, so that no term overflows or loses bits
+  below the normal range.
 * ``_apply`` and ``apply_fluctuation_array`` carry their input into the
   eigenbasis of S, which one dense ``eigh`` computes on the first access to
   ``eigenvalues``, ``eigenbasis`` or ``kernel_modes``.  The estimates layer
@@ -45,6 +58,7 @@ shared; Dirichlet restrictions are built on each request.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -52,7 +66,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graphs import GraphFunction, WeightedGraph, _check_graph_function
-from .operators import gamma_recursive_array, laplacian_array
+from .operators import gamma_recursive_array
 
 __all__ = ["HeatOperator", "build_heat", "semigroup_gamma_path"]
 
@@ -123,43 +137,38 @@ class HeatOperator:
         """(P_t F, its truncation bound) for each t of times, by one Chebyshev recurrence.
 
         F is (N,) or (N,B), with values outside a Dirichlet domain ignored
-        and the output zero there.  The terms T_k(A) F, A = -Delta / D - 1
-        restricted to the domain, are computed once for every t; each t only
-        weighs them by its own coefficients.  The bound is the coefficient
-        tail at t's stop degree, which bounds the truncation error alone:
+        and the output zero there.  The terms T_k(A) F, A = -Delta / h - 1
+        restricted to the domain and h = Lambda / 2 (the edge bound of the
+        module docstring), are computed once for every t; each t only
+        weighs them by its own coefficients, at c = t h.  The bound is the
+        coefficient tail at t's stop degree, which bounds the truncation
+        error alone:
         ||P_t F - sum_{k<=K} a_k T_k(A) F||_{l2(m)} <= bound * ||F||_{l2(m)}
         per column.  Rounding is not in it; it grows with the stop degree
         (see the module docstring).  The bound is 0 where the series is
-        exact (t = 0 or D = 0).
+        exact (t = 0 or Lambda = 0).
         """
         _check_times(times)
-        g, D = self.graph, self._max_degree
-        outside = np.ones(g.num_vertices, dtype=bool)
-        outside[self._domain_indices] = False
-        series = [_chebyshev_coefficients(t * D) for t in times]
-        term = np.array(F, dtype=float)
-        term[outside] = 0.0
-        sums = [coeffs[0] * term for coeffs, _ in series]
-        previous = None
-        for k in range(1, max((len(coeffs) for coeffs, _ in series), default=1)):
-            # zero outside the domain, -Delta is the Dirichlet generator with full degrees
-            following = laplacian_array(g, term)
-            following /= -D
-            following -= term
-            following[outside] = 0.0
-            if k > 1:
-                following *= 2.0
-                following -= previous
-            previous, term = term, following
+        recurrence = self._recurrence
+        series = [_chebyshev_coefficients(t * recurrence.half) for t in times]
+        batch = np.array(F.T, dtype=float, order="C", ndmin=2)  # (B, N): one row per column of F
+        batch[:, ~recurrence.inside] = 0.0
+        # powers of 2: exact both ways, and each column's largest value in [1/2, 1)
+        _, exponent = np.frexp(np.max(np.abs(batch), axis=1, initial=0.0))
+        batch = np.ldexp(batch, -exponent[:, None])
+        sums = [coeffs[0] * batch for coeffs, _ in series]
+        stop = max((len(coeffs) for coeffs, _ in series), default=1)
+        for k, term in zip(range(1, stop), itertools.islice(recurrence.terms(batch), 1, None)):
             for total, (coeffs, _) in zip(sums, series):
                 if k < len(coeffs):
                     total += coeffs[k] * term
-        return [(total, tail) for total, (_, tail) in zip(sums, series)]
+        shape = np.shape(F)
+        return [(np.ldexp(total, exponent[:, None]).T.reshape(shape), tail)
+                for total, (_, tail) in zip(sums, series)]
 
     @cached_property
-    def _max_degree(self) -> float:
-        """D = max Deg over the domain: -Delta restricted to it has its spectrum in [0, 2D]."""
-        return float(self.graph.weighted_degrees[self._domain_indices].max(initial=0.0))
+    def _recurrence(self) -> _Recurrence:
+        return _Recurrence(self.graph, self._domain_indices)
 
     def apply_fluctuation_array(self, t: float, F: np.ndarray) -> np.ndarray:
         """P_t with the generator's kernel modes (eigenvalue <= KERNEL_TOL * lambda_max) dropped.
@@ -219,6 +228,69 @@ class HeatOperator:
     def mass_array(self, t: float) -> np.ndarray:
         """P_t 1 at every vertex, clamped to [0, 1] against rounding; 0 outside a Dirichlet domain."""
         return clamp_mass(self.apply_array(t, np.ones(self.graph.num_vertices)))
+
+
+class _Recurrence:
+    """The Chebyshev recurrence of A = -Delta / h - 1 on a domain, for batches laid out (B, N).
+
+    Built once per operator from ``g.csr``: ``degrees`` is Deg on the domain
+    and 0 outside, ``bound`` the edge bound Lambda of the module docstring
+    and ``half`` = Lambda / 2.  Only the stored entries x -> y with both
+    ends in the domain are kept, since every term is 0 outside it;
+    ``rows`` lists the rows that keep an entry and ``starts`` where each
+    begins.  All arrays are read-only.
+    """
+
+    def __init__(self, g: WeightedGraph, domain_indices: np.ndarray):
+        csr = g.csr
+        self.inside = np.zeros(g.num_vertices, dtype=bool)
+        self.inside[domain_indices] = True
+        self.degrees = np.where(self.inside, g.weighted_degrees, 0.0)
+        iu, iv, _ = g.edge_arrays
+        ends = self.degrees[iu] + self.degrees[iv]
+        self.bound = max(float(ends.max(initial=0.0)), float(self.degrees.max(initial=0.0)))
+        self.half = self.bound / 2.0
+        kept = self.inside[csr.rows] & self.inside[csr.indices]
+        self.columns, self.weights, rows = csr.indices[kept], csr.weights[kept], csr.rows[kept]
+        self.starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        self.rows = rows[self.starts]
+        self.measure = g.measure_vector[self.rows]
+        for a in (self.inside, self.degrees, self.columns, self.weights, self.starts,
+                  self.rows, self.measure):
+            a.setflags(write=False)
+
+    def terms(self, batch: np.ndarray) -> Iterator[np.ndarray]:
+        """T_0(A) F, T_1(A) F, ... without end, for a batch F (B, N) that is 0 outside the domain.
+
+        Each step is one ``take`` of the flat batch, one product with the
+        weights and one ``reduceat`` over the kept rows of every column;
+        the sums are divided by m after, as in ``weighted_degrees``, so
+        that A maps constants on a full graph to -1 times them exactly.
+        """
+        B, N = batch.shape
+        offsets = np.arange(B)[:, None]
+        gather = (offsets * N + self.columns).ravel()
+        weights = np.tile(self.weights, B)
+        starts = (offsets * len(self.columns) + self.starts).ravel()
+        # every row keeps an entry on a full graph without isolated vertices
+        scatter = slice(None) if len(self.rows) == N else (offsets * N + self.rows).ravel()
+        measure = np.tile(self.measure, B)
+        previous, term = None, batch
+        while True:
+            yield term
+            following = self.degrees * term
+            if len(gather):
+                flow = term.take(gather)
+                flow *= weights
+                flow = np.add.reduceat(flow, starts)
+                flow /= measure
+                following.ravel()[scatter] -= flow
+            following /= self.half
+            following -= term
+            if previous is not None:
+                following *= 2.0
+                following -= previous
+            previous, term = term, following
 
 
 def clamp_mass(p: np.ndarray) -> np.ndarray:

@@ -242,15 +242,45 @@ def test_expansion_is_exact_at_time_zero_and_without_degrees():
 
 @pytest.mark.parametrize("c", [1e-8, 1e8])
 def test_expansion_follows_the_units(c):
-    # P_{t/c} under the weights c b is P_t under b: the coefficients depend on t max Deg only
+    # P_{t/c} under the weights c b is P_t under b: the coefficients depend on t Lambda only
     g = graph_with_isolated_vertices()
-    F = np.random.default_rng(64).uniform(-1.0, 1.0, (g.num_vertices, 3))
+    rng = np.random.default_rng(64)
+    F = rng.uniform(-1.0, 1.0, (g.num_vertices, 3))
     times = (0.1, 1.0, 10.0)
     for domain in (None, g.vertices[::2]):
         expected = build_heat(g, dirichlet_domain=domain).expand(times, F)
         got = build_heat(scaled_weights(g, c), dirichlet_domain=domain).expand([t / c for t in times], F)
         for (a, _), (b, _) in zip(got, expected):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(F))
+    # P_t (s F) = s P_t F at the ends of the float range, where the terms of
+    # the plain recurrence overflow (s = 1e308) or lose their bits (s = 1e-320).
+    # Multiples of 1/8 keep s F exact; the outputs below the normal range
+    # round to its grid, so they may differ from s P_t F by one spacing there
+    F = np.column_stack([rng.integers(-8, 9, g.num_vertices) / 8.0, np.ones(g.num_vertices)])
+    for s in (1e-320, 1e308):
+        assert np.array_equal(s * F / s, F)
+        for domain in (None, g.vertices[::2]):
+            expected = build_heat(g, dirichlet_domain=domain).expand(times, F)
+            got = build_heat(scaled_weights(g, c), dirichlet_domain=domain).expand(
+                [t / c for t in times], s * F)
+            for (a, _), (b, _) in zip(got, expected):
+                assert np.all(np.isfinite(a))
+                assert np.max(np.abs(a - s * b)) <= 1e-12 * s + np.spacing(s)
+
+
+def test_edge_bound_holds_on_the_spectrum():
+    # Anderson-Morley: lambda_max(-Delta) <= max over edges of Deg(x) + Deg(y),
+    # with any measure and on a Dirichlet domain (degrees outside it taken as 0)
+    for g in _FAMILIES:
+        for domain in (None, g.vertices[1::2]):
+            h = build_heat(g, dirichlet_domain=domain)
+            rows = [g.index(v) for v in domain] if domain is not None else slice(None)
+            bound = h._recurrence.bound
+            assert h.eigenvalues[-1] <= bound * (1.0 + 1e-14)
+            assert bound <= 2.0 * g.weighted_degrees[rows].max()
+    h = build_heat(generate("star", 7))  # the unit star: lambda_max = 8 = Deg(c) + Deg(leaf)
+    assert h._recurrence.bound == 8.0
+    assert h.eigenvalues[-1] == pytest.approx(8.0, rel=1e-14)
 
 
 def test_expansion_coefficient_pass_is_linear_in_the_stop_degree(monkeypatch):
@@ -283,7 +313,8 @@ def test_expansion_rounding_at_large_c(g):
     for domain, limit in ((None, np.tile(m @ F / m.sum(), (g.num_vertices, 1))),
                           (g.vertices[1::2], np.zeros_like(F))):
         h = build_heat(g, dirichlet_domain=domain)
-        t = 1e5 / h._max_degree
+        rows = [g.index(v) for v in domain] if domain is not None else slice(None)
+        t = 1e5 / g.weighted_degrees[rows].max()
         ((out, bound),) = h.expand((t,), F)
         gap = h.eigenvalues[1] if domain is None else h.eigenvalues[0]
         assert gap * t > 40  # the limit is exact to machine precision

@@ -590,6 +590,14 @@ def test_cli_heat_dirichlet_mass(edge_graph, capsys):
     assert report["results"][0]["mass"]["v0"] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
+def test_cli_heat_constant_at_the_top_of_the_float_range(edge_graph, capsys):
+    code = run(["heat", "--graph", edge_graph, "--t", "1", "--constant", "1e308"])
+    report = _last_json(capsys)
+    assert code == 0
+    assert report["results"][0]["values"] == {"v0": pytest.approx(1e308, rel=1e-12),
+                                              "v1": pytest.approx(1e308, rel=1e-12)}
+
+
 def test_cli_cutoff_and_precondition(edge_graph, tmp_path, capsys):
     assert run(["cutoff", "--graph", edge_graph, "--target", "v0", "--epsilon", "1"]) == 0
     report = _last_json(capsys)
