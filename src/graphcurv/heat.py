@@ -162,8 +162,7 @@ class HeatOperator:
             for total, (coeffs, _) in zip(sums, series):
                 if k < len(coeffs):
                     total += coeffs[k] * term
-        shape = np.shape(F)
-        return [(np.ldexp(total, exponent[:, None]).T.reshape(shape), tail)
+        return [(np.ldexp(total, exponent[:, None]).T.reshape(F.shape), tail)
                 for total, (_, tail) in zip(sums, series)]
 
     @cached_property
