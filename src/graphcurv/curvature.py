@@ -26,22 +26,17 @@ every bound by a Cholesky test of M(K) + EIG_TOL sigma(K) I, with sigma(K) a
 scale of M(K), so its verdicts do not depend on the units; as R is diagonal,
 it factors only the Schur complement on S1.
 
-Twins are solved once per class (``operators.twin_representatives``).  x != y
-are twins when m(x) = m(y) and b(x, z) = b(y, z) for every z outside {x, y}:
-the vertices of K_n, a star's leaves, each sphere of an anti-tree.  Swapping
-twins is an automorphism, so K_x = K_y.  Only the lowest index of each class,
-its representative, is walked, assembled and solved, and its result is copied
-to its twins; a twin's own form is a permutation of its representative's, so
-its own solve differs from the copy by rounding only.
-
-Identical local forms of the representatives are solved and judged once per
-stack (``operators.local_form_stacks``).  Two forms are identical when they
-have one shape and their blocks are equal bit for bit; the result is copied to
-every member of the stack that shares the form.  Equal inputs give equal
-results, so each such vertex gets what its own form gives.  The
-representatives are ordered by (|S1|, two-step walks), which puts identical
-forms next to each other: a cycle takes two solves per stack, the 7-cube 17 in
-all.  ``_each_vertex`` alone spreads the results to the copies and the twins.
+Twins are solved once per class (``operators.twin_representatives``), and
+they are the only results reused.  x != y are twins when m(x) = m(y) and
+b(x, z) = b(y, z) for every z outside {x, y}: the vertices of K_n, a star's
+leaves, each sphere of an anti-tree.  Swapping twins is an automorphism, so
+K_x = K_y.  Only the lowest index of each class, its representative, is
+walked, assembled and solved, and its result is copied to its twins; a twin's
+own form is a permutation of its representative's, so its own solve differs
+from the copy by rounding only.  Every representative is solved, in the one
+stack that holds it (``operators.local_form_stacks``), even when another
+vertex has an equal form, as on a cycle or a hypercube.  ``_each_vertex``
+alone spreads the results to the twins.
 """
 
 from __future__ import annotations
@@ -289,18 +284,17 @@ def curvature_solve(g: WeightedGraph, x: str, n: float) -> CurvatureResult:
 def _each_vertex(g: WeightedGraph, judge, out: np.ndarray) -> np.ndarray:
     """``out``, (..., N), with ``judge(stack)``'s column of each vertex's local form.
 
-    ``judge`` runs once per stack of ``operators.local_form_stacks``; each copy
-    takes its source's column, and each twin its representative's.
+    ``judge`` runs once per stack of ``operators.local_form_stacks``; each twin
+    takes its representative's column.
     """
     rep = twin_representatives(g)
     for stack in local_form_stacks(g, rep):
         out[..., stack.centers] = judge(stack)
-        out[..., stack.copies[0]] = out[..., stack.copies[1]]
     return out[..., rep]
 
 
 def curvature_profile(g: WeightedGraph, n: float) -> CurvatureProfile:
-    """Solve each distinct local form of a class representative, a stack at a time, and take the minimum.
+    """Solve the local form of each class representative, a stack at a time, and take the minimum.
 
     CD is a for-all-x condition; each twin gets its representative's result.
     """

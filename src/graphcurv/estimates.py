@@ -15,11 +15,15 @@ four estimates do, for every nonnegative f, every t >= 0 and every vertex:
 
 with the K = 0 limit conventions (1 - e^{+-2Kt})/K = -+2t and
 (e^{+-2Kt} - 1 -+ 2Kt)/K^2 = 2t^2.  Conversely a failure of these estimates
-at small t certifies a CD violation, which makes the slack signs a complete
-numerical test of the curvature bound.  All four are evaluated exactly in
-the eigenbasis of the heat semigroup, the integral of (ii) included.  P_t
-is always the graph's own full semigroup, ``build_heat(g)``, which every
-function here takes from the graph rather than from the caller.
+at small t certifies a CD violation, but the slack signs resolve an
+overclaimed curvature only as finely as the functions and the t grid do.  On
+the benchmark's fuzzed graph of 100 vertices and 300 edges at seed 7 (solved
+kappa = -45.53, max Deg 74.27), the default corpus at n = infinity and
+t in {0.001, 0.01, 0.1, 1} passes a claim of kappa + 0.1 max Deg with 0
+failures and fails kappa + 0.3 max Deg with 67.  All four are evaluated
+exactly in the eigenbasis of the heat semigroup, the integral of (ii)
+included.  P_t is always the graph's own full semigroup, ``build_heat(g)``,
+which every function here takes from the graph rather than from the caller.
 
 Sign convention: K here is taken from the CD(-K, n) hypothesis verbatim, so
 a caller holding a solved curvature kappa passes K = -kappa.

@@ -32,6 +32,7 @@ __all__ = ["GraphFormatError", "parse_graph", "parse_edge_list", "serialize_grap
 FORMAT_VERSION = 1
 _VERTEX_KEYS = frozenset(("id", "measure"))
 _EDGE_KEYS = frozenset(("u", "v", "weight"))
+_NUMBERS = frozenset((int, float))  # the types json gives a number; bool and str are not numbers
 
 
 class GraphFormatError(ValueError):
@@ -96,13 +97,13 @@ def _vertex_columns(raw_vertices: list) -> tuple[dict[str, int], list[float]]:
     an earlier id are they checked one by one, to name the first fault.
     """
     try:
-        ids = [e["id"] for e in raw_vertices]
-        measure = [float(e["measure"]) for e in raw_vertices]
-        if {*map(type, ids)} <= {str}:
+        ids, raw = [e["id"] for e in raw_vertices], [e["measure"] for e in raw_vertices]
+        if {*map(type, ids)} <= {str} and {*map(type, raw)} <= _NUMBERS:
+            measure = list(map(float, raw))
             index = dict(zip(ids, range(len(ids))))
             if len(index) == len(ids):
                 return index, measure
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, TypeError, OverflowError):
         pass
     i, fault = next((i, fault) for i, fault in enumerate(_vertex_faults(raw_vertices)) if fault)
     raise GraphFormatError(f"vertices[{i}]{fault}")
@@ -132,10 +133,10 @@ def _edge_columns(raw_edges: list) -> tuple[list, list, list, GraphFormatError |
     """
     try:
         us, vs = [e["u"] for e in raw_edges], [e["v"] for e in raw_edges]
-        weights = [float(e["weight"]) for e in raw_edges]
-        if {*map(type, us), *map(type, vs)} <= {str}:
-            return us, vs, weights, None
-    except (KeyError, TypeError, ValueError, OverflowError):
+        raw = [e["weight"] for e in raw_edges]
+        if {*map(type, us), *map(type, vs)} <= {str} and {*map(type, raw)} <= _NUMBERS:
+            return us, vs, list(map(float, raw)), None
+    except (KeyError, TypeError, OverflowError):
         pass
     k, fault = next((k, fault) for k, fault in enumerate(map(_edge_fault, raw_edges)) if fault)
     return (*_edge_columns(raw_edges[:k])[:3], GraphFormatError(f"edges[{k}]{fault}"))
@@ -151,11 +152,14 @@ def _edge_fault(entry) -> str | None:
 
 
 def _number_fault(value, field: str) -> str | None:
-    try:
-        float(value)
-    except (TypeError, ValueError, OverflowError):
-        return f"{field}: expected a number"
-    return None
+    """``field``'s fault unless ``value`` is a JSON number that a float holds."""
+    if type(value) in _NUMBERS:
+        try:
+            float(value)
+            return None
+        except OverflowError:
+            pass
+    return f"{field}: expected a number"
 
 
 def _graph(index: dict[str, int], measure: list[float], us: list[str], vs: list[str],

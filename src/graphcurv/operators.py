@@ -19,7 +19,6 @@ modules, which need to evaluate the operators on many functions at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -164,10 +163,6 @@ class LocalFormStack(NamedTuple):
     scale sigma(K) and whether M(K) + EIG_TOL sigma(K) I factorizes are those
     of the member alone.  An empty 2-sphere is not padded: that diagonal can
     vanish (at the center of a star with five unit leaves).
-
-    ``copies`` (2, C), set by ``local_form_stacks``, lists vertices whose forms
-    the stack leaves out and, under each, the member of this stack with the
-    identical form.
     """
 
     p: np.ndarray
@@ -176,7 +171,6 @@ class LocalFormStack(NamedTuple):
     gamma: np.ndarray
     laplace: np.ndarray
     centers: np.ndarray | None = None
-    copies: np.ndarray | None = None
 
 
 def gamma2_matrices(stack: LocalFormStack) -> np.ndarray:
@@ -280,39 +274,6 @@ def local_form_stack(g: WeightedGraph, centers: np.ndarray, balls=None) -> tuple
     return LocalFormStack(p, q, r, B, 2.0 * B, centers), support
 
 
-def _distinct(stack: LocalFormStack) -> LocalFormStack:
-    """``stack`` less the members whose forms are bitwise those of an earlier member, listed in ``copies``.
-
-    Equal forms have equal ``gamma`` rows, so the forms are compared only when
-    two ``gamma`` row sums (half the weighted degrees) are equal.  Then each
-    member's fingerprint names one candidate, the first member with that
-    fingerprint; the member is a copy of it only when their entries are equal
-    as ``uint64``.
-    """
-    V, copies = len(stack.gamma), np.empty((2, 0), dtype=np.intp)
-    ranked = np.sort(stack.gamma.sum(axis=1))
-    if (ranked[1:] == ranked[:-1]).any():
-        rows = np.concatenate([a.reshape(V, -1) for a in stack[:5]], axis=1)
-        source, words = _first_equal(_prints(rows)), rows.view(np.uint64)
-        copy = source < np.arange(V)
-        copy[copy] = (words[copy] == words[source[copy]]).all(axis=1)
-        if copy.any():
-            copies = np.array([stack.centers[copy], stack.centers[source[copy]]])
-            stack = LocalFormStack(*(a[~copy] for a in stack[:6]))
-    return stack._replace(copies=copies)
-
-
-def _prints(rows: np.ndarray) -> np.ndarray:
-    """The fingerprint of each row: its dot product with fixed random weights, one product per row."""
-    return (rows[:, None, :] @ _print_weights(rows.shape[1]))[:, 0, 0]
-
-
-@lru_cache(maxsize=1)
-def _print_weights(width: int) -> np.ndarray:
-    """The (width, 1) weights of ``_prints``, made once for a run of stacks of one shape."""
-    return _frozen(np.random.default_rng(0).random((width, 1)))
-
-
 def _first_equal(values: np.ndarray) -> np.ndarray:
     """For each value, the index of the first value equal to it."""
     order = np.argsort(values, kind="stable")
@@ -380,31 +341,24 @@ def twin_representatives(g: WeightedGraph) -> np.ndarray:
 
 
 def local_form_stacks(g: WeightedGraph, rep: np.ndarray) -> Iterator[LocalFormStack]:
-    """The distinct local forms of the representatives ``rep`` names, in stacks of one 1-sphere size.
+    """The local forms of the representatives ``rep`` names, in stacks of one 1-sphere size.
 
     ``rep`` maps each vertex to the representative of its class of twins
     (``twin_representatives``).  Twins have equal curvatures, so only the
     representatives, the vertices x with rep[x] = x, are walked, assembled and
     solved; the consumer copies each representative's result to its twins.
+    Twins are the only repeats: each representative is a member of exactly one
+    stack, and is solved there, whether or not another member has an equal form.
 
     The representatives are ordered once by (|S1|, two-step walks), ties in
     index order.  Runs of that order, of at most ``STACK_ENTRIES`` in
-    max(walks, (|S1| + 1)^2), are walked at once.  Each |S1| of a run, apart
-    from its empty 2-spheres, goes in stacks of as many members as keep the
-    padded entries, members x (|S1| + 1)(s + 1) with s the widest punctured
-    2-ball, within ``STACK_ENTRIES`` (at least one), so memory stays linear in
-    N + E.
-
-    Identical forms within a stack are yielded once.  Two forms are identical
-    when they have one shape (|S1|, padded |S2|) and their ``p``, ``q``, ``r``,
-    ``gamma`` and ``laplace`` are equal bit for bit (compared as ``uint64``, so
-    -0.0 and 0.0 differ).  Identical forms have one |S1| and one walk count, so
-    the order puts them next to each other, and most of them share a stack.  A
-    member whose form is identical to an earlier member of its stack is left
-    out of it and listed in its ``copies``; no state is carried from one stack
-    to the next, so a form met again in a later stack is solved again.  The
-    consumer copies each result to the vertices that share the form: identical
-    inputs give identical results.
+    max(walks, (|S1| + 1)^2), are walked at once, so a run's walks fit the
+    budget.  Each |S1| of a run, apart from its empty 2-spheres, goes in stacks
+    of as many members as keep the padded entries, members x (|S1| + 1)(s + 1)
+    with s the widest punctured 2-ball, within ``STACK_ENTRIES`` (at least
+    one), so memory stays linear in N + E.  The walks bound |S2| from above, so
+    the order tends to put 2-spheres of like sizes in one stack, which keeps
+    the padding tight.
     """
     csr = g.csr
     k = np.diff(csr.indptr)
@@ -425,8 +379,8 @@ def local_form_stacks(g: WeightedGraph, rep: np.ndarray) -> Iterator[LocalFormSt
                 padded = np.arange(1, end - at + 1) * np.maximum.accumulate(entries[at:end])  # of at:at + 1, ...
                 hi = at + max(1, int(np.searchsorted(padded, STACK_ENTRIES, side="right")))
                 (w0, w1), (r0, _), (f0, f1) = offsets[:, [at, hi]]
-                yield _distinct(local_form_stack(g, run[at:hi], (
-                    row[w0:w1] - r0, col[w0:w1], weight[w0:w1], far[f0:f1], s2[at:hi]))[0])
+                yield local_form_stack(g, run[at:hi], (
+                    row[w0:w1] - r0, col[w0:w1], weight[w0:w1], far[f0:f1], s2[at:hi]))[0]
                 at = hi
 
 

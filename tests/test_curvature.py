@@ -233,8 +233,9 @@ def test_profile_stacks_agree_with_the_stack_of_one(monkeypatch):
     # the batched profile against curvature_solve at each vertex, on graphs
     # whose 2-balls take many shapes; at the smaller budget the 300-vertex graph
     # spans several runs and each |S1| several stacks.  A relabelled complete
-    # graph and cycle repeat their forms within and across stacks, and in a
-    # unit-weight random graph forms of one degree differ in their 2-balls
+    # graph and cycle and the 4-cube repeat their forms within and across
+    # stacks, and in a unit-weight random graph forms of one degree differ in
+    # their 2-balls
     rng = np.random.default_rng(36)
     graphs = [random_connected_graph(rng, int(rng.integers(8, 40)),
                                      extra_edge_prob=float(rng.uniform(0.05, 0.4))) for _ in range(4)]
@@ -247,6 +248,7 @@ def test_profile_stacks_agree_with_the_stack_of_one(monkeypatch):
         graphs.append(scaled_weights(g, 1.0, order=[g.vertices[i] for i in rng.permutation(size)]))
     graphs.append(random_connected_graph(rng, 60, extra_edge_prob=0.08, weight_range=(1.0, 1.0),
                                          measure_range=(1.0, 1.0)))
+    graphs.append(generate("hypercube", 4))
     for g in graphs:
         for n in (4.0, math.inf):
             for budget in (STACK_ENTRIES, 2**12):
@@ -285,38 +287,43 @@ def _solved_members(monkeypatch, g: WeightedGraph, n: float):
     return profile, sum(members)
 
 
-def test_identical_forms_are_solved_once(monkeypatch):
-    # K_60 is one class of twins, so one form is solved; a cycle's forms take
-    # two patterns, by whether S2 lists the far neighbours in S1's order.
-    # Relabelled, the vertices of one form are scattered over the index order
-    profile, members = _solved_members(monkeypatch, generate("complete", 60), math.inf)
+def test_each_representative_is_solved_once(monkeypatch):
+    # twins are the only repeats: each twin representative is solved once, in
+    # its one stack, even where its form equals another's.  K_60 is one class
+    # of twins, so one form is solved; a cycle has no twins, so every vertex is.
+    # Relabelled, the vertices of one class are scattered over the index order
+    def solved(g, n):
+        profile, members = _solved_members(monkeypatch, g, n)
+        assert members == np.count_nonzero(twin_representatives(g) == np.arange(g.num_vertices))
+        return profile, members
+
+    profile, members = solved(generate("complete", 60), math.inf)
     assert members == 1
     for r in profile.per_vertex:
         assert r.curvature == pytest.approx(31.0, rel=1e-9) and r.converged
-    assert _solved_members(monkeypatch, generate("cycle", 300), 4.0)[1] == 2
+    assert solved(generate("cycle", 300), 4.0)[1] == 300
     rng = np.random.default_rng(42)
-    for family, size, solved in (("complete", 40, 1), ("cycle", 50, 2)):
+    for family, size, count in (("complete", 40, 1), ("cycle", 50, 50)):
         g = generate(family, size)
         relabelled = scaled_weights(g, 1.0, order=[g.vertices[i] for i in rng.permutation(size)])
         for n in (4.0, math.inf):
-            assert _solved_members(monkeypatch, relabelled, n)[1] == solved
+            assert solved(relabelled, n)[1] == count
     # two K_12 at the two ends of the index order and a 3,000-vertex weighted
-    # tree, whose vertices all have forms of their own, between them
+    # tree between them: one solve per K_12 and one per tree vertex
     tree = generate("weighted_tree", 3000, seed=7)
     names = [f"a{i}" for i in range(12)] + list(tree.vertices) + [f"b{i}" for i in range(12)]
     weights = {(u, v): w for u, v, w in tree.edges()}
     for side in "ab":
         weights.update({(f"{side}{i}", f"{side}{j}"): 1.0 for i in range(12) for j in range(i + 1, 12)})
     g = WeightedGraph(names, weights, {v: 1.0 if v[0] in "ab" else tree.measure(v) for v in names})
-    assert _solved_members(monkeypatch, g, math.inf)[1] == 3000 + 1
-    # x and x2, centers of two paths of 5 vertices, share |S1| = 2 and 4 walks
-    # with a triangle between them in the index order, whose 2-spheres are
-    # empty: its stack separates theirs, so x2 is solved again
+    assert solved(g, math.inf)[1] == 3000 + 2
+    # two paths of 5 vertices with a triangle between them in the index order:
+    # the triangle is one class of twins, and each path vertex is solved
     names = ["c", "a", "x", "b", "d", "t0", "t1", "t2", "c2", "a2", "x2", "b2", "d2"]
     edges = [("c", "a"), ("a", "x"), ("x", "b"), ("b", "d"), ("t0", "t1"), ("t1", "t2"), ("t0", "t2"),
              ("c2", "a2"), ("a2", "x2"), ("x2", "b2"), ("b2", "d2")]
     g = WeightedGraph(names, dict.fromkeys(edges, 1.0), dict.fromkeys(names, 1.0))
-    assert _solved_members(monkeypatch, g, math.inf)[1] == 6  # c, a, x, b, t0 and x2
+    assert solved(g, math.inf)[1] == 11
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -357,31 +364,20 @@ def test_one_two_ball_per_class_of_twins(monkeypatch):
 
 
 def test_forms_one_ulp_apart_are_solved_apart(monkeypatch):
-    # identity is bitwise: one weight or one measure off by one ulp is a
-    # different form, solved on its own and reported as by curvature_solve
-    cycle = generate("cycle", 30)
-    near = {(u, v): np.nextafter(1.0, 2.0) if (u, v) == ("v10", "v11") else w for u, v, w in cycle.edges()}
+    # twins are compared bitwise: on K_20 one measure off by one ulp leaves its
+    # vertex out of the class, solved on its own and reported as by
+    # curvature_solve.  A cycle with one weight off by one ulp is checked the same way
     complete = generate("complete", 20)
     measure = {v: np.nextafter(1.0, 0.0) if v == "v7" else 1.0 for v in complete.vertices}
-    cases = ((cycle, WeightedGraph(cycle.vertices, near, {v: 1.0 for v in cycle.vertices})),
-             (complete, WeightedGraph(complete.vertices, {(u, v): w for u, v, w in complete.edges()}, measure)))
-    for exact, perturbed in cases:
-        for n in (4.0, math.inf):
-            assert _solved_members(monkeypatch, perturbed, n)[1] > _solved_members(monkeypatch, exact, n)[1]
-            _assert_profile_matches_the_stack_of_one(perturbed, n)
-
-
-def test_a_fingerprint_only_proposes(monkeypatch):
-    # with every fingerprint equal, each member is a candidate of the first
-    # form of its shape: only the bitwise comparison tells the forms apart.
-    # With unit weights, vertices of one degree tie on their gamma row sums
-    monkeypatch.setattr(operators, "_prints", lambda rows: np.zeros(len(rows)))
-    unit = random_connected_graph(np.random.default_rng(41), 30, extra_edge_prob=0.2,
-                                  weight_range=(1.0, 1.0), measure_range=(1.0, 1.0))
-    for g in (unit, generate("hypercube", 4), generate("cycle", 30)):
-        for n in (4.0, math.inf):
-            _assert_profile_matches_the_stack_of_one(g, n)
-    assert _solved_members(monkeypatch, generate("complete", 30), math.inf)[1] == 1
+    perturbed = WeightedGraph(complete.vertices, {(u, v): w for u, v, w in complete.edges()}, measure)
+    cycle = generate("cycle", 30)
+    near = {(u, v): np.nextafter(1.0, 2.0) if (u, v) == ("v10", "v11") else w for u, v, w in cycle.edges()}
+    near_cycle = WeightedGraph(cycle.vertices, near, dict.fromkeys(cycle.vertices, 1.0))
+    for n in (4.0, math.inf):
+        assert _solved_members(monkeypatch, perturbed, n)[1] == 2
+        assert _solved_members(monkeypatch, complete, n)[1] == 1
+        _assert_profile_matches_the_stack_of_one(perturbed, n)
+        _assert_profile_matches_the_stack_of_one(near_cycle, n)
 
 
 @pytest.mark.parametrize("budget", [2**10, STACK_ENTRIES])
@@ -485,28 +481,21 @@ def test_padded_stacks_fit_the_budget(monkeypatch, budget):
 
 
 def _checked_stacks(g: WeightedGraph, budget: int) -> list:
-    """``local_form_stacks`` of the twin representatives, checked to cover each
-    representative once, as a member or as a copy of a member of its own stack
-    with a bitwise equal form, no two members of a stack bitwise equal, each
-    member with one |S1| and, when a stack has more than one member, its padded
-    blocks within budget.  Twins are checked against their own solves by
+    """``local_form_stacks`` of the twin representatives, checked to hold each
+    representative as a member of exactly one stack, each member with one |S1|
+    and, when a stack has more than one member, its padded blocks within
+    budget.  Twins are checked against their own solves by
     ``test_twins_get_their_own_curvature``.
     """
     k = np.diff(g.csr.indptr)
     rep = twin_representatives(g)
     stacks = list(local_form_stacks(g, rep))
     for stack in stacks:
-        for x, source in stack.copies.T.tolist():
-            assert source in stack.centers
-            one, other = (local_form_stack(g, np.array([v]))[0] for v in (x, source))
-            assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(one[:5], other[:5]))
         (V, k1), s2 = stack.gamma.shape, stack.r.shape[1]
-        rows = np.concatenate([a.reshape(V, -1) for a in stack[:5]], axis=1).view(np.uint64)
-        assert len(np.unique(rows, axis=0)) == V
         assert set(k[stack.centers].tolist()) <= {k1}
         assert V * (k1 + 1) * (k1 + s2 + 1) <= budget or V == 1
-    covered = np.concatenate([np.append(stack.centers, stack.copies[0]) for stack in stacks])
-    assert sorted(covered.tolist()) == np.flatnonzero(rep == np.arange(g.num_vertices)).tolist()
+    members = np.concatenate([stack.centers for stack in stacks])
+    assert sorted(members.tolist()) == np.flatnonzero(rep == np.arange(g.num_vertices)).tolist()
     return stacks
 
 

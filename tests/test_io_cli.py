@@ -123,6 +123,13 @@ _ABC_MEASURES = "a 1\nb 1\nc 1\n"
     (_doc([{"id": 1, "measure": 1}], []), None, "vertices[0].id: expected a string"),
     (_doc(_ABC + [{"id": "b", "measure": 2}], []), None, "vertices[3]: duplicate vertex id 'b'"),
     (_doc([{"id": "a", "measure": "heavy"}], []), None, "vertices[0].measure: expected a number"),
+    # only JSON numbers are numbers: not strings that float() reads, nor true
+    (_doc([{"id": "a", "measure": "1.5"}], []), None, "vertices[0].measure: expected a number"),
+    (_doc([{"id": "a", "measure": True}], []), None, "vertices[0].measure: expected a number"),
+    (_doc(_ABC, [_AB, {"u": "b", "v": "c", "weight": " 3 "}]), None, "edges[1].weight: expected a number"),
+    (_doc(_ABC, [_AB, {"u": "b", "v": "c", "weight": "1_0"}]), None, "edges[1].weight: expected a number"),
+    (_doc(_ABC, [_AB, {"u": "b", "v": "c", "weight": True}]), None, "edges[1].weight: expected a number"),
+    (_doc(_ABC, [_AB, {"u": "b", "v": "c", "weight": 10**400}]), None, "edges[1].weight: expected a number"),
     (_doc(_ABC, [_AB, 7]), None, "edges[1]: expected an object with u, v and weight"),
     (_doc(_ABC, [_AB, {"u": "a", "v": ["c"], "weight": 1}]), None, "edges[1]: endpoints must be strings"),
     (_doc(_ABC, [_AB, {"u": "b", "v": "c", "weight": None}]), None, "edges[1].weight: expected a number"),
