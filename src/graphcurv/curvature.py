@@ -43,9 +43,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,9 +81,8 @@ class CurvatureProfile:
     """Per-vertex curvatures, held as columns, and their minimum, the graph's global bound.
 
     ``curvature``, ``converged`` and ``bracket_width`` are read-only arrays in
-    the order of ``vertices``.  ``per_vertex`` is the same profile as a
-    read-only sequence of ``CurvatureResult``; a result is built only when it
-    is indexed or iterated.
+    the order of ``vertices``.  ``per_vertex`` is the same profile as a tuple
+    of ``CurvatureResult``, built on its first read and kept.
     """
 
     vertices: tuple[str, ...]
@@ -98,9 +96,10 @@ class CurvatureProfile:
         for a in (self.curvature, self.converged, self.bracket_width):
             a.setflags(write=False)
 
-    @property
-    def per_vertex(self) -> "_PerVertex":
-        return _PerVertex(self)
+    @cached_property
+    def per_vertex(self) -> tuple[CurvatureResult, ...]:
+        return tuple(map(CurvatureResult, self.vertices, itertools.repeat(self.dimension),
+                         self.curvature.tolist(), self.converged.tolist(), self.bracket_width.tolist()))
 
     def _columns(self) -> tuple:
         return (self.vertices, self.dimension, self.curvature.tolist(), self.converged.tolist(),
@@ -110,41 +109,6 @@ class CurvatureProfile:
         if not isinstance(other, CurvatureProfile):
             return NotImplemented
         return self._columns() == other._columns()
-
-
-class _PerVertex(Sequence):
-    """``CurvatureProfile.per_vertex``: it equals any sequence of the same ``CurvatureResult``s."""
-
-    __slots__ = ("_profile",)
-
-    def __init__(self, profile: CurvatureProfile):
-        self._profile = profile
-
-    def __len__(self) -> int:
-        return len(self._profile.vertices)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[k] for k in range(*i.indices(len(self))))
-        i = operator.index(i)
-        if not -len(self) <= i < len(self):
-            raise IndexError("per-vertex index out of range")
-        p = self._profile
-        return CurvatureResult(p.vertices[i], p.dimension, float(p.curvature[i]), bool(p.converged[i]),
-                               float(p.bracket_width[i]))
-
-    def __iter__(self):
-        p = self._profile
-        return map(CurvatureResult, p.vertices, itertools.repeat(p.dimension), p.curvature.tolist(),
-                   p.converged.tolist(), p.bracket_width.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"_PerVertex({tuple(self)!r})"
 
 
 def _check_dimension(n: float) -> float:
@@ -167,11 +131,6 @@ def _cd_matrices(stack: LocalFormStack, K, n: float) -> np.ndarray:
     M[:, :k, :k] -= d[:, :, None] * d[:, None, :] / n
     M[:, np.arange(k), np.arange(k)] -= np.reshape(K, (-1, 1)) * stack.gamma
     return M
-
-
-def cd_matrix(forms: LocalForms, K: float, n: float) -> np.ndarray:
-    """M(K) over the punctured 2-ball of the form's center."""
-    return _cd_matrices(_stack_of(forms), K, n)[0]
 
 
 def _cd_scales(stack: LocalFormStack, K, n: float) -> np.ndarray:

@@ -492,19 +492,14 @@ def default_corpus(
     """
     if num_random < 0:
         raise ValueError(f"num_random must be nonnegative, got {num_random}")
-    rng = np.random.default_rng(seed)
-    corpus: list[tuple[str, GraphFunction]] = []
-    for v in g.vertices:
-        corpus.append((f"indicator:{v}", GraphFunction.indicator(g, v)))
-    for i in range(num_random):
-        corpus.append(
-            (f"random:{i}", GraphFunction(g, rng.uniform(0.0, 1.0, g.num_vertices)))
-        )
-    (smoothed,) = build_heat(g)._apply((SMOOTHING_TIME,), np.eye(g.num_vertices), keep_kernel=True)
-    smoothed = np.maximum(smoothed, 0.0)
-    for v, column in zip(g.vertices, smoothed.T):
-        corpus.append((f"smoothed:{v}", GraphFunction(g, column)))
-    return corpus
+    N = g.num_vertices
+    (smoothed,) = build_heat(g)._apply((SMOOTHING_TIME,), np.eye(N), keep_kernel=True)
+    # r draws of N in turn are the rows of one (r, N) draw
+    random = np.random.default_rng(seed).uniform(0.0, 1.0, (num_random, N)).T
+    columns = np.hstack((np.eye(N), random, np.maximum(smoothed, 0.0)))
+    names = [*(f"indicator:{v}" for v in g.vertices), *(f"random:{i}" for i in range(num_random)),
+             *(f"smoothed:{v}" for v in g.vertices)]
+    return [(name, GraphFunction(g, column)) for name, column in zip(names, columns.T)]
 
 
 # -- Green's formula and the ellipticity norm -------------------------------

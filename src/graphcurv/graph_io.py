@@ -203,6 +203,14 @@ def _columns(text: str, width: int) -> list[list[str]] | None:
 
 
 def _floats(raw: list[str]) -> list[float] | None:
+    """The number tokens as floats; None if one is not a number.
+
+    ``float`` also reads ``_`` between digits and non-ASCII digits, so a
+    token with either is refused.
+    """
+    text = "".join(raw)
+    if not text.isascii() or "_" in text:
+        return None
     try:
         return list(map(float, raw))
     except ValueError:
@@ -243,10 +251,10 @@ def _parse_measures(text: str) -> tuple[dict[str, int], list[float]]:
     for lineno, (vid, raw) in _lines(text, "measures", "vertex measure"):
         if vid in index:
             raise GraphFormatError(f"measures line {lineno}: duplicate measure for {vid!r}")
-        try:
-            measure.append(float(raw))
-        except ValueError:
-            raise GraphFormatError(f"measures line {lineno}: bad measure {raw!r}") from None
+        value = _floats([raw])
+        if value is None:
+            raise GraphFormatError(f"measures line {lineno}: bad measure {raw!r}")
+        measure += value
         index[vid] = len(index)
     return index, measure
 
@@ -256,10 +264,9 @@ def _walk_edges(text: str, index: dict[str, int]):
     us, vs, weights = [], [], []
     try:
         for lineno, (u, v, raw) in _lines(text, "edges", "u v weight"):
-            try:
-                w = float(raw)
-            except ValueError:
-                raise GraphFormatError(f"edges line {lineno}: bad weight {raw!r}") from None
+            w = _floats([raw])
+            if w is None:
+                raise GraphFormatError(f"edges line {lineno}: bad weight {raw!r}")
             for endpoint in (u, v):
                 if endpoint not in index:
                     raise GraphFormatError(
@@ -267,7 +274,7 @@ def _walk_edges(text: str, index: dict[str, int]):
                     )
             us.append(u)
             vs.append(v)
-            weights.append(w)
+            weights += w
     except GraphFormatError as exc:
         # a line naming a vertex without a measure cannot repeat an earlier
         # line: that line's endpoints would have been reported first

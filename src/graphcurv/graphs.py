@@ -14,9 +14,9 @@ N x N matrix.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 

@@ -13,10 +13,10 @@ unlike on a full finite graph where P_t 1 = 1.
 
 P_t is computed along one of two paths, fixed by the consumer:
 
-* ``apply_array``, ``apply``, ``expand``, ``mass_array``, ``heat_mass``
-  and ``semigroup_gamma_path`` sum a Chebyshev expansion of e^{-tS} over the
-  compressed rows of the graph (Tal-Ezer and Kosloff, J. Chem. Phys. 1984),
-  in memory linear in the number of vertices and edges.  Take d = Deg on
+* ``apply_array``, ``apply``, ``expand`` and ``semigroup_gamma_path`` sum
+  a Chebyshev expansion of e^{-tS} over the compressed rows of the graph
+  (Tal-Ezer and Kosloff, J. Chem. Phys. 1984), in memory linear in the
+  number of vertices and edges.  Take d = Deg on
   the domain and 0 outside, and
 
       Lambda = max(max over edges {x,y} of d(x) + d(y), max d).
@@ -44,13 +44,12 @@ P_t is computed along one of two paths, fixed by the consumer:
   the (B, N) batch.  Each column is scaled by a power of 2 to a largest
   value in [1/2, 1) and back, so that no term overflows or loses bits
   below the normal range.
-* ``_apply`` and ``apply_fluctuation_array`` carry their input into the
-  eigenbasis of S, which one dense ``eigh`` computes on the first access to
-  ``eigenvalues``, ``eigenbasis`` or ``kernel_modes``.  The estimates layer
-  uses them: its sweeps need per-mode relative accuracy, the closed form of
-  (ii) needs the modes, its corpus applies P_t to N columns at once, and
-  the cutoff's t = 2 / epsilon has no ceiling, where the expansion's cost
-  would grow as sqrt(t).
+* ``_apply`` carries its input into the eigenbasis of S, which one dense
+  ``eigh`` computes on the first access to ``eigenvalues``, ``eigenbasis``
+  or ``kernel_modes``.  The estimates layer uses it: its sweeps need
+  per-mode relative accuracy, the closed form of (ii) needs the modes, its
+  corpus applies P_t to N columns at once, and the cutoff's t = 2 / epsilon
+  has no ceiling, where the expansion's cost would grow as sqrt(t).
 
 The full semigroup is fixed by the graph, so it is built once per graph and
 shared; Dirichlet restrictions are built on each request.
@@ -169,19 +168,6 @@ class HeatOperator:
     def _recurrence(self) -> _Recurrence:
         return _Recurrence(self.graph, self._domain_indices)
 
-    def apply_fluctuation_array(self, t: float, F: np.ndarray) -> np.ndarray:
-        """P_t with the generator's kernel modes (eigenvalue <= KERNEL_TOL * lambda_max) dropped.
-
-        The kernel consists of per-component constants, which neither carry a
-        gradient nor survive in mean-zero inputs; dropping them is exact for
-        those uses and keeps the surviving modes relatively accurate when
-        they have decayed far below the constant part, where the plain apply
-        would return amplified rounding instead.  t = 0 returns the input
-        unchanged (the projection is a hygiene device for t > 0 only).
-        """
-        (out,) = self._apply((t,), F, keep_kernel=False)
-        return out
-
     def _apply(
         self, times: Sequence[float], F: np.ndarray, keep_kernel: bool
     ) -> Iterator[np.ndarray]:
@@ -191,6 +177,14 @@ class HeatOperator:
         the call; each t then costs only its decay e^{-t lambda} (kernel
         modes set to 0 unless keep_kernel) and the transform back, made as
         the iterator reaches it.  t = 0 returns the input exactly.
+
+        Without keep_kernel the generator's kernel modes (eigenvalue <=
+        KERNEL_TOL * lambda_max) are dropped.  They are per-component
+        constants, which neither carry a gradient nor survive in mean-zero
+        inputs; dropping them is exact for those uses and keeps the
+        surviving modes relatively accurate when they have decayed far below
+        the constant part, where the plain apply would return amplified
+        rounding instead.
         """
         _check_times(times)
         squeeze = F.ndim == 1
@@ -216,17 +210,6 @@ class HeatOperator:
         """P_t f (zero-extended outside the Dirichlet domain, if any)."""
         _check_graph_function(self.graph, f)
         return GraphFunction(self.graph, self.apply_array(t, f.array))
-
-    def heat_mass(self, t: float, x: str) -> float:
-        """(P_t 1)(x): conserved mass 1 on full graphs, <= 1 under Dirichlet."""
-        ix = self.graph.index(x)
-        if ix not in self._domain_indices:
-            raise ValueError(f"vertex {x!r} is outside the Dirichlet domain")
-        return float(self.mass_array(t)[ix])
-
-    def mass_array(self, t: float) -> np.ndarray:
-        """P_t 1 at every vertex, clamped to [0, 1] against rounding; 0 outside a Dirichlet domain."""
-        return clamp_mass(self.apply_array(t, np.ones(self.graph.num_vertices)))
 
 
 class _Recurrence:

@@ -20,7 +20,7 @@ from graphcurv import (
     local_forms,
 )
 from graphcurv import operators
-from graphcurv.curvature import EIG_TOL, _cd_holds, _cd_scales, _solve, _stack_of, cd_matrix
+from graphcurv.curvature import EIG_TOL, _cd_holds, _cd_matrices, _cd_scales, _solve, _stack_of
 from graphcurv.graphs import ball
 from graphcurv.operators import STACK_ENTRIES, local_form_stack, local_form_stacks, twin_representatives
 
@@ -529,7 +529,7 @@ def test_judge_on_each_side_of_the_threshold(n):
         r = curvature_solve(g, x, n)
         assert r.converged
         forms = local_forms(g, x)
-        lam = float(np.linalg.eigvalsh(cd_matrix(forms, r.curvature, n))[0])
+        lam = float(np.linalg.eigvalsh(_cd_matrices(_stack_of(forms), r.curvature, n)[0])[0])
         sigma = _cd_scales(_stack_of(forms), r.curvature, n)[0]
         for side in (10.0, -10.0):
             shifted = dataclasses.replace(forms, gamma2_matrix=forms.gamma2_matrix
@@ -545,7 +545,7 @@ def test_smallest_eigenvalue_decreases_in_K():
     x = g.vertices[0]
     forms = local_forms(g, x)
     eigs = [
-        float(np.linalg.eigvalsh(cd_matrix(forms, K, math.inf))[0])
+        float(np.linalg.eigvalsh(_cd_matrices(_stack_of(forms), K, math.inf)[0])[0])
         for K in np.linspace(-5, 5, 21)
     ]
     assert all(a >= b - 1e-12 for a, b in zip(eigs, eigs[1:]))
@@ -586,9 +586,9 @@ def test_profile_per_vertex_is_a_sequence_of_results():
                      for r, k, c, w in zip(results, p.curvature, p.converged, p.bracket_width))
     assert [r.curvature for r in expected] == pytest.approx([r.curvature for r in results], rel=1e-12)
     per_vertex = p.per_vertex
+    assert type(per_vertex) is tuple and per_vertex is p.per_vertex
     assert len(per_vertex) == 7
-    assert per_vertex == expected and expected == per_vertex and per_vertex == list(expected)
-    assert tuple(per_vertex) == expected
+    assert per_vertex == expected
     assert per_vertex[-1] == expected[-1] and per_vertex[-7] == expected[0]
     assert per_vertex[1:6:2] == expected[1:6:2] and per_vertex[::-1] == expected[::-1]
     assert isinstance(per_vertex[2:4], tuple) and per_vertex[5:2] == ()

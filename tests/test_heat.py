@@ -16,6 +16,7 @@ from graphcurv import (
     laplacian,
     semigroup_gamma_path,
 )
+from graphcurv.heat import clamp_mass
 from graphcurv.operators import gamma_recursive_array
 
 
@@ -325,44 +326,33 @@ def test_expansion_rounding_at_large_c(g):
 # -- heat mass ---------------------------------------------------------------------
 
 
+def _mass(h, t):
+    return clamp_mass(h.apply_array(t, np.ones(h.graph.num_vertices)))
+
+
 def test_mass_conserved_without_dirichlet():
     rng = np.random.default_rng(38)
     g = random_connected_graph(rng, 9)
     h = build_heat(g)
     for t in (0.0, 0.5, 3.0):
-        for x in g.vertices:
-            assert h.heat_mass(t, x) == pytest.approx(1.0, abs=1e-10)
+        assert _mass(h, t) == pytest.approx(np.ones(9), abs=1e-10)
 
 
 def test_mass_dirichlet_single_edge():
     h = build_heat(single_edge(), dirichlet_domain={"v0"})
     for t in (1e-9, 0.3, 1.0, 4.0, 30.0):
-        assert h.heat_mass(t, "v0") == pytest.approx(math.exp(-t), abs=1e-12)
-    assert h.heat_mass(0.0, "v0") == 1.0
-    with pytest.raises(ValueError):
-        h.heat_mass(1.0, "v1")
+        assert _mass(h, t).tolist() == pytest.approx([math.exp(-t), 0.0], abs=1e-12)
+    assert _mass(h, 0.0).tolist() == [1.0, 0.0]
 
 
 def test_mass_dirichlet_monotone_and_below_one():
     rng = np.random.default_rng(39)
     g = random_connected_graph(rng, 10)
-    domain = list(g.vertices[:6])
-    h = build_heat(g, dirichlet_domain=domain)
-    for x in domain:
-        masses = [h.heat_mass(t, x) for t in np.linspace(0.0, 5.0, 11)]
-        assert all(v <= 1.0 + 1e-12 for v in masses)
-        assert all(a >= b - 1e-10 for a, b in zip(masses, masses[1:]))
-
-
-def test_mass_array_matches_heat_mass():
-    rng = np.random.default_rng(40)
-    g = random_connected_graph(rng, 10)
-    domain = list(g.vertices[:6])
-    h = build_heat(g, dirichlet_domain=domain)
-    for t in (0.0, 0.7, 4.0):
-        mass = h.mass_array(t)
-        assert [float(mass[g.index(x)]) for x in domain] == [h.heat_mass(t, x) for x in domain]
-        assert np.all(mass[[g.index(x) for x in g.vertices[6:]]] == 0.0)
+    h = build_heat(g, dirichlet_domain=list(g.vertices[:6]))
+    masses = np.array([_mass(h, t) for t in np.linspace(0.0, 5.0, 11)])
+    assert np.all(masses[:, :6] <= 1.0 + 1e-12)
+    assert np.all(masses[:-1, :6] >= masses[1:, :6] - 1e-10)
+    assert np.all(masses[:, 6:] == 0.0)
 
 
 # -- the Gamma path and its derivative ----------------------------------------------
@@ -436,7 +426,7 @@ def test_fluctuation_apply_matches_apply_on_mean_zero_input():
     lap = laplacian(g, f).array  # mean-zero in the m-inner product
     for t in (0.3, 2.0):
         a = h.apply_array(t, lap)
-        b = h.apply_fluctuation_array(t, lap)
+        (b,) = h._apply((t,), lap, keep_kernel=False)
         assert np.allclose(a, b, atol=1e-12)
 
 

@@ -159,11 +159,23 @@ _ABC_MEASURES = "a 1\nb 1\nc 1\n"
     ("# header\na b 1\n\nb c 1  # note\nc b 2\na b c d\n", _ABC_MEASURES,
      "edges line 5: conflicting symmetric entries for ('c', 'b')"),
     ("a b 1\n", "# header\na 1\nb 2  # note\n\na 3\n", "measures line 5: duplicate measure for 'a'"),
+    # float() reads "_" between digits and non-ASCII digits; a number column takes neither
+    ("a b 1_0\n", "a 1\nb 1\n", "edges line 1: bad weight '1_0'"),
+    ("a b 1\nb c \u0661\u0660\n", _ABC_MEASURES, "edges line 2: bad weight '\u0661\u0660'"),
+    ("a b 1\n", "a 1\nb 1_5\n", "measures line 2: bad measure '1_5'"),
+    ("a b 1\n", "a \u0661\nb 1\n", "measures line 1: bad measure '\u0661'"),
 ])
 def test_parse_errors_are_pinned(text, measures, message):
     with pytest.raises(GraphFormatError) as info:
         parse_graph(text, measures)
     assert str(info.value) == message
+
+
+def test_edge_list_vertex_ids_are_opaque():
+    # only the number columns are checked: an id may hold "_" and non-ASCII characters
+    g = parse_graph("a_1 \u0661 2\n", "a_1 1\n\u0661 3\n")
+    assert g.vertices == ("a_1", "\u0661") and g.edge_arrays[2].tolist() == [2.0]
+    assert g.measure_vector.tolist() == [1.0, 3.0]
 
 
 @pytest.mark.parametrize(
