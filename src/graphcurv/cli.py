@@ -37,7 +37,7 @@ from .estimates import (
     green_check,
     taylor_check,
 )
-from .graph_io import GraphFormatError, parse_graph, serialize_graph
+from .graph_io import GraphFormatError, _floats, parse_graph, serialize_graph
 from .graphs import GraphFunction, WeightedGraph, generate, validate
 from .heat import build_heat, clamp_mass
 
@@ -128,9 +128,20 @@ def _load_graph(args, require_valid: bool = True) -> WeightedGraph:
     return parse_graph(text, measures, require_valid=require_valid)
 
 
+def _number(kind: type):
+    """An argparse ``type``: ``kind`` of a token that ``graph_io._floats`` reads (ASCII, no ``_``)."""
+    def read(token: str):
+        if _floats([token]) is None:
+            raise ValueError(token)
+        return kind(token)
+
+    read.__name__ = kind.__name__  # argparse's error names the type: "invalid float value"
+    return read
+
+
 def _parse_floats(raw: str, flag: str) -> list[float]:
     try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        values = [_number(float)(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         raise GraphFormatError(f"{flag}: expected comma-separated numbers, got {raw!r}") from None
     if not values:
@@ -140,7 +151,7 @@ def _parse_floats(raw: str, flag: str) -> list[float]:
 
 def _parse_dimension(raw: str) -> float:
     try:
-        n = float(raw)
+        n = _number(float)(raw)
     except ValueError:
         raise GraphFormatError(f"--dimension: expected a number or 'inf', got {raw!r}") from None
     if not n > 0:
@@ -165,12 +176,12 @@ def _add_graph_flags(sp) -> None:
 def _add_sign_flags(sp) -> None:
     grp = sp.add_mutually_exclusive_group(required=True)
     grp.add_argument(
-        "--K", type=float, default=None, help="curvature lower bound K in CD(K, n)"
+        "--K", type=_number(float), default=None, help="curvature lower bound K in CD(K, n)"
     )
     grp.add_argument(
         "--paper-K",
         dest="paper_K",
-        type=float,
+        type=_number(float),
         default=None,
         help="the negated convention: CD(-K, n) holds with this K",
     )
@@ -197,10 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("generate", help="emit a generated test graph as a JSON document")
     sp.add_argument("--family", required=True,
                     choices=["path", "cycle", "complete", "star", "hypercube", "weighted_tree"])
-    sp.add_argument("--size", type=int, required=True)
+    sp.add_argument("--size", type=_number(int), required=True)
     sp.add_argument("--measure-profile", dest="measure_profile", default="unit",
                     choices=["unit", "normalizing"])
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_number(int), default=0)
 
     sp = sub.add_parser("curvature", help="per-vertex curvature profile")
     _add_graph_flags(sp)
@@ -218,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", required=True, help="comma-separated times")
     sp.add_argument("--dirichlet", help="comma-separated vertex subset for a Dirichlet restriction")
     sp.add_argument("--indicator", help="initial condition: indicator of this vertex")
-    sp.add_argument("--constant", type=float, default=None,
+    sp.add_argument("--constant", type=_number(float), default=None,
                     help="initial condition: constant value (default 1.0)")
 
     sp = sub.add_parser("verify-estimates",
@@ -227,16 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sign_flags(sp)
     sp.add_argument("--dimension", default="inf")
     sp.add_argument("--t", required=True, help="comma-separated times")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--num-random", dest="num_random", type=int, default=20)
+    sp.add_argument("--seed", type=_number(int), default=0)
+    sp.add_argument("--num-random", dest="num_random", type=_number(int), default=20)
     _add_jobs_stub(sp)
     sp.add_argument("--full", action="store_true",
                     help="also emit the per-(function, t, vertex) slack table")
 
     sp = sub.add_parser("green-check", help="Green's formula triple on random functions")
     _add_graph_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=20)
+    sp.add_argument("--seed", type=_number(int), default=0)
+    sp.add_argument("--samples", type=_number(int), default=20)
 
     sp = sub.add_parser("ec-check", help="ellipticity constant vs adjacency operator norm")
     _add_graph_flags(sp)
@@ -244,21 +255,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cutoff", help="heat-kernel cutoff with a gradient bound")
     _add_graph_flags(sp)
     sp.add_argument("--target", required=True, help="comma-separated vertices where eta = 1")
-    sp.add_argument("--epsilon", type=float, required=True)
+    sp.add_argument("--epsilon", type=_number(float), required=True)
     sp.add_argument("--universe", help="comma-separated support of the heated indicator (default: all)")
 
     sp = sub.add_parser("finiteness", help="finite-measure thresholds under positive curvature")
     _add_graph_flags(sp)
-    sp.add_argument("--K", type=float, required=True)
+    sp.add_argument("--K", type=_number(float), required=True)
     sp.add_argument("--epsilons", required=True, help="comma-separated epsilon grid")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_number(int), default=0)
 
     sp = sub.add_parser("taylor-check", help="small-t expansion coefficients vs exact operators")
     _add_graph_flags(sp)
     sp.add_argument("--vertex", required=True)
     sp.add_argument("--indicator", help="use the indicator of this vertex instead of a random f")
-    sp.add_argument("--K", type=float, default=0.5)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--K", type=_number(float), default=0.5)
+    sp.add_argument("--seed", type=_number(int), default=0)
 
     return p
 

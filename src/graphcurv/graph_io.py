@@ -206,7 +206,7 @@ def _floats(raw: list[str]) -> list[float] | None:
     """The number tokens as floats; None if one is not a number.
 
     ``float`` also reads ``_`` between digits and non-ASCII digits, so a
-    token with either is refused.
+    token with either is refused, here and by every number flag of the CLI.
     """
     text = "".join(raw)
     if not text.isascii() or "_" in text:

@@ -249,7 +249,7 @@ class WeightedGraph:
         """The full heat semigroup, shared by every ``build_heat(self)``."""
         from .heat import HeatOperator
 
-        return HeatOperator(self, None, np.arange(self.num_vertices))
+        return HeatOperator(self, None)
 
     def weight(self, u: str, v: str) -> float:
         """b(u, v), symmetric; 0.0 for non-adjacent pairs: a binary search in row u."""
@@ -276,8 +276,9 @@ def _violations(g: WeightedGraph, iu, iv, w, m, order, repeat, undeclared, measu
     """One message per violation: duplicate ids, then the edge entries in order, then the measures.
 
     Each edge entry is reported for its first fault of: an endpoint that is
-    not a vertex, a diagonal, a weight that is not finite and positive, and
-    an asymmetry.  A pair listed in both orientations with two weights is an
+    not a vertex, a diagonal, a weight that is inf or NaN, one that is not
+    positive, and an asymmetry; a measure is missing, inf or NaN, or not
+    positive.  A pair listed in both orientations with two weights is an
     asymmetry at the entry whose endpoint names ascend.  Only flagged
     entries are named.
     """
@@ -288,18 +289,21 @@ def _violations(g: WeightedGraph, iu, iv, w, m, order, repeat, undeclared, measu
     outside = (iu < 0) | (iv < 0)
     diagonal = ~outside & (iu == iv)
     bad = ~(outside | diagonal) & ~(np.isfinite(w) & (w > 0.0))
+    infinite = bad & ~np.isfinite(w)  # inf and NaN: the part of bad that is named first
     asymmetric, ws = np.zeros(len(w), dtype=bool), w[order]
     for s in np.flatnonzero(repeat[1:] & (ws[1:] != ws[:-1])).tolist():  # the two entries of a pair
         for k in order[[s, s + 1]].tolist():
             asymmetric[k] = not (outside[k] or bad[k]) and labels[iu[k]] < labels[iv[k]]
     kinds = ("edge ({!r}, {!r}) has an undeclared endpoint", "nonzero diagonal at {!r}",
-             "nonpositive weight at ({!r}, {!r})", "asymmetry at ({!r}, {!r})")
-    flags = np.stack((outside, diagonal, bad, asymmetric))
+             "non-finite weight at ({!r}, {!r})", "nonpositive weight at ({!r}, {!r})",
+             "asymmetry at ({!r}, {!r})")
+    flags = np.stack((outside, diagonal, infinite, bad, asymmetric))
     for k in np.flatnonzero(flags.any(axis=0)).tolist():
         out.append(kinds[int(np.argmax(flags[:, k]))].format(labels[iu[k]], labels[iv[k]]))
     for i in np.flatnonzero(~(np.isfinite(m) & (m > 0.0))).tolist():
         missing = measure_keys is not None and names[i] not in measure_keys
-        out.append(f"{'missing' if missing else 'nonpositive'} measure at {names[i]!r}")
+        kind = "missing" if missing else "nonpositive" if math.isfinite(m[i]) else "non-finite"
+        out.append(f"{kind} measure at {names[i]!r}")
     out += [f"measure entry for unknown vertex {v!r}" for v in measure_keys or () if v not in g._index]
     return tuple(out)
 

@@ -6,20 +6,22 @@ sqrt(m) produces the plainly symmetric matrix
     S = D_m^{1/2} (-Delta) D_m^{-1/2},
     S[x,y] = -b(x,y) / sqrt(m(x) m(y)),   S[x,x] = Deg(x).
 
-Restricting -Delta to a vertex subset, with the full degrees kept on the
+Restricting -Delta to a vertex subset D, with the full degrees kept on the
 diagonal, implements the Dirichlet (absorbing-boundary) semigroup used to
 model exhaustions of larger graphs; there heat mass may genuinely escape,
-unlike on a full finite graph where P_t 1 = 1.
+unlike on a full finite graph where P_t 1 = 1.  Each operator builds that
+restriction once, in D's own coordinates (``_Recurrence``), and both paths
+below read it; values outside D are ignored on input and 0 on output.
 
 P_t is computed along one of two paths, fixed by the consumer:
 
 * ``apply_array``, ``apply``, ``expand`` and ``semigroup_gamma_path`` sum
   a Chebyshev expansion of e^{-tS} over the compressed rows of the graph
   (Tal-Ezer and Kosloff, J. Chem. Phys. 1984), in memory linear in the
-  number of vertices and edges.  Take d = Deg on
-  the domain and 0 outside, and
+  number of vertices and edges.  Take d = Deg, the full-graph degree, on
+  the domain, and
 
-      Lambda = max(max over edges {x,y} of d(x) + d(y), max d).
+      Lambda = max(max over edges {x,y} inside the domain of d(x) + d(y), max d).
 
   The spectrum of -Delta on the domain lies in [0, Lambda] (Anderson and
   Morley, Linear Multilinear Algebra 1985), with any vertex measure: for f
@@ -40,16 +42,17 @@ P_t is computed along one of two paths, fixed by the consumer:
   ||f||_{l2(m)}.  Rounding is not in that bound; it grows with K, to about
   K eps ||f||_inf.  K is about sqrt(2 c ln 10^15).  Each degree costs one
   gather of the stored entries with both ends in the domain, one product
-  with their weights, one ``reduceat`` over their rows and a few passes over
-  the (B, N) batch.  Each column is scaled by a power of 2 to a largest
-  value in [1/2, 1) and back, so that no term overflows or loses bits
-  below the normal range.
-* ``_apply`` carries its input into the eigenbasis of S, which one dense
-  ``eigh`` computes on the first access to ``eigenvalues``, ``eigenbasis``
-  or ``kernel_modes``.  The estimates layer uses it: its sweeps need
-  per-mode relative accuracy, the closed form of (ii) needs the modes, its
-  corpus applies P_t to N columns at once, and the cutoff's t = 2 / epsilon
-  has no ceiling, where the expansion's cost would grow as sqrt(t).
+  with their weights, one ``reduceat`` over their rows and a few passes
+  over the (B, |D|) batch, whatever the size of the graph.  Each column is
+  scaled by a power of 2 to a largest value in [1/2, 1) and back, so that
+  no term overflows or loses bits below the normal range.
+* ``_apply`` carries its input into the eigenbasis of S, assembled from
+  the same restriction, which one dense ``eigh`` computes on the first
+  access to ``eigenvalues``, ``eigenbasis`` or ``kernel_modes``.  The
+  estimates layer uses it: its sweeps need per-mode relative accuracy, the
+  closed form of (ii) needs the modes, its corpus applies P_t to N columns
+  at once, and the cutoff's t = 2 / epsilon has no ceiling, where the
+  expansion's cost would grow as sqrt(t).
 
 The full semigroup is fixed by the graph, so it is built once per graph and
 shared; Dirichlet restrictions are built on each request.
@@ -86,18 +89,15 @@ class HeatOperator:
     cache at once may both fill it, with equal values).
     """
 
-    def __init__(
-        self,
-        graph: WeightedGraph,
-        dirichlet_domain: frozenset[str] | None,
-        domain_indices: np.ndarray,
-    ):
+    def __init__(self, graph: WeightedGraph, dirichlet_domain: frozenset[str] | None):
         self.graph = graph
         self.dirichlet_domain = dirichlet_domain
-        self.measure_half = np.sqrt(graph.measure_vector[domain_indices])
-        self._domain_indices = domain_indices
-        for a in (self.measure_half, domain_indices):
-            a.setflags(write=False)
+        # the full graph's domain is a basic slice, which reads and writes columns without a gather
+        self._domain = slice(None) if dirichlet_domain is None else np.array(
+            sorted(map(graph.index, dirichlet_domain)), dtype=int)
+        self._recurrence = _Recurrence(graph, self._domain)
+        self.measure_half = np.sqrt(self._recurrence.measure)
+        self.measure_half.setflags(write=False)
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,10 +135,11 @@ class HeatOperator:
     def expand(self, times: Sequence[float], F: np.ndarray) -> list[tuple[np.ndarray, float]]:
         """(P_t F, its truncation bound) for each t of times, by one Chebyshev recurrence.
 
-        F is (N,) or (N,B), with values outside a Dirichlet domain ignored
-        and the output zero there.  The terms T_k(A) F, A = -Delta / h - 1
-        restricted to the domain and h = Lambda / 2 (the edge bound of the
-        module docstring), are computed once for every t; each t only
+        F is (N,) or (N,B).  Its rows on the domain D are carried in as a
+        (B, |D|) batch, so values outside D are ignored, and each result is
+        zero-extended outside D on the way out.  The terms T_k(A) F,
+        A = -Delta / h - 1 restricted to D and h = Lambda / 2 (the edge bound
+        of the module docstring), are computed once for every t; each t only
         weighs them by its own coefficients, at c = t h.  The bound is the
         coefficient tail at t's stop degree, which bounds the truncation
         error alone:
@@ -150,8 +151,8 @@ class HeatOperator:
         _check_times(times)
         recurrence = self._recurrence
         series = [_chebyshev_coefficients(t * recurrence.half) for t in times]
-        batch = np.array(F.T, dtype=float, order="C", ndmin=2)  # (B, N): one row per column of F
-        batch[:, ~recurrence.inside] = 0.0
+        # (B, |D|): one row per column of F, one column per domain vertex
+        batch = np.array(F.T[..., self._domain], dtype=float, order="C", ndmin=2)
         # powers of 2: exact both ways, and each column's largest value in [1/2, 1)
         _, exponent = np.frexp(np.max(np.abs(batch), axis=1, initial=0.0))
         batch = np.ldexp(batch, -exponent[:, None])
@@ -161,12 +162,10 @@ class HeatOperator:
             for total, (coeffs, _) in zip(sums, series):
                 if k < len(coeffs):
                     total += coeffs[k] * term
-        return [(np.ldexp(total, exponent[:, None]).T.reshape(F.shape), tail)
-                for total, (_, tail) in zip(sums, series)]
-
-    @cached_property
-    def _recurrence(self) -> _Recurrence:
-        return _Recurrence(self.graph, self._domain_indices)
+        extended = np.zeros((len(sums), len(batch), self.graph.num_vertices))
+        for full, total in zip(extended, sums):
+            full[:, self._domain] = np.ldexp(total, exponent[:, None], out=total)
+        return [(full.T.reshape(F.shape), tail) for full, (_, tail) in zip(extended, series)]
 
     def _apply(
         self, times: Sequence[float], F: np.ndarray, keep_kernel: bool
@@ -189,7 +188,7 @@ class HeatOperator:
         _check_times(times)
         squeeze = F.ndim == 1
         F2 = F[:, None] if squeeze else F
-        idx = self._domain_indices
+        idx = self._domain
         sqrt_m = self.measure_half[:, None]
         coeff = self.eigenbasis.T @ (sqrt_m * F2[idx]) if any(times) else None
 
@@ -213,50 +212,51 @@ class HeatOperator:
 
 
 class _Recurrence:
-    """The Chebyshev recurrence of A = -Delta / h - 1 on a domain, for batches laid out (B, N).
+    """A Dirichlet domain D in its own coordinates, and the Chebyshev recurrence of A = -Delta / h - 1 on it.
 
-    Built once per operator from ``g.csr``: ``degrees`` is Deg on the domain
-    and 0 outside, ``bound`` the edge bound Lambda of the module docstring
-    and ``half`` = Lambda / 2.  Only the stored entries x -> y with both
-    ends in the domain are kept, since every term is 0 outside it;
-    ``rows`` lists the rows that keep an entry and ``starts`` where each
-    begins.  All arrays are read-only.
+    Position i is the i-th vertex of D in the graph's order.  Built once per
+    operator from ``g.csr``: ``rows``, ``columns`` and ``weights`` are the
+    stored entries x -> y with both ends in D, in local coordinates and in
+    row order; ``degrees`` is the full-graph Deg on D, so that the boundary
+    edges still drain heat; ``measure`` is m on D.  ``bound`` is the edge
+    bound Lambda of the module docstring and ``half`` = Lambda / 2.  Every
+    term lives on D alone, so batches are laid out (B, |D|).  All arrays are
+    read-only.
     """
 
-    def __init__(self, g: WeightedGraph, domain_indices: np.ndarray):
+    def __init__(self, g: WeightedGraph, domain: slice | np.ndarray):
         csr = g.csr
-        self.inside = np.zeros(g.num_vertices, dtype=bool)
-        self.inside[domain_indices] = True
-        self.degrees = np.where(self.inside, g.weighted_degrees, 0.0)
-        iu, iv, _ = g.edge_arrays
-        ends = self.degrees[iu] + self.degrees[iv]
+        self.degrees, self.measure = g.weighted_degrees[domain], g.measure_vector[domain]
+        local = np.full(g.num_vertices, -1)
+        local[domain] = np.arange(len(self.degrees))
+        rows, columns = local.take(csr.rows), local.take(csr.indices)
+        kept = (rows >= 0) & (columns >= 0)
+        self.rows, self.columns, self.weights = rows[kept], columns[kept], csr.weights[kept]
+        ends = self.degrees.take(self.rows) + self.degrees.take(self.columns)
         self.bound = max(float(ends.max(initial=0.0)), float(self.degrees.max(initial=0.0)))
         self.half = self.bound / 2.0
-        kept = self.inside[csr.rows] & self.inside[csr.indices]
-        self.columns, self.weights, rows = csr.indices[kept], csr.weights[kept], csr.rows[kept]
-        self.starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        self.rows = rows[self.starts]
-        self.measure = g.measure_vector[self.rows]
-        for a in (self.inside, self.degrees, self.columns, self.weights, self.starts,
-                  self.rows, self.measure):
+        for a in (self.degrees, self.measure, self.rows, self.columns, self.weights):
             a.setflags(write=False)
 
     def terms(self, batch: np.ndarray) -> Iterator[np.ndarray]:
-        """T_0(A) F, T_1(A) F, ... without end, for a batch F (B, N) that is 0 outside the domain.
+        """T_0(A) F, T_1(A) F, ... without end, for a batch F (B, |D|).
 
         Each step is one ``take`` of the flat batch, one product with the
-        weights and one ``reduceat`` over the kept rows of every column;
-        the sums are divided by m after, as in ``weighted_degrees``, so
-        that A maps constants on a full graph to -1 times them exactly.
+        weights and one ``reduceat`` over the rows of every column that keep
+        an entry; the sums are divided by m after, as in
+        ``weighted_degrees``, so that A maps constants on a full graph to -1
+        times them exactly.
         """
-        B, N = batch.shape
+        B, n = batch.shape
+        starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+        rows = self.rows[starts]
         offsets = np.arange(B)[:, None]
-        gather = (offsets * N + self.columns).ravel()
+        gather = (offsets * n + self.columns).ravel()
         weights = np.tile(self.weights, B)
-        starts = (offsets * len(self.columns) + self.starts).ravel()
+        starts = (offsets * len(self.columns) + starts).ravel()
         # every row keeps an entry on a full graph without isolated vertices
-        scatter = slice(None) if len(self.rows) == N else (offsets * N + self.rows).ravel()
-        measure = np.tile(self.measure, B)
+        scatter = slice(None) if len(rows) == n else (offsets * n + rows).ravel()
+        measure = np.tile(self.measure[rows], B)
         previous, term = None, batch
         while True:
             yield term
@@ -346,26 +346,18 @@ def build_heat(
     dom = frozenset(str(v) for v in dirichlet_domain)
     if not dom:
         raise ValueError("Dirichlet domain must be nonempty")
-    return HeatOperator(g, dom, np.array(sorted(g.index(v) for v in dom), dtype=int))
+    return HeatOperator(g, dom)
 
 
 def _factorize(h: HeatOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of S restricted to h's domain.
 
-    S is assembled from the edges with both ends in the domain, with the
-    full-graph degrees on its diagonal.
+    S is assembled from the recurrence's entries with both ends in the
+    domain, with the full-graph degrees on its diagonal.
     """
-    g, idx, sqrt_m = h.graph, h._domain_indices, h.measure_half
-    local = np.full(g.num_vertices, -1)
-    local[idx] = np.arange(len(idx))
-    iu, iv, w = g.edge_arrays
-    a, b = local[iu], local[iv]
-    inside = (a >= 0) & (b >= 0)
-    a, b = a[inside], b[inside]
-    S = np.zeros((len(idx), len(idx)))
-    S[a, b] = S[b, a] = -w[inside] / (sqrt_m[a] * sqrt_m[b])
-    # full-graph degrees: the restriction keeps boundary edges
-    S[np.arange(len(idx)), np.arange(len(idx))] = g.weighted_degrees[idx]
+    r, sqrt_m = h._recurrence, h.measure_half
+    S = np.diag(r.degrees)
+    S[r.rows, r.columns] = -r.weights / (sqrt_m[r.rows] * sqrt_m[r.columns])
     return np.linalg.eigh(S)
 
 

@@ -87,11 +87,11 @@ def test_validate_lists_every_kind_of_violation_in_order():
         "nonzero diagonal at 'c'",
         "nonpositive weight at ('a', 'b')",
         "asymmetry at ('b', 'c')",
-        "nonpositive weight at ('d', 'e')",
+        "non-finite weight at ('d', 'e')",
         "edge ('qq', 'rr') has an undeclared endpoint",
-        "nonpositive weight at ('d', 'c')",
+        "non-finite weight at ('d', 'c')",
         "nonpositive measure at 'b'",
-        "nonpositive measure at 'c'",
+        "non-finite measure at 'c'",
         "nonpositive measure at 'd'",
         "missing measure at 'e'",
         "measure entry for unknown vertex 'ghost'",
@@ -105,7 +105,7 @@ def test_validate_lists_every_kind_of_violation_in_order():
     ({("b", "a"): 1.0, ("a", "b"): 2.0}, ["asymmetry at ('a', 'b')"]),  # at the entry named in order
     ({("a", "b"): -1.0, ("b", "a"): 2.0}, ["nonpositive weight at ('a', 'b')"]),
     ({("a", "b"): 1.0, ("b", "a"): math.nan},
-     ["asymmetry at ('a', 'b')", "nonpositive weight at ('b', 'a')"]),
+     ["asymmetry at ('a', 'b')", "non-finite weight at ('b', 'a')"]),
 ])
 def test_validate_names_an_asymmetry_once(weights, expected):
     assert validate(WeightedGraph(["b", "a"], weights, {"a": 1.0, "b": 1.0})) == expected

@@ -9,6 +9,7 @@ from conftest import dense_weights, random_connected_graph, random_function, sca
 from graphcurv import (
     GraphFunction,
     WeightedGraph,
+    ball,
     build_heat,
     gamma_k,
     generate,
@@ -353,6 +354,49 @@ def test_mass_dirichlet_monotone_and_below_one():
     assert np.all(masses[:, :6] <= 1.0 + 1e-12)
     assert np.all(masses[:-1, :6] >= masses[1:, :6] - 1e-10)
     assert np.all(masses[:, 6:] == 0.0)
+
+
+@pytest.mark.parametrize("g", [
+    random_connected_graph(np.random.default_rng(40), 200, extra_edge_prob=0.02),
+    generate("cycle", 2000),
+    generate("weighted_tree", 3000, seed=4),
+    generate("hypercube", 8),
+], ids=["fuzzed200", "cycle2000", "weighted_tree3000", "hypercube8"])
+def test_mass_grows_along_an_exhaustion_by_balls(g):
+    # B_R grows with R, and so does P_t^{B_R} 1 at every vertex (0 outside B_R),
+    # up to the whole graph
+    times, ones, previous = (0.1, 1.0, 10.0), np.ones(g.num_vertices), None
+    for r in (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
+        domain = ball(g, g.vertices[0], r)
+        masses = [clamp_mass(out) for out, _ in build_heat(g, domain).expand(times, ones)]
+        assert all(np.all(mass <= 1.0) for mass in masses)
+        if previous is not None:
+            assert all(np.all(mass >= before - 1e-12) for mass, before in zip(masses, previous))
+        previous = masses
+    assert len(domain) == g.num_vertices
+
+
+def test_dirichlet_terms_live_on_the_domain(monkeypatch):
+    # the recurrence holds the domain in its own coordinates, and every term
+    # of the expansion is a (B, |D|) batch, however large the graph
+    g = generate("cycle", 1000)
+    domain = ball(g, "v500", 3)
+    h = build_heat(g, dirichlet_domain=domain)
+    r, n = h._recurrence, len(domain)
+    assert r.degrees.shape == r.measure.shape == (n,)
+    assert len(r.rows) == len(r.columns) == len(r.weights) == 2 * (n - 1)
+    assert r.rows.max() < n and r.columns.max() < n
+    shapes, terms = [], type(r).terms
+
+    def recorded(self, batch):
+        for term in terms(self, batch):
+            shapes.append(term.shape)
+            yield term
+
+    monkeypatch.setattr(type(r), "terms", recorded)
+    out = h.apply_array(1.0, np.ones((g.num_vertices, 2))).T
+    assert len(shapes) > 10 and set(shapes) == {(2, n)}
+    assert out.shape == (2, g.num_vertices) and np.count_nonzero(out) == 2 * n
 
 
 # -- the Gamma path and its derivative ----------------------------------------------

@@ -164,6 +164,12 @@ _ABC_MEASURES = "a 1\nb 1\nc 1\n"
     ("a b 1\nb c \u0661\u0660\n", _ABC_MEASURES, "edges line 2: bad weight '\u0661\u0660'"),
     ("a b 1\n", "a 1\nb 1_5\n", "measures line 2: bad measure '1_5'"),
     ("a b 1\n", "a \u0661\nb 1\n", "measures line 1: bad measure '\u0661'"),
+    # inf and NaN parse, and validation names them apart from zero and negative values
+    ('{"format_version": 1, "vertices": [{"id": "a", "measure": 1e400}], "edges": []}', None,
+     "invalid graph: non-finite measure at 'a'"),
+    (_doc(_ABC, [{"u": "a", "v": "b", "weight": -1e400}]), None, "invalid graph: non-finite weight at ('a', 'b')"),
+    ("a b nan\n", "a 0\nb inf\n",
+     "invalid graph: non-finite weight at ('a', 'b'); nonpositive measure at 'a'; non-finite measure at 'b'"),
 ])
 def test_parse_errors_are_pinned(text, measures, message):
     with pytest.raises(GraphFormatError) as info:
@@ -376,6 +382,37 @@ def test_cli_empty_grids_are_input_errors(edge_graph, capsys, argv):
     assert report["command"] == argv[0]
     assert "at least one number" in report["error"]
     assert "Traceback" not in captured.err
+
+
+# float() and int() read "_" between digits and non-ASCII digits; no number flag takes either
+@pytest.mark.parametrize("argv,flag", [
+    (["heat", "--t", "1_0"], "--t"),
+    (["heat", "--t", "\u0661"], "--t"),
+    (["verify-estimates", "--paper-K", "0", "--t", "0_1"], "--t"),
+    (["finiteness", "--K", "1", "--epsilons", "0.1,0_2"], "--epsilons"),
+    (["curvature", "--dimension", "4_0"], "--dimension"),
+    (["cd-check", "--K", "1_0", "--vertex", "v0"], "--K"),
+    (["cd-check", "--paper-K", "\u0661", "--vertex", "v0"], "--paper-K"),
+    (["finiteness", "--K", "1_0", "--epsilons", "0.1"], "--K"),
+    (["taylor-check", "--vertex", "v0", "--K", "0_5"], "--K"),
+    (["heat", "--t", "1", "--constant", "1_0"], "--constant"),
+    (["cutoff", "--target", "v0", "--epsilon", "0_5"], "--epsilon"),
+    (["generate", "--family", "cycle", "--size", "1_0"], "--size"),
+    (["generate", "--family", "cycle", "--size", "\u0664"], "--size"),
+    (["green-check", "--seed", "1_0"], "--seed"),
+    (["green-check", "--samples", "2_0"], "--samples"),
+    (["verify-estimates", "--paper-K", "0", "--t", "1", "--num-random", "\u0662"], "--num-random"),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else "")
+def test_cli_number_flags_refuse_underscores_and_non_ascii_digits(edge_graph, capsys, argv, flag):
+    graph = [] if argv[0] == "generate" else ["--graph", edge_graph]
+    if flag in ("--t", "--epsilons", "--dimension"):  # read by the command: a JSON error report
+        assert run([argv[0], *graph, *argv[1:]]) == 2
+        assert _last_json(capsys)["error"].startswith(f"{flag}: expected")
+    else:  # read by argparse: its usage error
+        with pytest.raises(SystemExit) as exc:
+            run([argv[0], *graph, *argv[1:]])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
 
 
 def _jsonify_elementwise(obj):
