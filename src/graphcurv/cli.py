@@ -159,8 +159,11 @@ def _parse_dimension(raw: str) -> float:
     return n
 
 
-def _split_ids(raw: str) -> list[str]:
-    return [tok.strip() for tok in raw.split(",") if tok.strip()]
+def _split_ids(raw: str, flag: str) -> list[str]:
+    ids = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    if not ids:
+        raise GraphFormatError(f"{flag}: expected at least one vertex id, got {raw!r}")
+    return ids
 
 
 def _paper_k(args) -> float:
@@ -324,7 +327,7 @@ def _cmd_heat(args) -> int:
     if args.indicator is not None and args.constant is not None:
         raise GraphFormatError("--indicator and --constant are mutually exclusive")
     g = _load_graph(args)
-    domain = _split_ids(args.dirichlet) if args.dirichlet else None
+    domain = _split_ids(args.dirichlet, "--dirichlet") if args.dirichlet is not None else None
     h = build_heat(g, dirichlet_domain=domain)
     if args.indicator is not None:
         f = GraphFunction.indicator(g, args.indicator)
@@ -333,7 +336,7 @@ def _cmd_heat(args) -> int:
         f = GraphFunction.constant(g, 1.0 if args.constant is None else args.constant)
         initial = f"constant:{1.0 if args.constant is None else args.constant}"
     results = []
-    domain_vertices = sorted(h.dirichlet_domain) if h.dirichlet_domain else list(g.vertices)
+    domain_vertices = list(g.vertices) if h.dirichlet_domain is None else sorted(h.dirichlet_domain)
     where = np.fromiter(map(g.index, domain_vertices), np.intp, len(domain_vertices))
     times = _parse_floats(args.t, "--t")
     columns = np.column_stack([f.array, np.ones(g.num_vertices)])
@@ -404,8 +407,8 @@ def _cmd_ec_check(args) -> int:
 
 def _cmd_cutoff(args) -> int:
     g = _load_graph(args)
-    target = _split_ids(args.target)
-    universe = _split_ids(args.universe) if args.universe else list(g.vertices)
+    target = _split_ids(args.target, "--target")
+    universe = _split_ids(args.universe, "--universe") if args.universe is not None else list(g.vertices)
     result = build_cutoff(g, target, args.epsilon, universe)
     ok = result.max_gamma <= args.epsilon * (1.0 + CHECK_TOL)
     _emit("cutoff",

@@ -256,7 +256,7 @@ def _gradient_integral(
     b = -(lam[:, None] + lam[None, :])
     d = np.empty((len(times),) + C.shape)
     N, B = C.shape
-    chunk = max(1, operators.STACK_ENTRIES // (N * max(N, B)))
+    chunk = max(1, operators.STACK_ENTRIES // max(1, N * max(N, B)))
     for lo in range(0, N, chunk):
         modes = slice(lo, lo + chunk)
         a = (2.0 * K - lam[modes])[:, None, None]
@@ -343,7 +343,7 @@ def _slack_arrays(
 
 def _check_nonnegative(g: WeightedGraph, f: GraphFunction) -> None:
     _check_graph_function(g, f)
-    if float(np.min(f.array)) < 0:
+    if float(np.min(f.array, initial=0.0)) < 0:
         raise ValueError("f must be nonnegative")
 
 

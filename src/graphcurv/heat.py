@@ -9,9 +9,9 @@ sqrt(m) produces the plainly symmetric matrix
 Restricting -Delta to a vertex subset D, with the full degrees kept on the
 diagonal, implements the Dirichlet (absorbing-boundary) semigroup used to
 model exhaustions of larger graphs; there heat mass may genuinely escape,
-unlike on a full finite graph where P_t 1 = 1.  Each operator builds that
-restriction once, in D's own coordinates (``_Recurrence``), and both paths
-below read it; values outside D are ignored on input and 0 on output.
+unlike on a full finite graph where P_t 1 = 1.  A ``HeatOperator`` is that
+restriction, built once in D's own coordinates, and both paths below read
+it; values outside D are ignored on input and 0 on output.
 
 P_t is computed along one of two paths, fixed by the consumer:
 
@@ -63,7 +63,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,7 +77,17 @@ TAIL_TOL = 1e-15  # the Chebyshev series stops once its coefficient tail is belo
 
 
 class HeatOperator:
-    """P_t on a graph or on a Dirichlet domain, by Chebyshev expansion or in the eigenbasis.
+    """P_t on a graph or on a Dirichlet domain D, by Chebyshev expansion or in the eigenbasis.
+
+    The operator is the restriction of -Delta to D (the whole vertex set
+    without a domain) in D's own coordinates: position i is the i-th vertex
+    of D in the graph's order.  It is built once, from ``graph.csr``:
+    ``_rows``, ``_columns`` and ``_weights`` are the stored entries x -> y
+    with both ends in D, in local coordinates and in row order; ``_degrees``
+    is the full-graph Deg on D, so that the boundary edges still drain heat;
+    ``_measure`` is m on D and ``measure_half`` its square root; ``_bound``
+    is the edge bound Lambda of the module docstring.  The expansion and
+    the eigenbasis both read these arrays, which are read-only.
 
     The eigenbasis is factorized lazily: ``eigenvalues``, ``eigenbasis``
     and ``kernel_modes`` are computed together on the first access to any
@@ -89,19 +99,38 @@ class HeatOperator:
     cache at once may both fill it, with equal values).
     """
 
-    def __init__(self, graph: WeightedGraph, dirichlet_domain: frozenset[str] | None):
+    def __init__(self, graph: WeightedGraph, dirichlet_domain: Iterable[str] | None):
         self.graph = graph
         self.dirichlet_domain = dirichlet_domain
         # the full graph's domain is a basic slice, which reads and writes columns without a gather
-        self._domain = slice(None) if dirichlet_domain is None else np.array(
-            sorted(map(graph.index, dirichlet_domain)), dtype=int)
-        self._recurrence = _Recurrence(graph, self._domain)
-        self.measure_half = np.sqrt(self._recurrence.measure)
-        self.measure_half.setflags(write=False)
+        domain = slice(None)
+        if dirichlet_domain is not None:
+            self.dirichlet_domain = frozenset(str(v) for v in dirichlet_domain)
+            if not self.dirichlet_domain:
+                raise ValueError("Dirichlet domain must be nonempty")
+            domain = np.array(sorted(map(graph.index, self.dirichlet_domain)), dtype=int)
+        self._domain = domain
+        csr = graph.csr
+        self._degrees, self._measure = graph.weighted_degrees[domain], graph.measure_vector[domain]
+        local = np.full(graph.num_vertices, -1)
+        local[domain] = np.arange(len(self._degrees))
+        rows, columns = local.take(csr.rows), local.take(csr.indices)
+        kept = (rows >= 0) & (columns >= 0)
+        self._rows, self._columns, self._weights = rows[kept], columns[kept], csr.weights[kept]
+        ends = self._degrees.take(self._rows) + self._degrees.take(self._columns)
+        self._bound = max(float(ends.max(initial=0.0)), float(self._degrees.max(initial=0.0)))
+        self.measure_half = np.sqrt(self._measure)
+        for a in (self._degrees, self._measure, self._rows, self._columns, self._weights,
+                  self.measure_half):
+            a.setflags(write=False)
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        eigvals, eigvecs = _factorize(self)
+        # S from the kept entries, with the full-graph degrees on its diagonal
+        rows, columns, sqrt_m = self._rows, self._columns, self.measure_half
+        S = np.diag(self._degrees)
+        S[rows, columns] = -self._weights / (sqrt_m[rows] * sqrt_m[columns])
+        eigvals, eigvecs = np.linalg.eigh(S)
         kernel = eigvals <= KERNEL_TOL * eigvals.max(initial=0.0)
         for a in (eigvals, eigvecs, kernel):
             a.setflags(write=False)
@@ -149,8 +178,8 @@ class HeatOperator:
         exact (t = 0 or Lambda = 0).
         """
         _check_times(times)
-        recurrence = self._recurrence
-        series = [_chebyshev_coefficients(t * recurrence.half) for t in times]
+        half = self._bound / 2.0
+        series = [_chebyshev_coefficients(t * half) for t in times]
         # (B, |D|): one row per column of F, one column per domain vertex
         batch = np.array(F.T[..., self._domain], dtype=float, order="C", ndmin=2)
         # powers of 2: exact both ways, and each column's largest value in [1/2, 1)
@@ -158,7 +187,7 @@ class HeatOperator:
         batch = np.ldexp(batch, -exponent[:, None])
         sums = [coeffs[0] * batch for coeffs, _ in series]
         stop = max((len(coeffs) for coeffs, _ in series), default=1)
-        for k, term in zip(range(1, stop), itertools.islice(recurrence.terms(batch), 1, None)):
+        for k, term in zip(range(1, stop), itertools.islice(self._terms(batch), 1, None)):
             for total, (coeffs, _) in zip(sums, series):
                 if k < len(coeffs):
                     total += coeffs[k] * term
@@ -166,6 +195,43 @@ class HeatOperator:
         for full, total in zip(extended, sums):
             full[:, self._domain] = np.ldexp(total, exponent[:, None], out=total)
         return [(full.T.reshape(F.shape), tail) for full, (_, tail) in zip(extended, series)]
+
+    def _terms(self, batch: np.ndarray) -> Iterator[np.ndarray]:
+        """T_0(A) F, T_1(A) F, ... without end, for a batch F (B, |D|) and A = -Delta / h - 1 on D.
+
+        Each step is one ``take`` of the flat batch, one product with the
+        weights and one ``reduceat`` over the rows of every column that keep
+        an entry; the sums are divided by m after, as in
+        ``weighted_degrees``, so that A maps constants on a full graph to -1
+        times them exactly.
+        """
+        B, n = batch.shape
+        starts = np.flatnonzero(np.diff(self._rows, prepend=-1))
+        rows = self._rows[starts]
+        offsets = np.arange(B)[:, None]
+        gather = (offsets * n + self._columns).ravel()
+        weights = np.tile(self._weights, B)
+        starts = (offsets * len(self._columns) + starts).ravel()
+        # every row keeps an entry on a full graph without isolated vertices
+        scatter = slice(None) if len(rows) == n else (offsets * n + rows).ravel()
+        measure = np.tile(self._measure[rows], B)
+        half = self._bound / 2.0
+        previous, term = None, batch
+        while True:
+            yield term
+            following = self._degrees * term
+            if len(gather):
+                flow = term.take(gather)
+                flow *= weights
+                flow = np.add.reduceat(flow, starts)
+                flow /= measure
+                following.ravel()[scatter] -= flow
+            following /= half
+            following -= term
+            if previous is not None:
+                following *= 2.0
+                following -= previous
+            previous, term = term, following
 
     def _apply(
         self, times: Sequence[float], F: np.ndarray, keep_kernel: bool
@@ -209,70 +275,6 @@ class HeatOperator:
         """P_t f (zero-extended outside the Dirichlet domain, if any)."""
         _check_graph_function(self.graph, f)
         return GraphFunction(self.graph, self.apply_array(t, f.array))
-
-
-class _Recurrence:
-    """A Dirichlet domain D in its own coordinates, and the Chebyshev recurrence of A = -Delta / h - 1 on it.
-
-    Position i is the i-th vertex of D in the graph's order.  Built once per
-    operator from ``g.csr``: ``rows``, ``columns`` and ``weights`` are the
-    stored entries x -> y with both ends in D, in local coordinates and in
-    row order; ``degrees`` is the full-graph Deg on D, so that the boundary
-    edges still drain heat; ``measure`` is m on D.  ``bound`` is the edge
-    bound Lambda of the module docstring and ``half`` = Lambda / 2.  Every
-    term lives on D alone, so batches are laid out (B, |D|).  All arrays are
-    read-only.
-    """
-
-    def __init__(self, g: WeightedGraph, domain: slice | np.ndarray):
-        csr = g.csr
-        self.degrees, self.measure = g.weighted_degrees[domain], g.measure_vector[domain]
-        local = np.full(g.num_vertices, -1)
-        local[domain] = np.arange(len(self.degrees))
-        rows, columns = local.take(csr.rows), local.take(csr.indices)
-        kept = (rows >= 0) & (columns >= 0)
-        self.rows, self.columns, self.weights = rows[kept], columns[kept], csr.weights[kept]
-        ends = self.degrees.take(self.rows) + self.degrees.take(self.columns)
-        self.bound = max(float(ends.max(initial=0.0)), float(self.degrees.max(initial=0.0)))
-        self.half = self.bound / 2.0
-        for a in (self.degrees, self.measure, self.rows, self.columns, self.weights):
-            a.setflags(write=False)
-
-    def terms(self, batch: np.ndarray) -> Iterator[np.ndarray]:
-        """T_0(A) F, T_1(A) F, ... without end, for a batch F (B, |D|).
-
-        Each step is one ``take`` of the flat batch, one product with the
-        weights and one ``reduceat`` over the rows of every column that keep
-        an entry; the sums are divided by m after, as in
-        ``weighted_degrees``, so that A maps constants on a full graph to -1
-        times them exactly.
-        """
-        B, n = batch.shape
-        starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
-        rows = self.rows[starts]
-        offsets = np.arange(B)[:, None]
-        gather = (offsets * n + self.columns).ravel()
-        weights = np.tile(self.weights, B)
-        starts = (offsets * len(self.columns) + starts).ravel()
-        # every row keeps an entry on a full graph without isolated vertices
-        scatter = slice(None) if len(rows) == n else (offsets * n + rows).ravel()
-        measure = np.tile(self.measure[rows], B)
-        previous, term = None, batch
-        while True:
-            yield term
-            following = self.degrees * term
-            if len(gather):
-                flow = term.take(gather)
-                flow *= weights
-                flow = np.add.reduceat(flow, starts)
-                flow /= measure
-                following.ravel()[scatter] -= flow
-            following /= self.half
-            following -= term
-            if previous is not None:
-                following *= 2.0
-                following -= previous
-            previous, term = term, following
 
 
 def clamp_mass(p: np.ndarray) -> np.ndarray:
@@ -330,10 +332,7 @@ def _scaled_bessel(c: float, n: int) -> np.ndarray:
     return relative / (2.0 * relative.sum() - 1.0)
 
 
-def build_heat(
-    g: WeightedGraph,
-    dirichlet_domain: Sequence[str] | set[str] | frozenset[str] | None = None,
-) -> HeatOperator:
+def build_heat(g: WeightedGraph, dirichlet_domain: Iterable[str] | None = None) -> HeatOperator:
     """The semigroup of g, or its restriction to a Dirichlet domain.
 
     Without a domain this is g's own full semigroup, built on first use and
@@ -343,22 +342,7 @@ def build_heat(
     """
     if dirichlet_domain is None:
         return g._heat_semigroup
-    dom = frozenset(str(v) for v in dirichlet_domain)
-    if not dom:
-        raise ValueError("Dirichlet domain must be nonempty")
-    return HeatOperator(g, dom)
-
-
-def _factorize(h: HeatOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of S restricted to h's domain.
-
-    S is assembled from the recurrence's entries with both ends in the
-    domain, with the full-graph degrees on its diagonal.
-    """
-    r, sqrt_m = h._recurrence, h.measure_half
-    S = np.diag(r.degrees)
-    S[r.rows, r.columns] = -r.weights / (sqrt_m[r.rows] * sqrt_m[r.columns])
-    return np.linalg.eigh(S)
+    return HeatOperator(g, dirichlet_domain)
 
 
 def semigroup_gamma_path(

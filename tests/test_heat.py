@@ -17,7 +17,7 @@ from graphcurv import (
     laplacian,
     semigroup_gamma_path,
 )
-from graphcurv.heat import clamp_mass
+from graphcurv.heat import HeatOperator, clamp_mass
 from graphcurv.operators import gamma_recursive_array
 
 
@@ -79,8 +79,10 @@ def test_full_semigroup_is_built_once_per_graph():
 
 
 def test_dirichlet_empty_domain_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
         build_heat(single_edge(), dirichlet_domain=set())
+    with pytest.raises(ValueError, match="nonempty"):
+        HeatOperator(single_edge(), frozenset())
 
 
 def test_spectral_invariants_random():
@@ -277,11 +279,11 @@ def test_edge_bound_holds_on_the_spectrum():
         for domain in (None, g.vertices[1::2]):
             h = build_heat(g, dirichlet_domain=domain)
             rows = [g.index(v) for v in domain] if domain is not None else slice(None)
-            bound = h._recurrence.bound
+            bound = h._bound
             assert h.eigenvalues[-1] <= bound * (1.0 + 1e-14)
             assert bound <= 2.0 * g.weighted_degrees[rows].max()
     h = build_heat(generate("star", 7))  # the unit star: lambda_max = 8 = Deg(c) + Deg(leaf)
-    assert h._recurrence.bound == 8.0
+    assert h._bound == 8.0
     assert h.eigenvalues[-1] == pytest.approx(8.0, rel=1e-14)
 
 
@@ -377,23 +379,23 @@ def test_mass_grows_along_an_exhaustion_by_balls(g):
 
 
 def test_dirichlet_terms_live_on_the_domain(monkeypatch):
-    # the recurrence holds the domain in its own coordinates, and every term
+    # the operator holds the domain in its own coordinates, and every term
     # of the expansion is a (B, |D|) batch, however large the graph
     g = generate("cycle", 1000)
     domain = ball(g, "v500", 3)
     h = build_heat(g, dirichlet_domain=domain)
-    r, n = h._recurrence, len(domain)
-    assert r.degrees.shape == r.measure.shape == (n,)
-    assert len(r.rows) == len(r.columns) == len(r.weights) == 2 * (n - 1)
-    assert r.rows.max() < n and r.columns.max() < n
-    shapes, terms = [], type(r).terms
+    n = len(domain)
+    assert h._degrees.shape == h._measure.shape == h.measure_half.shape == (n,)
+    assert len(h._rows) == len(h._columns) == len(h._weights) == 2 * (n - 1)
+    assert h._rows.max() < n and h._columns.max() < n
+    shapes, terms = [], HeatOperator._terms
 
     def recorded(self, batch):
         for term in terms(self, batch):
             shapes.append(term.shape)
             yield term
 
-    monkeypatch.setattr(type(r), "terms", recorded)
+    monkeypatch.setattr(HeatOperator, "_terms", recorded)
     out = h.apply_array(1.0, np.ones((g.num_vertices, 2))).T
     assert len(shapes) > 10 and set(shapes) == {(2, n)}
     assert out.shape == (2, g.num_vertices) and np.count_nonzero(out) == 2 * n

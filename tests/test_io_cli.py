@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import shlex
@@ -373,15 +374,60 @@ def test_cli_non_finite_numbers_are_input_errors(edge_graph, capsys, argv):
     ["verify-estimates", "--paper-K", "0", "--t", ","],
     ["heat", "--t", ","],
     ["finiteness", "--K", "1", "--epsilons", ","],
+    ["heat", "--t", "1", "--dirichlet", ""],
+    ["heat", "--t", "1", "--dirichlet", ","],
+    ["cutoff", "--target", "v0", "--epsilon", "0.5", "--universe", ""],
+    ["cutoff", "--epsilon", "0.5", "--target", ""],
 ], ids=" ".join)
 def test_cli_empty_grids_are_input_errors(edge_graph, capsys, argv):
+    # a list flag without an entry is refused, not read as its default
     code = run([argv[0], "--graph", edge_graph, *argv[1:]])
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert code == 2
     assert report["command"] == argv[0]
-    assert "at least one number" in report["error"]
+    flag, raw = argv[-2:]
+    kind = "vertex id" if flag in ("--dirichlet", "--target", "--universe") else "number"
+    assert report["error"] == f"{flag}: expected at least one {kind}, got {raw!r}"
     assert "Traceback" not in captured.err
+
+
+_EDGELESS = {
+    "empty": WeightedGraph([], {}, {}),
+    "one vertex": WeightedGraph(["v0"], {}, {"v0": 1.0}),
+    "two isolated": WeightedGraph(["v0", "v1"], {}, {"v0": 1.0, "v1": 2.0}),
+}
+
+
+# exit codes on the empty graph, one vertex and two isolated vertices; generate reads no graph
+@pytest.mark.parametrize("argv, codes", [
+    (["validate"], (0, 0, 0)),
+    (["curvature"], (0, 0, 0)),
+    (["curvature", "--dimension", "4"], (0, 0, 0)),
+    (["cd-check", "--K", "0", "--vertex", "v0"], (2, 0, 0)),
+    (["heat", "--t", "0,1"], (0, 0, 0)),
+    (["heat", "--t", "1", "--indicator", "v0", "--dirichlet", "v0"], (2, 0, 0)),
+    (["verify-estimates", "--paper-K", "0", "--t", "1"], (0, 0, 0)),
+    (["verify-estimates", "--paper-K", "0", "--dimension", "4", "--t", "1"], (0, 0, 0)),
+    (["green-check"], (0, 0, 0)),
+    (["ec-check"], (0, 0, 0)),
+    (["cutoff", "--target", "v0", "--epsilon", "0.5"], (2, 0, 0)),
+    (["finiteness", "--K", "1", "--epsilons", "0.5"], (2, 0, 1)),
+    (["taylor-check", "--vertex", "v0"], (2, 0, 0)),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else "")
+def test_cli_every_command_on_edgeless_graphs(tmp_path, capsys, argv, codes):
+    for name, code in zip(_EDGELESS, codes):
+        path = tmp_path / "g.json"
+        path.write_text(serialize_graph(_EDGELESS[name]), encoding="utf-8")
+        assert run([argv[0], "--graph", str(path), *argv[1:]]) == code, name
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1, name
+        report = json.loads(out)
+        assert report["command"] == argv[0]
+        if code == 2:
+            assert "v0" not in argv or report["error"] == "unknown vertex 'v0'"
+        if name == "empty" and argv[0] == "verify-estimates":
+            assert report["summary"]["num_reports"] == 0
 
 
 # float() and int() read "_" between digits and non-ASCII digits; no number flag takes either
@@ -610,16 +656,18 @@ def test_cli_jobs_accepts_only_one(edge_graph, capsys, command):
 def test_cli_factorizes_the_semigroup_once(monkeypatch, capsys, tmp_path, command, factorizations):
     # the estimates and the cutoff factorize the full graph once; heat
     # applies P_t by the Chebyshev expansion and factorizes nothing
-    from graphcurv import heat
+    from graphcurv.heat import HeatOperator
 
     calls = []
-    factorize = heat._factorize
+    factorize = HeatOperator._spectrum.func
 
     def counted(h):
         calls.append(h.dirichlet_domain)
         return factorize(h)
 
-    monkeypatch.setattr(heat, "_factorize", counted)
+    spectrum = functools.cached_property(counted)
+    spectrum.__set_name__(HeatOperator, "_spectrum")
+    monkeypatch.setattr(HeatOperator, "_spectrum", spectrum)
     path = tmp_path / "cycle6.json"
     path.write_text(serialize_graph(generate("cycle", 6)), encoding="utf-8")
     assert run([command[0], "--graph", str(path), *command[1:]]) == 0
