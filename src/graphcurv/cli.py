@@ -29,10 +29,11 @@ from .curvature import cd_check, curvature_profile
 from .estimates import (
     ESTIMATES,
     PreconditionError,
+    _corpus_array,
+    _sweep,
+    _sweep_args,
     build_cutoff,
-    default_corpus,
     ec_norm_check,
-    estimate_sweep,
     finiteness_probe,
     green_check,
     taylor_check,
@@ -347,7 +348,8 @@ def _cmd_heat(args) -> int:
             "mass": dict(zip(domain_vertices, clamp_mass(out[where, 1]).tolist())),
             "truncation_bound": bound,
         })
-    _emit("heat", {"initial": initial, "dirichlet": domain, "results": results},
+    echo = None if domain is None else domain_vertices  # the operator's domain: sorted, no repeats
+    _emit("heat", {"initial": initial, "dirichlet": echo, "results": results},
           f"applied semigroup at {len(results)} time(s)")
     return 0
 
@@ -357,9 +359,11 @@ def _cmd_verify_estimates(args) -> int:
     n = _parse_dimension(args.dimension)
     K = _paper_k(args)
     t_grid = _parse_floats(args.t, "--t")
-    corpus = default_corpus(g, seed=args.seed, num_random=args.num_random)
-    result, summary = estimate_sweep(g, K, n, t_grid, corpus)
-    payload = {"K": K, "dimension": n, "t_grid": t_grid, "corpus_size": len(corpus),
+    # the default corpus goes to the sweep as one array, with no GraphFunction per column
+    function_ids, F = _corpus_array(g, args.seed, args.num_random)
+    n, times = _sweep_args(K, n, t_grid)
+    result, summary = _sweep(g, K, n, times, function_ids, F, full=args.full)
+    payload = {"K": K, "dimension": n, "t_grid": t_grid, "corpus_size": len(function_ids),
                "summary": summary}
     if args.full:
         payload["table"] = {

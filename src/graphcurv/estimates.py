@@ -78,6 +78,7 @@ __all__ = [
 REPORT_TOL = 1e-8  # verdict tolerance, relative to the scale of the slack's terms
 ESTIMATES = ("ii", "iii", "iv", "v")
 SMOOTHING_TIME = 0.1  # how long default_corpus smooths its indicators
+SWEEP_ENTRIES = 2**24  # about the slacks one chunk of a sweep's functions holds (see _sweep)
 JENSEN_SAMPLES = 100  # random functions on which finiteness_probe samples the Jensen step
 _MAX_EXPONENT = math.log(np.finfo(float).max)  # largest 2|K|t with e^{2|K|t} finite
 
@@ -276,6 +277,7 @@ def _slack_arrays(
     n: float,
     F: np.ndarray,
     times: Sequence[float],
+    integrals: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All four slacks for a batch of functions at every t of a grid, plus their verdict scales.
 
@@ -292,22 +294,28 @@ def _slack_arrays(
     fails at 3 light (t, x) pairs where it fails at 7 with weight 100, and
     at none with 1e6, because the max Deg floor outgrows the slack.
 
-    Delta f, Gamma(f) and f^2, their coefficients in the heat eigenbasis and
-    those of f are computed once for the grid; each t costs its decays and
-    transforms back, Gamma(P_t f), and the terms and scales of the four
-    slacks.  Gamma(P_t f) and P_t Delta f are evaluated through the
+    Gamma(f) and f^2, their coefficients in the heat eigenbasis and those
+    of f are computed once for the grid, and one set of coefficients of f
+    serves both the plain and the kernel-free P_t f; each t costs its
+    decays and transforms back, Gamma(P_t f), and the terms and scales of
+    the four slacks.  Delta f and its terms are computed at finite n only:
+    at n = infinity every term that holds it is 0.  ``integrals``, (T,N,B),
+    are the integrals of (ii) at each t when the caller has them already
+    (``_sweep`` computes them for its whole corpus); without them they are
+    computed here.  Gamma(P_t f) and P_t Delta f are evaluated through the
     kernel-free apply: the dropped modes are gradient-free (resp. absent
     from the mean-zero Delta f), and keeping them would swamp the
     exponentially small fluctuations with rounding noise that the
     e^{2Kt}-sized coefficients then amplify past any verdict tolerance.
     """
-    lap_F = laplacian_array(g, F)
-    gam_F = gamma_array(g, F, F)
-    kept = zip(*(h._apply(times, A, keep_kernel=True) for A in (F, gam_F, F * F)))
-    fluct = h._apply(times, F, keep_kernel=False)
+    pt_F = h._apply(times, F, keep_kernel=(True, False))
+    pt_gam_F = h._apply(times, gamma_array(g, F, F), keep_kernel=True)
+    pt_sq_F = h._apply(times, F * F, keep_kernel=True)
     inv_n = 0.0 if math.isinf(n) else 1.0 / n
     if inv_n:
-        integrals = _gradient_integral(g, h, K, lap_F, times)
+        lap_F = laplacian_array(g, F)
+        if integrals is None:
+            integrals = _gradient_integral(g, h, K, lap_F, times)
         pt_lap = h._apply(times, lap_F, keep_kernel=False)
     else:
         integrals = pt_lap = itertools.repeat(0.0)
@@ -317,22 +325,22 @@ def _slack_arrays(
     floors = (gradient_floor, gradient_floor, f_sq, f_sq)
     slacks = np.empty((4, F.shape[1], len(times), g.num_vertices))
     scale = np.empty((4, F.shape[1], len(times)))
-    for k, (t, (ptF, pt_gam_F, pt_sq_F), ptF_fluct, integral, pt_lap_F) in enumerate(
-        zip(times, kept, fluct, integrals, pt_lap)
+    for k, (t, (ptF, ptF_fluct), pt_gam, pt_sq, integral, pt_lap_F) in enumerate(
+        zip(times, pt_F, pt_gam_F, pt_sq_F, integrals, pt_lap)
     ):
         gam_ptF = gamma_array(g, ptF_fluct, ptF_fluct)
-        variance = pt_sq_F - ptF * ptF
+        variance = pt_sq - ptF * ptF
         lap_sq = pt_lap_F * pt_lap_F
 
         # (e^{2Kt}-1)/K, (1-e^{-2Kt})/K, (e^{2Kt}-1-2Kt)/K^2, (e^{-2Kt}-1+2Kt)/K^2
         x = 2.0 * K * t
         ratio_plus, ratio_minus = 2.0 * t * _phi1(x), 2.0 * t * _phi1(-x)
         ratio2_plus, ratio2_minus = 4.0 * t * t * _phi2(x), 4.0 * t * t * _phi2(-x)
-        heat_of_gradient = math.exp(x) * pt_gam_F
+        heat_of_gradient = math.exp(x) * pt_gam
         terms = (
             (heat_of_gradient, -2.0 * inv_n * integral, -gam_ptF),
             (heat_of_gradient, -ratio_plus * inv_n * lap_sq, -gam_ptF),
-            (ratio_plus * pt_gam_F, -ratio2_plus * inv_n * lap_sq, -variance),
+            (ratio_plus * pt_gam, -ratio2_plus * inv_n * lap_sq, -variance),
             (variance, -ratio_minus * gam_ptF, -ratio2_minus * inv_n * lap_sq),
         )
         for i, ((a, b, c), floor) in enumerate(zip(terms, floors)):
@@ -419,8 +427,16 @@ def estimate_sweep(
     reports in (function, t, vertex) order, and a summary: the failure
     counts, the first counterexample and the worst slack of each estimate,
     all found by array reductions.  An empty corpus passes vacuously with a
-    warning.
+    warning.  The corpus is stacked into one (N,B) array and swept in
+    chunks of functions (see ``_sweep``), whose results are concatenated.
     """
+    n, times = _sweep_args(K, n, t_grid)
+    F = _stack_corpus(g, function_corpus)
+    return _sweep(g, K, n, times, tuple(fid for fid, _ in function_corpus), F, full=True)
+
+
+def _sweep_args(K: float, n: float, t_grid: Sequence[float]) -> tuple[float, tuple[float, ...]]:
+    """The checked dimension and t grid of a sweep; refuses an infinite K and e^{2|K|t} past a double."""
     n = _check_dimension(n)
     if not (-math.inf < K < math.inf):
         raise ValueError(f"K must be finite, got {K}")
@@ -428,28 +444,65 @@ def estimate_sweep(
     if not all(0 <= t < math.inf for t in times):
         raise ValueError("t must be finite and nonnegative")
     _check_exponent(K, max(times, default=0.0))
-    F = _stack_corpus(g, function_corpus)
+    return n, times
 
-    if function_corpus:
-        # one batched slack evaluation covers the whole corpus and t grid
-        slacks, scale = _slack_arrays(g, build_heat(g), K, n, F, times)
-    else:
-        slacks, scale = np.empty((4, 0, len(times), g.num_vertices)), np.empty((4, 0, len(times)))
-    tol = REPORT_TOL * scale[..., None]
+
+def _sweep(
+    g: WeightedGraph,
+    K: float,
+    n: float,
+    times: tuple[float, ...],
+    function_ids: tuple[str, ...],
+    F: np.ndarray,
+    full: bool,
+) -> tuple[SweepResult | None, SweepSummary]:
+    """The sweep of the corpus F, (N,B) with one column per id, at the checked (n, times) of ``_sweep_args``.
+
+    The functions go in chunks of floor(SWEEP_ENTRIES / (4 T N)) columns,
+    at least one, so that a chunk's slacks hold about SWEEP_ENTRIES
+    entries.  At finite n the integrals of (ii) are computed first, for the
+    whole corpus, so that the mode tensors are built once per sweep; they
+    add T N B entries.  The summary folds across the chunks: the counts
+    add, the first counterexample comes from the first failing chunk, and
+    the worst entry of an estimate is the lowest relative slack, the
+    earlier chunk winning a tie.  With ``full`` the chunks are concatenated
+    into one ``SweepResult``; without it no (4,B,T,N) array is kept.
+    """
+    h = build_heat(g)
+    integrals = None
+    if F.shape[1] and not math.isinf(n):
+        integrals = _gradient_integral(g, h, K, laplacian_array(g, F), times)
+    width = max(1, SWEEP_ENTRIES // max(1, 4 * len(times) * g.num_vertices))
+    chunks, summaries = [], []
+    for lo in range(0, F.shape[1], width):
+        cols = slice(lo, lo + width)
+        slacks, scale = _slack_arrays(g, h, K, n, F[:, cols], times,
+                                      None if integrals is None else integrals[..., cols])
+        tol = REPORT_TOL * scale[..., None]
+        chunk = SweepResult(function_ids[cols], times, g.vertices, float(K), n, slacks, slacks >= -tol)
+        summaries.append(_summarize(chunk, tol))
+        if full:
+            chunks.append(chunk)
+        del slacks, scale, tol, chunk  # before the next chunk's arrays are built
+    summary = _fold(summaries, None if function_ids else "empty function corpus")
+    if not full:
+        return None, summary
+    if len(chunks) == 1:
+        return chunks[0], summary
+    empty = np.empty((4, 0, len(times), g.num_vertices))
     result = SweepResult(
-        function_ids=tuple(fid for fid, _ in function_corpus),
-        t_grid=times,
-        vertices=g.vertices,
-        K=float(K),
-        n=n,
-        slacks=slacks,
-        verdicts=slacks >= -tol,
+        function_ids, times, g.vertices, float(K), n,
+        slacks=np.concatenate([empty, *(c.slacks for c in chunks)], axis=1),
+        verdicts=np.concatenate([empty.astype(bool), *(c.verdicts for c in chunks)], axis=1),
     )
-    return result, _summarize(result, tol)
+    return result, summary
 
 
 def _summarize(result: SweepResult, tol: np.ndarray) -> SweepSummary:
-    """Summary of a sweep by reductions over its arrays; tol is (4,B,T,1)."""
+    """Summary of one chunk of a sweep by reductions over its arrays; tol is (4,B,T,1).
+
+    The warning is left to ``_fold``, which sees the whole corpus.
+    """
     failed = ~result.verdicts.all(axis=0)
     first = np.flatnonzero(failed)
     # the worst triple of an estimate is the one nearest to (or furthest
@@ -471,10 +524,34 @@ def _summarize(result: SweepResult, tol: np.ndarray) -> SweepSummary:
         num_reports=len(result),
         num_failures=int(first.size),
         first_counterexample=result[int(first[0])] if first.size else None,
-        warning=None if result.function_ids else "empty function corpus",
+        warning=None,
         failures_by_estimate={
             name: int(np.count_nonzero(~result.verdicts[k])) for k, name in enumerate(ESTIMATES)
         },
+        worst=worst,
+    )
+
+
+def _fold(summaries: Sequence[SweepSummary], warning: str | None) -> SweepSummary:
+    """The summary of a sweep from those of its chunks, in corpus order (see ``_sweep``)."""
+
+    def relative(entry: dict) -> float:  # as _summarize divides, with x / 0 = 0
+        return entry["slack"] / entry["tolerance"] if entry["tolerance"] > 0 else 0.0
+
+    worst = {}
+    for summary in summaries:
+        for name, entry in summary.worst.items():
+            if name not in worst or relative(entry) < relative(worst[name]):
+                worst[name] = entry
+    failures = [s.first_counterexample for s in summaries if s.first_counterexample is not None]
+    return SweepSummary(
+        passed=all(s.passed for s in summaries),
+        num_reports=sum(s.num_reports for s in summaries),
+        num_failures=sum(s.num_failures for s in summaries),
+        first_counterexample=failures[0] if failures else None,
+        warning=warning,
+        failures_by_estimate={name: sum(s.failures_by_estimate[name] for s in summaries)
+                              for name in ESTIMATES},
         worst=worst,
     )
 
@@ -488,8 +565,15 @@ def default_corpus(
 
     All vertex indicators, ``num_random`` uniform [0,1] random functions and
     the indicators smoothed by g's semigroup for SMOOTHING_TIME (clipped at 0
-    against rounding), which probe the near-harmonic regime.
+    against rounding), which probe the near-harmonic regime.  They are the
+    columns of ``_corpus_array``, each wrapped as a ``GraphFunction``.
     """
+    function_ids, F = _corpus_array(g, seed, num_random)
+    return [(fid, GraphFunction(g, column)) for fid, column in zip(function_ids, F.T)]
+
+
+def _corpus_array(g: WeightedGraph, seed: int, num_random: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids of ``default_corpus`` and its functions as the columns of one (N,B) array."""
     if num_random < 0:
         raise ValueError(f"num_random must be nonnegative, got {num_random}")
     N = g.num_vertices
@@ -497,9 +581,9 @@ def default_corpus(
     # r draws of N in turn are the rows of one (r, N) draw
     random = np.random.default_rng(seed).uniform(0.0, 1.0, (num_random, N)).T
     columns = np.hstack((np.eye(N), random, np.maximum(smoothed, 0.0)))
-    names = [*(f"indicator:{v}" for v in g.vertices), *(f"random:{i}" for i in range(num_random)),
-             *(f"smoothed:{v}" for v in g.vertices)]
-    return [(name, GraphFunction(g, column)) for name, column in zip(names, columns.T)]
+    names = (*(f"indicator:{v}" for v in g.vertices), *(f"random:{i}" for i in range(num_random)),
+             *(f"smoothed:{v}" for v in g.vertices))
+    return names, columns
 
 
 # -- Green's formula and the ellipticity norm -------------------------------
@@ -615,6 +699,8 @@ def finiteness_probe(
     for eps in epsilons:
         if not (0 < eps < math.inf):
             raise ValueError(f"epsilon must be positive and finite, got {eps}")
+    if not g.num_vertices:
+        raise PreconditionError("finiteness probe requires a nonempty graph")
     if not is_connected(g):
         raise PreconditionError("finiteness probe requires a connected graph")
     _require_curvature(g, K)

@@ -234,14 +234,16 @@ class HeatOperator:
             previous, term = term, following
 
     def _apply(
-        self, times: Sequence[float], F: np.ndarray, keep_kernel: bool
-    ) -> Iterator[np.ndarray]:
+        self, times: Sequence[float], F: np.ndarray, keep_kernel: bool | tuple[bool, ...]
+    ) -> Iterator:
         """P_t F in the eigenbasis for each t of times, in order, as an iterator of arrays shaped like F.
 
         The times are checked and F is carried into the eigenbasis once, on
         the call; each t then costs only its decay e^{-t lambda} (kernel
         modes set to 0 unless keep_kernel) and the transform back, made as
-        the iterator reaches it.  t = 0 returns the input exactly.
+        the iterator reaches it.  t = 0 returns the input exactly.  With a
+        tuple of flags, each t gives a tuple of arrays, one per flag, all
+        from the one transform of F into the eigenbasis.
 
         Without keep_kernel the generator's kernel modes (eigenvalue <=
         KERNEL_TOL * lambda_max) are dropped.  They are per-component
@@ -257,17 +259,21 @@ class HeatOperator:
         idx = self._domain
         sqrt_m = self.measure_half[:, None]
         coeff = self.eigenbasis.T @ (sqrt_m * F2[idx]) if any(times) else None
+        flags = keep_kernel if isinstance(keep_kernel, tuple) else (keep_kernel,)
 
-        def at(t: float) -> np.ndarray:
-            out = np.zeros_like(F2, dtype=float)
-            if t == 0:
-                out[idx] = F2[idx]
-            else:
-                decay = np.exp(-t * self.eigenvalues)
-                if not keep_kernel:
-                    decay[self.kernel_modes] = 0.0
-                out[idx] = (self.eigenbasis @ (coeff * decay[:, None])) / sqrt_m
-            return out[:, 0] if squeeze else out
+        def at(t: float):
+            outs = []
+            for keep in flags:
+                out = np.zeros_like(F2, dtype=float)
+                if t == 0:
+                    out[idx] = F2[idx]
+                else:
+                    decay = np.exp(-t * self.eigenvalues)
+                    if not keep:
+                        decay[self.kernel_modes] = 0.0
+                    out[idx] = (self.eigenbasis @ (coeff * decay[:, None])) / sqrt_m
+                outs.append(out[:, 0] if squeeze else out)
+            return tuple(outs) if isinstance(keep_kernel, tuple) else outs[0]
 
         return map(at, times)
 

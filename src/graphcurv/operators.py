@@ -53,14 +53,15 @@ def gamma_array(g: WeightedGraph, F: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Closed-form Gamma, summed over each row of ``g.csr`` from per-edge products.
 
     Each term b(x,y) (f(y)-f(x)) (h(y)-h(x)) is formed from the differences
-    themselves, which avoids the cancellation of the expanded form.
+    themselves, which avoids the cancellation of the expanded form.  When H
+    is F, Gamma(f) = Gamma(f, f), the differences are formed once.
     """
     csr = g.csr
     squeeze = F.ndim == 1
     F2 = F[:, None] if squeeze else F
     H2 = H[:, None] if squeeze else H
     dF = F2.take(csr.indices, axis=0) - F2.take(csr.rows, axis=0)
-    dH = H2.take(csr.indices, axis=0) - H2.take(csr.rows, axis=0)
+    dH = dF if H is F else H2.take(csr.indices, axis=0) - H2.take(csr.rows, axis=0)
     contrib = csr.weights[:, None] * dF * dH
     out = csr.row_reduce(np.add, contrib) / (2.0 * g.measure_vector[:, None])
     return out[:, 0] if squeeze else out

@@ -34,8 +34,16 @@ from graphcurv import (
     taylor_check,
     verify_estimates,
 )
-from graphcurv import operators
-from graphcurv.estimates import REPORT_TOL, _gradient_integral, _phi1, _phi2, _require_curvature, _slack_arrays
+from graphcurv import estimates, operators
+from graphcurv.estimates import (
+    REPORT_TOL,
+    _corpus_array,
+    _gradient_integral,
+    _phi1,
+    _phi2,
+    _require_curvature,
+    _slack_arrays,
+)
 from graphcurv.operators import gamma_array, laplacian_array
 
 
@@ -446,6 +454,60 @@ def test_sweep_relabelling_permutes_slacks_and_verdicts(order_seed):
         assert np.allclose(got.slacks, base.slacks[..., perm], rtol=1e-10, atol=1e-13)
         assert np.array_equal(got.verdicts, base.verdicts[..., perm])
         assert got_summary.num_failures == summary.num_failures
+
+
+@pytest.mark.parametrize("n", [math.inf, 4.0])
+@pytest.mark.parametrize("overclaim", [0.0, 1.0])
+def test_sweep_in_chunks_matches_one_chunk(monkeypatch, n, overclaim):
+    # at the solved curvature the sweep passes; overclaimed by max Deg it
+    # fails.  The default corpus of 36 functions goes in chunks of 7, and
+    # the folded summary must name the triples the one-chunk sweep names
+    g = random_connected_graph(np.random.default_rng(53), 8, weight_range=(0.5, 1.5),
+                               measure_range=(0.5, 1.5))
+    K = -curvature_profile(g, n).global_curvature - overclaim * float(np.max(g.weighted_degrees))
+    t_grid = [0.01, 0.1, 1.0]
+    corpus = default_corpus(g, seed=0)
+    one, one_summary = estimate_sweep(g, K, n, t_grid, corpus)
+    assert one_summary.passed == (overclaim == 0.0)
+
+    widths = []
+
+    def counted(*args):
+        widths.append(args[4].shape[1])
+        return _slack_arrays(*args)
+
+    monkeypatch.setattr(estimates, "_slack_arrays", counted)
+    monkeypatch.setattr(estimates, "SWEEP_ENTRIES", 4 * len(t_grid) * g.num_vertices * 7 + 5)
+    result, summary = estimate_sweep(g, K, n, t_grid, corpus)
+    assert widths == [7] * 5 + [1]
+    assert result.function_ids == one.function_ids
+    for field in ("passed", "num_reports", "num_failures", "warning", "failures_by_estimate"):
+        assert getattr(summary, field) == getattr(one_summary, field), field
+    first, one_first = summary.first_counterexample, one_summary.first_counterexample
+    assert (first is None) == (one_first is None) == (overclaim == 0.0)
+    if first is not None:
+        assert (first.function_id, first.t, first.x, first.verdicts) == (
+            one_first.function_id, one_first.t, one_first.x, one_first.verdicts)
+    where = ("function_id", "t", "x")
+    assert summary.worst.keys() == one_summary.worst.keys() == set(estimates.ESTIMATES)
+    for name, entry in summary.worst.items():
+        assert [entry[k] for k in where] == [one_summary.worst[name][k] for k in where], name
+    F = np.stack([f.array for _, f in corpus], axis=1)
+    scale = _slack_arrays(g, build_heat(g), K, n, F, t_grid)[1]
+    assert np.all(np.abs(result.slacks - one.slacks) <= 1e-12 * scale[..., None])
+    # the command line's path keeps no table and folds the same summary
+    lean, lean_summary = estimates._sweep(g, K, n, tuple(t_grid), one.function_ids, F, full=False)
+    assert lean is None and lean_summary == summary
+
+
+def test_default_corpus_is_the_columns_of_its_array():
+    g = random_connected_graph(np.random.default_rng(59), 9)
+    corpus = default_corpus(g, seed=3, num_random=4)
+    function_ids, F = _corpus_array(g, 3, 4)
+    assert [fid for fid, _ in corpus] == list(function_ids)
+    assert F.shape == (9, len(corpus))
+    for (_, f), column in zip(corpus, F.T):
+        assert f.array.tobytes() == column.tobytes()
 
 
 def test_default_corpus_composition():

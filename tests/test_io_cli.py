@@ -412,7 +412,7 @@ _EDGELESS = {
     (["green-check"], (0, 0, 0)),
     (["ec-check"], (0, 0, 0)),
     (["cutoff", "--target", "v0", "--epsilon", "0.5"], (2, 0, 0)),
-    (["finiteness", "--K", "1", "--epsilons", "0.5"], (2, 0, 1)),
+    (["finiteness", "--K", "1", "--epsilons", "0.5"], (1, 0, 1)),
     (["taylor-check", "--vertex", "v0"], (2, 0, 0)),
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else "")
 def test_cli_every_command_on_edgeless_graphs(tmp_path, capsys, argv, codes):
@@ -685,6 +685,38 @@ def test_cli_generate_roundtrip(capsys):
     g = parse_graph(json.dumps(doc))
     assert g.num_vertices == 4
     assert all(g.measure(v) == 2.0 for v in g.vertices)
+
+
+@pytest.mark.parametrize("dirichlet", [None, "v0", "v1,v0,v1"])
+def test_cli_heat_echoes_the_domain_it_used(edge_graph, capsys, dirichlet):
+    # the echo is the operator's domain, sorted and without repeats, as the mass keys are
+    extra = [] if dirichlet is None else ["--dirichlet", dirichlet]
+    assert run(["heat", "--graph", edge_graph, "--t", "1", *extra]) == 0
+    report = _last_json(capsys)
+    mass = list(report["results"][0]["mass"])
+    if dirichlet is None:
+        assert report["dirichlet"] is None and mass == ["v0", "v1"]
+    else:
+        assert report["dirichlet"] == sorted(set(dirichlet.split(","))) == mass
+
+
+def test_cli_verify_estimates_wraps_no_corpus_column(monkeypatch, tmp_path, capsys):
+    # the default corpus goes to the sweep as one array: no GraphFunction is
+    # built per column, with or without the table
+    init, calls = GraphFunction.__init__, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphFunction, "__init__", counted)
+    path = tmp_path / "cycle6.json"
+    path.write_text(serialize_graph(generate("cycle", 6)), encoding="utf-8")
+    for extra in ([], ["--full"]):
+        assert run(["verify-estimates", "--graph", str(path), "--paper-K", "0", "--t", "0.1,1",
+                    *extra]) == 0
+        assert _last_json(capsys)["corpus_size"] == 2 * 6 + 20
+    assert calls == []
 
 
 def test_cli_heat_dirichlet_mass(edge_graph, capsys):

@@ -424,3 +424,13 @@ def test_planted_twins_are_found(seed):
     g, classes = planted_twins(rng, random_connected_graph(rng, 30, extra_edge_prob=0.1), 3, 3)
     planted = {frozenset(c) for c in classes}
     assert _twin_classes(g) == planted | {frozenset([v]) for v in g.vertices if not any(v in c for c in classes)}
+
+
+def test_gamma_of_a_function_with_itself_takes_its_differences_once():
+    # gamma_array(g, F, F) forms the differences of F once; the result must
+    # be bit for bit the one two equal arrays give
+    rng = np.random.default_rng(29)
+    g = random_connected_graph(rng, 12)
+    F = rng.uniform(-1.0, 1.0, (g.num_vertices, 5))
+    for A in (F, F[:, 0], F[:, 1:3]):
+        assert gamma_array(g, A, A).tobytes() == gamma_array(g, A, A.copy()).tobytes()
