@@ -2,17 +2,27 @@
 
 Two interchange formats:
 
-* a JSON document ("format_version": 1) carrying vertices with measures and
-  edges with weights in one file, and
+* a JSON document carrying vertices with measures and edges with weights in
+  one file, and
 * a plain edge list (one ``u v weight`` per line, ``#`` comments) with a
   companion measure file (``v m`` per line), which interoperates with common
   graph corpora.
+
+The document has two layouts with the same keys.  ``"format_version": 2``
+holds each table as columns, ``{"id": [...], "measure": [...]}`` and
+``{"u": [...], "v": [...], "weight": [...]}``; version 1 holds one object
+per vertex and per edge.  ``serialize_graph`` writes only version 2:
+ingest is the largest share of a command on a graph of a few thousand
+vertices, and ``json.loads`` spends most of it building the entry objects,
+so columns cut the parse by about 40% (see ``serialize_graph``).  ``parse_graph``
+reads both, version 1 for the files that exist in that layout.
 
 Each edge must be declared once per unordered pair; conflicting symmetric
 entries are rejected at parse time.  Both parsers read their entries,
 vertices and edges alike, column by column and fill the index arrays of
 ``WeightedGraph.from_arrays`` directly; only an input with a fault is
-walked entry by entry, to name it.
+walked entry by entry, to name it, and a version-2 entry is the row of its
+columns, so a faulty entry gets the same message in either layout.
 One sort of the pairs finds an edge declared twice, and the first fault in
 file order is the one reported.  ``serialize_graph`` writes the document as
 one compact line; the parser accepts any whitespace.
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -29,9 +40,9 @@ from .graphs import WeightedGraph, _indices, _pair_order, validate
 
 __all__ = ["GraphFormatError", "parse_graph", "parse_edge_list", "serialize_graph"]
 
-FORMAT_VERSION = 1
-_VERTEX_KEYS = frozenset(("id", "measure"))
-_EDGE_KEYS = frozenset(("u", "v", "weight"))
+FORMAT_VERSION = 2  # the version serialize_graph writes; parse_graph also reads 1
+_VERTEX_KEYS = ("id", "measure")
+_EDGE_KEYS = ("u", "v", "weight")
 _NUMBERS = frozenset((int, float))  # the types json gives a number; bool and str are not numbers
 
 
@@ -72,48 +83,72 @@ def _parse_document(text: str) -> WeightedGraph:
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level JSON value must be an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise GraphFormatError(
-            f"format_version: expected {FORMAT_VERSION}, got {version!r}"
-        )
-    raw_vertices = doc.get("vertices")
-    raw_edges = doc.get("edges")
-    if not isinstance(raw_vertices, list):
-        raise GraphFormatError("vertices: expected a list")
-    if not isinstance(raw_edges, list):
-        raise GraphFormatError("edges: expected a list")
-
-    index, measure = _vertex_columns(raw_vertices)
-    columns = _edge_columns(raw_edges)
-    del doc, raw_vertices, raw_edges  # the document goes before the graph is built
+    if version == 1:
+        read = _entry_table
+    elif version == FORMAT_VERSION:
+        read = _column_table
+    else:
+        raise GraphFormatError(f"format_version: expected 1 or {FORMAT_VERSION}, got {version!r}")
+    vertices, edges = read(doc, "vertices", _VERTEX_KEYS), read(doc, "edges", _EDGE_KEYS)
+    index, measure = _vertex_columns(*vertices)
+    columns = _edge_columns(*edges)
+    del doc, vertices, edges  # the document goes before the graph is built
     return _graph(index, measure, *columns, lambda k, u, v: (
         f"edges[{k}]: conflicting symmetric entries for edge ({u!r}, {v!r})"))
 
 
-def _vertex_columns(raw_vertices: list) -> tuple[dict[str, int], list[float]]:
+def _entry_table(doc: dict, name: str, keys: tuple[str, ...]) -> tuple[list[list] | None, list]:
+    """A version-1 table's columns, None if an entry lacks one, and its list of entries."""
+    entries = doc.get(name)
+    if not isinstance(entries, list):
+        raise GraphFormatError(f"{name}: expected a list")
+    return _entry_columns(entries, keys), entries
+
+
+def _entry_columns(entries: list, keys: tuple[str, ...]) -> list[list] | None:
+    """Each key's column of the entries; None if one is not an object with all ``keys``."""
+    try:
+        return [[e[key] for e in entries] for key in keys]
+    except (KeyError, TypeError):
+        return None
+
+
+def _column_table(doc: dict, name: str, keys: tuple[str, ...]) -> tuple[list[list], Iterator[dict]]:
+    """A version-2 table's columns, and its entries, zipped from them when they are walked."""
+    table = doc.get(name)
+    if not isinstance(table, dict):
+        raise GraphFormatError(f"{name}: expected an object of columns")
+    columns = [table.get(key) for key in keys]
+    for key, column in zip(keys, columns):
+        if not isinstance(column, list):
+            raise GraphFormatError(f"{name}.{key}: expected a list")
+    if len({*map(len, columns)}) > 1:
+        lengths = ", ".join(f"{key} {len(column)}" for key, column in zip(keys, columns))
+        raise GraphFormatError(f"{name}: columns of unequal length ({lengths})")
+    return columns, (dict(zip(keys, row)) for row in zip(*columns))
+
+
+def _vertex_columns(columns: list[list] | None, entries: Iterable) -> tuple[dict[str, int], list[float]]:
     """The id -> index dict and the measures of the vertex entries.
 
     Entries are read column by column.  Only if one is malformed or repeats
     an earlier id are they checked one by one, to name the first fault.
     """
-    try:
-        ids, raw = [e["id"] for e in raw_vertices], [e["measure"] for e in raw_vertices]
-        if {*map(type, ids)} <= {str} and {*map(type, raw)} <= _NUMBERS:
-            measure = list(map(float, raw))
+    if columns is not None:
+        ids, measure = columns[0], _numbers(columns[1])
+        if measure is not None and {*map(type, ids)} <= {str}:
             index = dict(zip(ids, range(len(ids))))
             if len(index) == len(ids):
                 return index, measure
-    except (KeyError, TypeError, OverflowError):
-        pass
-    i, fault = next((i, fault) for i, fault in enumerate(_vertex_faults(raw_vertices)) if fault)
+    i, fault = next((i, fault) for i, fault in enumerate(_vertex_faults(entries)) if fault)
     raise GraphFormatError(f"vertices[{i}]{fault}")
 
 
-def _vertex_faults(raw_vertices: list):
+def _vertex_faults(entries: Iterable):
     """What is wrong with each vertex entry in turn, as the message after its location; None if nothing is."""
     seen: set[str] = set()
-    for entry in raw_vertices:
-        if not isinstance(entry, dict) or not entry.keys() >= _VERTEX_KEYS:
+    for entry in entries:
+        if not isinstance(entry, dict) or not entry.keys() >= {*_VERTEX_KEYS}:
             yield ": expected an object with id and measure"
         elif not isinstance(entry["id"], str):
             yield ".id: expected a string"
@@ -124,42 +159,46 @@ def _vertex_faults(raw_vertices: list):
             yield _number_fault(entry["measure"], ".measure")
 
 
-def _edge_columns(raw_edges: list) -> tuple[list, list, list, GraphFormatError | None]:
+def _edge_columns(columns: list[list] | None,
+                  entries: Iterable) -> tuple[list, list, list, GraphFormatError | None]:
     """u, v and weight of the edge entries before the first malformed one, and its fault.
 
     Entries are read column by column.  Only if one is malformed are they
     checked one by one, to name the first fault; the entries before it are
     then read again, column by column.
     """
-    try:
-        us, vs = [e["u"] for e in raw_edges], [e["v"] for e in raw_edges]
-        raw = [e["weight"] for e in raw_edges]
-        if {*map(type, us), *map(type, vs)} <= {str} and {*map(type, raw)} <= _NUMBERS:
-            return us, vs, list(map(float, raw)), None
-    except (KeyError, TypeError, OverflowError):
-        pass
-    k, fault = next((k, fault) for k, fault in enumerate(map(_edge_fault, raw_edges)) if fault)
-    return (*_edge_columns(raw_edges[:k])[:3], GraphFormatError(f"edges[{k}]{fault}"))
+    if columns is not None:
+        us, vs, weights = *columns[:2], _numbers(columns[2])
+        if weights is not None and {*map(type, us), *map(type, vs)} <= {str}:
+            return us, vs, weights, None
+    entries = list(entries)
+    k, fault = next((k, fault) for k, fault in enumerate(map(_edge_fault, entries)) if fault)
+    return (*_edge_columns(_entry_columns(entries[:k], _EDGE_KEYS), ())[:3],
+            GraphFormatError(f"edges[{k}]{fault}"))
 
 
 def _edge_fault(entry) -> str | None:
     """What is wrong with one edge entry, as the message after its location; None if nothing is."""
-    if not isinstance(entry, dict) or not entry.keys() >= _EDGE_KEYS:
+    if not isinstance(entry, dict) or not entry.keys() >= {*_EDGE_KEYS}:
         return ": expected an object with u, v and weight"
     if not isinstance(entry["u"], str) or not isinstance(entry["v"], str):
         return ": endpoints must be strings"
     return _number_fault(entry["weight"], ".weight")
 
 
-def _number_fault(value, field: str) -> str | None:
-    """``field``'s fault unless ``value`` is a JSON number that a float holds."""
-    if type(value) in _NUMBERS:
+def _numbers(raw: list) -> list[float] | None:
+    """The JSON numbers as floats; None if one is not a number that a float holds."""
+    if {*map(type, raw)} <= _NUMBERS:
         try:
-            float(value)
-            return None
+            return list(map(float, raw))
         except OverflowError:
             pass
-    return f"{field}: expected a number"
+    return None
+
+
+def _number_fault(value, field: str) -> str | None:
+    """``field``'s fault unless ``value`` is a JSON number that a float holds."""
+    return None if _numbers([value]) is not None else f"{field}: expected a number"
 
 
 def _graph(index: dict[str, int], measure: list[float], us: list[str], vs: list[str],
@@ -283,12 +322,21 @@ def _walk_edges(text: str, index: dict[str, int]):
 
 
 def serialize_graph(g: WeightedGraph) -> str:
-    """Emit the JSON document as one compact line; floats round-trip exactly."""
+    """Emit the version-2 JSON document as one compact line; floats round-trip exactly.
+
+    There is no way to write version 1, which ``parse_graph`` still reads.
+    The edges go in ``edge_arrays`` order, each pair (min, max) once, which
+    ``parse_graph`` reads without sorting.  Columns rather than one object
+    per entry cut the parse by about 40%, most of it in ``json.loads``: on
+    a fuzzed graph of 2,000 vertices and 6,000 edges the file is 277 KB
+    instead of 447 KB, and ``parse_graph`` takes 10.8 ms instead of 17.9 ms
+    (medians of 60 interleaved in-process runs on a shared 2-vCPU host).
+    """
     names = g.vertices
     iu, iv, w = (a.tolist() for a in g.edge_arrays)
-    doc = {
+    return json.dumps({
         "format_version": FORMAT_VERSION,
-        "vertices": [{"id": v, "measure": m} for v, m in zip(names, g.measure_vector.tolist())],
-        "edges": [{"u": names[i], "v": names[j], "weight": x} for i, j, x in zip(iu, iv, w)],
-    }
-    return json.dumps(doc)
+        "vertices": {"id": list(names), "measure": g.measure_vector.tolist()},
+        "edges": {"u": list(map(names.__getitem__, iu)), "v": list(map(names.__getitem__, iv)),
+                  "weight": w},
+    })

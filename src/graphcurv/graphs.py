@@ -90,8 +90,9 @@ def _pair_order(iu: np.ndarray, iv: np.ndarray):
     """The entries' stable order by unordered pair (min, max), the sorted min and max, and repeats.
 
     ``repeat`` marks the sorted entries whose pair is that of the entry
-    before.  Input already in that order, as ``serialize_graph`` writes it,
-    is not sorted again.
+    before.  Input already in that order is not sorted again: ``edge_arrays``
+    are, and ``serialize_graph`` writes its edge columns in their order, so
+    every document it has written, of either version, parses without a sort.
     """
     lo, hi = np.minimum(iu, iv), np.maximum(iu, iv)
     if ((lo[1:] > lo[:-1]) | (lo[1:] == lo[:-1]) & (hi[1:] >= hi[:-1])).all():

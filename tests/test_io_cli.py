@@ -106,36 +106,71 @@ def test_parse_json_undeclared_endpoint_rejected():
 
 
 def _doc(vertices, edges, version=1):
+    """The document of these vertex and edge entries; version 2 holds them as columns."""
+    if version == 2:
+        vertices = {key: [e[key] for e in vertices] for key in ("id", "measure")}
+        edges = {key: [e[key] for e in edges] for key in ("u", "v", "weight")}
     return json.dumps({"format_version": version, "vertices": vertices, "edges": edges})
+
+
+def _entries(text):
+    """The version-1 document of a version-2 one: each table's columns zipped into entries."""
+    doc = json.loads(text)
+    vertices, edges = ([dict(zip(table, row)) for row in zip(*table.values())]
+                       for table in (doc["vertices"], doc["edges"]))
+    return _doc(vertices, edges)
 
 
 _ABC = [{"id": v, "measure": 1} for v in "abc"]
 _AB = {"u": "a", "v": "b", "weight": 1}
 _ABC_MEASURES = "a 1\nb 1\nc 1\n"
 
+# faulty entries that both layouts can hold: entry k gets one message in either
+_ENTRY_FAULTS = [
+    ([{"id": 1, "measure": 1}], [], "vertices[0].id: expected a string"),
+    (_ABC + [{"id": "b", "measure": 2}], [], "vertices[3]: duplicate vertex id 'b'"),
+    ([{"id": "a", "measure": "heavy"}], [], "vertices[0].measure: expected a number"),
+    # only JSON numbers are numbers: not strings that float() reads, nor true
+    ([{"id": "a", "measure": "1.5"}], [], "vertices[0].measure: expected a number"),
+    ([{"id": "a", "measure": True}], [], "vertices[0].measure: expected a number"),
+    (_ABC, [_AB, {"u": "b", "v": "c", "weight": " 3 "}], "edges[1].weight: expected a number"),
+    (_ABC, [_AB, {"u": "b", "v": "c", "weight": "1_0"}], "edges[1].weight: expected a number"),
+    (_ABC, [_AB, {"u": "b", "v": "c", "weight": True}], "edges[1].weight: expected a number"),
+    (_ABC, [_AB, {"u": "b", "v": "c", "weight": 10**400}], "edges[1].weight: expected a number"),
+    (_ABC, [_AB, {"u": "a", "v": ["c"], "weight": 1}], "edges[1]: endpoints must be strings"),
+    (_ABC, [_AB, {"u": "b", "v": "c", "weight": None}], "edges[1].weight: expected a number"),
+    (_ABC, [_AB, {"u": "c", "v": "b", "weight": 1}, {"u": "b", "v": "a", "weight": 1}],
+     "edges[2]: conflicting symmetric entries for edge ('b', 'a')"),
+    # two faults: the first in entry order is reported, a repeated pair or not
+    (_ABC, [_AB, {"u": "b", "v": "a", "weight": 1}, {"u": "a", "v": "c", "weight": "x"}],
+     "edges[1]: conflicting symmetric entries for edge ('b', 'a')"),
+    (_ABC, [_AB, {"u": "a", "v": "c", "weight": "x"}, {"u": "b", "v": "a", "weight": 1}],
+     "edges[1].weight: expected a number"),
+]
+_V2_EDGES_AB = ', "edges": {"u": ["a"], "v": ["b"], "weight": [1]}}'
+
 
 @pytest.mark.parametrize("text,measures,message", [
     ("{not json", None,
      "JSON parse error: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-    (_doc([], [], version=2), None, "format_version: expected 1, got 2"),
     ('{"format_version": 1, "vertices": {}, "edges": []}', None, "vertices: expected a list"),
     ('{"format_version": 1, "vertices": [], "edges": null}', None, "edges: expected a list"),
+    (_doc([], [], version=3), None, "format_version: expected 1 or 2, got 3"),
+    *[(_doc(vertices, edges, version), None, message)
+      for version in (1, 2) for vertices, edges, message in _ENTRY_FAULTS],
+    # faults that only the column layout has: a table or a column of the wrong type, unequal columns
+    ('{"format_version": 2, "vertices": [], "edges": []}', None, "vertices: expected an object of columns"),
+    ('{"format_version": 2, "vertices": {"id": ["a"], "measure": 1}' + _V2_EDGES_AB, None,
+     "vertices.measure: expected a list"),
+    ('{"format_version": 2, "vertices": {"id": ["a", "b"], "measure": [1, 1]},'
+     ' "edges": {"u": ["a"], "v": ["b"]}}', None, "edges.weight: expected a list"),
+    ('{"format_version": 2, "vertices": {"id": ["a", "b"], "measure": [1]}' + _V2_EDGES_AB, None,
+     "vertices: columns of unequal length (id 2, measure 1)"),
+    ('{"format_version": 2, "vertices": {"id": ["a", "b"], "measure": [1, 1]},'
+     ' "edges": {"u": ["a", "b"], "v": ["b"], "weight": [1, 1]}}', None,
+     "edges: columns of unequal length (u 2, v 1, weight 2)"),
     (_doc(["a"], []), None, "vertices[0]: expected an object with id and measure"),
-    (_doc([{"id": 1, "measure": 1}], []), None, "vertices[0].id: expected a string"),
-    (_doc(_ABC + [{"id": "b", "measure": 2}], []), None, "vertices[3]: duplicate vertex id 'b'"),
-    (_doc([{"id": "a", "measure": "heavy"}], []), None, "vertices[0].measure: expected a number"),
-    # only JSON numbers are numbers: not strings that float() reads, nor true
-    (_doc([{"id": "a", "measure": "1.5"}], []), None, "vertices[0].measure: expected a number"),
-    (_doc([{"id": "a", "measure": True}], []), None, "vertices[0].measure: expected a number"),
-    (_doc(_ABC, [_AB, {"u": "b", "v": "c", "weight": " 3 "}]), None, "edges[1].weight: expected a number"),
-    (_doc(_ABC, [_AB, {"u": "b", "v": "c", "weight": "1_0"}]), None, "edges[1].weight: expected a number"),
-    (_doc(_ABC, [_AB, {"u": "b", "v": "c", "weight": True}]), None, "edges[1].weight: expected a number"),
-    (_doc(_ABC, [_AB, {"u": "b", "v": "c", "weight": 10**400}]), None, "edges[1].weight: expected a number"),
     (_doc(_ABC, [_AB, 7]), None, "edges[1]: expected an object with u, v and weight"),
-    (_doc(_ABC, [_AB, {"u": "a", "v": ["c"], "weight": 1}]), None, "edges[1]: endpoints must be strings"),
-    (_doc(_ABC, [_AB, {"u": "b", "v": "c", "weight": None}]), None, "edges[1].weight: expected a number"),
-    (_doc(_ABC, [_AB, {"u": "c", "v": "b", "weight": 1}, {"u": "b", "v": "a", "weight": 1}]), None,
-     "edges[2]: conflicting symmetric entries for edge ('b', 'a')"),
     ("a b 1\n", None, "edge-list input requires a measure file"),
     ("a b 1\n", "a 1 2\n", "measures line 1: expected 'vertex measure'"),
     ("a b 1\n", "a 1\nb 2\na 3\n", "measures line 3: duplicate measure for 'a'"),
@@ -147,11 +182,6 @@ _ABC_MEASURES = "a 1\nb 1\nc 1\n"
     # of two repeated pairs, the one repeated first in the file, not the first pair
     ("a b 1\nb c 1\nc b 1\nb a 1\n", _ABC_MEASURES,
      "edges line 3: conflicting symmetric entries for ('c', 'b')"),
-    # two faults: the first in file order is reported, a repeated pair or not
-    (_doc(_ABC, [_AB, {"u": "b", "v": "a", "weight": 1}, {"u": "a", "v": "c", "weight": "x"}]), None,
-     "edges[1]: conflicting symmetric entries for edge ('b', 'a')"),
-    (_doc(_ABC, [_AB, {"u": "a", "v": "c", "weight": "x"}, {"u": "b", "v": "a", "weight": 1}]), None,
-     "edges[1].weight: expected a number"),
     ("a b 1\nb a 1\nb c x\n", _ABC_MEASURES, "edges line 2: conflicting symmetric entries for ('b', 'a')"),
     ("a b 1\nb c x\nb a 1\n", _ABC_MEASURES, "edges line 2: bad weight 'x'"),
     # line numbers count comment and blank lines, on the column pass and on the walk
@@ -169,6 +199,11 @@ _ABC_MEASURES = "a 1\nb 1\nc 1\n"
     ('{"format_version": 1, "vertices": [{"id": "a", "measure": 1e400}], "edges": []}', None,
      "invalid graph: non-finite measure at 'a'"),
     (_doc(_ABC, [{"u": "a", "v": "b", "weight": -1e400}]), None, "invalid graph: non-finite weight at ('a', 'b')"),
+    ('{"format_version": 2, "vertices": {"id": ["a"], "measure": [1e400]},'
+     ' "edges": {"u": [], "v": [], "weight": []}}', None, "invalid graph: non-finite measure at 'a'"),
+    ('{"format_version": 2, "vertices": {"id": ["a", "b"], "measure": [1, 1]},'
+     ' "edges": {"u": ["a"], "v": ["b"], "weight": [-1e400]}}', None,
+     "invalid graph: non-finite weight at ('a', 'b')"),
     ("a b nan\n", "a 0\nb inf\n",
      "invalid graph: non-finite weight at ('a', 'b'); nonpositive measure at 'a'; non-finite measure at 'b'"),
 ])
@@ -190,9 +225,21 @@ def test_edge_list_vertex_ids_are_opaque():
     [("path", 5, "unit"), ("cycle", 6, "normalizing"), ("complete", 4, "unit"),
      ("star", 3, "normalizing"), ("hypercube", 3, "unit"), ("weighted_tree", 9, "unit")],
 )
-def test_round_trip_generated_graphs(family, size, profile):
+def test_round_trip_generated_graphs(family, size, profile, monkeypatch, tmp_path, capsys):
     g = generate(family, size, profile, seed=5)
-    assert parse_graph(serialize_graph(g)) == g
+    text = serialize_graph(g)
+    assert json.loads(text)["format_version"] == 2
+    assert parse_graph(_entries(text)) == g
+    # the edges go in pair order, which the parser does not sort again
+    monkeypatch.setattr(np, "lexsort", None)
+    assert parse_graph(text) == g
+    monkeypatch.undo()
+    assert run(["generate", "--family", family, "--size", str(size), "--measure-profile", profile,
+                "--seed", "5"]) == 0
+    path = tmp_path / "g.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert run(["validate", "--graph", str(path)]) == 0
+    assert _last_json(capsys)["violations"] == []
 
 
 def _edge_list(g: WeightedGraph, comments: bool = False) -> tuple[str, str]:
@@ -583,6 +630,21 @@ def test_cli_validate_reports_violations(tmp_path, capsys):
 def test_cli_validate_ok(edge_graph, capsys):
     assert run(["validate", "--graph", edge_graph]) == 0
     assert _last_json(capsys)["violations"] == []
+
+
+def test_cli_reads_files_with_a_byte_order_mark(tmp_path, capsys):
+    # some editors begin a UTF-8 file with U+FEFF; it is not part of the document or the first id
+    g = generate("path", 3)
+    paths = [tmp_path / name for name in ("g.json", "g.edges", "g.measures")]
+    for path, text in zip(paths, (serialize_graph(g), *_edge_list(g))):
+        path.write_text("\ufeff" + text, encoding="utf-8")
+    document, edges = ["--graph", str(paths[0])], ["--graph", str(paths[1]), "--measures", str(paths[2])]
+    for graph in (document, edges):
+        assert run(["validate", *graph]) == 0
+        assert _last_json(capsys)["violations"] == []
+    # with the mark on both edge-list files, only the ids show it
+    assert run(["curvature", *edges]) == 0
+    assert [r["vertex"] for r in _last_json(capsys)["profile"]["per_vertex"]] == list(g.vertices)
 
 
 @pytest.mark.parametrize("field,message", [
