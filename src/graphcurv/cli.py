@@ -120,7 +120,7 @@ def _read(path: str) -> str:
     p = Path(path)
     if not p.exists():
         raise GraphFormatError(f"no such file: {path}")
-    return p.read_text(encoding="utf-8-sig")  # a byte order mark, as some editors write, is not text
+    return p.read_text(encoding="utf-8")  # parse_graph drops a leading byte order mark
 
 
 def _load_graph(args, require_valid: bool = True) -> WeightedGraph:

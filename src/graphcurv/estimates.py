@@ -169,8 +169,11 @@ class SweepSummary:
 
     ``failures_by_estimate`` counts the failed triples of each estimate.
     ``worst`` holds, per estimate, the triple whose slack is lowest relative
-    to its verdict tolerance (slack, tolerance, function_id, t, x); a
-    triple fails that estimate when slack < -tolerance.
+    to its verdict tolerance (slack, tolerance, function_id, t, x), the
+    earliest in (function, t, vertex) order among exact ties; a triple
+    fails that estimate when slack < -tolerance.  ``_sweep`` reduces all
+    of it in one pass over its chunks of functions.  Where triples tie only
+    to rounding, another chunk width may name another of them.
     """
 
     passed: bool
@@ -358,27 +361,12 @@ def _check_nonnegative(g: WeightedGraph, f: GraphFunction) -> None:
 def _stack_corpus(
     g: WeightedGraph, function_corpus: Sequence[tuple[str, GraphFunction]]
 ) -> np.ndarray:
-    """The corpus as an (N,B) array; refuses it at its first function off g or negative.
-
-    The graph of each function is checked in order up to the first one on
-    another graph; the functions before it are then checked for a negative
-    value by one reduction, so a negative function is reported when it
-    comes first, as a check of one function at a time would.
-    """
-    arrays, off_graph = [], None
+    """The corpus as an (N,B) array; refuses it at its first function off g or negative."""
     for _, f in function_corpus:
-        try:
-            _check_graph_function(g, f)
-        except ValueError as err:
-            off_graph = err
-            break
-        arrays.append(f.array)
-    F = np.stack(arrays, axis=1) if arrays else np.empty((g.num_vertices, 0))
-    if np.min(F, initial=0.0) < 0:
-        raise ValueError("f must be nonnegative")
-    if off_graph is not None:
-        raise off_graph
-    return F
+        _check_nonnegative(g, f)
+    if not function_corpus:
+        return np.empty((g.num_vertices, 0))
+    return np.stack([f.array for _, f in function_corpus], axis=1)
 
 
 def _require_curvature(g: WeightedGraph, K: float) -> None:
@@ -428,7 +416,7 @@ def estimate_sweep(
     counts, the first counterexample and the worst slack of each estimate,
     all found by array reductions.  An empty corpus passes vacuously with a
     warning.  The corpus is stacked into one (N,B) array and swept in
-    chunks of functions (see ``_sweep``), whose results are concatenated.
+    chunks of functions (see ``_sweep``), each written into the result.
     """
     n, times = _sweep_args(K, n, t_grid)
     F = _stack_corpus(g, function_corpus)
@@ -462,98 +450,56 @@ def _sweep(
     at least one, so that a chunk's slacks hold about SWEEP_ENTRIES
     entries.  At finite n the integrals of (ii) are computed first, for the
     whole corpus, so that the mode tensors are built once per sweep; they
-    add T N B entries.  The summary folds across the chunks: the counts
-    add, the first counterexample comes from the first failing chunk, and
-    the worst entry of an estimate is the lowest relative slack, the
-    earlier chunk winning a tie.  With ``full`` the chunks are concatenated
-    into one ``SweepResult``; without it no (4,B,T,N) array is kept.
+    add T N B entries.  The summary is reduced in the same pass: the counts
+    add up, the first counterexample comes from the first chunk that fails,
+    and an estimate's worst entry is its lowest slack relative to its
+    tolerance (0 where the tolerance is 0), replaced only by a strictly
+    lower one, so among exact ties the earliest triple in (function, t,
+    vertex) order is kept.  With ``full`` the chunks are written into one
+    (4,B,T,N) ``SweepResult``; without it no such array is allocated.
     """
     h = build_heat(g)
     integrals = None
     if F.shape[1] and not math.isinf(n):
         integrals = _gradient_integral(g, h, K, laplacian_array(g, F), times)
+    shape = (4, F.shape[1], len(times), g.num_vertices)
+    if full:
+        all_slacks, all_verdicts = np.empty(shape), np.empty(shape, dtype=bool)
+    by_estimate, num_failures, first, worst, lowest = np.zeros(4, dtype=int), 0, None, {}, {}
     width = max(1, SWEEP_ENTRIES // max(1, 4 * len(times) * g.num_vertices))
-    chunks, summaries = [], []
     for lo in range(0, F.shape[1], width):
         cols = slice(lo, lo + width)
         slacks, scale = _slack_arrays(g, h, K, n, F[:, cols], times,
                                       None if integrals is None else integrals[..., cols])
         tol = REPORT_TOL * scale[..., None]
-        chunk = SweepResult(function_ids[cols], times, g.vertices, float(K), n, slacks, slacks >= -tol)
-        summaries.append(_summarize(chunk, tol))
+        verdicts = slacks >= -tol
+        failed = ~verdicts.all(axis=0)
+        by_estimate += [np.count_nonzero(~v) for v in verdicts]  # faster than one count over three axes
+        num_failures += int(np.count_nonzero(failed))
+        if first is None and num_failures:
+            first = SweepResult(function_ids[cols], times, g.vertices, float(K), n, slacks,
+                                verdicts)[int(np.argmax(failed))]
         if full:
-            chunks.append(chunk)
-        del slacks, scale, tol, chunk  # before the next chunk's arrays are built
-    summary = _fold(summaries, None if function_ids else "empty function corpus")
+            all_slacks[:, cols], all_verdicts[:, cols] = slacks, verdicts
+        # the worst triple of an estimate is the one nearest to (or furthest
+        # past) its own verdict threshold, which is the slack relative to tol
+        relative = np.divide(slacks, tol, out=np.zeros_like(slacks), where=tol > 0)
+        for k, name in enumerate(ESTIMATES):
+            if not relative[k].size:  # no t or no vertex: nothing to rank
+                break
+            b, i, j = np.unravel_index(np.argmin(relative[k]), relative[k].shape)
+            if name not in worst or relative[k, b, i, j] < lowest[name]:
+                lowest[name] = relative[k, b, i, j]
+                worst[name] = {"slack": float(slacks[k, b, i, j]), "tolerance": float(tol[k, b, i, 0]),
+                               "function_id": function_ids[lo + b], "t": times[i], "x": g.vertices[j]}
+        del slacks, scale, tol, verdicts, failed, relative  # before the next chunk's arrays are built
+    summary = SweepSummary(
+        passed=not num_failures, num_reports=math.prod(shape[1:]), num_failures=num_failures,
+        first_counterexample=first, warning=None if function_ids else "empty function corpus",
+        failures_by_estimate=dict(zip(ESTIMATES, by_estimate.tolist())), worst=worst)
     if not full:
         return None, summary
-    if len(chunks) == 1:
-        return chunks[0], summary
-    empty = np.empty((4, 0, len(times), g.num_vertices))
-    result = SweepResult(
-        function_ids, times, g.vertices, float(K), n,
-        slacks=np.concatenate([empty, *(c.slacks for c in chunks)], axis=1),
-        verdicts=np.concatenate([empty.astype(bool), *(c.verdicts for c in chunks)], axis=1),
-    )
-    return result, summary
-
-
-def _summarize(result: SweepResult, tol: np.ndarray) -> SweepSummary:
-    """Summary of one chunk of a sweep by reductions over its arrays; tol is (4,B,T,1).
-
-    The warning is left to ``_fold``, which sees the whole corpus.
-    """
-    failed = ~result.verdicts.all(axis=0)
-    first = np.flatnonzero(failed)
-    # the worst triple of an estimate is the one nearest to (or furthest
-    # past) its own verdict threshold, which is the slack relative to tol
-    relative = np.divide(result.slacks, tol, out=np.zeros_like(result.slacks), where=tol > 0)
-    worst = {}
-    for k, name in enumerate(ESTIMATES):
-        if relative[k].size:
-            b, i, j = np.unravel_index(np.argmin(relative[k]), relative[k].shape)
-            worst[name] = {
-                "slack": float(result.slacks[k, b, i, j]),
-                "tolerance": float(tol[k, b, i, 0]),
-                "function_id": result.function_ids[b],
-                "t": result.t_grid[i],
-                "x": result.vertices[j],
-            }
-    return SweepSummary(
-        passed=not first.size,
-        num_reports=len(result),
-        num_failures=int(first.size),
-        first_counterexample=result[int(first[0])] if first.size else None,
-        warning=None,
-        failures_by_estimate={
-            name: int(np.count_nonzero(~result.verdicts[k])) for k, name in enumerate(ESTIMATES)
-        },
-        worst=worst,
-    )
-
-
-def _fold(summaries: Sequence[SweepSummary], warning: str | None) -> SweepSummary:
-    """The summary of a sweep from those of its chunks, in corpus order (see ``_sweep``)."""
-
-    def relative(entry: dict) -> float:  # as _summarize divides, with x / 0 = 0
-        return entry["slack"] / entry["tolerance"] if entry["tolerance"] > 0 else 0.0
-
-    worst = {}
-    for summary in summaries:
-        for name, entry in summary.worst.items():
-            if name not in worst or relative(entry) < relative(worst[name]):
-                worst[name] = entry
-    failures = [s.first_counterexample for s in summaries if s.first_counterexample is not None]
-    return SweepSummary(
-        passed=all(s.passed for s in summaries),
-        num_reports=sum(s.num_reports for s in summaries),
-        num_failures=sum(s.num_failures for s in summaries),
-        first_counterexample=failures[0] if failures else None,
-        warning=warning,
-        failures_by_estimate={name: sum(s.failures_by_estimate[name] for s in summaries)
-                              for name in ESTIMATES},
-        worst=worst,
-    )
+    return SweepResult(function_ids, times, g.vertices, float(K), n, all_slacks, all_verdicts), summary
 
 
 def default_corpus(

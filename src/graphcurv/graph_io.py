@@ -58,16 +58,18 @@ def parse_graph(
     """Parse either interchange format into a WeightedGraph.
 
     JSON input is detected by a leading ``{``; anything else is treated as
-    an edge list, which needs the companion ``measures`` text.  With
-    ``require_valid`` (the default) structural violations raise; pass False
-    to obtain the raw graph for diagnostic validation.
+    an edge list, which needs the companion ``measures`` text.  One leading
+    byte order mark (U+FEFF, as some editors write) is dropped from either
+    text.  With ``require_valid`` (the default) structural violations raise;
+    pass False to obtain the raw graph for diagnostic validation.
     """
+    text = text.removeprefix("\ufeff")
     if text.lstrip().startswith("{"):
         g = _parse_document(text)
     else:
         if measures is None:
             raise GraphFormatError("edge-list input requires a measure file")
-        g = parse_edge_list(text, measures)
+        g = parse_edge_list(text, measures.removeprefix("\ufeff"))
     if require_valid:
         violations = validate(g)
         if violations:
@@ -83,12 +85,9 @@ def _parse_document(text: str) -> WeightedGraph:
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level JSON value must be an object")
     version = doc.get("format_version")
-    if version == 1:
-        read = _entry_table
-    elif version == FORMAT_VERSION:
-        read = _column_table
-    else:
+    if type(version) is not int or version not in (1, FORMAT_VERSION):  # not a bool, not a float
         raise GraphFormatError(f"format_version: expected 1 or {FORMAT_VERSION}, got {version!r}")
+    read = _entry_table if version == 1 else _column_table
     vertices, edges = read(doc, "vertices", _VERTEX_KEYS), read(doc, "edges", _EDGE_KEYS)
     index, measure = _vertex_columns(*vertices)
     columns = _edge_columns(*edges)

@@ -500,6 +500,57 @@ def test_sweep_in_chunks_matches_one_chunk(monkeypatch, n, overclaim):
     assert lean is None and lean_summary == summary
 
 
+@pytest.mark.parametrize("full", [True, False])
+def test_sweep_first_failure_in_a_later_chunk(monkeypatch, full):
+    # the only failing function comes last, in the sixth chunk, after five
+    # chunks of 7 functions that pass; the one-pass summary must name the
+    # triples that the one-chunk sweep and the eager reports name
+    g, K, n, t_grid, corpus, h = _overclaim_sweep_inputs()
+    witness = dict(corpus)["witness:v1"]
+    corpus = [(fid, f) for fid, f in corpus if not fid.startswith("witness:")] + [("witness:v1", witness)]
+    one, one_summary = estimate_sweep(g, K, n, t_grid, corpus)
+    reports, num_failures, first = eager_sweep(g, K, n, t_grid, corpus, h)
+
+    widths = []
+
+    def counted(*args):
+        widths.append(args[4].shape[1])
+        return _slack_arrays(*args)
+
+    monkeypatch.setattr(estimates, "_slack_arrays", counted)
+    monkeypatch.setattr(estimates, "SWEEP_ENTRIES", 4 * len(t_grid) * g.num_vertices * 7 + 5)
+    F = np.stack([f.array for _, f in corpus], axis=1)
+    result, summary = estimates._sweep(g, K, n, tuple(t_grid), one.function_ids, F, full=full)
+    assert widths == [7] * 5 + [2]
+    assert first.function_id == "witness:v1" and all(r.passed for r in reports[:-len(t_grid) * g.num_vertices])
+    assert summary.first_counterexample == one_summary.first_counterexample == first
+    assert summary.num_failures == one_summary.num_failures == num_failures > 0
+    assert summary.failures_by_estimate == one_summary.failures_by_estimate == {
+        name: sum(not r.verdicts[name] for r in reports) for name in estimates.ESTIMATES}
+    assert summary.worst == one_summary.worst
+    at = {(r.function_id, r.t, r.x): r for r in reports}
+    for name, entry in summary.worst.items():
+        assert entry["function_id"] == "witness:v1"
+        assert entry["slack"] == getattr(at[entry["function_id"], entry["t"], entry["x"]], f"slack_{name}")
+    assert result == reports if full else result is None
+
+
+def test_sweep_worst_keeps_the_earliest_of_exact_ties(monkeypatch):
+    # two identical chunks of 7 functions have bit-identical slacks, so each
+    # triple of the second chunk ties exactly with one of the first: every
+    # worst entry and the first counterexample must come from the first
+    g, K, n, t_grid, corpus, _ = _overclaim_sweep_inputs()
+    seven = corpus[-7:]
+    ids = tuple(f"{fid}#{copy}" for copy in (0, 1) for fid, _ in seven)
+    F = np.stack([f.array for _, f in seven] * 2, axis=1)
+    monkeypatch.setattr(estimates, "SWEEP_ENTRIES", 4 * len(t_grid) * g.num_vertices * 7)
+    result, summary = estimates._sweep(g, K, n, tuple(t_grid), ids, F, full=True)
+    assert np.array_equal(result.slacks[:, :7], result.slacks[:, 7:]) and not summary.passed
+    assert summary.worst.keys() == set(estimates.ESTIMATES)
+    assert all(entry["function_id"].endswith("#0") for entry in summary.worst.values())
+    assert summary.first_counterexample.function_id.endswith("#0")
+
+
 def test_default_corpus_is_the_columns_of_its_array():
     g = random_connected_graph(np.random.default_rng(59), 9)
     corpus = default_corpus(g, seed=3, num_random=4)

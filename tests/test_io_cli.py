@@ -156,6 +156,12 @@ _V2_EDGES_AB = ', "edges": {"u": ["a"], "v": ["b"], "weight": [1]}}'
     ('{"format_version": 1, "vertices": {}, "edges": []}', None, "vertices: expected a list"),
     ('{"format_version": 1, "vertices": [], "edges": null}', None, "edges: expected a list"),
     (_doc([], [], version=3), None, "format_version: expected 1 or 2, got 3"),
+    # only a JSON integer is a version: not a bool, a float or a string that equals one
+    (_doc([], [], version=True), None, "format_version: expected 1 or 2, got True"),
+    (_doc([], [], version=1.0), None, "format_version: expected 1 or 2, got 1.0"),
+    (_doc([], [], version=2.0), None, "format_version: expected 1 or 2, got 2.0"),
+    (_doc([], [], version="2"), None, "format_version: expected 1 or 2, got '2'"),
+    ('{"vertices": [], "edges": []}', None, "format_version: expected 1 or 2, got None"),
     *[(_doc(vertices, edges, version), None, message)
       for version in (1, 2) for vertices, edges, message in _ENTRY_FAULTS],
     # faults that only the column layout has: a table or a column of the wrong type, unequal columns
@@ -630,6 +636,21 @@ def test_cli_validate_reports_violations(tmp_path, capsys):
 def test_cli_validate_ok(edge_graph, capsys):
     assert run(["validate", "--graph", edge_graph]) == 0
     assert _last_json(capsys)["violations"] == []
+
+
+def test_parse_graph_drops_one_byte_order_mark():
+    # some editors begin a UTF-8 file with U+FEFF; it is not part of the document or the first id
+    g = generate("path", 3)
+    edges, measures = _edge_list(g)
+    assert parse_graph("\ufeff" + serialize_graph(g)) == g
+    assert parse_graph("\ufeff" + _entries(serialize_graph(g))) == g
+    for text, companion in (("\ufeff" + edges, measures), (edges, "\ufeff" + measures),
+                            ("\ufeff" + edges, "\ufeff" + measures)):
+        assert parse_graph(text, companion) == g
+    # one mark only: a second one is the start of the first id
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph("\ufeff\ufeff" + edges, measures)
+    assert str(info.value) == "edges line 1: no measure declared for vertex " + repr("\ufeffv0")
 
 
 def test_cli_reads_files_with_a_byte_order_mark(tmp_path, capsys):
