@@ -336,21 +336,22 @@ def _cmd_heat(args) -> int:
     else:
         f = GraphFunction.constant(g, 1.0 if args.constant is None else args.constant)
         initial = f"constant:{1.0 if args.constant is None else args.constant}"
-    results = []
-    domain_vertices = list(g.vertices) if h.dirichlet_domain is None else sorted(h.dirichlet_domain)
-    where = np.fromiter(map(g.index, domain_vertices), np.intp, len(domain_vertices))
     times = _parse_floats(args.t, "--t")
-    columns = np.column_stack([f.array, np.ones(g.num_vertices)])
-    for t, (out, bound) in zip(times, h.expand(times, columns)):
-        results.append({
-            "t": t,
-            "values": GraphFunction(g, out[:, 0]).as_dict(),
-            "mass": dict(zip(domain_vertices, clamp_mass(out[where, 1]).tolist())),
-            "truncation_bound": bound,
-        })
-    echo = None if domain is None else domain_vertices  # the operator's domain: sorted, no repeats
-    _emit("heat", {"initial": initial, "dirichlet": echo, "results": results},
-          f"applied semigroup at {len(results)} time(s)")
+    if domain is None:
+        expansion = h.expand(times, f.array[:, None])
+        # P_t 1 is one number at every vertex of a full graph: the series at lambda = 0
+        masses = [dict.fromkeys(g.vertices, m) for m in clamp_mass(np.array(h.full_mass(times))).tolist()]
+        echo = None
+    else:
+        echo = sorted(h.dirichlet_domain)  # the operator's domain: sorted, no repeats
+        where = np.fromiter(map(g.index, echo), np.intp, len(echo))
+        expansion = h.expand(times, np.column_stack([f.array, np.ones(g.num_vertices)]))
+        masses = [dict(zip(echo, clamp_mass(out[where, 1]).tolist())) for out, _ in expansion]
+    # the report is built from the expansion's columns, each made JSON-safe once
+    results = [{"t": t, "values": dict(zip(g.vertices, _jsonify(out[:, 0]))), "mass": mass,
+                "truncation_bound": bound} for t, (out, bound), mass in zip(times, expansion, masses)]
+    _print_report("heat", {"initial": initial, "dirichlet": echo, "results": results})
+    print(f"applied semigroup at {len(results)} time(s)", file=sys.stderr)
     return 0
 
 

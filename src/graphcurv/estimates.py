@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -725,7 +726,9 @@ def taylor_check(
     rate u = max(D, |K|) and D the largest weighted degree (u = 1 when both
     vanish).  As lambda_max <= 2D, both lambda t_0 and 2|K| t_0 are at most
     0.2, so the fit sits at the same point of the expansion under
-    (b, K) -> (c b, c K) and e^{+-2Kt} never overflows.  The report's
+    (b, K) -> (c b, c K) and e^{+-2Kt} never overflows.  A rate above about
+    1.05e151, where the square of the grid's smallest t is no longer a
+    normal double, raises PreconditionError.  The report's
     ``scale`` holds ||f||_inf^2 u^k for each order k, the scale against which
     a coefficient mismatch of that order is judged.
     """
@@ -735,6 +738,15 @@ def taylor_check(
     ix = g.index(x)
     rate = max(float(np.max(g.weighted_degrees, initial=0.0)), abs(float(K))) or 1.0
     t0 = 0.1 / rate
+    ts = [t0 / 2.0**j for j in range(7)]
+    # the second-order fit divides by t^2, and its exact coefficients grow as rate^2 (which
+    # overflows soon after): both hold while the smallest t of the grid squares to a normal double
+    limit = ts[-1] * rate / math.sqrt(sys.float_info.min)
+    if rate > limit:
+        raise PreconditionError(
+            f"the rate max(max Deg, |K|) = {rate:g} exceeds {limit:.6g}, the largest at which the "
+            f"Taylor fit's smallest t squares to a normal double; scale the weights and K down"
+        )
 
     farr = f.array
     gam_f = gamma_array(g, farr, farr)
@@ -750,7 +762,6 @@ def taylor_check(
     }
 
     h = build_heat(g)
-    ts = [t0 / 2.0**j for j in range(7)]
     series = {name: [] for name in exact_c2}
     applied = h._apply(ts, np.column_stack([farr * farr, farr, gam_f]), keep_kernel=True)
     for t, columns in zip(ts, applied):

@@ -14,15 +14,19 @@ holds each table as columns, ``{"id": [...], "measure": [...]}`` and
 per vertex and per edge.  ``serialize_graph`` writes only version 2:
 ingest is the largest share of a command on a graph of a few thousand
 vertices, and ``json.loads`` spends most of it building the entry objects,
-so columns cut the parse by about 40% (see ``serialize_graph``).  ``parse_graph``
-reads both, version 1 for the files that exist in that layout.
+so columns cut the parse by 40-45%, to 5.5-6.4 ms on 2,000 vertices and
+6,000 edges (see ``serialize_graph``).  ``parse_graph`` reads both,
+version 1 for the files that exist in that layout.
 
 Each edge must be declared once per unordered pair; conflicting symmetric
 entries are rejected at parse time.  Both parsers read their entries,
 vertices and edges alike, column by column and fill the index arrays of
-``WeightedGraph.from_arrays`` directly; only an input with a fault is
-walked entry by entry, to name it, and a version-2 entry is the row of its
-columns, so a faulty entry gets the same message in either layout.
+``WeightedGraph.from_arrays`` directly.  Each endpoint column is one pass
+of lookups in the id dict, which also shows that every endpoint is a
+string, since only strings are ids; the types are checked only when a
+lookup fails.  Only an input with a fault is walked entry by entry, to
+name it, and a version-2 entry is the row of its columns, so a faulty
+entry gets the same message in either layout.
 One sort of the pairs finds an edge declared twice, and the first fault in
 file order is the one reported.  ``serialize_graph`` writes the document as
 one compact line; the parser accepts any whitespace.
@@ -90,7 +94,7 @@ def _parse_document(text: str) -> WeightedGraph:
     read = _entry_table if version == 1 else _column_table
     vertices, edges = read(doc, "vertices", _VERTEX_KEYS), read(doc, "edges", _EDGE_KEYS)
     index, measure = _vertex_columns(*vertices)
-    columns = _edge_columns(*edges)
+    columns = _edge_columns(*edges, index)
     del doc, vertices, edges  # the document goes before the graph is built
     return _graph(index, measure, *columns, lambda k, u, v: (
         f"edges[{k}]: conflicting symmetric entries for edge ({u!r}, {v!r})"))
@@ -127,7 +131,7 @@ def _column_table(doc: dict, name: str, keys: tuple[str, ...]) -> tuple[list[lis
     return columns, (dict(zip(keys, row)) for row in zip(*columns))
 
 
-def _vertex_columns(columns: list[list] | None, entries: Iterable) -> tuple[dict[str, int], list[float]]:
+def _vertex_columns(columns: list[list] | None, entries: Iterable) -> tuple[dict[str, int], np.ndarray]:
     """The id -> index dict and the measures of the vertex entries.
 
     Entries are read column by column.  Only if one is malformed or repeats
@@ -158,22 +162,37 @@ def _vertex_faults(entries: Iterable):
             yield _number_fault(entry["measure"], ".measure")
 
 
-def _edge_columns(columns: list[list] | None,
-                  entries: Iterable) -> tuple[list, list, list, GraphFormatError | None]:
-    """u, v and weight of the edge entries before the first malformed one, and its fault.
+def _edge_columns(columns: list[list] | None, entries: Iterable, index: dict[str, int]):
+    """u, v, their indices and weight of the edge entries before the first malformed one, and its fault.
 
-    Entries are read column by column.  Only if one is malformed are they
-    checked one by one, to name the first fault; the entries before it are
-    then read again, column by column.
+    Entries are read column by column, and each endpoint is looked up in
+    ``index``: if every one is found, every one is a declared id and so a
+    string.  Only if one is not are the endpoints' types checked, and only
+    if an entry is malformed are they checked one by one, to name the first
+    fault; the entries before it are then read again, column by column.
     """
     if columns is not None:
         us, vs, weights = *columns[:2], _numbers(columns[2])
-        if weights is not None and {*map(type, us), *map(type, vs)} <= {str}:
-            return us, vs, weights, None
+        if weights is not None:
+            ends = _lookup(us, vs, index)
+            if ends is None and {*map(type, us), *map(type, vs)} <= {str}:
+                unknown: dict[str, int] = {}  # endpoints that are not vertices go to validate by name
+                ends = _indices(us, index, unknown), _indices(vs, index, unknown), list(unknown)
+            if ends is not None:
+                return us, vs, ends, weights, None
     entries = list(entries)
     k, fault = next((k, fault) for k, fault in enumerate(map(_edge_fault, entries)) if fault)
-    return (*_edge_columns(_entry_columns(entries[:k], _EDGE_KEYS), ())[:3],
+    return (*_edge_columns(_entry_columns(entries[:k], _EDGE_KEYS), (), index)[:4],
             GraphFormatError(f"edges[{k}]{fault}"))
+
+
+def _lookup(us: list, vs: list, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray, list] | None:
+    """The indices of the endpoints, none undeclared; None if one is not a key of ``index``."""
+    try:
+        return (np.fromiter(map(index.__getitem__, us), np.intp, len(us)),
+                np.fromiter(map(index.__getitem__, vs), np.intp, len(vs)), [])
+    except (KeyError, TypeError):  # TypeError: a JSON list or object, which no dict holds
+        return None
 
 
 def _edge_fault(entry) -> str | None:
@@ -185,12 +204,12 @@ def _edge_fault(entry) -> str | None:
     return _number_fault(entry["weight"], ".weight")
 
 
-def _numbers(raw: list) -> list[float] | None:
-    """The JSON numbers as floats; None if one is not a number that a float holds."""
+def _numbers(raw: list) -> np.ndarray | None:
+    """The JSON numbers as a float array; None if one is not a number that a float holds."""
     if {*map(type, raw)} <= _NUMBERS:
         try:
-            return list(map(float, raw))
-        except OverflowError:
+            return np.array(raw, dtype=float)
+        except OverflowError:  # an integer beyond the largest double, as float() refuses it
             pass
     return None
 
@@ -200,24 +219,24 @@ def _number_fault(value, field: str) -> str | None:
     return None if _numbers([value]) is not None else f"{field}: expected a number"
 
 
-def _graph(index: dict[str, int], measure: list[float], us: list[str], vs: list[str],
-           weights: list[float], fault: GraphFormatError | None, repeated) -> WeightedGraph:
+def _graph(index: dict[str, int], measure: np.ndarray | list[float], us: list[str], vs: list[str],
+           ends: tuple[np.ndarray, np.ndarray, list[str]], weights: np.ndarray | list[float],
+           fault: GraphFormatError | None, repeated) -> WeightedGraph:
     """The graph of the edge entries read, or else the first fault in file order.
 
     That is the first entry that repeats the pair of an earlier one, named by
     ``repeated(k, u, v)``, or else ``fault``, found after the entries.
-    Endpoints that are not vertices go to ``validate`` by name.
+    ``ends`` holds the endpoints' indices, with -1 - j for the j-th name that
+    is not a vertex; those go to ``validate`` by name.
     """
-    unknown: dict[str, int] = {}
-    iu, iv = _indices(us, index, unknown), _indices(vs, index, unknown)
+    iu, iv, undeclared = ends
     order, _, _, repeat = _pair_order(iu, iv)
     if repeat.any():
         k = int(order[repeat].min())
         raise GraphFormatError(repeated(k, us[k], vs[k]))
     if fault is not None:
         raise fault
-    return WeightedGraph.from_arrays(list(index), iu, iv, np.array(weights), np.array(measure),
-                                     undeclared=list(unknown))
+    return WeightedGraph.from_arrays(list(index), iu, iv, weights, measure, undeclared=undeclared)
 
 
 def _lines(text: str, label: str, fields: str):
@@ -269,11 +288,13 @@ def parse_edge_list(edge_text: str, measure_text: str) -> WeightedGraph:
     index, measure = _parse_measures(measure_text)
     columns = _columns(edge_text, 3)
     weights = None if columns is None else _floats(columns[2])
-    if weights is not None and index.keys() >= {*columns[0], *columns[1]}:
+    ends = None if weights is None else _lookup(*columns[:2], index)
+    if ends is not None:
         us, vs, fault = columns[0], columns[1], None
     else:
         us, vs, weights, fault = _walk_edges(edge_text, index)
-    return _graph(index, measure, us, vs, weights, fault, lambda k, u, v: (
+        ends = _lookup(us, vs, index)  # the lines before a fault name declared vertices only
+    return _graph(index, measure, us, vs, ends, weights, fault, lambda k, u, v: (
         f"edges line {_line_number(edge_text, k)}: conflicting symmetric entries for ({u!r}, {v!r})"))
 
 
@@ -326,10 +347,11 @@ def serialize_graph(g: WeightedGraph) -> str:
     There is no way to write version 1, which ``parse_graph`` still reads.
     The edges go in ``edge_arrays`` order, each pair (min, max) once, which
     ``parse_graph`` reads without sorting.  Columns rather than one object
-    per entry cut the parse by about 40%, most of it in ``json.loads``: on
+    per entry cut the parse by 40-45%, most of it in ``json.loads``: on
     a fuzzed graph of 2,000 vertices and 6,000 edges the file is 277 KB
-    instead of 447 KB, and ``parse_graph`` takes 10.8 ms instead of 17.9 ms
-    (medians of 60 interleaved in-process runs on a shared 2-vCPU host).
+    instead of 447 KB, and ``parse_graph`` takes 5.5-6.4 ms instead of
+    9.8-10.6 ms (medians of 60 interleaved in-process runs, three runs on
+    two seeds, on a shared 2-vCPU host).
     """
     names = g.vertices
     iu, iv, w = (a.tolist() for a in g.edge_arrays)

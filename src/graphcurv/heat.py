@@ -175,11 +175,10 @@ class HeatOperator:
         ||P_t F - sum_{k<=K} a_k T_k(A) F||_{l2(m)} <= bound * ||F||_{l2(m)}
         per column.  Rounding is not in it; it grows with the stop degree
         (see the module docstring).  The bound is 0 where the series is
-        exact (t = 0 or Lambda = 0).
+        exact (t = 0 or Lambda = 0).  A t whose degree, about
+        sqrt(2 c ln(1 / TAIL_TOL)), is not a finite number raises ValueError.
         """
-        _check_times(times)
-        half = self._bound / 2.0
-        series = [_chebyshev_coefficients(t * half) for t in times]
+        series = self._series(times)
         # (B, |D|): one row per column of F, one column per domain vertex
         batch = np.array(F.T[..., self._domain], dtype=float, order="C", ndmin=2)
         # powers of 2: exact both ways, and each column's largest value in [1/2, 1)
@@ -195,6 +194,37 @@ class HeatOperator:
         for full, total in zip(extended, sums):
             full[:, self._domain] = np.ldexp(total, exponent[:, None], out=total)
         return [(full.T.reshape(F.shape), tail) for full, (_, tail) in zip(extended, series)]
+
+    def full_mass(self, times: Sequence[float]) -> list[float]:
+        """P_t 1 on the full graph for each t of times, the same number at every vertex, by the series alone.
+
+        ``_terms`` maps the constant 1/2 to (-1)^k / 2 exactly, so ``expand``
+        of the ones column, which it scales to 1/2, sums coeffs[k] (-1)^k / 2
+        at every vertex: the truncated series of e^{-t lambda} at lambda = 0.
+        This sums the same products in the same order and scales back by the
+        same power of 2, so it equals ``expand(times, ones)`` bit for bit,
+        without a product with the graph.  A Dirichlet domain drains the
+        constant at its boundary, so its P_t 1 is not one number.
+        """
+        if self.dirichlet_domain is not None:
+            raise ValueError("P_t 1 is one number on the full graph only, not on a Dirichlet domain")
+        masses = []
+        for coeffs, _ in self._series(times):
+            terms = coeffs * np.resize([0.5, -0.5], len(coeffs))  # coeffs[k] T_k(A) 1/2
+            masses.append(math.ldexp(float(np.add.accumulate(terms)[-1]), 1))
+        return masses
+
+    def _series(self, times: Sequence[float]) -> list[tuple[np.ndarray, float]]:
+        """The Chebyshev coefficients of e^{-t lambda} on [0, Lambda] and their tail, for each t of times."""
+        _check_times(times)
+        half = self._bound / 2.0
+        for t in times:
+            # _chebyshev_coefficients sizes its recurrence by sqrt(2 c ln(1 / TAIL_TOL)), c = t Lambda / 2
+            if not math.isfinite(2.0 * (t * half) * math.log(1.0 / TAIL_TOL)):
+                raise ValueError(f"t = {t:g} is too large for the Chebyshev expansion: its degree, about "
+                                 f"sqrt(2 c ln(1 / {TAIL_TOL:g})) at c = t Lambda / 2 and "
+                                 f"Lambda = {self._bound:g}, is not finite")
+        return [_chebyshev_coefficients(t * half) for t in times]
 
     def _terms(self, batch: np.ndarray) -> Iterator[np.ndarray]:
         """T_0(A) F, T_1(A) F, ... without end, for a batch F (B, |D|) and A = -Delta / h - 1 on D.

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from graphcurv import (
     laplacian,
     semigroup_gamma_path,
 )
+from graphcurv import serialize_graph
+from graphcurv.cli import run
 from graphcurv.heat import HeatOperator, clamp_mass
 from graphcurv.operators import gamma_recursive_array
 
@@ -356,6 +359,72 @@ def test_mass_dirichlet_monotone_and_below_one():
     assert np.all(masses[:, :6] <= 1.0 + 1e-12)
     assert np.all(masses[:-1, :6] >= masses[1:, :6] - 1e-10)
     assert np.all(masses[:, 6:] == 0.0)
+
+
+def _spread(g, lo, hi, seed):
+    """g with each weight and measure times 10^u, u uniform in [lo, hi]."""
+    rng = np.random.default_rng(seed)
+    return WeightedGraph(g.vertices, {(u, v): w * 10.0 ** rng.uniform(lo, hi) for u, v, w in g.edges()},
+                         {v: g.measure(v) * 10.0 ** rng.uniform(lo, hi) for v in g.vertices})
+
+
+_MASS_GRAPHS = _FAMILIES + [_spread(graph_with_isolated_vertices(), lo, hi, seed)
+                            for lo, hi, seed in ((-300, 0, 66), (0, 300, 67), (-150, 150, 68))]
+
+
+def _mass_times(h):
+    """0, 1e-3 / Lambda, 1 / Lambda, 100 / Lambda, and 1 where t Lambda stays at most 1e3."""
+    lam = h._bound
+    return [0.0, 1e-3 / lam, 1.0 / lam, 100.0 / lam] + ([1.0] if lam <= 1e3 else [])
+
+
+def _heat_report(tmp_path, capsys, g, times, dirichlet=None):
+    path = tmp_path / "g.json"
+    path.write_text(serialize_graph(g), encoding="utf-8")
+    extra = [] if dirichlet is None else ["--dirichlet", ",".join(dirichlet)]
+    code = run(["heat", "--graph", str(path), "--t", ",".join(map(repr, times)),
+                "--indicator", g.vertices[-1], *extra])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+@pytest.mark.parametrize("g", _MASS_GRAPHS, ids=lambda g: repr(g))
+def test_cli_full_mass_is_the_expanded_constant_bit_for_bit(tmp_path, capsys, g):
+    # the heat command reads a full graph's P_t 1 off the series at lambda = 0;
+    # the reference is the computation it replaced, the ones column expanded
+    # beside the initial one, clamped to [0, 1]
+    h = build_heat(g)
+    times = _mass_times(h)
+    results = _heat_report(tmp_path, capsys, g, times)
+    F = np.column_stack([np.eye(g.num_vertices)[-1], np.ones(g.num_vertices)])
+    for result, (out, _) in zip(results, h.expand(times, F), strict=True):
+        expected = clamp_mass(out[:, 1])
+        assert np.array_equal(np.array(list(result["values"].values())), out[:, 0])
+        assert list(result["mass"]) == list(g.vertices)
+        assert np.array_equal(np.array(list(result["mass"].values())), expected)
+        assert len({*result["mass"].values()}) == 1 and abs(expected[0] - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("g", _MASS_GRAPHS, ids=lambda g: repr(g))
+def test_cli_dirichlet_mass_is_the_expanded_constant(tmp_path, capsys, g):
+    domain = sorted(g.vertices[::2])
+    h = build_heat(g, dirichlet_domain=domain)
+    times = _mass_times(h)
+    results = _heat_report(tmp_path, capsys, g, times, dirichlet=domain)
+    where = [g.index(v) for v in domain]
+    F = np.column_stack([np.eye(g.num_vertices)[-1], np.ones(g.num_vertices)])
+    for result, (out, _) in zip(results, h.expand(times, F), strict=True):
+        assert np.array_equal(np.array(list(result["values"].values())), out[:, 0])
+        assert list(result["mass"]) == domain
+        assert np.array_equal(np.array(list(result["mass"].values())), clamp_mass(out[where, 1]))
+
+
+def test_full_mass_needs_the_full_graph():
+    g = graph_with_isolated_vertices()
+    assert build_heat(g).full_mass([0.0]) == [1.0]
+    assert build_heat(WeightedGraph(["a", "b"], {}, {"a": 1.0, "b": 2.0})).full_mass([0.0, 1.0]) == [1.0, 1.0]
+    with pytest.raises(ValueError, match="full graph only"):
+        build_heat(g, dirichlet_domain=g.vertices[:3]).full_mass([1.0])
 
 
 @pytest.mark.parametrize("g", [

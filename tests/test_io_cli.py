@@ -13,6 +13,7 @@ from graphcurv import (
     GraphFormatError,
     GraphFunction,
     WeightedGraph,
+    build_heat,
     default_corpus,
     estimate_sweep,
     generate,
@@ -138,6 +139,18 @@ _ENTRY_FAULTS = [
     (_ABC, [_AB, {"u": "b", "v": "c", "weight": True}], "edges[1].weight: expected a number"),
     (_ABC, [_AB, {"u": "b", "v": "c", "weight": 10**400}], "edges[1].weight: expected a number"),
     (_ABC, [_AB, {"u": "a", "v": ["c"], "weight": 1}], "edges[1]: endpoints must be strings"),
+    # hashable endpoints that are not strings: no declared id equals one, so the type check names it
+    (_ABC, [_AB, {"u": 1, "v": "c", "weight": 1}], "edges[1]: endpoints must be strings"),
+    (_ABC, [_AB, {"u": "b", "v": None, "weight": 1}], "edges[1]: endpoints must be strings"),
+    (_ABC, [{"u": True, "v": "c", "weight": 1}, _AB], "edges[0]: endpoints must be strings"),
+    (_ABC, [_AB, {"u": "b", "v": 1.5, "weight": 1}], "edges[1]: endpoints must be strings"),
+    (_ABC + [{"id": "1", "measure": 1}], [_AB, {"u": 1, "v": "a", "weight": 1}],
+     "edges[1]: endpoints must be strings"),
+    (_ABC + [{"id": "1", "measure": 1}], [{"u": "a", "v": "zz", "weight": 1}, {"u": "1", "v": 1, "weight": 1}],
+     "edges[1]: endpoints must be strings"),
+    # a string endpoint that is not declared is validate's to name
+    (_ABC + [{"id": "1", "measure": 1}], [_AB, {"u": "1", "v": "zz", "weight": 1}],
+     "invalid graph: edge ('1', 'zz') has an undeclared endpoint"),
     (_ABC, [_AB, {"u": "b", "v": "c", "weight": None}], "edges[1].weight: expected a number"),
     (_ABC, [_AB, {"u": "c", "v": "b", "weight": 1}, {"u": "b", "v": "a", "weight": 1}],
      "edges[2]: conflicting symmetric entries for edge ('b', 'a')"),
@@ -817,6 +830,26 @@ def test_cli_heat_constant_at_the_top_of_the_float_range(edge_graph, capsys):
                                               "v1": pytest.approx(1e308, rel=1e-12)}
 
 
+@pytest.mark.parametrize("family, size", [("cycle", 20), ("complete", 2)])
+@pytest.mark.parametrize("domain", [None, ["v0"]])
+def test_cli_heat_refuses_a_t_past_the_expansion(tmp_path, capsys, family, size, domain):
+    # the expansion's degree, about sqrt(2 c ln 1e15) at c = t Lambda / 2, overflowed
+    # in an uncaught OverflowError: at c = inf on the unit cycle (Lambda = 4)
+    # and at the finite c = 1e308 on the unit edge (Lambda = 2)
+    g = generate(family, size)
+    path = tmp_path / "g.json"
+    path.write_text(serialize_graph(g), encoding="utf-8")
+    extra = [] if domain is None else ["--dirichlet", ",".join(domain)]
+    code = run(["heat", "--graph", str(path), "--t", "1,1e308", "--indicator", "v0", *extra])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2 and list(report) == ["format_version", "command", "error"]
+    bound = build_heat(g, dirichlet_domain=domain)._bound
+    assert report["error"].startswith("t = 1e+308 is too large for the Chebyshev expansion")
+    assert f"Lambda = {bound:g}," in report["error"]
+    assert "Traceback" not in captured.err
+
+
 def test_cli_cutoff_and_precondition(edge_graph, tmp_path, capsys):
     assert run(["cutoff", "--graph", edge_graph, "--target", "v0", "--epsilon", "1"]) == 0
     report = _last_json(capsys)
@@ -915,6 +948,28 @@ def test_cli_supporting_checks_pass_at_every_scale(tmp_path, capsys, name, c):
         assert code == 0, (argv[0], report)
         if argv[0] == "finiteness":
             assert report["report"]["jensen_scale"] > 0.0
+
+
+@pytest.mark.parametrize("graph, K, code", [
+    (("weighted_tree", 12, 1e150), 0.5e150, 0),
+    (("weighted_tree", 12, 1e160), 0.5e160, 1),
+    (("complete", 2, 1.0), 1e300, 1),
+])
+def test_cli_taylor_check_refuses_a_rate_past_double_precision(tmp_path, capsys, graph, K, code):
+    # past a rate of about 1e154 the second-order coefficients overflowed and
+    # the fit's t^2 reached 0, in a ZeroDivisionError; the fit now stops where
+    # its smallest t no longer squares to a normal double, at a rate of 1.04748e151
+    family, size, c = graph
+    path = _write_graph(tmp_path, scaled_weights(generate(family, size, seed=3), c))
+    assert run(["taylor-check", "--graph", path, "--vertex", "v0", "--K", repr(K)]) == code
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    if code == 0:
+        assert report["passed"] is True
+    else:
+        assert list(report) == ["format_version", "command", "error"]
+        assert "exceeds 1.04748e+151, the largest at which" in report["error"]
+        assert "Traceback" not in captured.err
 
 
 def test_cli_taylor_check_complete30_unit_weights(tmp_path, capsys):
