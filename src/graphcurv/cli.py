@@ -48,7 +48,9 @@ from .heat import build_heat, clamp_mass
 # first_counterexample and the --full table
 # 4: each heat result carries truncation_bound, the l2(m) bound of its
 # Chebyshev expansion's truncation error relative to ||f||, rounding excluded
-REPORT_FORMAT_VERSION = 4
+# 5: finiteness reports the threshold K^2 / (2 Deg) as columns and their
+# minimum, not a per-(vertex, epsilon) table over a grid of epsilons
+REPORT_FORMAT_VERSION = 5
 
 # Each check compares a mismatch with one of these times a scale that moves
 # with the units of the input: the reported values and the largest degree.
@@ -265,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("finiteness", help="finite-measure thresholds under positive curvature")
     _add_graph_flags(sp)
     sp.add_argument("--K", type=_number(float), required=True)
-    sp.add_argument("--epsilons", required=True, help="comma-separated epsilon grid")
     sp.add_argument("--seed", type=_number(int), default=0)
 
     sp = sub.add_parser("taylor-check", help="small-t expansion coefficients vs exact operators")
@@ -427,11 +428,11 @@ def _cmd_cutoff(args) -> int:
 
 def _cmd_finiteness(args) -> int:
     g = _load_graph(args)
-    report = finiteness_probe(g, args.K, _parse_floats(args.epsilons, "--epsilons"),
-                              seed=args.seed)
+    report = finiteness_probe(g, args.K, seed=args.seed)
     ok = report["jensen_max_violation"] <= CHECK_TOL * report["jensen_scale"]
+    least = report["min_epsilon_threshold"]
     _emit("finiteness", {"report": report, "passed": ok},
-          f"total measure {report['total_measure']:.6g}, "
+          f"smallest epsilon threshold {least['epsilon_threshold']:.6g} at {least['vertex']}, "
           f"Jensen violation {report['jensen_max_violation']:.3g}")
     return 0 if ok else 1
 

@@ -176,8 +176,8 @@ def _cd_holds(stack: LocalFormStack, K, n: float) -> np.ndarray:
 
 
 def _factorizes(M: np.ndarray) -> bool:
-    try:
-        return np.linalg.cholesky(M) is not None
+    try:  # LAPACK's Cholesky can pass a matrix of nan: a non-finite M never factorizes
+        return bool(np.isfinite(M).all()) and np.linalg.cholesky(M) is not None
     except np.linalg.LinAlgError:
         return False
 
@@ -194,7 +194,7 @@ def cd_check(
     ``holds`` is the judge's verdict (``_cd_holds``) on the stack of one, so it is
     the same under (b, K) -> (c b, c K) and (b, m) -> (c b, c m).  The eigenvalue,
     from ``eigvalsh``, is for the callers that report it; it is +inf at isolated
-    vertices, where the condition is vacuous.  ``forms``, when given, must have
+    vertices, where the condition holds for every K.  ``forms``, when given, must have
     the diagonal, positive 2-sphere block of ``gamma2_matrix`` that ``local_forms``
     gives.
     """
@@ -215,7 +215,7 @@ def _solve(stack: LocalFormStack, n: float) -> tuple[np.ndarray, np.ndarray, np.
     lambda_min(M(K')) <= (K - K') / |z|^2; as sigma(K') <= sigma(K) + (K' - K) max B,
     the judge refutes every K' beyond K + ``bracket_width`` =
     e sigma(K) / (1 - e max B), e = EIG_TOL |z|^2 (up to rounding).  Isolated
-    vertices, where CD is vacuous, get +inf, converged and width 0.
+    vertices, where CD holds for every K, get +inf, converged and width 0.
     """
     B = stack.gamma
     V, k = B.shape

@@ -55,7 +55,7 @@ from .graphs import (
     is_connected,
 )
 from .heat import HeatOperator, build_heat
-from .operators import gamma_array, laplacian_array
+from .operators import PreconditionError, gamma_array, laplacian_array
 
 __all__ = [
     "REPORT_TOL",
@@ -82,10 +82,6 @@ SMOOTHING_TIME = 0.1  # how long default_corpus smooths its indicators
 SWEEP_ENTRIES = 2**24  # about the slacks one chunk of a sweep's functions holds (see _sweep)
 JENSEN_SAMPLES = 100  # random functions on which finiteness_probe samples the Jensen step
 _MAX_EXPONENT = math.log(np.finfo(float).max)  # largest 2|K|t with e^{2|K|t} finite
-
-
-class PreconditionError(ValueError):
-    """A computed precondition (curvature bound, mass bound) failed."""
 
 
 @dataclass(frozen=True)
@@ -415,7 +411,7 @@ def estimate_sweep(
     Returns a columnar ``SweepResult`` that reads as the sequence of all
     reports in (function, t, vertex) order, and a summary: the failure
     counts, the first counterexample and the worst slack of each estimate,
-    all found by array reductions.  An empty corpus passes vacuously with a
+    all found by array reductions.  An empty corpus passes, with no report and a
     warning.  The corpus is stacked into one (N,B) array and swept in
     chunks of functions (see ``_sweep``), each written into the result.
     """
@@ -621,31 +617,22 @@ def build_cutoff(
     )
 
 
-def finiteness_probe(
-    g: WeightedGraph,
-    K: float,
-    epsilon_grid: Sequence[float],
-    seed: int = 0,
-) -> dict:
+def finiteness_probe(g: WeightedGraph, K: float, seed: int = 0) -> dict:
     """Quantify the cutoff/curvature obstruction to infinite measure.
 
-    Under a positive curvature bound K, a cutoff with eta(x) = 1 and
-    Gamma(eta) < epsilon forces 1 <= sqrt(2 epsilon Deg(x)) / K, so any
-    epsilon below K^2 / (2 Deg(x)) yields a contradiction.  On a finite
-    graph (finite measure is automatic) the probe documents the thresholds
-    and also samples the Jensen step (Delta g)^2 <= 2 Deg(x) Gamma(g)(x)
-    that the argument relies on: ``jensen_max_violation`` is the largest
-    (Delta g)^2 - 2 Deg Gamma(g) over the samples (0 if none is positive) and
-    ``jensen_scale`` the largest (Delta g)^2 + 2 Deg Gamma(g), the scale to
-    judge the violation against; the Jensen step is sampled on JENSEN_SAMPLES
-    random functions.
+    Under CD(K, infinity), K > 0, a cutoff with eta(x) = 1 and Gamma(eta) <= epsilon
+    forces 1 <= sqrt(2 epsilon Deg(x)) / K: every epsilon below theta(x) = K^2 / (2 Deg(x))
+    is a contradiction at x.  The report holds the columns ``vertices``, ``degree`` and
+    ``epsilon_threshold`` (theta; inf where Deg = 0, where no epsilon is one) in vertex
+    order, and ``min_epsilon_threshold``, the smallest theta and the first vertex that has
+    it.  On a finite graph (finite measure is automatic) it also samples the Jensen step
+    (Delta g)^2 <= 2 Deg(x) Gamma(g)(x) of the argument on JENSEN_SAMPLES random
+    functions: ``jensen_max_violation`` is the largest (Delta g)^2 - 2 Deg Gamma(g) over
+    them (0 if none is positive) and ``jensen_scale`` the largest (Delta g)^2 + 2 Deg Gamma(g),
+    the scale to judge the violation against.
     """
     if not (0 < K < math.inf):
         raise ValueError(f"K must be positive and finite, got {K}")
-    epsilons = [float(eps) for eps in epsilon_grid]
-    for eps in epsilons:
-        if not (0 < eps < math.inf):
-            raise ValueError(f"epsilon must be positive and finite, got {eps}")
     if not g.num_vertices:
         raise PreconditionError("finiteness probe requires a nonempty graph")
     if not is_connected(g):
@@ -661,36 +648,18 @@ def finiteness_probe(
     jensen_violation = float(np.max(lap_sq - deg_gam, initial=0.0))
     jensen_scale = float(np.max(lap_sq + deg_gam, initial=0.0))
 
-    per_vertex = []
-    for i, v in enumerate(g.vertices):
-        d = float(deg[i])
-        vacuous = d == 0.0
-        threshold = math.inf if vacuous else K * K / (2.0 * d)
-        entries = []
-        for eps in epsilons:
-            bound = math.sqrt(2.0 * eps * d) / K
-            entries.append(
-                {
-                    "epsilon": eps,
-                    "bound": bound,
-                    "forces_contradiction": (not vacuous) and bound < 1.0,
-                }
-            )
-        per_vertex.append(
-            {
-                "vertex": v,
-                "degree": d,
-                "epsilon_threshold": threshold,
-                "vacuous": vacuous,
-                "entries": entries,
-            }
-        )
+    # theta = K (K / 2 Deg), inf where Deg = 0; K^2 would overflow before theta does
+    threshold = K * np.divide(K, 2.0 * deg, out=np.full(g.num_vertices, math.inf), where=deg > 0)
+    first = int(np.argmin(threshold))
     return {
         "curvature_bound": float(K),
         "total_measure": float(np.sum(g.measure_vector)),
         "jensen_max_violation": jensen_violation,
         "jensen_scale": jensen_scale,
-        "per_vertex": per_vertex,
+        "vertices": g.vertices,
+        "degree": deg,
+        "epsilon_threshold": threshold,
+        "min_epsilon_threshold": {"vertex": g.vertices[first], "epsilon_threshold": float(threshold[first])},
     }
 
 

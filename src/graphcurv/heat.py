@@ -40,7 +40,8 @@ P_t is computed along one of two paths, fixed by the consumer:
   of Al-Mohy and Higham (SIAM J. Sci. Comput. 2011).  As |T_k| <= 1 on the
   spectrum, the tail bounds the truncation error in l2(m) relative to
   ||f||_{l2(m)}.  Rounding is not in that bound; it grows with K, to about
-  K eps ||f||_inf.  K is about sqrt(2 c ln 10^15).  Each degree costs one
+  K eps ||f||_inf.  K is about sqrt(2 c ln 10^15), and a t whose K would
+  exceed MAX_DEGREE (2^20, c about 1.6e10) is refused.  Each degree costs one
   gather of the stored entries with both ends in the domain, one product
   with their weights, one ``reduceat`` over their rows and a few passes
   over the (B, |D|) batch, whatever the size of the graph.  Each column is
@@ -74,6 +75,7 @@ __all__ = ["HeatOperator", "build_heat", "semigroup_gamma_path"]
 
 KERNEL_TOL = 1e-12  # eigenvalues below this multiple of lambda_max are kernel modes
 TAIL_TOL = 1e-15  # the Chebyshev series stops once its coefficient tail is below this
+MAX_DEGREE = 2**20  # the largest sqrt(2 c ln(1 / TAIL_TOL)) expanded: c up to about 1.6e10, 2^21 + 32 terms
 
 
 class HeatOperator:
@@ -176,7 +178,8 @@ class HeatOperator:
         per column.  Rounding is not in it; it grows with the stop degree
         (see the module docstring).  The bound is 0 where the series is
         exact (t = 0 or Lambda = 0).  A t whose degree, about
-        sqrt(2 c ln(1 / TAIL_TOL)), is not a finite number raises ValueError.
+        sqrt(2 c ln(1 / TAIL_TOL)), exceeds MAX_DEGREE raises ValueError
+        before anything is allocated.
         """
         series = self._series(times)
         # (B, |D|): one row per column of F, one column per domain vertex
@@ -219,11 +222,11 @@ class HeatOperator:
         _check_times(times)
         half = self._bound / 2.0
         for t in times:
-            # _chebyshev_coefficients sizes its recurrence by sqrt(2 c ln(1 / TAIL_TOL)), c = t Lambda / 2
-            if not math.isfinite(2.0 * (t * half) * math.log(1.0 / TAIL_TOL)):
+            # refused before _chebyshev_coefficients sizes its recurrence by this degree
+            if not math.sqrt(2.0 * (t * half) * math.log(1.0 / TAIL_TOL)) <= MAX_DEGREE:
                 raise ValueError(f"t = {t:g} is too large for the Chebyshev expansion: its degree, about "
                                  f"sqrt(2 c ln(1 / {TAIL_TOL:g})) at c = t Lambda / 2 and "
-                                 f"Lambda = {self._bound:g}, is not finite")
+                                 f"Lambda = {self._bound:g}, exceeds {MAX_DEGREE}")
         return [_chebyshev_coefficients(t * half) for t in times]
 
     def _terms(self, batch: np.ndarray) -> Iterator[np.ndarray]:
@@ -328,22 +331,20 @@ def _chebyshev_coefficients(c: float) -> tuple[np.ndarray, float]:
     """The coefficients (2 - delta_k0) (-1)^k e^{-c} I_k(c) up to the stop degree K, and the tail after K.
 
     K is the first degree whose tail 2 sum_{k>K} e^{-c} I_k(c) is below
-    TAIL_TOL.  The recurrence starts at n = 2 sqrt(2 c ln(1 / TAIL_TOL)) + 32
-    and at twice that while K does not lie in the lower half of 0..n, so the
-    pass costs O(K) whatever c; far above K the coefficients are negligible
-    (about e^{-k^2 / 2c} for large c, below (c/2)^k / k! for small c).
-    c = 0 gives the identity exactly.
+    TAIL_TOL.  The recurrence runs once, from n = 2 sqrt(2 c ln(1 / TAIL_TOL)) + 32;
+    K lies below n / 2 (below 0.49 n for c from 1e-12 to the MAX_DEGREE ceiling),
+    and a K that does not raises RuntimeError.  Far above K the coefficients
+    are negligible (about e^{-k^2 / 2c} for large c, below (c/2)^k / k! for
+    small c).  c = 0 gives the identity exactly.
     """
     if c == 0.0:
         return np.ones(1), 0.0
     n = 2 * math.ceil(math.sqrt(2.0 * c * math.log(1.0 / TAIL_TOL))) + 32
-    while True:
-        scaled = _scaled_bessel(c, n)
-        after = 2.0 * np.cumsum(scaled[:0:-1])[::-1]  # after[k] = 2 sum_{j>k} e^{-c} I_j(c)
-        stop = int(np.argmax(after < TAIL_TOL))
-        if after[stop] < TAIL_TOL and 2 * stop <= n:
-            break
-        n *= 2
+    scaled = _scaled_bessel(c, n)
+    after = 2.0 * np.cumsum(scaled[:0:-1])[::-1]  # after[k] = 2 sum_{j>k} e^{-c} I_j(c)
+    stop = int(np.argmax(after < TAIL_TOL))
+    if not (after[stop] < TAIL_TOL and 2 * stop <= n):
+        raise RuntimeError(f"the Chebyshev series at c = {c:g} does not stop below half of its {n} terms")
     coeffs = scaled[: stop + 1].copy()
     coeffs[1:] *= 2.0
     coeffs[1::2] *= -1.0

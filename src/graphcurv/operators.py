@@ -18,6 +18,8 @@ modules, which need to evaluate the operators on many functions at once.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -27,6 +29,7 @@ from .graphs import GraphFunction, WeightedGraph, _check_graph_function
 
 __all__ = [
     "LocalForms",
+    "PreconditionError",
     "laplacian",
     "gamma_k",
     "gamma_closed_form",
@@ -118,6 +121,26 @@ def gamma_closed_form(g: WeightedGraph, f: GraphFunction, h: GraphFunction | Non
 
 
 # -- local quadratic forms -------------------------------------------------
+
+
+class PreconditionError(ValueError):
+    """A computed precondition (range of the local forms, curvature bound, mass bound) failed."""
+
+
+# Every entry of Gamma_2 on the 2-ball, and of the Schur complement the curvature solver and judge
+# take of it, is at most 4 max Deg^2 in absolute value: both stay normal doubles while max Deg is here
+DEGREE_RANGE = (4.0 * math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max) / 4.0)
+
+
+def _check_degree_range(g: WeightedGraph) -> None:
+    """Refuse g, before any local form is assembled, when max Deg > 0 lies outside DEGREE_RANGE."""
+    top = float(g.weighted_degrees.max(initial=0.0))
+    low, high = DEGREE_RANGE
+    if top and not low <= top <= high:
+        raise PreconditionError(
+            f"the largest weighted degree {top:g} lies outside [{low:.6g}, {high:.6g}], the range in which "
+            f"the entries of Gamma_2, at most 4 max Deg^2, stay normal doubles; scale the weights "
+            f"{'down' if top > high else 'up'}")
 
 
 @dataclass(frozen=True)
@@ -246,10 +269,12 @@ def local_form_stack(g: WeightedGraph, centers: np.ndarray, balls=None) -> tuple
         Q = -a_i W1,  R = (W1' a) / 2 on S2  (Deg the weighted degree).
 
     A 2-sphere narrower than the widest is padded as ``LocalFormStack`` says,
-    and its support with -1.
+    and its support with -1.  Without ``balls`` it first refuses a graph whose
+    max Deg lies outside DEGREE_RANGE, with a PreconditionError.
     """
     csr, V = g.csr, len(centers)
     if balls is None:
+        _check_degree_range(g)
         balls = _two_balls(g, centers)
         balls = (*balls[:4], np.diff(balls[4][2]))
     row, col, weight, far, s2 = balls
@@ -359,8 +384,10 @@ def local_form_stacks(g: WeightedGraph, rep: np.ndarray) -> Iterator[LocalFormSt
     with s the widest punctured 2-ball, within ``STACK_ENTRIES`` (at least
     one), so memory stays linear in N + E.  The walks bound |S2| from above, so
     the order tends to put 2-spheres of like sizes in one stack, which keeps
-    the padding tight.
+    the padding tight.  A graph whose max Deg lies outside DEGREE_RANGE is
+    refused with a PreconditionError before the first stack.
     """
+    _check_degree_range(g)
     csr = g.csr
     k = np.diff(csr.indptr)
     walks = csr.row_reduce(np.add, k[csr.indices])

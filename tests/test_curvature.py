@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import antitree, bisection_solve, planted_twins, random_connected_graph, scaled_weights
 from graphcurv import (
     GraphFunction,
+    PreconditionError,
     WeightedGraph,
     cd_check,
     cd_extremal_function,
@@ -20,7 +21,7 @@ from graphcurv import (
     local_forms,
 )
 from graphcurv import operators
-from graphcurv.curvature import EIG_TOL, _cd_holds, _cd_matrices, _cd_scales, _solve, _stack_of
+from graphcurv.curvature import EIG_TOL, _cd_holds, _cd_matrices, _cd_scales, _factorizes, _solve, _stack_of
 from graphcurv.graphs import ball
 from graphcurv.operators import STACK_ENTRIES, local_form_stack, local_form_stacks, twin_representatives
 
@@ -43,6 +44,37 @@ def test_cd_check_hand_values():
     assert not holds and eig == pytest.approx(-0.05, abs=1e-12)
     holds, eig = cd_check(g, 1.0, 2.0, "v0")
     assert holds and eig == pytest.approx(0.0, abs=1e-12)
+
+
+def test_judge_never_factorizes_a_non_finite_matrix():
+    # LAPACK's Cholesky returns a matrix of nan for one, without an error
+    assert not _factorizes(np.full((1, 2, 2), np.nan))
+    assert not _factorizes(np.array([[[1.0, 0.0], [0.0, np.inf]]]))
+    assert _factorizes(np.eye(2)[None])
+
+
+@pytest.mark.parametrize("c", [1e154, 1e160, 1e-200])
+def test_local_forms_outside_the_double_range_are_refused(c):
+    # the unit 3-cube has max Deg 3; times c its local forms leave the normal doubles
+    g = scaled_weights(generate("hypercube", 3), c)
+    x = g.vertices[0]
+    for call in (lambda: curvature_profile(g, math.inf), lambda: cd_check(g, 2 * c, math.inf, x),
+                 lambda: curvature_solve(g, x, 4.0), lambda: cd_extremal_function(g, x, math.inf, 2 * c),
+                 lambda: local_forms(g, x)):
+        with pytest.raises(PreconditionError, match="largest weighted degree"):
+            call()
+
+
+@pytest.mark.parametrize("c", [1e153, 1e-153])
+def test_curvature_at_the_ends_of_the_double_range(c):
+    # max Deg 3c lies inside DEGREE_RANGE: K = 2c holds, 5c is refuted, and every vertex converges
+    g = scaled_weights(generate("hypercube", 3), c)
+    low, high = operators.DEGREE_RANGE
+    assert low <= 3 * c <= high
+    profile = curvature_profile(g, math.inf)
+    assert profile.global_curvature == pytest.approx(2 * c, rel=1e-12) and profile.converged.all()
+    assert cd_check(g, 2 * c, math.inf, g.vertices[0])[0]
+    assert not cd_check(g, 5 * c, math.inf, g.vertices[0])[0]
 
 
 def test_cd_check_isolated_vertex_vacuous():

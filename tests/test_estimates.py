@@ -703,14 +703,72 @@ def test_cutoff_partial_universe_bounds():
 
 def test_finiteness_single_edge_threshold():
     g = single_edge()
-    rep = finiteness_probe(g, 2.0, [0.5, 1.0, 2.0, 3.0])
-    entry = rep["per_vertex"][0]
-    assert entry["epsilon_threshold"] == pytest.approx(2.0)
-    by_eps = {e["epsilon"]: e for e in entry["entries"]}
-    assert by_eps[0.5]["forces_contradiction"] and by_eps[1.0]["forces_contradiction"]
-    assert not by_eps[3.0]["forces_contradiction"]
-    assert by_eps[2.0]["bound"] == pytest.approx(1.0)
+    rep = finiteness_probe(g, 2.0)
+    assert rep["vertices"] == ("v0", "v1")
+    assert rep["degree"].tolist() == [1.0, 1.0]
+    assert rep["epsilon_threshold"].tolist() == [2.0, 2.0]  # K^2 / (2 Deg)
+    assert rep["min_epsilon_threshold"] == {"vertex": "v0", "epsilon_threshold": 2.0}
     assert rep["total_measure"] == pytest.approx(2.0)
+
+
+def _parent_entries(degree: float, K: float, epsilons) -> tuple[float, bool, list]:
+    """The per-vertex entry of the epsilon-grid report, by its own formulas."""
+    vacuous = degree == 0.0
+    entries = []
+    for eps in epsilons:
+        bound = math.sqrt(2.0 * eps * degree) / K
+        entries.append({"epsilon": eps, "bound": bound, "forces_contradiction": (not vacuous) and bound < 1.0})
+    return (math.inf if vacuous else K * K / (2.0 * degree)), vacuous, entries
+
+
+_THRESHOLD_GRAPHS = {
+    **{f"hypercube{d} {profile}": (lambda d=d, profile=profile: generate("hypercube", d, profile))
+       for d in (3, 4, 5, 6) for profile in ("unit", "normalizing")},
+    "complete10": lambda: generate("complete", 10),
+    "complete30": lambda: generate("complete", 30),
+    "edge": single_edge,
+}
+
+
+@pytest.mark.parametrize("name", list(_THRESHOLD_GRAPHS))
+def test_finiteness_columns_rebuild_the_epsilon_table(name):
+    # each entry of the per-(vertex, epsilon) table the columns replace follows from
+    # theta = K^2 / (2 Deg): bound = sqrt(epsilon / theta), forces_contradiction =
+    # epsilon < theta away from Deg = 0, vacuous = (Deg = 0)
+    g = _THRESHOLD_GRAPHS[name]()
+    K = curvature_profile(g, math.inf).global_curvature
+    rep = finiteness_probe(g, K)
+    assert rep["vertices"] == g.vertices
+    theta = rep["epsilon_threshold"]
+    assert rep["min_epsilon_threshold"] == {"vertex": g.vertices[int(np.argmin(theta))],
+                                            "epsilon_threshold": float(theta.min())}
+    for v, degree, t in zip(rep["vertices"], rep["degree"].tolist(), theta.tolist()):
+        assert degree == g.weighted_degrees[g.index(v)]
+        grid = [t * (1.0 + r) for r in (-0.5, -1e-9, -1e-15, -2.2e-16, 0.0, 2.2e-16, 1e-15, 1e-9, 0.5, 3.0)]
+        threshold, vacuous, entries = _parent_entries(degree, K, grid)
+        assert t == pytest.approx(threshold, rel=1e-15)
+        assert (degree == 0.0) == vacuous
+        for eps, entry in zip(grid, entries):
+            assert math.sqrt(eps / t) == pytest.approx(entry["bound"], rel=1e-15)
+            if abs(eps - t) > 1e-15 * t:
+                assert (eps < t and degree > 0.0) == entry["forces_contradiction"], (v, eps)
+
+
+def test_finiteness_threshold_scales_with_the_weights():
+    # under (b, K) -> (c b, c K) every threshold K^2 / (2 Deg) scales by c, and the
+    # vertex of the smallest, the largest degree (v7), stays put
+    rng = np.random.default_rng(30)
+    g = generate("complete", 8)
+    g = WeightedGraph(g.vertices, {(u, v): w * rng.uniform(1.0, 2.0) for u, v, w in g.edges()},
+                      {v: rng.uniform(1.0, 2.0) for v in g.vertices})
+    K = curvature_profile(g, math.inf).global_curvature
+    base = finiteness_probe(g, K)
+    assert base["min_epsilon_threshold"]["vertex"] == "v7"
+    for c in (1e-100, 1e-8, 1.0, 1e8, 1e100):
+        rep = finiteness_probe(scaled_weights(g, c), c * K)
+        assert np.all(np.abs(rep["epsilon_threshold"] - c * base["epsilon_threshold"])
+                      <= 1e-15 * c * base["epsilon_threshold"]), c
+        assert rep["min_epsilon_threshold"]["vertex"] == "v7"
 
 
 def test_finiteness_jensen_sampled():
@@ -728,11 +786,11 @@ def test_finiteness_jensen_sampled():
 def test_finiteness_preconditions():
     disconnected = WeightedGraph(["a", "b"], {}, {"a": 1.0, "b": 1.0})
     with pytest.raises(PreconditionError, match="connected"):
-        finiteness_probe(disconnected, 1.0, [1.0])
+        finiteness_probe(disconnected, 1.0)
     with pytest.raises(PreconditionError, match="curvature"):
-        finiteness_probe(generate("star", 5), 1.0, [1.0])
+        finiteness_probe(generate("star", 5), 1.0)
     with pytest.raises(ValueError):
-        finiteness_probe(single_edge(), -1.0, [1.0])
+        finiteness_probe(single_edge(), -1.0)
 
 
 @pytest.mark.parametrize("family, size, K, c", [
@@ -740,7 +798,7 @@ def test_finiteness_preconditions():
 ])
 def test_finiteness_accepts_exact_bound_at_scale(family, size, K, c):
     # the exact curvature K c was refused against an absolute tolerance
-    rep = finiteness_probe(scaled_weights(generate(family, size), c), K * c, [1.0])
+    rep = finiteness_probe(scaled_weights(generate(family, size), c), K * c)
     assert rep["curvature_bound"] == K * c
 
 
@@ -754,16 +812,17 @@ def test_curvature_preconditions_on_repeated_forms():
     for bound in (0.5 * (min(K) + max(K)), 1.01 * max(K)):
         first = next(x for x in g.vertices if not cd_check(g, bound, math.inf, x)[0])
         with pytest.raises(PreconditionError, match=f"curvature at {first!r} is below"):
-            finiteness_probe(g, bound, [1.0])
-    assert finiteness_probe(g, min(K), [1.0])["curvature_bound"] == min(K)
+            finiteness_probe(g, bound)
+    assert finiteness_probe(g, min(K))["curvature_bound"] == min(K)
     assert build_cutoff(g, {"v0"}, 1.0, g.vertices).max_gamma == 0.0
 
 
 def test_finiteness_isolated_vertex_vacuous():
     g = WeightedGraph(["a"], {}, {"a": 1.0})
-    rep = finiteness_probe(g, 1.0, [0.5])
-    assert rep["per_vertex"][0]["vacuous"]
-    assert not rep["per_vertex"][0]["entries"][0]["forces_contradiction"]
+    rep = finiteness_probe(g, 1.0)
+    assert rep["degree"].tolist() == [0.0]
+    assert rep["epsilon_threshold"].tolist() == [math.inf]  # no epsilon is a contradiction
+    assert rep["min_epsilon_threshold"] == {"vertex": "a", "epsilon_threshold": math.inf}
 
 
 # -- taylor_check -----------------------------------------------------------------------

@@ -198,7 +198,7 @@ def _random_functions(g, k):
     lambda g: gamma_k(g, 2, *_random_functions(g, 2)),
     lambda g: green_check(g, *_random_functions(g, 2)),
     lambda g: ec_norm_check(g),
-    lambda g: finiteness_probe(g, 0.5, [0.1, 1.0]),
+    lambda g: finiteness_probe(g, 0.5),
     lambda g: build_heat(g).apply_array(1.0, np.ones(g.num_vertices)),
     lambda g: build_heat(g, dirichlet_domain=["v0", "v2", "v3"]),
 ], ids=["curvature_profile", "cd_check", "laplacian", "gamma_k", "green_check",

@@ -299,13 +299,31 @@ def test_expansion_coefficient_pass_is_linear_in_the_stop_degree(monkeypatch):
         return scaled_bessel(c, n)
 
     monkeypatch.setattr(heat, "_scaled_bessel", counted)
-    for c in (1e-12, 0.5, 30.0, 1e5):
+    # one recurrence per c, with the stop degree in its lower half, from 1e-12 up to
+    # the largest c the expansion accepts
+    ceiling = heat.MAX_DEGREE**2 / (2.0 * math.log(1e15))
+    for c in (0.5, 30.0, 1e5, *np.geomspace(1e-12, ceiling, 40).tolist()):
         starts.clear()
         coeffs, tail = heat._chebyshev_coefficients(c)
         stop = len(coeffs) - 1
         assert tail < 1e-15 and np.sum(np.abs(coeffs)) == pytest.approx(1.0, abs=1e-13)
-        assert sum(starts) <= 4 * stop + 64
+        (n,) = starts
+        assert 2 * stop <= n <= min(4 * stop + 64, 2 * heat.MAX_DEGREE + 32)
         assert stop <= math.sqrt(2 * c * math.log(1e15)) + 16
+
+
+def test_expansion_refuses_a_t_past_the_ceiling_before_allocating(monkeypatch):
+    # two vertices joined by a weight of 1e300, Lambda = 2e300: t = 1 asked numpy for
+    # an array past its largest dimension, and t = 1e-287 (c = 1e13) for a recurrence
+    # of 5.3e7 terms, looped in Python
+    def refused(c, n):
+        raise AssertionError(f"recurrence of {n} terms sized at c = {c:g}")
+
+    monkeypatch.setattr(heat, "_scaled_bessel", refused)
+    h = build_heat(WeightedGraph(["a", "b"], {("a", "b"): 1e300}, {"a": 1.0, "b": 1.0}))
+    for t in (1.0, 1e-287, 1.01 * heat.MAX_DEGREE**2 / (2.0 * math.log(1e15)) / 1e300):
+        with pytest.raises(ValueError, match=f"t = {t:g} is too large .* Lambda = 2e\\+300, exceeds 1048576"):
+            h.expand([t], np.ones(2))
 
 
 @pytest.mark.parametrize("g", _FAMILIES[:-1], ids=lambda g: repr(g))

@@ -20,7 +20,7 @@ from graphcurv import (
     parse_graph,
     serialize_graph,
 )
-from graphcurv import cli, graph_io
+from graphcurv import cli, graph_io, operators
 from graphcurv.cli import _jsonify, run
 
 EDGES = "a b 1.0\n"
@@ -358,7 +358,7 @@ def test_cli_verify_estimates_default_schema(tmp_path, capsys):
     assert len(out.encode()) < 16 * 1024  # no per-triple table by default
     assert list(report) == ["format_version", "command", "K", "dimension", "t_grid",
                             "corpus_size", "summary"]
-    assert report["format_version"] == 4
+    assert report["format_version"] == 5
     assert "quadrature_error_ii" not in out
     summary = report["summary"]
     assert list(summary) == ["passed", "num_reports", "num_failures", "first_counterexample",
@@ -419,12 +419,10 @@ def test_cli_verify_estimates_exponent_overflow(edge_graph, capsys, paper_k):
     ["cutoff", "--target", "v0", "--epsilon", "nan"],
     ["cutoff", "--target", "v0", "--epsilon", "inf"],
     ["cd-check", "--K", "nan", "--vertex", "v0"],
-    ["finiteness", "--K", "inf", "--epsilons", "0.1"],
-    ["finiteness", "--K", "nan", "--epsilons", "0.1"],
+    ["finiteness", "--K", "inf"],
+    ["finiteness", "--K", "nan"],
     ["heat", "--t", "1", "--constant", "nan"],
     ["heat", "--t", "1", "--constant", "inf"],
-    ["finiteness", "--K", "1", "--epsilons", "nan"],
-    ["finiteness", "--K", "1", "--epsilons", "-1"],
 ], ids=" ".join)
 def test_cli_non_finite_numbers_are_input_errors(edge_graph, capsys, argv):
     code = run([argv[0], "--graph", edge_graph, *argv[1:]])
@@ -439,7 +437,6 @@ def test_cli_non_finite_numbers_are_input_errors(edge_graph, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["verify-estimates", "--paper-K", "0", "--t", ","],
     ["heat", "--t", ","],
-    ["finiteness", "--K", "1", "--epsilons", ","],
     ["heat", "--t", "1", "--dirichlet", ""],
     ["heat", "--t", "1", "--dirichlet", ","],
     ["cutoff", "--target", "v0", "--epsilon", "0.5", "--universe", ""],
@@ -478,7 +475,7 @@ _EDGELESS = {
     (["green-check"], (0, 0, 0)),
     (["ec-check"], (0, 0, 0)),
     (["cutoff", "--target", "v0", "--epsilon", "0.5"], (2, 0, 0)),
-    (["finiteness", "--K", "1", "--epsilons", "0.5"], (1, 0, 1)),
+    (["finiteness", "--K", "1"], (1, 0, 1)),
     (["taylor-check", "--vertex", "v0"], (2, 0, 0)),
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else "")
 def test_cli_every_command_on_edgeless_graphs(tmp_path, capsys, argv, codes):
@@ -501,11 +498,10 @@ def test_cli_every_command_on_edgeless_graphs(tmp_path, capsys, argv, codes):
     (["heat", "--t", "1_0"], "--t"),
     (["heat", "--t", "\u0661"], "--t"),
     (["verify-estimates", "--paper-K", "0", "--t", "0_1"], "--t"),
-    (["finiteness", "--K", "1", "--epsilons", "0.1,0_2"], "--epsilons"),
     (["curvature", "--dimension", "4_0"], "--dimension"),
     (["cd-check", "--K", "1_0", "--vertex", "v0"], "--K"),
     (["cd-check", "--paper-K", "\u0661", "--vertex", "v0"], "--paper-K"),
-    (["finiteness", "--K", "1_0", "--epsilons", "0.1"], "--K"),
+    (["finiteness", "--K", "1_0"], "--K"),
     (["taylor-check", "--vertex", "v0", "--K", "0_5"], "--K"),
     (["heat", "--t", "1", "--constant", "1_0"], "--constant"),
     (["cutoff", "--target", "v0", "--epsilon", "0_5"], "--epsilon"),
@@ -517,7 +513,7 @@ def test_cli_every_command_on_edgeless_graphs(tmp_path, capsys, argv, codes):
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else "")
 def test_cli_number_flags_refuse_underscores_and_non_ascii_digits(edge_graph, capsys, argv, flag):
     graph = [] if argv[0] == "generate" else ["--graph", edge_graph]
-    if flag in ("--t", "--epsilons", "--dimension"):  # read by the command: a JSON error report
+    if flag in ("--t", "--dimension"):  # read by the command: a JSON error report
         assert run([argv[0], *graph, *argv[1:]]) == 2
         assert _last_json(capsys)["error"].startswith(f"{flag}: expected")
     else:  # read by argparse: its usage error
@@ -850,6 +846,20 @@ def test_cli_heat_refuses_a_t_past_the_expansion(tmp_path, capsys, family, size,
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("t", ["1", "1e-287"])
+def test_cli_heat_refuses_a_degree_past_the_ceiling(tmp_path, capsys, t):
+    # two vertices joined by a weight of 1e300: t = 1 failed on numpy's "Maximum
+    # allowed dimension exceeded", and t = 1e-287 (c = 1e13) ran for minutes
+    path = _write_graph(tmp_path, WeightedGraph(["a", "b"], {("a", "b"): 1e300}, {"a": 1.0, "b": 1.0}))
+    assert run(["heat", "--graph", path, "--t", t]) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert list(report) == ["format_version", "command", "error"]
+    assert report["error"].startswith(f"t = {float(t):g} is too large for the Chebyshev expansion")
+    assert report["error"].endswith("Lambda = 2e+300, exceeds 1048576")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_cutoff_and_precondition(edge_graph, tmp_path, capsys):
     assert run(["cutoff", "--graph", edge_graph, "--target", "v0", "--epsilon", "1"]) == 0
     report = _last_json(capsys)
@@ -867,8 +877,14 @@ def test_cli_green_ec_finiteness_taylor(edge_graph, capsys):
     capsys.readouterr()
     assert run(["ec-check", "--graph", edge_graph]) == 0
     capsys.readouterr()
-    assert run(["finiteness", "--graph", edge_graph, "--K", "2", "--epsilons", "0.5,2"]) == 0
-    capsys.readouterr()
+    assert run(["finiteness", "--graph", edge_graph, "--K", "2"]) == 0
+    report = _last_json(capsys)
+    assert report["format_version"] == 5
+    assert list(report["report"]) == ["curvature_bound", "total_measure", "jensen_max_violation", "jensen_scale",
+                                      "vertices", "degree", "epsilon_threshold", "min_epsilon_threshold"]
+    assert report["report"]["vertices"] == ["v0", "v1"] and report["report"]["degree"] == [1.0, 1.0]
+    assert report["report"]["epsilon_threshold"] == [2.0, 2.0]
+    assert report["report"]["min_epsilon_threshold"] == {"vertex": "v0", "epsilon_threshold": 2.0}
     assert run(["taylor-check", "--graph", edge_graph, "--vertex", "v0"]) == 0
 
 
@@ -889,7 +905,7 @@ def test_cli_consecutive_runs_print_what_each_prints_alone(tmp_path, capsys):
         ["green-check", "--graph", g, "--samples", "3", "--seed", "3"],
         ["ec-check", "--graph", g],
         ["cutoff", "--graph", g, "--target", "v2", "--epsilon", "1"],
-        ["finiteness", "--graph", g, "--K", "2", "--epsilons", "0.5"],
+        ["finiteness", "--graph", g, "--K", "2"],
         ["taylor-check", "--graph", g, "--vertex", "v3"],
     ]
 
@@ -939,8 +955,7 @@ def test_cli_supporting_checks_pass_at_every_scale(tmp_path, capsys, name, c):
     if curvature is not None:
         commands += [
             ["cutoff", "--graph", path, "--target", x, "--epsilon", repr(0.5 * c)],
-            ["finiteness", "--graph", path, "--K", repr(curvature * c),
-             "--epsilons", ",".join(repr(e * c) for e in (0.05, 1.0))],
+            ["finiteness", "--graph", path, "--K", repr(curvature * c)],
         ]
     for argv in commands:
         code = run(argv)
@@ -948,6 +963,8 @@ def test_cli_supporting_checks_pass_at_every_scale(tmp_path, capsys, name, c):
         assert code == 0, (argv[0], report)
         if argv[0] == "finiteness":
             assert report["report"]["jensen_scale"] > 0.0
+            theta = (curvature * c) ** 2 / (2.0 * g.weighted_degrees.max())
+            assert report["report"]["min_epsilon_threshold"]["epsilon_threshold"] == pytest.approx(theta, rel=1e-14)
 
 
 @pytest.mark.parametrize("graph, K, code", [
@@ -970,6 +987,34 @@ def test_cli_taylor_check_refuses_a_rate_past_double_precision(tmp_path, capsys,
         assert list(report) == ["format_version", "command", "error"]
         assert "exceeds 1.04748e+151, the largest at which" in report["error"]
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("c", [1e153, 1e154, 1e160, 1e-200])
+def test_cli_curvature_at_the_edge_of_the_double_range(tmp_path, capsys, c):
+    # the unit 3-cube, K = 2, with its weights times c.  From x1e154 its local
+    # forms left the doubles: curvature passed with every value nan, finiteness
+    # accepted K = 5c, and at x1e160 and x1e-200 eigh failed to converge.  A max
+    # Deg outside DEGREE_RANGE is now a failed precondition that names the range
+    g = scaled_weights(generate("hypercube", 3), c)
+    path, x = _write_graph(tmp_path, g), g.vertices[0]
+    low, high = operators.DEGREE_RANGE
+    commands = [["curvature"], ["cd-check", "--K", repr(2 * c), "--vertex", x],
+                ["cd-check", "--K", repr(5 * c), "--vertex", x], ["finiteness", "--K", repr(2 * c)],
+                ["finiteness", "--K", repr(5 * c)]]
+    for argv, code in zip(commands, [0, 0, 1, 0, 1] if c == 1e153 else [1] * 5):
+        assert run([argv[0], "--graph", path, *argv[1:]]) == code, argv
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert captured.out.count("\n") == 1 and "Traceback" not in captured.err
+        if c != 1e153:
+            assert list(report) == ["format_version", "command", "error"]
+            assert f"lies outside [{low:.6g}, {high:.6g}]" in report["error"]
+        elif argv[0] == "curvature":
+            profile = report["profile"]
+            assert profile["global_curvature"] == pytest.approx(2 * c, rel=1e-12)
+            assert all(r["converged"] is True for r in profile["per_vertex"])
+        elif code == 1:
+            assert argv[0] == "cd-check" or "the curvature at" in report["error"]
 
 
 def test_cli_taylor_check_complete30_unit_weights(tmp_path, capsys):
