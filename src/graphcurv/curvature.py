@@ -49,8 +49,8 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import GraphFunction, WeightedGraph
-from .operators import (LocalForms, LocalFormStack, gamma2_matrices, local_form_stack, local_form_stacks,
-                        twin_representatives)
+from .operators import (LocalForms, LocalFormStack, _scaled_in, _scaled_out, gamma2_matrices, local_form_stack,
+                        local_form_stacks, twin_representatives)
 
 __all__ = [
     "EIG_TOL",
@@ -112,9 +112,13 @@ class CurvatureProfile:
 
 
 def _check_dimension(n: float) -> float:
+    """n as a float; refuses n <= 0 and an n whose 1/n term, below (2 max Deg)^2 / n < 64 / n on the
+    normalized graph, overflows (at n = 1e-310 eigh failed to converge)."""
     n = float(n)
     if not (n > 0):
         raise ValueError(f"dimension must be positive (or infinity), got {n}")
+    if 64.0 / n == math.inf:
+        raise ValueError(f"dimension n = {n:g} is too small: the 1/n term, up to 64 / n, overflows double precision")
     return n
 
 
@@ -182,29 +186,26 @@ def _factorizes(M: np.ndarray) -> bool:
         return False
 
 
-def cd_check(
-    g: WeightedGraph,
-    K: float,
-    n: float,
-    x: str,
-    forms: LocalForms | None = None,
-) -> tuple[bool, float]:
+def cd_check(g: WeightedGraph, K: float, n: float, x: str, forms: LocalForms | None = None) -> tuple[bool, float]:
     """Decide CD(K,n) at x; returns (holds, smallest eigenvalue of M(K)).
 
     ``holds`` is the judge's verdict (``_cd_holds``) on the stack of one, so it is
     the same under (b, K) -> (c b, c K) and (b, m) -> (c b, c m).  The eigenvalue,
     from ``eigvalsh``, is for the callers that report it; it is +inf at isolated
-    vertices, where the condition holds for every K.  ``forms``, when given, must have
-    the diagonal, positive 2-sphere block of ``gamma2_matrix`` that ``local_forms``
-    gives.
+    vertices, where the condition holds for every K.  Both come from the normalized
+    graph, with K mapped in; ``forms``, when given, are taken in their own units and
+    must have the diagonal, positive 2-sphere block of ``gamma2_matrix`` that
+    ``local_forms`` gives.
     """
     n = _check_dimension(n)
     if not (-math.inf < K < math.inf):
         raise ValueError(f"K must be finite, got {K}")
-    stack = local_form_stack(g, np.array([g.index(x)]))[0] if forms is None else _stack_of(forms)
+    stack, c = (local_form_stack(g, np.array([g.index(x)]))[0], g._scale[2]) if forms is None else (_stack_of(forms), 0)
     if stack.gamma.shape[1] == 0:
         return True, math.inf
-    return bool(_cd_holds(stack, K, n)[0]), float(np.linalg.eigvalsh(_cd_matrices(stack, K, n)[0])[0])
+    K = _scaled_in(K, -2 * c, "|K| / max Deg")
+    eig = np.linalg.eigvalsh(_cd_matrices(stack, K, n)[0])[0]
+    return bool(_cd_holds(stack, K, n)[0]), float(_scaled_out(eig, 4 * c))
 
 
 def _solve(stack: LocalFormStack, n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,10 +235,11 @@ def _solve(stack: LocalFormStack, n: float) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def curvature_solve(g: WeightedGraph, x: str, n: float) -> CurvatureResult:
-    """sup{K : CD(K,n) holds at x}: ``_solve`` on the stack of one."""
+    """sup{K : CD(K,n) holds at x}: ``_solve`` on the stack of one, mapped out of the normalized graph."""
     n = _check_dimension(n)
     K, converged, width = _solve(local_form_stack(g, np.array([g.index(x)]))[0], n)
-    return CurvatureResult(x, n, float(K[0]), bool(converged[0]), float(width[0]))
+    K, width = _scaled_out([K[0], width[0]], 2 * g._scale[2]).tolist()
+    return CurvatureResult(x, n, K, bool(converged[0]), width)
 
 
 def _each_vertex(g: WeightedGraph, judge, out: np.ndarray) -> np.ndarray:
@@ -256,9 +258,11 @@ def curvature_profile(g: WeightedGraph, n: float) -> CurvatureProfile:
     """Solve the local form of each class representative, a stack at a time, and take the minimum.
 
     CD is a for-all-x condition; each twin gets its representative's result.
+    K and the bracket widths are mapped out of the normalized graph.
     """
     n = _check_dimension(n)
     K, converged, width = _each_vertex(g, lambda stack: _solve(stack, n), np.empty((3, g.num_vertices)))
+    K, width = _scaled_out([K, width], 2 * g._scale[2])
     return CurvatureProfile(g.vertices, n, K, converged.astype(bool), width, float(K.min(initial=math.inf)))
 
 
@@ -271,6 +275,7 @@ def cd_extremal_function(g: WeightedGraph, x: str, n: float, K: float) -> GraphF
     """
     n = _check_dimension(n)
     stack, support = local_form_stack(g, np.array([g.index(x)]))
+    K = _scaled_in(K, -2 * g._scale[2], "|K| / max Deg")
     arr = np.zeros(g.num_vertices)
     if support.size > 0:
         arr[support[0]] = np.linalg.eigh(_cd_matrices(stack, K, n)[0])[1][:, 0]

@@ -22,8 +22,8 @@ kappa = -45.53, max Deg 74.27), the default corpus at n = infinity and
 t in {0.001, 0.01, 0.1, 1} passes a claim of kappa + 0.1 max Deg with 0
 failures and fails kappa + 0.3 max Deg with 67.  All four are evaluated
 exactly in the eigenbasis of the heat semigroup, the integral of (ii)
-included.  P_t is always the graph's own full semigroup, ``build_heat(g)``,
-which every function here takes from the graph rather than from the caller.
+included.  P_t is always a full semigroup of the graph, taken from it rather
+than from the caller: that of its normalized graph ``g._scale`` in the sweep.
 
 Sign convention: K here is taken from the CD(-K, n) hypothesis verbatim, so
 a caller holding a solved curvature kappa passes K = -kappa.
@@ -55,7 +55,7 @@ from .graphs import (
     is_connected,
 )
 from .heat import HeatOperator, build_heat
-from .operators import PreconditionError, gamma_array, laplacian_array
+from .operators import PreconditionError, _scaled_in, _scaled_out, gamma_array, laplacian_array
 
 __all__ = [
     "REPORT_TOL",
@@ -227,9 +227,8 @@ def _phi2(x: float) -> float:
 # -- core slack computation -------------------------------------------------
 
 
-def _gradient_integral(
-    g: WeightedGraph, h: HeatOperator, K: float, lap_F: np.ndarray, times: Sequence[float]
-) -> np.ndarray:
+def _gradient_integral(g: WeightedGraph, h: HeatOperator, K: float, lap_F: np.ndarray,
+                       times: Sequence[float]) -> np.ndarray:
     """Int_0^t e^{2Ks} P_s (P_{t-s} Delta f)^2 ds at every t of times and vertex, in closed form.
 
     Works on a batch of functions at once (lap_F is (N,B)) and returns one
@@ -270,15 +269,8 @@ def _gradient_integral(
     return (U @ d) / sqrt_m[:, None]
 
 
-def _slack_arrays(
-    g: WeightedGraph,
-    h: HeatOperator,
-    K: float,
-    n: float,
-    F: np.ndarray,
-    times: Sequence[float],
-    integrals: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _slack_arrays(g: WeightedGraph, h: HeatOperator, K: float, n: float, F: np.ndarray, times: Sequence[float],
+                  integrals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """All four slacks for a batch of functions at every t of a grid, plus their verdict scales.
 
     F is (N,B).  Returns the slacks, (4,B,T,N) with the estimates in
@@ -355,9 +347,7 @@ def _check_nonnegative(g: WeightedGraph, f: GraphFunction) -> None:
         raise ValueError("f must be nonnegative")
 
 
-def _stack_corpus(
-    g: WeightedGraph, function_corpus: Sequence[tuple[str, GraphFunction]]
-) -> np.ndarray:
+def _stack_corpus(g: WeightedGraph, function_corpus: Sequence[tuple[str, GraphFunction]]) -> np.ndarray:
     """The corpus as an (N,B) array; refuses it at its first function off g or negative."""
     for _, f in function_corpus:
         _check_nonnegative(g, f)
@@ -367,45 +357,24 @@ def _stack_corpus(
 
 
 def _require_curvature(g: WeightedGraph, K: float) -> None:
-    """Raise PreconditionError at the first vertex that the judge refutes CD(K, inf) at."""
-    holds = _each_vertex(g, lambda stack: _cd_holds(stack, K, math.inf), np.empty(g.num_vertices, dtype=bool))
+    """Raise PreconditionError at the first vertex that the judge refutes CD(K, inf) at, on the normalized graph."""
+    unit_K = _scaled_in(K, -2 * g._scale[2], "|K| / max Deg")
+    holds = _each_vertex(g, lambda stack: _cd_holds(stack, unit_K, math.inf), np.empty(g.num_vertices, dtype=bool))
     if not holds.all():
         x = g.vertices[int(np.argmin(holds))]
         raise PreconditionError(f"graph violates CD({K:.6g}, infinity): the curvature at {x!r} is "
                                 f"below {K:.6g} (lambda_min(M(K)) = {cd_check(g, K, math.inf, x)[1]:.3g})")
 
 
-def _check_exponent(K: float, t: float) -> None:
-    """Refuse (K, t) whose coefficients e^{+-2Kt} overflow a double."""
-    if 2.0 * abs(K) * t > _MAX_EXPONENT:
-        raise PreconditionError(
-            f"the estimate coefficients e^(2|K|t) overflow double precision at "
-            f"K = {K:g}, t = {t:g} (2|K|t = {2.0 * abs(K) * t:g} exceeds "
-            f"{_MAX_EXPONENT:.6g}); use a smaller |K| or t"
-        )
-
-
-def verify_estimates(
-    g: WeightedGraph,
-    K: float,
-    n: float,
-    f: GraphFunction,
-    t: float,
-    x: str,
-) -> EstimateReport:
+def verify_estimates(g: WeightedGraph, K: float, n: float, f: GraphFunction, t: float, x: str) -> EstimateReport:
     """Slacks and verdicts of all four estimates at one (f, t, x); f is reported as "f"."""
     ix = g.index(x)
     result, _ = estimate_sweep(g, K, n, [t], [("f", f)])
     return result[ix]
 
 
-def estimate_sweep(
-    g: WeightedGraph,
-    K: float,
-    n: float,
-    t_grid: Sequence[float],
-    function_corpus: Sequence[tuple[str, GraphFunction]],
-) -> tuple[SweepResult, SweepSummary]:
+def estimate_sweep(g: WeightedGraph, K: float, n: float, t_grid: Sequence[float],
+                   function_corpus: Sequence[tuple[str, GraphFunction]]) -> tuple[SweepResult, SweepSummary]:
     """Check the estimates on every (f, t, vertex) combination, under g's semigroup.
 
     Returns a columnar ``SweepResult`` that reads as the sequence of all
@@ -428,46 +397,54 @@ def _sweep_args(K: float, n: float, t_grid: Sequence[float]) -> tuple[float, tup
     times = tuple(float(t) for t in t_grid)
     if not all(0 <= t < math.inf for t in times):
         raise ValueError("t must be finite and nonnegative")
-    _check_exponent(K, max(times, default=0.0))
+    t = max(times, default=0.0)
+    if 2.0 * abs(K) * t > _MAX_EXPONENT:
+        raise PreconditionError(f"the estimate coefficients e^(2|K|t) overflow double precision at K = {K:g}, "
+                                f"t = {t:g} (2|K|t = {2.0 * abs(K) * t:g} exceeds {_MAX_EXPONENT:.6g}); "
+                                f"use a smaller |K| or t")
     return n, times
 
 
-def _sweep(
-    g: WeightedGraph,
-    K: float,
-    n: float,
-    times: tuple[float, ...],
-    function_ids: tuple[str, ...],
-    F: np.ndarray,
-    full: bool,
-) -> tuple[SweepResult | None, SweepSummary]:
+def _sweep(g: WeightedGraph, K: float, n: float, times: tuple[float, ...], function_ids: tuple[str, ...],
+           F: np.ndarray, full: bool) -> tuple[SweepResult | None, SweepSummary]:
     """The sweep of the corpus F, (N,B) with one column per id, at the checked (n, times) of ``_sweep_args``.
 
-    The functions go in chunks of floor(SWEEP_ENTRIES / (4 T N)) columns,
-    at least one, so that a chunk's slacks hold about SWEEP_ENTRIES
-    entries.  At finite n the integrals of (ii) are computed first, for the
-    whole corpus, so that the mode tensors are built once per sweep; they
-    add T N B entries.  The summary is reduced in the same pass: the counts
-    add up, the first counterexample comes from the first chunk that fails,
-    and an estimate's worst entry is its lowest slack relative to its
-    tolerance (0 where the tolerance is 0), replaced only by a strictly
-    lower one, so among exact ties the earliest triple in (function, t,
-    vertex) order is kept.  With ``full`` the chunks are written into one
-    (4,B,T,N) ``SweepResult``; without it no such array is allocated.
+    It runs on the normalized graph ``g._scale``, with K times 4^-c and t
+    times 4^c; the slacks of (ii) and (iii) and their scales are mapped back
+    by 4^c, and those of (iv) and (v) do not change.  The functions go in
+    chunks of floor(SWEEP_ENTRIES / max(4 T N, nnz)) columns, at least one,
+    nnz = 2E being the stored entries of ``csr``, so that a chunk's slacks and
+    the per-entry arrays of its Gamma and Delta hold about SWEEP_ENTRIES
+    entries each.  At finite n the integrals of (ii) are computed first, for
+    the whole corpus, from Delta f formed chunk by chunk, so that the mode
+    tensors are built once per sweep; they add T N B entries.  The summary is
+    reduced in the same pass: the counts add up, the first counterexample
+    comes from the first chunk that fails, and an estimate's worst entry is
+    its lowest slack relative to its tolerance (0 where the tolerance is 0),
+    replaced only by a strictly lower one, so among exact ties the earliest
+    triple in (function, t, vertex) order is kept.  With ``full`` the chunks
+    are written into one (4,B,T,N) ``SweepResult``; without it no such array
+    is allocated.
     """
-    h = build_heat(g)
+    unit, _, c = g._scale
+    unit_K = _scaled_in(K, -2 * c, "|K| / max Deg")
+    unit_times = tuple(_scaled_in(t, 2 * c, "t max Deg") for t in times)
+    h = build_heat(unit)
+    width = max(1, SWEEP_ENTRIES // max(1, 4 * len(times) * g.num_vertices, len(unit.csr.indices)))
     integrals = None
     if F.shape[1] and not math.isinf(n):
-        integrals = _gradient_integral(g, h, K, laplacian_array(g, F), times)
+        lap_F = np.hstack([laplacian_array(unit, F[:, lo:lo + width]) for lo in range(0, F.shape[1], width)])
+        integrals = _gradient_integral(unit, h, unit_K, lap_F, unit_times)
     shape = (4, F.shape[1], len(times), g.num_vertices)
     if full:
         all_slacks, all_verdicts = np.empty(shape), np.empty(shape, dtype=bool)
     by_estimate, num_failures, first, worst, lowest = np.zeros(4, dtype=int), 0, None, {}, {}
-    width = max(1, SWEEP_ENTRIES // max(1, 4 * len(times) * g.num_vertices))
     for lo in range(0, F.shape[1], width):
         cols = slice(lo, lo + width)
-        slacks, scale = _slack_arrays(g, h, K, n, F[:, cols], times,
+        slacks, scale = _slack_arrays(unit, h, unit_K, n, F[:, cols], unit_times,
                                       None if integrals is None else integrals[..., cols])
+        for a in (slacks[:2], scale[:2]) if c else ():  # (ii) and (iii) move as Deg, in place
+            _scaled_out(a, 2 * c, out=a)
         tol = REPORT_TOL * scale[..., None]
         verdicts = slacks >= -tol
         failed = ~verdicts.all(axis=0)
@@ -499,17 +476,14 @@ def _sweep(
     return SweepResult(function_ids, times, g.vertices, float(K), n, all_slacks, all_verdicts), summary
 
 
-def default_corpus(
-    g: WeightedGraph,
-    seed: int = 0,
-    num_random: int = 20,
-) -> list[tuple[str, GraphFunction]]:
+def default_corpus(g: WeightedGraph, seed: int = 0, num_random: int = 20) -> list[tuple[str, GraphFunction]]:
     """Standard nonnegative test functions for sweeps.
 
     All vertex indicators, ``num_random`` uniform [0,1] random functions and
-    the indicators smoothed by g's semigroup for SMOOTHING_TIME (clipped at 0
-    against rounding), which probe the near-harmonic regime.  They are the
-    columns of ``_corpus_array``, each wrapped as a ``GraphFunction``.
+    the indicators smoothed by g's semigroup for SMOOTHING_TIME, a time in g's
+    units (clipped at 0 against rounding), which probe the near-harmonic
+    regime.  They are the columns of ``_corpus_array``, each wrapped as a
+    ``GraphFunction``.
     """
     function_ids, F = _corpus_array(g, seed, num_random)
     return [(fid, GraphFunction(g, column)) for fid, column in zip(function_ids, F.T)]
@@ -519,8 +493,9 @@ def _corpus_array(g: WeightedGraph, seed: int, num_random: int) -> tuple[tuple[s
     """The ids of ``default_corpus`` and its functions as the columns of one (N,B) array."""
     if num_random < 0:
         raise ValueError(f"num_random must be nonnegative, got {num_random}")
-    N = g.num_vertices
-    (smoothed,) = build_heat(g)._apply((SMOOTHING_TIME,), np.eye(N), keep_kernel=True)
+    N, (unit, _, c) = g.num_vertices, g._scale
+    # the sweep's own semigroup, that of the normalized graph, so the eigenbasis is factorized once
+    (smoothed,) = build_heat(unit)._apply((math.ldexp(SMOOTHING_TIME, 2 * c),), np.eye(N), keep_kernel=True)
     # r draws of N in turn are the rows of one (r, N) draw
     random = np.random.default_rng(seed).uniform(0.0, 1.0, (num_random, N)).T
     columns = np.hstack((np.eye(N), random, np.maximum(smoothed, 0.0)))
@@ -532,21 +507,21 @@ def _corpus_array(g: WeightedGraph, seed: int, num_random: int) -> tuple[tuple[s
 # -- Green's formula and the ellipticity norm -------------------------------
 
 
-def green_check(
-    g: WeightedGraph, f: GraphFunction, h: GraphFunction
-) -> tuple[float, float, float]:
+def green_check(g: WeightedGraph, f: GraphFunction, h: GraphFunction) -> tuple[float, float, float]:
     """(<f, Delta h>_m, <Delta f, h>_m, -sum_x Gamma(f,h)(x) m(x)).
 
     On a finite graph the three agree: the m-weighted Laplacian is
-    self-adjoint and its quadratic form is the summed carre du champ.
+    self-adjoint and its quadratic form is the summed carre du champ.  Each
+    is 4^(a+c) times its value on the normalized graph ``g._scale``.
     """
     _check_graph_function(g, f)
     _check_graph_function(g, h, "h")
-    m = g.measure_vector
-    a = float(np.sum(f.array * laplacian_array(g, h.array) * m))
-    b = float(np.sum(laplacian_array(g, f.array) * h.array * m))
-    c = -float(np.sum(gamma_array(g, f.array, h.array) * m))
-    return a, b, c
+    unit, a, c = g._scale
+    m = unit.measure_vector
+    triple = (np.sum(f.array * laplacian_array(unit, h.array) * m),
+              np.sum(laplacian_array(unit, f.array) * h.array * m),
+              -np.sum(gamma_array(unit, f.array, h.array) * m))
+    return tuple(float(_scaled_out(v, 2 * (a + c))) for v in triple)
 
 
 def ec_norm_check(g: WeightedGraph) -> tuple[float, float]:
@@ -554,26 +529,21 @@ def ec_norm_check(g: WeightedGraph) -> tuple[float, float]:
 
     The norm is evaluated on vertex indicators: ||A 1_y||_inf / ||1_y||_1
     maximized over y.  Both numbers equal max b(x,y)/(m(x)m(y)), computed by
-    independent routes.
+    independent routes, each 4^(c-a) times its value on the normalized graph.
     """
-    cert = ellipticity_constant(g)
-    m = g.measure_vector
-    csr = g.csr
+    unit, a, c = g._scale
+    m, csr = unit.measure_vector, unit.csr
     # A 1_y has the entries b(x,y)/m(x) at the neighbours x of y: row y of the CSR
     column_max = csr.row_reduce(np.maximum, csr.weights / m.take(csr.indices))
-    norm = float(np.max(column_max / m, initial=0.0))
-    return cert.constant, norm
+    norm = np.max(column_max / m, initial=0.0)
+    return tuple(float(_scaled_out(v, 2 * (c - a))) for v in (ellipticity_constant(unit).constant, norm))
 
 
 # -- cutoff construction and finiteness probe --------------------------------
 
 
-def build_cutoff(
-    g: WeightedGraph,
-    S: Sequence[str] | set[str] | frozenset[str],
-    epsilon: float,
-    U: Sequence[str] | set[str] | frozenset[str],
-) -> CutoffResult:
+def build_cutoff(g: WeightedGraph, S: Sequence[str] | set[str] | frozenset[str], epsilon: float,
+                 U: Sequence[str] | set[str] | frozenset[str]) -> CutoffResult:
     """Cutoff eta with eta = 1 on S and Gamma(eta) <= epsilon, via heat flow.
 
     Takes t = 2/epsilon and sets eta = min(1, max(2 P_t 1_U - 1/2, 0)), with
@@ -607,8 +577,8 @@ def build_cutoff(
                 f"for this epsilon"
             )
     eta = np.minimum(1.0, np.maximum(2.0 * pt_ones_u - 0.5, 0.0))
-    gam_eta = gamma_array(g, eta, eta)
-    max_gamma = float(np.max(gam_eta)) if gam_eta.size else 0.0
+    unit, _, c = g._scale
+    max_gamma = float(_scaled_out(np.max(gamma_array(unit, eta, eta), initial=0.0), 2 * c))
     return CutoffResult(
         eta=GraphFunction(g, eta),
         target_set=frozenset(str(v) for v in S),
@@ -639,16 +609,16 @@ def finiteness_probe(g: WeightedGraph, K: float, seed: int = 0) -> dict:
         raise PreconditionError("finiteness probe requires a connected graph")
     _require_curvature(g, K)
 
+    unit, _, c = g._scale
     rng = np.random.default_rng(seed)
     samples = rng.uniform(-1.0, 1.0, (g.num_vertices, JENSEN_SAMPLES))
-    lap = laplacian_array(g, samples)
-    gam = gamma_array(g, samples, samples)
-    deg = g.weighted_degrees
-    lap_sq, deg_gam = lap * lap, 2.0 * deg[:, None] * gam
-    jensen_violation = float(np.max(lap_sq - deg_gam, initial=0.0))
-    jensen_scale = float(np.max(lap_sq + deg_gam, initial=0.0))
+    lap = laplacian_array(unit, samples)
+    lap_sq, deg_gam = lap * lap, 2.0 * unit.weighted_degrees[:, None] * gamma_array(unit, samples, samples)
+    jensen_violation, jensen_scale = (float(_scaled_out(np.max(v, initial=0.0), 4 * c))
+                                      for v in (lap_sq - deg_gam, lap_sq + deg_gam))
 
     # theta = K (K / 2 Deg), inf where Deg = 0; K^2 would overflow before theta does
+    deg = g.weighted_degrees
     threshold = K * np.divide(K, 2.0 * deg, out=np.full(g.num_vertices, math.inf), where=deg > 0)
     first = int(np.argmin(threshold))
     return {
@@ -677,12 +647,7 @@ def _richardson_limit(seq: Sequence[float]) -> float:
     return row[0]
 
 
-def taylor_check(
-    g: WeightedGraph,
-    f: GraphFunction,
-    x: str,
-    K: float = 0.5,
-) -> dict:
+def taylor_check(g: WeightedGraph, f: GraphFunction, x: str, K: float = 0.5) -> dict:
     """Fit small-t expansion coefficients of g's semigroup and compare with exact operators.
 
     The variance t -> (P_t f^2 - (P_t f)^2)(x) expands as
@@ -690,62 +655,66 @@ def taylor_check(
     two bound-side terms expand as 2t Gamma(f) + 2t^2 (Delta Gamma(f)
     + K Gamma(f)) for the heat-of-gradient side and 2t Gamma(f)
     + 2t^2 (2 Gamma(f, Delta f) - K Gamma(f)) for the gradient-of-heat
-    side.  First and second order coefficients are fitted by Richardson
-    extrapolation on the halving grid t_j = 0.1 / (u 2^j), j < 7, with the
-    rate u = max(D, |K|) and D the largest weighted degree (u = 1 when both
+    side.  The fit runs on the normalized graph ``g._scale``, with K times
+    4^-c, and its coefficients of order k are mapped out by 4^(kc).  First
+    and second order coefficients are fitted by Richardson extrapolation on
+    the halving grid t_j = 0.1 / (u 2^j), j < 7, with the rate
+    u = max(D, |K|) and D the largest weighted degree there (u = 1 when both
     vanish).  As lambda_max <= 2D, both lambda t_0 and 2|K| t_0 are at most
-    0.2, so the fit sits at the same point of the expansion under
-    (b, K) -> (c b, c K) and e^{+-2Kt} never overflows.  A rate above about
-    1.05e151, where the square of the grid's smallest t is no longer a
-    normal double, raises PreconditionError.  The report's
-    ``scale`` holds ||f||_inf^2 u^k for each order k, the scale against which
-    a coefficient mismatch of that order is judged.
+    0.2, so the fit sits at the same point of the expansion in any units and
+    e^{+-2Kt} never overflows.  The report's ``scale`` holds
+    ||f||_inf^2 u^k for each order k, the scale against which a coefficient
+    mismatch of that order is judged.  As D lies in [1, 4), only |K| / D can
+    push the grid's t^2 out of the normal doubles; past that a
+    PreconditionError names the ratio.
     """
     _check_nonnegative(g, f)
     if not (-math.inf < K < math.inf):
         raise ValueError(f"K must be finite, got {K}")
-    ix = g.index(x)
-    rate = max(float(np.max(g.weighted_degrees, initial=0.0)), abs(float(K))) or 1.0
-    t0 = 0.1 / rate
-    ts = [t0 / 2.0**j for j in range(7)]
-    # the second-order fit divides by t^2, and its exact coefficients grow as rate^2 (which
-    # overflows soon after): both hold while the smallest t of the grid squares to a normal double
-    limit = ts[-1] * rate / math.sqrt(sys.float_info.min)
-    if rate > limit:
-        raise PreconditionError(
-            f"the rate max(max Deg, |K|) = {rate:g} exceeds {limit:.6g}, the largest at which the "
-            f"Taylor fit's smallest t squares to a normal double; scale the weights and K down"
-        )
+    ix, (unit, _, c) = g.index(x), g._scale
+    unit_K, top = _scaled_in(K, -2 * c, "|K| / max Deg"), float(np.max(unit.weighted_degrees, initial=0.0))
+    rate = max(top, abs(unit_K)) or 1.0
+    ts = [0.1 / rate / 2.0**j for j in range(7)]
+    # the second-order fit divides by t^2: on subnormal t^2 it lost its bits, and from a rate of
+    # about 1.2e159 on t^2 was 0 (a ZeroDivisionError), so the smallest t must square to a normal double
+    if ts[-1] ** 2 < sys.float_info.min:
+        raise PreconditionError(f"|K| / max Deg = {abs(unit_K) / top if top else math.inf:g} is too large for "
+                                f"the Taylor fit, whose smallest t, 0.1 / (64 |K|), then squares below "
+                                f"the normal doubles")
 
     farr = f.array
-    gam_f = gamma_array(g, farr, farr)
-    lap_f = laplacian_array(g, farr)
-    lap_gam_f = laplacian_array(g, gam_f)
-    gam_f_lapf = gamma_array(g, farr, lap_f)
+    gam_f = gamma_array(unit, farr, farr)
+    lap_f = laplacian_array(unit, farr)
+    lap_gam_f = laplacian_array(unit, gam_f)
+    gam_f_lapf = gamma_array(unit, farr, lap_f)
 
     exact_c1 = 2.0 * float(gam_f[ix])
     exact_c2 = {
         "variance": float(lap_gam_f[ix] + 2.0 * gam_f_lapf[ix]),
-        "heat_of_gradient": 2.0 * float(lap_gam_f[ix] + K * gam_f[ix]),
-        "gradient_of_heat": 2.0 * float(2.0 * gam_f_lapf[ix] - K * gam_f[ix]),
+        "heat_of_gradient": 2.0 * float(lap_gam_f[ix] + unit_K * gam_f[ix]),
+        "gradient_of_heat": 2.0 * float(2.0 * gam_f_lapf[ix] - unit_K * gam_f[ix]),
     }
 
-    h = build_heat(g)
+    h = build_heat(unit)
     series = {name: [] for name in exact_c2}
     applied = h._apply(ts, np.column_stack([farr * farr, farr, gam_f]), keep_kernel=True)
     for t, columns in zip(ts, applied):
         pt_sq, ptf, pt_gam = columns.T
         series["variance"].append(float(pt_sq[ix] - ptf[ix] ** 2))
-        series["heat_of_gradient"].append(2.0 * t * _phi1(2.0 * K * t) * float(pt_gam[ix]))
+        series["heat_of_gradient"].append(2.0 * t * _phi1(2.0 * unit_K * t) * float(pt_gam[ix]))
         series["gradient_of_heat"].append(
-            2.0 * t * _phi1(-2.0 * K * t) * float(gamma_array(g, ptf, ptf)[ix]))
+            2.0 * t * _phi1(-2.0 * unit_K * t) * float(gamma_array(unit, ptf, ptf)[ix]))
 
     f_sq = float(np.max(np.abs(farr), initial=0.0)) ** 2
+
+    def out(v: float, k: int) -> float:  # a coefficient of order k, in g's units
+        return float(_scaled_out(v, 2 * k * c))
+
     report = {"vertex": x, "K": float(K),
-              "scale": {"first_order": f_sq * rate, "second_order": f_sq * rate * rate}}
+              "scale": {"first_order": out(f_sq * rate, 1), "second_order": out(f_sq * rate * rate, 2)}}
     for name, values in series.items():
         c1 = _richardson_limit([v / t for v, t in zip(values, ts)])
         c2 = _richardson_limit([(v - c1 * t) / (t * t) for v, t in zip(values, ts)])
-        report[name] = {"first_order": {"fitted": c1, "exact": exact_c1},
-                        "second_order": {"fitted": c2, "exact": exact_c2[name]}}
+        report[name] = {"first_order": {"fitted": out(c1, 1), "exact": out(exact_c1, 1)},
+                        "second_order": {"fitted": out(c2, 2), "exact": out(exact_c2[name], 2)}}
     return report

@@ -13,6 +13,7 @@ N x N matrix.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -245,6 +246,35 @@ class WeightedGraph:
         d.setflags(write=False)
         return d
 
+    @property
+    def _scale(self) -> tuple["WeightedGraph", int, int]:
+        """(the normalized graph, a, c), with max m 4^-a and max Deg 4^-c in [1, 4).
+
+        Its ``csr`` weights are b 4^-(a+c), its measure m 4^-a and its degrees Deg 4^-c, on this graph's
+        index arrays.  A graph with a = c = 0 is its own, not cached: a graph that held itself would be a cycle.
+        """
+        a, c = self._exponents
+        return (self._normalized if a or c else self), a, c
+
+    @cached_property
+    def _exponents(self) -> tuple[int, int]:
+        tops = float(self.measure_vector.max(initial=0.0)), float(self.weighted_degrees.max(initial=0.0))
+        if tops[1] == math.inf:  # where the curvature, of the order of max Deg, cannot be a double either
+            raise ValueError("the weighted degrees overflow double precision in the graph's units")
+        return tuple((math.frexp(x)[1] - 1) // 2 if x else 0 for x in tops)  # x 4^-k in [1, 4), exactly
+
+    @cached_property
+    def _normalized(self) -> "WeightedGraph":
+        a, c = self._exponents
+        u, csr, (iu, iv, w) = WeightedGraph.__new__(WeightedGraph), copy.copy(self.csr), self.edge_arrays
+        csr.weights, m, deg, w = (np.ldexp(v, -2 * e) for v, e in (
+            (self.csr.weights, a + c), (self._measure, a), (self.weighted_degrees, c), (w, a + c)))
+        for v in (csr.weights, m, deg, w):
+            v.setflags(write=False)
+        u.__dict__.update(_vertices=self._vertices, _index=self._index, _violations=(), _edges=(iu, iv, w),
+                          _measure=m, csr=csr, weighted_degrees=deg, _exponents=(0, 0))
+        return u
+
     @cached_property
     def _heat_semigroup(self):
         """The full heat semigroup, shared by every ``build_heat(self)``."""
@@ -447,12 +477,7 @@ def ellipticity_constant(g: WeightedGraph) -> EllipticityCertificate:
     )
 
 
-def generate(
-    family: str,
-    size: int,
-    measure_profile: str = "unit",
-    seed: int | None = None,
-) -> WeightedGraph:
+def generate(family: str, size: int, measure_profile: str = "unit", seed: int | None = None) -> WeightedGraph:
     """Build a standard test graph.
 
     Families: ``path``, ``cycle``, ``complete``, ``star`` (size = number of

@@ -69,7 +69,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .graphs import GraphFunction, WeightedGraph, _check_graph_function
-from .operators import gamma_recursive_array
+from .operators import _scaled_out, gamma_recursive_array
 
 __all__ = ["HeatOperator", "build_heat", "semigroup_gamma_path"]
 
@@ -83,13 +83,16 @@ class HeatOperator:
 
     The operator is the restriction of -Delta to D (the whole vertex set
     without a domain) in D's own coordinates: position i is the i-th vertex
-    of D in the graph's order.  It is built once, from ``graph.csr``:
-    ``_rows``, ``_columns`` and ``_weights`` are the stored entries x -> y
-    with both ends in D, in local coordinates and in row order; ``_degrees``
-    is the full-graph Deg on D, so that the boundary edges still drain heat;
-    ``_measure`` is m on D and ``measure_half`` its square root; ``_bound``
-    is the edge bound Lambda of the module docstring.  The expansion and
+    of D in the graph's order.  It is built once, from the normalized graph
+    ``graph._scale``: ``_rows``, ``_columns`` and ``_weights`` are the stored
+    entries x -> y with both ends in D, in local coordinates and in row
+    order; ``_degrees`` is the full-graph Deg on D, so that the boundary
+    edges still drain heat; ``_measure`` is m on D and ``_half`` is
+    Lambda / 2, the edge bound of the module docstring.  The expansion and
     the eigenbasis both read these arrays, which are read-only.
+    ``eigenvalues``, ``_bound`` = Lambda and ``measure_half`` = sqrt(m) are
+    mapped back into the graph's units, where t meets them: t lambda is the
+    same double in any units.
 
     The eigenbasis is factorized lazily: ``eigenvalues``, ``eigenbasis``
     and ``kernel_modes`` are computed together on the first access to any
@@ -112,28 +115,30 @@ class HeatOperator:
                 raise ValueError("Dirichlet domain must be nonempty")
             domain = np.array(sorted(map(graph.index, self.dirichlet_domain)), dtype=int)
         self._domain = domain
-        csr = graph.csr
-        self._degrees, self._measure = graph.weighted_degrees[domain], graph.measure_vector[domain]
+        unit, a, c = graph._scale
+        csr, self._exponent = unit.csr, 2 * c
+        self._degrees, self._measure = unit.weighted_degrees[domain], unit.measure_vector[domain]
         local = np.full(graph.num_vertices, -1)
         local[domain] = np.arange(len(self._degrees))
         rows, columns = local.take(csr.rows), local.take(csr.indices)
         kept = (rows >= 0) & (columns >= 0)
         self._rows, self._columns, self._weights = rows[kept], columns[kept], csr.weights[kept]
         ends = self._degrees.take(self._rows) + self._degrees.take(self._columns)
-        self._bound = max(float(ends.max(initial=0.0)), float(self._degrees.max(initial=0.0)))
-        self.measure_half = np.sqrt(self._measure)
-        for a in (self._degrees, self._measure, self._rows, self._columns, self._weights,
-                  self.measure_half):
-            a.setflags(write=False)
+        self._half = max(float(ends.max(initial=0.0)), float(self._degrees.max(initial=0.0))) / 2.0
+        self._bound = float(_scaled_out(2.0 * self._half, self._exponent))
+        self.measure_half = _scaled_out(np.sqrt(self._measure), a)
+        for v in (self._degrees, self._measure, self._rows, self._columns, self._weights, self.measure_half):
+            v.setflags(write=False)
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # S from the kept entries, with the full-graph degrees on its diagonal
-        rows, columns, sqrt_m = self._rows, self._columns, self.measure_half
+        rows, columns, sqrt_m = self._rows, self._columns, np.sqrt(self._measure)
         S = np.diag(self._degrees)
         S[rows, columns] = -self._weights / (sqrt_m[rows] * sqrt_m[columns])
         eigvals, eigvecs = np.linalg.eigh(S)
         kernel = eigvals <= KERNEL_TOL * eigvals.max(initial=0.0)
+        eigvals = _scaled_out(eigvals, self._exponent)
         for a in (eigvals, eigvecs, kernel):
             a.setflags(write=False)
         return eigvals, eigvecs, kernel
@@ -248,7 +253,7 @@ class HeatOperator:
         # every row keeps an entry on a full graph without isolated vertices
         scatter = slice(None) if len(rows) == n else (offsets * n + rows).ravel()
         measure = np.tile(self._measure[rows], B)
-        half = self._bound / 2.0
+        half = self._half
         previous, term = None, batch
         while True:
             yield term
@@ -266,9 +271,7 @@ class HeatOperator:
                 following -= previous
             previous, term = term, following
 
-    def _apply(
-        self, times: Sequence[float], F: np.ndarray, keep_kernel: bool | tuple[bool, ...]
-    ) -> Iterator:
+    def _apply(self, times: Sequence[float], F: np.ndarray, keep_kernel: bool | tuple[bool, ...]) -> Iterator:
         """P_t F in the eigenbasis for each t of times, in order, as an iterator of arrays shaped like F.
 
         The times are checked and F is carried into the eigenbasis once, on
@@ -382,14 +385,8 @@ def build_heat(g: WeightedGraph, dirichlet_domain: Iterable[str] | None = None) 
     return HeatOperator(g, dirichlet_domain)
 
 
-def semigroup_gamma_path(
-    h: HeatOperator,
-    k: int,
-    f: GraphFunction,
-    t: float,
-    s_grid: Sequence[float],
-    x: str,
-) -> list[float]:
+def semigroup_gamma_path(h: HeatOperator, k: int, f: GraphFunction, t: float, s_grid: Sequence[float],
+                         x: str) -> list[float]:
     """Evaluate s -> P_s Gamma_k(P_{t-s} f)(x) on a grid inside [0, t].
 
     The derivative of this path in s is 2 P_s Gamma_{k+1}(P_{t-s} f)(x),

@@ -14,12 +14,16 @@ Bochner-type curvature information used by the CD solver.
 All public operations act on GraphFunction values.  The array-level helpers
 accept (N,) vectors or (N,B) batches and are shared by the heat and estimate
 modules, which need to evaluate the operators on many functions at once.
+
+The local forms are assembled on the normalized graph ``g._scale``, whose max
+Deg lies in [1, 4), so the entries of Gamma_2, at most 4 max Deg^2, stay below
+64 in any units.  Gamma_k moves by 4^(kc) under that change of units, exactly,
+and the consumers map K in and their results out by the powers of four.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -127,20 +131,18 @@ class PreconditionError(ValueError):
     """A computed precondition (range of the local forms, curvature bound, mass bound) failed."""
 
 
-# Every entry of Gamma_2 on the 2-ball, and of the Schur complement the curvature solver and judge
-# take of it, is at most 4 max Deg^2 in absolute value: both stay normal doubles while max Deg is here
-DEGREE_RANGE = (4.0 * math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max) / 4.0)
+def _scaled_in(x: float, exponent: int, ratio: str) -> float:
+    """x 2^exponent, exactly, for the normalized graph; refused, naming the unit-free ``ratio``, past the doubles."""
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        raise PreconditionError(f"{ratio} is too large for double precision") from None
 
 
-def _check_degree_range(g: WeightedGraph) -> None:
-    """Refuse g, before any local form is assembled, when max Deg > 0 lies outside DEGREE_RANGE."""
-    top = float(g.weighted_degrees.max(initial=0.0))
-    low, high = DEGREE_RANGE
-    if top and not low <= top <= high:
-        raise PreconditionError(
-            f"the largest weighted degree {top:g} lies outside [{low:.6g}, {high:.6g}], the range in which "
-            f"the entries of Gamma_2, at most 4 max Deg^2, stay normal doubles; scale the weights "
-            f"{'down' if top > high else 'up'}")
+def _scaled_out(x, exponent: int, out=None):
+    """x 2^exponent, a result of the normalized graph in the caller's units: exact, or +-inf past the doubles."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, exponent, out=out)
 
 
 @dataclass(frozen=True)
@@ -269,14 +271,15 @@ def local_form_stack(g: WeightedGraph, centers: np.ndarray, balls=None) -> tuple
         Q = -a_i W1,  R = (W1' a) / 2 on S2  (Deg the weighted degree).
 
     A 2-sphere narrower than the widest is padded as ``LocalFormStack`` says,
-    and its support with -1.  Without ``balls`` it first refuses a graph whose
-    max Deg lies outside DEGREE_RANGE, with a PreconditionError.
+    and its support with -1.  The forms are those of the normalized graph
+    ``g._scale`` (``balls`` come from it): in g's units Gamma_2 is 4^(2c)
+    times them, and Gamma and Delta are 4^c times them.
     """
-    csr, V = g.csr, len(centers)
     if balls is None:
-        _check_degree_range(g)
+        g = g._scale[0]
         balls = _two_balls(g, centers)
         balls = (*balls[:4], np.diff(balls[4][2]))
+    csr, V = g.csr, len(centers)
     row, col, weight, far, s2 = balls
     k = int(csr.indptr[centers[0] + 1] - csr.indptr[centers[0]])
     s = k + int(s2.max())
@@ -384,10 +387,10 @@ def local_form_stacks(g: WeightedGraph, rep: np.ndarray) -> Iterator[LocalFormSt
     with s the widest punctured 2-ball, within ``STACK_ENTRIES`` (at least
     one), so memory stays linear in N + E.  The walks bound |S2| from above, so
     the order tends to put 2-spheres of like sizes in one stack, which keeps
-    the padding tight.  A graph whose max Deg lies outside DEGREE_RANGE is
-    refused with a PreconditionError before the first stack.
+    the padding tight.  The stacks hold the forms of the normalized graph, as
+    in ``local_form_stack``.
     """
-    _check_degree_range(g)
+    g = g._scale[0]
     csr = g.csr
     k = np.diff(csr.indptr)
     walks = csr.row_reduce(np.add, k[csr.indices])
@@ -413,12 +416,16 @@ def local_form_stacks(g: WeightedGraph, rep: np.ndarray) -> Iterator[LocalFormSt
 
 
 def local_forms(g: WeightedGraph, x: str) -> LocalForms:
-    """The local forms at x: ``local_form_stack`` on the stack of one."""
+    """The local forms at x: ``local_form_stack`` on the stack of one, in g's units, where they must be doubles."""
     stack, support = local_form_stack(g, np.array([g.index(x)]))
-    k, pad = stack.gamma.shape[1], (0, support.shape[1] - stack.gamma.shape[1])
-    return LocalForms(x, tuple([g.vertices[i] for i in support[0]]), _frozen(gamma2_matrices(stack)[0]),
-                      _frozen(np.diag(np.pad(stack.gamma[0], pad))),
-                      _frozen(np.pad(stack.laplace[0], pad)), k)
+    k, pad, c = stack.gamma.shape[1], (0, support.shape[1] - stack.gamma.shape[1]), g._scale[2]
+    G = gamma2_matrices(stack)[0]
+    forms = [_scaled_out(a, e) for a, e in (
+        (G, 4 * c), (np.diag(np.pad(stack.gamma[0], pad)), 2 * c), (np.pad(stack.laplace[0], pad), 2 * c))]
+    if not np.array_equal(np.ldexp(forms[0], -4 * c), G):
+        raise PreconditionError(f"the local forms at {x!r} are not doubles in the graph's units, where "
+                                f"Gamma_2 scales as max Deg^2, with max Deg = {float(g.weighted_degrees.max()):g}")
+    return LocalForms(x, tuple([g.vertices[i] for i in support[0]]), *map(_frozen, forms), k)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -55,26 +55,53 @@ def test_judge_never_factorizes_a_non_finite_matrix():
 
 @pytest.mark.parametrize("c", [1e154, 1e160, 1e-200])
 def test_local_forms_outside_the_double_range_are_refused(c):
-    # the unit 3-cube has max Deg 3; times c its local forms leave the normal doubles
+    # the unit 3-cube has max Deg 3; times c, Gamma_2 at the scale of max Deg^2 is no
+    # longer a double in the graph's units (inf, or 0 at x1e-200): local_forms refuses
+    # to return it, while the solvers, on the normalized graph, answer
     g = scaled_weights(generate("hypercube", 3), c)
-    x = g.vertices[0]
-    for call in (lambda: curvature_profile(g, math.inf), lambda: cd_check(g, 2 * c, math.inf, x),
-                 lambda: curvature_solve(g, x, 4.0), lambda: cd_extremal_function(g, x, math.inf, 2 * c),
-                 lambda: local_forms(g, x)):
-        with pytest.raises(PreconditionError, match="largest weighted degree"):
-            call()
+    with pytest.raises(PreconditionError, match="are not doubles in the graph's units"):
+        local_forms(g, g.vertices[0])
 
 
-@pytest.mark.parametrize("c", [1e153, 1e-153])
-def test_curvature_at_the_ends_of_the_double_range(c):
-    # max Deg 3c lies inside DEGREE_RANGE: K = 2c holds, 5c is refuted, and every vertex converges
-    g = scaled_weights(generate("hypercube", 3), c)
-    low, high = operators.DEGREE_RANGE
-    assert low <= 3 * c <= high
+@pytest.mark.parametrize("c, measure", [(1e153, 1.0), (1e-153, 1.0), (1e154, 1.0), (1e160, 1.0), (1e-200, 1.0),
+                                        (1e-310, 1e-310)])
+def test_curvature_at_the_ends_of_the_double_range(c, measure):
+    # the unit 3-cube, K = 2, with its weights times c and its measure times
+    # `measure`.  From x1e154 its local forms left the normal doubles: curvature was
+    # nan, and at x1e160, x1e-200 and both x1e-310 eigh failed to converge.  A max Deg
+    # range then refused them; the normalized graph answers at every scale
+    g = scaled_weights(generate("hypercube", 3), c, measure)
+    x, K = g.vertices[0], 2 * c / measure
     profile = curvature_profile(g, math.inf)
-    assert profile.global_curvature == pytest.approx(2 * c, rel=1e-12) and profile.converged.all()
-    assert cd_check(g, 2 * c, math.inf, g.vertices[0])[0]
-    assert not cd_check(g, 5 * c, math.inf, g.vertices[0])[0]
+    assert profile.global_curvature == pytest.approx(K, rel=1e-15) and profile.converged.all()
+    assert cd_check(g, K, math.inf, x)[0] and not cd_check(g, 2.5 * K, math.inf, x)[0]
+    assert curvature_solve(g, x, 4.0).curvature == pytest.approx(K / 4, rel=1e-14)
+    eta = cd_extremal_function(g, x, math.inf, K).array
+    assert np.isfinite(eta).all() and np.linalg.norm(eta) == pytest.approx(1.0, rel=1e-14)
+    if 1e-150 < c / measure < 1e150:
+        assert local_forms(g, x).gamma2_matrix == pytest.approx(local_forms(generate("hypercube", 3), x).gamma2_matrix
+                                                              * (c / measure) ** 2, rel=1e-14)
+
+
+def test_cd_check_at_a_huge_K():
+    # K = -1e300 on the 3-cube times 1e10 crashed in eigvalsh (M(K) held inf); on the
+    # normalized graph -K is about 1e290 times max Deg and CD(-1e300) holds.  Where
+    # |K| / max Deg leaves the doubles, as on the cube times 1e-10, it is refused
+    cube = generate("hypercube", 3)
+    holds, eig = cd_check(scaled_weights(cube, 1e10), -1e300, math.inf, "000")
+    assert holds and math.isfinite(eig)
+    with pytest.raises(PreconditionError, match=r"\|K\| / max Deg is too large"):
+        cd_check(scaled_weights(cube, 1e-10), -1e300, math.inf, "000")
+
+
+def test_degrees_past_the_doubles_are_refused():
+    # a triangle of weights 1e308 has max Deg 2e308, an inf as summed; its curvature,
+    # 2.5e308, is no double either.  Without a refusal the normalized graph kept
+    # inf degrees and the profile was nan
+    g = WeightedGraph(["a", "b", "c"], {("a", "b"): 1e308, ("b", "c"): 1e308, ("a", "c"): 1e308},
+                      dict.fromkeys("abc", 1.0))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="weighted degrees overflow double precision"):
+        curvature_profile(g, math.inf)
 
 
 def test_cd_check_isolated_vertex_vacuous():
@@ -104,6 +131,17 @@ def test_cd_check_verdicts_scale_invariant_property(exponent, n):
 def test_cd_check_rejects_bad_dimension():
     with pytest.raises(ValueError):
         cd_check(single_edge(), 0.0, -1.0, "v0")
+
+
+def test_a_dimension_whose_inverse_overflows_is_refused():
+    # n = 1e-310 on the unit 3-cube failed with "Eigenvalues did not converge": the
+    # 1/n term, below 64 / n on the normalized graph, overflowed.  n = 1e-306 is answered
+    cube = generate("hypercube", 3)
+    for call in (lambda n: cd_check(cube, 0.0, n, "000"), lambda n: curvature_solve(cube, "000", n),
+                 lambda n: curvature_profile(cube, n)):
+        with pytest.raises(ValueError, match=r"dimension n = 1e-310 is too small"):
+            call(1e-310)
+    assert curvature_solve(cube, "000", 1e-306).curvature == pytest.approx(-6e306, rel=1e-14)
 
 
 # -- curvature_solve ---------------------------------------------------------------
@@ -297,7 +335,8 @@ def _assert_profile_matches_the_stack_of_one(g: WeightedGraph, n: float) -> None
             assert r.curvature == one.curvature and r.bracket_width == 0.0
             continue
         stack = local_form_stack(g, np.array([g.index(r.vertex)]))[0]
-        sigma = _cd_scales(stack, one.curvature, n)[0]
+        c = g._scale[2]  # the stack is the normalized graph's: sigma in g's units is 4^(2c) times its sigma
+        sigma = math.ldexp(_cd_scales(stack, math.ldexp(one.curvature, -2 * c), n)[0], 4 * c)
         assert abs(r.curvature - one.curvature) <= 1e-13 * sigma
         assert r.bracket_width == pytest.approx(one.bracket_width, rel=1e-12)
 
@@ -542,12 +581,13 @@ def test_judge_refutes_only_the_failing_member_of_a_stack():
     assert _cd_holds(stack, K, 4.0).tolist() == [True] * 4 + [False] + [True] * 4
     g = random_connected_graph(np.random.default_rng(38), 30, extra_edge_prob=0.1)
     centers = _mixed_sphere_centers(g)
-    stack = local_form_stack(g, centers)[0]
-    K = np.array([curvature_solve(g, g.vertices[c], 4.0).curvature for c in centers])
+    stack = local_form_stack(g, centers)[0]  # the normalized graph's forms, so K goes in times 4^-c
+    scale = g._scale[2]
+    K = np.ldexp([curvature_solve(g, g.vertices[c], 4.0).curvature for c in centers], -2 * scale)
     assert _cd_holds(stack, K, 4.0).all()
     for i in (0, int(np.argmax([_sphere_size(g, c)[1] for c in centers]))):
         bumped = K.copy()
-        bumped[i] += 0.5
+        bumped[i] += math.ldexp(0.5, -2 * scale)
         assert _cd_holds(stack, bumped, 4.0).tolist() == [j != i for j in range(len(centers))]
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    antitree,
     eager_sweep,
     loop_adjacency_norm,
     loop_ellipticity_constant,
@@ -533,6 +534,38 @@ def test_sweep_first_failure_in_a_later_chunk(monkeypatch, full):
         assert entry["function_id"] == "witness:v1"
         assert entry["slack"] == getattr(at[entry["function_id"], entry["t"], entry["x"]], f"slack_{name}")
     assert result == reports if full else result is None
+
+
+@pytest.mark.parametrize("n", [math.inf, 4.0])
+def test_sweep_width_follows_the_stored_entries(monkeypatch, n):
+    # on an anti-tree the per-entry arrays of Gamma and Delta, (2E x width), outgrow
+    # the slacks, (4 T N x width): the width is sized by the larger, and the summary
+    # does not depend on it.  p = 2, R = 14 peaked at 4,991 MB when only 4 T N counted
+    g, _ = antitree(2, 5)
+    nnz, t_grid = len(g.csr.indices), (0.01, 0.1)
+    assert nnz > 4 * len(t_grid) * g.num_vertices
+    K = -curvature_profile(g, n).global_curvature - float(g.weighted_degrees.max())
+    function_ids, F = _corpus_array(g, 0, 4)
+    one = estimates._sweep(g, K, n, t_grid, function_ids, F, full=False)[1]
+    assert not one.passed
+    widths = []
+
+    def counted(*args):
+        widths.append(args[4].shape[1])
+        return _slack_arrays(*args)
+
+    monkeypatch.setattr(estimates, "_slack_arrays", counted)
+    monkeypatch.setattr(estimates, "SWEEP_ENTRIES", nnz * 9 + 5)
+    summary = estimates._sweep(g, K, n, t_grid, function_ids, F, full=False)[1]
+    assert widths == [9] * (F.shape[1] // 9) + [F.shape[1] % 9] * bool(F.shape[1] % 9)
+    for field in ("passed", "num_reports", "num_failures", "failures_by_estimate"):
+        assert getattr(summary, field) == getattr(one, field), field
+    first, one_first = summary.first_counterexample, one.first_counterexample
+    assert (first.function_id, first.t, first.x, first.verdicts) == (
+        one_first.function_id, one_first.t, one_first.x, one_first.verdicts)
+    for name, entry in summary.worst.items():
+        assert [entry[k] for k in ("function_id", "t", "x")] == [one.worst[name][k] for k in ("function_id", "t", "x")]
+        assert entry["slack"] == pytest.approx(one.worst[name]["slack"], abs=1e-12 * entry["tolerance"] / REPORT_TOL)
 
 
 def test_sweep_worst_keeps_the_earliest_of_exact_ties(monkeypatch):

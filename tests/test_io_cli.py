@@ -20,7 +20,7 @@ from graphcurv import (
     parse_graph,
     serialize_graph,
 )
-from graphcurv import cli, graph_io, operators
+from graphcurv import cli, graph_io
 from graphcurv.cli import _jsonify, run
 
 EDGES = "a b 1.0\n"
@@ -969,13 +969,15 @@ def test_cli_supporting_checks_pass_at_every_scale(tmp_path, capsys, name, c):
 
 @pytest.mark.parametrize("graph, K, code", [
     (("weighted_tree", 12, 1e150), 0.5e150, 0),
-    (("weighted_tree", 12, 1e160), 0.5e160, 1),
+    (("weighted_tree", 12, 1e160), 0.5e160, 0),
     (("complete", 2, 1.0), 1e300, 1),
+    (("complete", 6, 1.0), 5e300, 1),
 ])
 def test_cli_taylor_check_refuses_a_rate_past_double_precision(tmp_path, capsys, graph, K, code):
     # past a rate of about 1e154 the second-order coefficients overflowed and
-    # the fit's t^2 reached 0, in a ZeroDivisionError; the fit now stops where
-    # its smallest t no longer squares to a normal double, at a rate of 1.04748e151
+    # the fit's t^2 reached 0, in a ZeroDivisionError.  The fit runs on the
+    # normalized graph, whose max Deg lies in [1, 4), so only |K| / max Deg can
+    # push its smallest t below a normal square: at 1e300 that is refused
     family, size, c = graph
     path = _write_graph(tmp_path, scaled_weights(generate(family, size, seed=3), c))
     assert run(["taylor-check", "--graph", path, "--vertex", "v0", "--K", repr(K)]) == code
@@ -985,36 +987,55 @@ def test_cli_taylor_check_refuses_a_rate_past_double_precision(tmp_path, capsys,
         assert report["passed"] is True
     else:
         assert list(report) == ["format_version", "command", "error"]
-        assert "exceeds 1.04748e+151, the largest at which" in report["error"]
+        assert report["error"].startswith("|K| / max Deg = 1e+300 is too large for the Taylor fit")
         assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("c", [1e153, 1e154, 1e160, 1e-200])
-def test_cli_curvature_at_the_edge_of_the_double_range(tmp_path, capsys, c):
+@pytest.mark.parametrize("c, measure", [(1e153, 1.0), (1e154, 1.0), (1e160, 1.0), (1e-200, 1.0), (1e-310, 1e-310)])
+def test_cli_curvature_at_the_edge_of_the_double_range(tmp_path, capsys, c, measure):
     # the unit 3-cube, K = 2, with its weights times c.  From x1e154 its local
     # forms left the doubles: curvature passed with every value nan, finiteness
     # accepted K = 5c, and at x1e160 and x1e-200 eigh failed to converge.  A max
-    # Deg outside DEGREE_RANGE is now a failed precondition that names the range
-    g = scaled_weights(generate("hypercube", 3), c)
-    path, x = _write_graph(tmp_path, g), g.vertices[0]
-    low, high = operators.DEGREE_RANGE
-    commands = [["curvature"], ["cd-check", "--K", repr(2 * c), "--vertex", x],
-                ["cd-check", "--K", repr(5 * c), "--vertex", x], ["finiteness", "--K", repr(2 * c)],
-                ["finiteness", "--K", repr(5 * c)]]
-    for argv, code in zip(commands, [0, 0, 1, 0, 1] if c == 1e153 else [1] * 5):
+    # Deg range then refused them; on the normalized graph each is answered
+    g = scaled_weights(generate("hypercube", 3), c, measure)
+    path, x, K = _write_graph(tmp_path, g), g.vertices[0], 2 * c / measure
+    commands = [["curvature"], ["cd-check", "--K", repr(K), "--vertex", x],
+                ["cd-check", "--K", repr(2.5 * K), "--vertex", x], ["finiteness", "--K", repr(K)],
+                ["finiteness", "--K", repr(2.5 * K)]]
+    for argv, code in zip(commands, [0, 0, 1, 0, 1]):
         assert run([argv[0], "--graph", path, *argv[1:]]) == code, argv
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert captured.out.count("\n") == 1 and "Traceback" not in captured.err
-        if c != 1e153:
-            assert list(report) == ["format_version", "command", "error"]
-            assert f"lies outside [{low:.6g}, {high:.6g}]" in report["error"]
-        elif argv[0] == "curvature":
+        if argv[0] == "curvature":
             profile = report["profile"]
-            assert profile["global_curvature"] == pytest.approx(2 * c, rel=1e-12)
+            assert profile["global_curvature"] == pytest.approx(K, rel=1e-15)
             assert all(r["converged"] is True for r in profile["per_vertex"])
+        elif argv[0] == "cd-check":
+            assert report["holds"] is (code == 0)
         elif code == 1:
-            assert argv[0] == "cd-check" or "the curvature at" in report["error"]
+            assert "the curvature at" in report["error"]
+
+
+@pytest.mark.parametrize("c, argv, code, error", [
+    (1e10, ["cd-check", "--K=-1e300", "--vertex", "000"], 0, None),
+    (1e-10, ["cd-check", "--K=-1e300", "--vertex", "000"], 1, "|K| / max Deg is too large for double precision"),
+    (1.0, ["curvature", "--dimension", "1e-310"], 2, "dimension n = 1e-310 is too small"),
+    (1.0, ["cd-check", "--K", "0", "--vertex", "000", "--dimension", "1e-310"], 2, "dimension n = 1e-310 is too small"),
+])
+def test_cli_ratios_past_the_doubles(tmp_path, capsys, c, argv, code, error):
+    # on the 3-cube times c: --K -1e300 at x1e10 crashed in eigvalsh and --dimension
+    # 1e-310 failed with "Eigenvalues did not converge".  On the normalized graph the
+    # first holds; what is left is refused by the unit-free ratio that leaves the doubles
+    path = _write_graph(tmp_path, scaled_weights(generate("hypercube", 3), c))
+    assert run([argv[0], "--graph", path, *argv[1:]]) == code
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert "Traceback" not in captured.err
+    if error is None:
+        assert report["holds"] is True and isinstance(report["smallest_eigenvalue"], float)
+    else:
+        assert list(report) == ["format_version", "command", "error"] and report["error"].startswith(error)
 
 
 def test_cli_taylor_check_complete30_unit_weights(tmp_path, capsys):
