@@ -186,7 +186,13 @@ def _factorizes(M: np.ndarray) -> bool:
         return False
 
 
-def cd_check(g: WeightedGraph, K: float, n: float, x: str, forms: LocalForms | None = None) -> tuple[bool, float]:
+def cd_check(
+    g: WeightedGraph,
+    K: float,
+    n: float,
+    x: str,
+    forms: LocalForms | None = None,
+) -> tuple[bool, float]:
     """Decide CD(K,n) at x; returns (holds, smallest eigenvalue of M(K)).
 
     ``holds`` is the judge's verdict (``_cd_holds``) on the stack of one, so it is

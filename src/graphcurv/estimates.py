@@ -227,8 +227,9 @@ def _phi2(x: float) -> float:
 # -- core slack computation -------------------------------------------------
 
 
-def _gradient_integral(g: WeightedGraph, h: HeatOperator, K: float, lap_F: np.ndarray,
-                       times: Sequence[float]) -> np.ndarray:
+def _gradient_integral(
+    g: WeightedGraph, h: HeatOperator, K: float, lap_F: np.ndarray, times: Sequence[float]
+) -> np.ndarray:
     """Int_0^t e^{2Ks} P_s (P_{t-s} Delta f)^2 ds at every t of times and vertex, in closed form.
 
     Works on a batch of functions at once (lap_F is (N,B)) and returns one
@@ -269,8 +270,15 @@ def _gradient_integral(g: WeightedGraph, h: HeatOperator, K: float, lap_F: np.nd
     return (U @ d) / sqrt_m[:, None]
 
 
-def _slack_arrays(g: WeightedGraph, h: HeatOperator, K: float, n: float, F: np.ndarray, times: Sequence[float],
-                  integrals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _slack_arrays(
+    g: WeightedGraph,
+    h: HeatOperator,
+    K: float,
+    n: float,
+    F: np.ndarray,
+    times: Sequence[float],
+    integrals: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """All four slacks for a batch of functions at every t of a grid, plus their verdict scales.
 
     F is (N,B).  Returns the slacks, (4,B,T,N) with the estimates in
@@ -347,7 +355,9 @@ def _check_nonnegative(g: WeightedGraph, f: GraphFunction) -> None:
         raise ValueError("f must be nonnegative")
 
 
-def _stack_corpus(g: WeightedGraph, function_corpus: Sequence[tuple[str, GraphFunction]]) -> np.ndarray:
+def _stack_corpus(
+    g: WeightedGraph, function_corpus: Sequence[tuple[str, GraphFunction]]
+) -> np.ndarray:
     """The corpus as an (N,B) array; refuses it at its first function off g or negative."""
     for _, f in function_corpus:
         _check_nonnegative(g, f)
@@ -366,15 +376,37 @@ def _require_curvature(g: WeightedGraph, K: float) -> None:
                                 f"below {K:.6g} (lambda_min(M(K)) = {cd_check(g, K, math.inf, x)[1]:.3g})")
 
 
-def verify_estimates(g: WeightedGraph, K: float, n: float, f: GraphFunction, t: float, x: str) -> EstimateReport:
+def _check_exponent(K: float, t: float) -> None:
+    """Refuse (K, t) whose coefficients e^{+-2Kt} overflow a double."""
+    if 2.0 * abs(K) * t > _MAX_EXPONENT:
+        raise PreconditionError(
+            f"the estimate coefficients e^(2|K|t) overflow double precision at "
+            f"K = {K:g}, t = {t:g} (2|K|t = {2.0 * abs(K) * t:g} exceeds "
+            f"{_MAX_EXPONENT:.6g}); use a smaller |K| or t"
+        )
+
+
+def verify_estimates(
+    g: WeightedGraph,
+    K: float,
+    n: float,
+    f: GraphFunction,
+    t: float,
+    x: str,
+) -> EstimateReport:
     """Slacks and verdicts of all four estimates at one (f, t, x); f is reported as "f"."""
     ix = g.index(x)
     result, _ = estimate_sweep(g, K, n, [t], [("f", f)])
     return result[ix]
 
 
-def estimate_sweep(g: WeightedGraph, K: float, n: float, t_grid: Sequence[float],
-                   function_corpus: Sequence[tuple[str, GraphFunction]]) -> tuple[SweepResult, SweepSummary]:
+def estimate_sweep(
+    g: WeightedGraph,
+    K: float,
+    n: float,
+    t_grid: Sequence[float],
+    function_corpus: Sequence[tuple[str, GraphFunction]],
+) -> tuple[SweepResult, SweepSummary]:
     """Check the estimates on every (f, t, vertex) combination, under g's semigroup.
 
     Returns a columnar ``SweepResult`` that reads as the sequence of all
@@ -397,16 +429,19 @@ def _sweep_args(K: float, n: float, t_grid: Sequence[float]) -> tuple[float, tup
     times = tuple(float(t) for t in t_grid)
     if not all(0 <= t < math.inf for t in times):
         raise ValueError("t must be finite and nonnegative")
-    t = max(times, default=0.0)
-    if 2.0 * abs(K) * t > _MAX_EXPONENT:
-        raise PreconditionError(f"the estimate coefficients e^(2|K|t) overflow double precision at K = {K:g}, "
-                                f"t = {t:g} (2|K|t = {2.0 * abs(K) * t:g} exceeds {_MAX_EXPONENT:.6g}); "
-                                f"use a smaller |K| or t")
+    _check_exponent(K, max(times, default=0.0))
     return n, times
 
 
-def _sweep(g: WeightedGraph, K: float, n: float, times: tuple[float, ...], function_ids: tuple[str, ...],
-           F: np.ndarray, full: bool) -> tuple[SweepResult | None, SweepSummary]:
+def _sweep(
+    g: WeightedGraph,
+    K: float,
+    n: float,
+    times: tuple[float, ...],
+    function_ids: tuple[str, ...],
+    F: np.ndarray,
+    full: bool,
+) -> tuple[SweepResult | None, SweepSummary]:
     """The sweep of the corpus F, (N,B) with one column per id, at the checked (n, times) of ``_sweep_args``.
 
     It runs on the normalized graph ``g._scale``, with K times 4^-c and t
@@ -476,7 +511,11 @@ def _sweep(g: WeightedGraph, K: float, n: float, times: tuple[float, ...], funct
     return SweepResult(function_ids, times, g.vertices, float(K), n, all_slacks, all_verdicts), summary
 
 
-def default_corpus(g: WeightedGraph, seed: int = 0, num_random: int = 20) -> list[tuple[str, GraphFunction]]:
+def default_corpus(
+    g: WeightedGraph,
+    seed: int = 0,
+    num_random: int = 20,
+) -> list[tuple[str, GraphFunction]]:
     """Standard nonnegative test functions for sweeps.
 
     All vertex indicators, ``num_random`` uniform [0,1] random functions and
@@ -507,7 +546,9 @@ def _corpus_array(g: WeightedGraph, seed: int, num_random: int) -> tuple[tuple[s
 # -- Green's formula and the ellipticity norm -------------------------------
 
 
-def green_check(g: WeightedGraph, f: GraphFunction, h: GraphFunction) -> tuple[float, float, float]:
+def green_check(
+    g: WeightedGraph, f: GraphFunction, h: GraphFunction
+) -> tuple[float, float, float]:
     """(<f, Delta h>_m, <Delta f, h>_m, -sum_x Gamma(f,h)(x) m(x)).
 
     On a finite graph the three agree: the m-weighted Laplacian is
@@ -542,8 +583,12 @@ def ec_norm_check(g: WeightedGraph) -> tuple[float, float]:
 # -- cutoff construction and finiteness probe --------------------------------
 
 
-def build_cutoff(g: WeightedGraph, S: Sequence[str] | set[str] | frozenset[str], epsilon: float,
-                 U: Sequence[str] | set[str] | frozenset[str]) -> CutoffResult:
+def build_cutoff(
+    g: WeightedGraph,
+    S: Sequence[str] | set[str] | frozenset[str],
+    epsilon: float,
+    U: Sequence[str] | set[str] | frozenset[str],
+) -> CutoffResult:
     """Cutoff eta with eta = 1 on S and Gamma(eta) <= epsilon, via heat flow.
 
     Takes t = 2/epsilon and sets eta = min(1, max(2 P_t 1_U - 1/2, 0)), with
@@ -636,6 +681,11 @@ def finiteness_probe(g: WeightedGraph, K: float, seed: int = 0) -> dict:
 # -- small-t Taylor coefficients ---------------------------------------------
 
 
+def _relative(mismatch: float, scale: float) -> float:
+    """mismatch / scale, with 0 / 0 = 0 (an all-zero check matches exactly)."""
+    return mismatch / scale if scale > 0 else (0.0 if mismatch == 0 else math.inf)
+
+
 def _richardson_limit(seq: Sequence[float]) -> float:
     """Extrapolate g(t0 / 2^j) -> g(0) for g with a power series error."""
     row = list(seq)
@@ -647,7 +697,12 @@ def _richardson_limit(seq: Sequence[float]) -> float:
     return row[0]
 
 
-def taylor_check(g: WeightedGraph, f: GraphFunction, x: str, K: float = 0.5) -> dict:
+def taylor_check(
+    g: WeightedGraph,
+    f: GraphFunction,
+    x: str,
+    K: float = 0.5,
+) -> dict:
     """Fit small-t expansion coefficients of g's semigroup and compare with exact operators.
 
     The variance t -> (P_t f^2 - (P_t f)^2)(x) expands as
@@ -664,7 +719,11 @@ def taylor_check(g: WeightedGraph, f: GraphFunction, x: str, K: float = 0.5) -> 
     0.2, so the fit sits at the same point of the expansion in any units and
     e^{+-2Kt} never overflows.  The report's ``scale`` holds
     ||f||_inf^2 u^k for each order k, the scale against which a coefficient
-    mismatch of that order is judged.  As D lies in [1, 4), only |K| / D can
+    mismatch of that order is judged, and ``relative_mismatch`` the largest
+    |fitted - exact| / scale of each order over the three series.  It is
+    taken on the normalized graph, where both orders are doubles, so it is
+    the same in any units even where the coefficients of the second order,
+    as max Deg^2, are not doubles in g's.  As D lies in [1, 4), only |K| / D can
     push the grid's t^2 out of the normal doubles; past that a
     PreconditionError names the ratio.
     """
@@ -706,15 +765,21 @@ def taylor_check(g: WeightedGraph, f: GraphFunction, x: str, K: float = 0.5) -> 
             2.0 * t * _phi1(-2.0 * unit_K * t) * float(gamma_array(unit, ptf, ptf)[ix]))
 
     f_sq = float(np.max(np.abs(farr), initial=0.0)) ** 2
+    scale, orders = (f_sq * rate, f_sq * rate * rate), ("first_order", "second_order")
 
     def out(v: float, k: int) -> float:  # a coefficient of order k, in g's units
         return float(_scaled_out(v, 2 * k * c))
 
-    report = {"vertex": x, "K": float(K),
-              "scale": {"first_order": out(f_sq * rate, 1), "second_order": out(f_sq * rate * rate, 2)}}
+    report = {"vertex": x, "K": float(K), "scale": {o: out(s, k) for k, (o, s) in enumerate(zip(orders, scale), 1)}}
+    # judged here, where both orders are doubles: in g's units the second order was -inf against a
+    # scale of inf at weights x1e160, and 0 against 0 at x1e-200, a mismatch of nan or 0 either way
+    mismatch = []
     for name, values in series.items():
         c1 = _richardson_limit([v / t for v, t in zip(values, ts)])
         c2 = _richardson_limit([(v - c1 * t) / (t * t) for v, t in zip(values, ts)])
-        report[name] = {"first_order": {"fitted": out(c1, 1), "exact": out(exact_c1, 1)},
-                        "second_order": {"fitted": out(c2, 2), "exact": out(exact_c2[name], 2)}}
+        pairs = ((c1, exact_c1), (c2, exact_c2[name]))
+        mismatch.append([_relative(abs(v - e), s) for (v, e), s in zip(pairs, scale)])
+        report[name] = {o: {"fitted": out(v, k), "exact": out(e, k)}
+                        for k, (o, (v, e)) in enumerate(zip(orders, pairs), 1)}
+    report["relative_mismatch"] = dict(zip(orders, np.max(mismatch, axis=0).tolist()))  # a nan stays nan
     return report

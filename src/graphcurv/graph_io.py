@@ -54,7 +54,11 @@ class GraphFormatError(ValueError):
     """Malformed graph input; the message carries the line or field."""
 
 
-def parse_graph(text: str, measures: str | None = None, require_valid: bool = True) -> WeightedGraph:
+def parse_graph(
+    text: str,
+    measures: str | None = None,
+    require_valid: bool = True,
+) -> WeightedGraph:
     """Parse either interchange format into a WeightedGraph.
 
     JSON input is detected by a leading ``{``; anything else is treated as

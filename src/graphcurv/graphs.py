@@ -13,7 +13,6 @@ N x N matrix.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -113,6 +112,11 @@ def _indices(names: list[str], index: dict[str, int], unknown: dict[str, int]) -
     except KeyError:
         return np.array([index[x] if x in index else unknown.setdefault(x, -1 - len(unknown))
                          for x in names], dtype=np.intp)
+
+
+def _power_of_four(x: float) -> int:
+    """k with x 4^-k in [1, 4), exactly, for x > 0; 0 for x = 0."""
+    return (math.frexp(x)[1] - 1) // 2 if x else 0
 
 
 class WeightedGraph:
@@ -248,10 +252,12 @@ class WeightedGraph:
 
     @property
     def _scale(self) -> tuple["WeightedGraph", int, int]:
-        """(the normalized graph, a, c), with max m 4^-a and max Deg 4^-c in [1, 4).
+        """(the normalized graph, a, c), with max Deg 4^-c in [1, 4) and max m 4^-a in [1, 4) where it can be.
 
         Its ``csr`` weights are b 4^-(a+c), its measure m 4^-a and its degrees Deg 4^-c, on this graph's
-        index arrays.  A graph with a = c = 0 is its own, not cached: a graph that held itself would be a cycle.
+        index arrays.  a is lowered where the smallest m or b 4^-(a+c) would leave the normal doubles, so
+        every weight and measure is exact there.  A graph with a = c = 0 is its own, not cached: a graph
+        that held itself would be a cycle.
         """
         a, c = self._exponents
         return (self._normalized if a or c else self), a, c
@@ -261,12 +267,23 @@ class WeightedGraph:
         tops = float(self.measure_vector.max(initial=0.0)), float(self.weighted_degrees.max(initial=0.0))
         if tops[1] == math.inf:  # where the curvature, of the order of max Deg, cannot be a double either
             raise ValueError("the weighted degrees overflow double precision in the graph's units")
-        return tuple((math.frexp(x)[1] - 1) // 2 if x else 0 for x in tops)  # x 4^-k in [1, 4), exactly
+        a, c = map(_power_of_four, tops)
+        # each m and b 4^-c is v 4^-k with v in [1, 4); it stays exact, a normal double, while k - a lies
+        # in [-511, 511].  At m / max m = 1e-330 a = k(max m) took m to 0, and S to 0 / 0 in the heat
+        # semigroup, so a is lowered from there as far as the smallest needs
+        m, w = self.measure_vector, self.csr.weights
+        k = [_power_of_four(float(v)) for v in (m.min(), m.max())] if m.size else [a]
+        k += [_power_of_four(float(v)) - c for v in (w.min(), w.max())] if w.size else []
+        if max(k) - min(k) > 1022:
+            raise ValueError(f"the graph spans more than double precision holds: the largest of m and b / max Deg "
+                             f"is about 1e{(max(k) - min(k)) * math.log10(4.0):.0f} times the smallest")
+        return min(a, min(k) + 511), c
 
     @cached_property
     def _normalized(self) -> "WeightedGraph":
         a, c = self._exponents
-        u, csr, (iu, iv, w) = WeightedGraph.__new__(WeightedGraph), copy.copy(self.csr), self.edge_arrays
+        u, csr, (iu, iv, w) = WeightedGraph.__new__(WeightedGraph), object.__new__(AdjacencyCSR), self.edge_arrays
+        csr.__dict__.update(self.csr.__dict__)  # the index arrays are shared
         csr.weights, m, deg, w = (np.ldexp(v, -2 * e) for v, e in (
             (self.csr.weights, a + c), (self._measure, a), (self.weighted_degrees, c), (w, a + c)))
         for v in (csr.weights, m, deg, w):
@@ -477,7 +494,12 @@ def ellipticity_constant(g: WeightedGraph) -> EllipticityCertificate:
     )
 
 
-def generate(family: str, size: int, measure_profile: str = "unit", seed: int | None = None) -> WeightedGraph:
+def generate(
+    family: str,
+    size: int,
+    measure_profile: str = "unit",
+    seed: int | None = None,
+) -> WeightedGraph:
     """Build a standard test graph.
 
     Families: ``path``, ``cycle``, ``complete``, ``star`` (size = number of

@@ -271,7 +271,9 @@ class HeatOperator:
                 following -= previous
             previous, term = term, following
 
-    def _apply(self, times: Sequence[float], F: np.ndarray, keep_kernel: bool | tuple[bool, ...]) -> Iterator:
+    def _apply(
+        self, times: Sequence[float], F: np.ndarray, keep_kernel: bool | tuple[bool, ...]
+    ) -> Iterator:
         """P_t F in the eigenbasis for each t of times, in order, as an iterator of arrays shaped like F.
 
         The times are checked and F is carried into the eigenbasis once, on
@@ -385,8 +387,14 @@ def build_heat(g: WeightedGraph, dirichlet_domain: Iterable[str] | None = None) 
     return HeatOperator(g, dirichlet_domain)
 
 
-def semigroup_gamma_path(h: HeatOperator, k: int, f: GraphFunction, t: float, s_grid: Sequence[float],
-                         x: str) -> list[float]:
+def semigroup_gamma_path(
+    h: HeatOperator,
+    k: int,
+    f: GraphFunction,
+    t: float,
+    s_grid: Sequence[float],
+    x: str,
+) -> list[float]:
     """Evaluate s -> P_s Gamma_k(P_{t-s} f)(x) on a grid inside [0, t].
 
     The derivative of this path in s is 2 P_s Gamma_{k+1}(P_{t-s} f)(x),

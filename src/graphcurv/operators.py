@@ -145,6 +145,25 @@ def _scaled_out(x, exponent: int, out=None):
         return np.ldexp(x, exponent, out=out)
 
 
+def _forms_graph(g: WeightedGraph) -> WeightedGraph:
+    """g's normalized graph, on which the local forms are assembled, or a PreconditionError.
+
+    The solver scales by 1 / sqrt(B), B = b(x,y) / (2 m(x)) the diagonal of
+    Gamma, and max Deg lies in [1, 4), so each b / (m(x) max Deg) must leave
+    B a normal double.  On one edge with m from 1e-10 or 1e-30 to 1e300 it did
+    not (1e-310, 1e-330): B lost its bits or was 0, and the curvature there was
+    inf or nan.  The ratio is the same in any units.
+    """
+    unit = g._scale[0]
+    csr = unit.csr
+    low = float(np.min(csr.weights / unit.measure_vector.take(csr.rows), initial=math.inf))
+    if low < math.ldexp(1.0, -1021):  # the ratio itself may underflow, its logarithm does not
+        ratio = np.min(np.log10(csr.weights) - np.log10(unit.measure_vector.take(csr.rows)))
+        raise PreconditionError(f"b / (m max Deg) is about 1e{ratio - math.log10(unit.weighted_degrees.max()):.0f}"
+                                f": the diagonal of Gamma, b / 2m, would leave the normal doubles")
+    return unit
+
+
 @dataclass(frozen=True)
 class LocalForms:
     """Quadratic-form realization of Gamma_2, Gamma and Delta at one vertex.
@@ -273,10 +292,11 @@ def local_form_stack(g: WeightedGraph, centers: np.ndarray, balls=None) -> tuple
     A 2-sphere narrower than the widest is padded as ``LocalFormStack`` says,
     and its support with -1.  The forms are those of the normalized graph
     ``g._scale`` (``balls`` come from it): in g's units Gamma_2 is 4^(2c)
-    times them, and Gamma and Delta are 4^c times them.
+    times them, and Gamma and Delta are 4^c times them.  Without ``balls``
+    a graph that ``_forms_graph`` refuses raises PreconditionError.
     """
     if balls is None:
-        g = g._scale[0]
+        g = _forms_graph(g)
         balls = _two_balls(g, centers)
         balls = (*balls[:4], np.diff(balls[4][2]))
     csr, V = g.csr, len(centers)
@@ -388,9 +408,10 @@ def local_form_stacks(g: WeightedGraph, rep: np.ndarray) -> Iterator[LocalFormSt
     one), so memory stays linear in N + E.  The walks bound |S2| from above, so
     the order tends to put 2-spheres of like sizes in one stack, which keeps
     the padding tight.  The stacks hold the forms of the normalized graph, as
-    in ``local_form_stack``.
+    in ``local_form_stack``, and a graph that ``_forms_graph`` refuses raises
+    PreconditionError before the first.
     """
-    g = g._scale[0]
+    g = _forms_graph(g)
     csr = g.csr
     k = np.diff(csr.indptr)
     walks = csr.row_reduce(np.add, k[csr.indices])

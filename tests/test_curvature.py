@@ -11,6 +11,7 @@ from graphcurv import (
     GraphFunction,
     PreconditionError,
     WeightedGraph,
+    build_heat,
     cd_check,
     cd_extremal_function,
     curvature_profile,
@@ -102,6 +103,33 @@ def test_degrees_past_the_doubles_are_refused():
                       dict.fromkeys("abc", 1.0))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="weighted degrees overflow double precision"):
         curvature_profile(g, math.inf)
+
+
+@pytest.mark.parametrize("m_b, ratio", [(1e-30, "1e-330"), (1e-10, "1e-310"), (1e-5, None)])
+def test_a_spread_past_the_doubles_is_refused(m_b, ratio):
+    # an edge of weight 1/3 with m(a) = 1e300.  With max m taken to [1, 4) the
+    # weight and m(b) went to 0 at m(b) = 1e-30, and the heat semigroup built S
+    # from 0 / 0; the measure scale now keeps every weight and measure exact.  The
+    # local forms at a still need b / (m max Deg) to leave Gamma's diagonal a
+    # normal double: at 1e-330 and 1e-310 the curvature at a was nan and inf
+    g = WeightedGraph(["a", "b"], {("a", "b"): 1.0 / 3.0}, {"a": 1e300, "b": m_b})
+    h = build_heat(g)
+    assert np.isfinite(h.apply_array(1.0 / h._bound, np.eye(2))).all()
+    if ratio is None:
+        assert curvature_profile(g, math.inf).global_curvature == pytest.approx(1.0 / (6.0 * m_b), rel=1e-12)
+        return
+    for compute in (lambda: curvature_profile(g, math.inf), lambda: cd_check(g, 0.0, 4.0, "a")):
+        with pytest.raises(PreconditionError, match=f"^b / \\(m max Deg\\) is about {ratio}: "):
+            compute()
+
+
+def test_weights_and_measures_past_the_doubles_are_refused():
+    # m from 1e-310 to 1e308 and b / max Deg down to 1e-310: no power of four
+    # takes all of them into the normal doubles
+    g = WeightedGraph(["a", "b"], {("a", "b"): 1e-300}, {"a": 1e308, "b": 1e-310})
+    for compute in (lambda: curvature_profile(g, math.inf), lambda: build_heat(g)):
+        with pytest.raises(ValueError, match="the largest of m and b / max Deg is about 1e618 times the smallest"):
+            compute()
 
 
 def test_cd_check_isolated_vertex_vacuous():

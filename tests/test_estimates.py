@@ -888,6 +888,25 @@ def test_taylor_random_function_on_path():
             assert abs(pair["fitted"] - pair["exact"]) <= 1e-6 * max(1.0, abs(pair["exact"]))
 
 
+def test_taylor_judges_the_second_order_where_it_is_a_double():
+    # with weights times 4^266 (about 1e160) the second-order coefficients, of
+    # the order of max Deg^2, are -inf in g's units and their scale inf: the
+    # mismatch taken from them was nan, which max() dropped, and the check passed
+    # on its first order alone.  Judged on the normalized graph it is the unit
+    # graph's, bit for bit, at both ends of the range
+    g = generate("weighted_tree", 12, seed=3)
+    f = GraphFunction(g, np.random.default_rng(5).uniform(0.0, 1.0, g.num_vertices))
+    base = taylor_check(g, f, "v0", K=0.5)
+    assert 0.0 < base["relative_mismatch"]["second_order"] <= 1e-6
+    for j in (266, -335):
+        scaled = scaled_weights(g, math.ldexp(1.0, 2 * j))
+        rep = taylor_check(scaled, GraphFunction(scaled, f.array), "v0", K=math.ldexp(0.5, 2 * j))
+        assert rep["relative_mismatch"] == base["relative_mismatch"]
+        assert rep["scale"]["second_order"] == (math.inf if j > 0 else 0.0)
+        assert rep["variance"]["second_order"] == {"fitted": -math.inf if j > 0 else 0.0,
+                                                  "exact": -math.inf if j > 0 else 0.0}
+
+
 def test_taylor_grid_follows_the_largest_degree():
     # the fit sits at the same point of the expansion under (b, K) -> (c b, c K):
     # every fitted coefficient of order k scales by c^k, to rounding of the

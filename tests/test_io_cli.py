@@ -19,6 +19,7 @@ from graphcurv import (
     generate,
     parse_graph,
     serialize_graph,
+    taylor_check,
 )
 from graphcurv import cli, graph_io
 from graphcurv.cli import _jsonify, run
@@ -977,18 +978,33 @@ def test_cli_taylor_check_refuses_a_rate_past_double_precision(tmp_path, capsys,
     # past a rate of about 1e154 the second-order coefficients overflowed and
     # the fit's t^2 reached 0, in a ZeroDivisionError.  The fit runs on the
     # normalized graph, whose max Deg lies in [1, 4), so only |K| / max Deg can
-    # push its smallest t below a normal square: at 1e300 that is refused
+    # push its smallest t below a normal square: at 1e300 that is refused.  At
+    # x1e160 the second order is -inf in the graph's units, so it is judged on
+    # the normalized graph, where it is a double
     family, size, c = graph
     path = _write_graph(tmp_path, scaled_weights(generate(family, size, seed=3), c))
     assert run(["taylor-check", "--graph", path, "--vertex", "v0", "--K", repr(K)]) == code
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     if code == 0:
-        assert report["passed"] is True
+        mismatch = report["report"]["relative_mismatch"]
+        assert report["passed"] is True and report["max_relative_mismatch"] == max(mismatch.values())
+        assert 0.0 < mismatch["second_order"] <= cli.TAYLOR_TOL
     else:
         assert list(report) == ["format_version", "command", "error"]
         assert report["error"].startswith("|K| / max Deg = 1e+300 is too large for the Taylor fit")
         assert "Traceback" not in captured.err
+
+
+def test_cli_taylor_check_fails_on_a_nan_mismatch(edge_graph, capsys, monkeypatch):
+    # max() kept the old worst against a nan, which passed a check that compared nothing
+    def nan_second_order(*args, **kwargs):
+        report = taylor_check(*args, **kwargs)
+        return {**report, "relative_mismatch": {"first_order": 0.0, "second_order": math.nan}}
+
+    monkeypatch.setattr(cli, "taylor_check", nan_second_order)
+    assert run(["taylor-check", "--graph", edge_graph, "--vertex", "v0"]) == 1
+    assert _last_json(capsys)["passed"] is False
 
 
 @pytest.mark.parametrize("c, measure", [(1e153, 1.0), (1e154, 1.0), (1e160, 1.0), (1e-200, 1.0), (1e-310, 1e-310)])

@@ -35,6 +35,8 @@ TWO = {"smallest_eigenvalue", "jensen_max_violation", "jensen_scale", "second_or
 
 def _power(keys: tuple[str, ...]) -> int:
     """The power of 4^j by which the number at ``keys`` moves when the weights move by 4^j."""
+    if "relative_mismatch" in keys:
+        return 0
     if TWO & set(keys):
         return 2
     if keys[-1] in ("t", "t_grid"):
