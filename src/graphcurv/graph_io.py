@@ -8,25 +8,30 @@ Two interchange formats:
   companion measure file (``v m`` per line), which interoperates with common
   graph corpora.
 
-The document has two layouts with the same keys.  ``"format_version": 2``
+The document has three layouts with the same keys.  ``"format_version": 2``
 holds each table as columns, ``{"id": [...], "measure": [...]}`` and
 ``{"u": [...], "v": [...], "weight": [...]}``; version 1 holds one object
-per vertex and per edge.  ``serialize_graph`` writes only version 2:
-ingest is the largest share of a command on a graph of a few thousand
-vertices, and ``json.loads`` spends most of it building the entry objects,
-so columns cut the parse by 40-45%, to 5.5-6.4 ms on 2,000 vertices and
-6,000 edges (see ``serialize_graph``).  ``parse_graph`` reads both,
-version 1 for the files that exist in that layout.
+per vertex and per edge.  Version 3, the one ``serialize_graph`` writes,
+has version 2's columns, but each numeric column is one base64 string of
+little-endian binary: ``measure`` and ``weight`` as doubles (``<f8``),
+``u`` and ``v`` as 32-bit indices into ``id`` (``<i4``), which stays a
+list of strings.  Ingest is the largest share of a command on a graph of a
+few thousand vertices, and in version 2 most of it is ``json.loads``
+reading 17-digit decimals and the lookups of the endpoint names; binary
+columns are decoded by ``np.frombuffer`` and hold every double bit for bit
+(see ``serialize_graph`` for the times).  ``parse_graph`` reads all three:
+versions 1 and 2 are the layouts to write by hand.
 
 Each edge must be declared once per unordered pair; conflicting symmetric
 entries are rejected at parse time.  Both parsers read their entries,
 vertices and edges alike, column by column and fill the index arrays of
-``WeightedGraph.from_arrays`` directly.  Each endpoint column is one pass
-of lookups in the id dict, which also shows that every endpoint is a
-string, since only strings are ids; the types are checked only when a
-lookup fails.  Only an input with a fault is walked entry by entry, to
-name it, and a version-2 entry is the row of its columns, so a faulty
-entry gets the same message in either layout.
+``WeightedGraph.from_arrays`` directly.  Each endpoint column of names is
+one pass of lookups in the id dict, which also shows that every endpoint is
+a string, since only strings are ids; the types are checked only when a
+lookup fails.  An index column of version 3 is checked against the range
+of the ids instead.  Only an input with a fault is walked entry by entry,
+to name it, and an entry of a column layout is the row of its columns, so
+a faulty entry gets the same message in every layout.
 One sort of the pairs finds an edge declared twice, and the first fault in
 file order is the one reported.  ``serialize_graph`` writes the document as
 one compact line; the parser accepts any whitespace.
@@ -34,6 +39,7 @@ one compact line; the parser accepts any whitespace.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 from collections.abc import Iterable, Iterator
@@ -44,10 +50,12 @@ from .graphs import WeightedGraph, _indices, _pair_order, validate
 
 __all__ = ["GraphFormatError", "parse_graph", "parse_edge_list", "serialize_graph"]
 
-FORMAT_VERSION = 2  # the version serialize_graph writes; parse_graph also reads 1
+FORMAT_VERSION = 3  # the version serialize_graph writes; parse_graph also reads 1 and 2
 _VERTEX_KEYS = ("id", "measure")
 _EDGE_KEYS = ("u", "v", "weight")
-_NUMBERS = frozenset((int, float))  # the types json gives a number; bool and str are not numbers
+_BINARY = {"measure": "<f8", "u": "<i4", "v": "<i4", "weight": "<f8"}  # the base64 columns of version 3
+# the types of a number: json gives int and float, a binary column np.float64; bool and str are not numbers
+_NUMBERS = frozenset((int, float, np.float64))
 
 
 class GraphFormatError(ValueError):
@@ -89,12 +97,12 @@ def _parse_document(text: str) -> WeightedGraph:
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level JSON value must be an object")
     version = doc.get("format_version")
-    if type(version) is not int or version not in (1, FORMAT_VERSION):  # not a bool, not a float
-        raise GraphFormatError(f"format_version: expected 1 or {FORMAT_VERSION}, got {version!r}")
+    if type(version) is not int or version not in (1, 2, 3):  # not a bool, not a float
+        raise GraphFormatError(f"format_version: expected 1, 2 or 3, got {version!r}")
     read = _entry_table if version == 1 else _column_table
     vertices, edges = read(doc, "vertices", _VERTEX_KEYS), read(doc, "edges", _EDGE_KEYS)
     index, measure = _vertex_columns(*vertices)
-    columns = _edge_columns(*edges, index)
+    columns = _index_columns(*edges[0], len(index)) if version == 3 else _edge_columns(*edges, index)
     del doc, vertices, edges  # the document goes before the graph is built
     return _graph(index, measure, *columns, lambda k, u, v: (
         f"edges[{k}]: conflicting symmetric entries for edge ({u!r}, {v!r})"))
@@ -116,19 +124,38 @@ def _entry_columns(entries: list, keys: tuple[str, ...]) -> list[list] | None:
         return None
 
 
-def _column_table(doc: dict, name: str, keys: tuple[str, ...]) -> tuple[list[list], Iterator[dict]]:
-    """A version-2 table's columns, and its entries, zipped from them when they are walked."""
-    table = doc.get(name)
+def _column_table(doc: dict, name: str, keys: tuple[str, ...]) -> tuple[list, Iterator[dict]]:
+    """A version-2 or -3 table's columns, and its entries, zipped from them when they are walked.
+
+    In version 3 every column but ``id`` is binary, decoded to an array.
+    """
+    table, binary = doc.get(name), doc["format_version"] == 3
     if not isinstance(table, dict):
         raise GraphFormatError(f"{name}: expected an object of columns")
     columns = [table.get(key) for key in keys]
-    for key, column in zip(keys, columns):
-        if not isinstance(column, list):
+    for k, key in enumerate(keys):
+        if binary and key in _BINARY:
+            columns[k] = _decode(f"{name}.{key}", columns[k], _BINARY[key])
+        elif not isinstance(columns[k], list):
             raise GraphFormatError(f"{name}.{key}: expected a list")
     if len({*map(len, columns)}) > 1:
         lengths = ", ".join(f"{key} {len(column)}" for key, column in zip(keys, columns))
         raise GraphFormatError(f"{name}: columns of unequal length ({lengths})")
     return columns, (dict(zip(keys, row)) for row in zip(*columns))
+
+
+def _decode(field: str, column, dtype: str) -> np.ndarray:
+    """A version-3 column: one base64 string of little-endian ``dtype`` entries."""
+    if not isinstance(column, str):
+        raise GraphFormatError(f"{field}: expected a base64 string")
+    try:
+        raw = base64.b64decode(column, validate=True)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raise GraphFormatError(f"{field}: not valid base64") from None
+    size = np.dtype(dtype).itemsize
+    if len(raw) % size:
+        raise GraphFormatError(f"{field}: {len(raw)} bytes is not a whole number of {size}-byte entries")
+    return np.frombuffer(raw, dtype)
 
 
 def _vertex_columns(columns: list[list] | None, entries: Iterable) -> tuple[dict[str, int], np.ndarray]:
@@ -163,7 +190,7 @@ def _vertex_faults(entries: Iterable):
 
 
 def _edge_columns(columns: list[list] | None, entries: Iterable, index: dict[str, int]):
-    """u, v, their indices and weight of the edge entries before the first malformed one, and its fault.
+    """The ends and weight of the edge entries before the first malformed one, and its fault.
 
     Entries are read column by column, and each endpoint is looked up in
     ``index``: if every one is found, every one is a declared id and so a
@@ -179,11 +206,25 @@ def _edge_columns(columns: list[list] | None, entries: Iterable, index: dict[str
                 unknown: dict[str, int] = {}  # endpoints that are not vertices go to validate by name
                 ends = _indices(us, index, unknown), _indices(vs, index, unknown), list(unknown)
             if ends is not None:
-                return us, vs, ends, weights, None
+                return ends, weights, None
     entries = list(entries)
     k, fault = next((k, fault) for k, fault in enumerate(map(_edge_fault, entries)) if fault)
-    return (*_edge_columns(_entry_columns(entries[:k], _EDGE_KEYS), (), index)[:4],
+    return (*_edge_columns(_entry_columns(entries[:k], _EDGE_KEYS), (), index)[:2],
             GraphFormatError(f"edges[{k}]{fault}"))
+
+
+def _index_columns(iu: np.ndarray, iv: np.ndarray, weights: np.ndarray, n: int):
+    """The ends and weight of the version-3 edges before the first index out of range, and its fault.
+
+    ``iu`` and ``iv`` index the ``n`` vertex ids; a graph of them has no undeclared endpoint.
+    """
+    outside = (np.minimum(iu, iv) < 0) | (np.maximum(iu, iv) >= n)
+    if not outside.any():
+        return (iu, iv, []), weights, None
+    k = int(np.argmax(outside))
+    key, x = ("u", iu[k]) if not 0 <= iu[k] < n else ("v", iv[k])
+    return ((iu[:k], iv[:k], []), weights[:k],
+            GraphFormatError(f"edges[{k}].{key}: vertex index {x} is outside [0, {n})"))
 
 
 def _lookup(us: list, vs: list, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray, list] | None:
@@ -204,8 +245,13 @@ def _edge_fault(entry) -> str | None:
     return _number_fault(entry["weight"], ".weight")
 
 
-def _numbers(raw: list) -> np.ndarray | None:
-    """The JSON numbers as a float array; None if one is not a number that a float holds."""
+def _numbers(raw: list | np.ndarray) -> np.ndarray | None:
+    """The JSON numbers as a float array; None if one is not a number that a float holds.
+
+    A binary column is returned as it is: it holds doubles only.
+    """
+    if isinstance(raw, np.ndarray):
+        return raw
     if {*map(type, raw)} <= _NUMBERS:
         try:
             return np.array(raw, dtype=float)
@@ -219,21 +265,22 @@ def _number_fault(value, field: str) -> str | None:
     return None if _numbers([value]) is not None else f"{field}: expected a number"
 
 
-def _graph(index: dict[str, int], measure: np.ndarray | list[float], us: list[str], vs: list[str],
+def _graph(index: dict[str, int], measure: np.ndarray | list[float],
            ends: tuple[np.ndarray, np.ndarray, list[str]], weights: np.ndarray | list[float],
            fault: GraphFormatError | None, repeated) -> WeightedGraph:
     """The graph of the edge entries read, or else the first fault in file order.
 
     That is the first entry that repeats the pair of an earlier one, named by
-    ``repeated(k, u, v)``, or else ``fault``, found after the entries.
-    ``ends`` holds the endpoints' indices, with -1 - j for the j-th name that
-    is not a vertex; those go to ``validate`` by name.
+    ``repeated(k, u, v)`` with the names of its ends, or else ``fault``, found
+    after the entries.  ``ends`` holds the endpoints' indices, with -1 - j for
+    the j-th name that is not a vertex; those go to ``validate`` by name.
     """
     iu, iv, undeclared = ends
     order, _, _, repeat = _pair_order(iu, iv)
     if repeat.any():
         k = int(order[repeat].min())
-        raise GraphFormatError(repeated(k, us[k], vs[k]))
+        names = (*index, *reversed(undeclared))  # index -1 - j is undeclared[j]
+        raise GraphFormatError(repeated(k, names[iu[k]], names[iv[k]]))
     if fault is not None:
         raise fault
     return WeightedGraph.from_arrays(list(index), iu, iv, weights, measure, undeclared=undeclared)
@@ -289,12 +336,11 @@ def parse_edge_list(edge_text: str, measure_text: str) -> WeightedGraph:
     columns = _columns(edge_text, 3)
     weights = None if columns is None else _floats(columns[2])
     ends = None if weights is None else _lookup(*columns[:2], index)
-    if ends is not None:
-        us, vs, fault = columns[0], columns[1], None
-    else:
+    fault = None
+    if ends is None:
         us, vs, weights, fault = _walk_edges(edge_text, index)
         ends = _lookup(us, vs, index)  # the lines before a fault name declared vertices only
-    return _graph(index, measure, us, vs, ends, weights, fault, lambda k, u, v: (
+    return _graph(index, measure, ends, weights, fault, lambda k, u, v: (
         f"edges line {_line_number(edge_text, k)}: conflicting symmetric entries for ({u!r}, {v!r})"))
 
 
@@ -342,22 +388,26 @@ def _walk_edges(text: str, index: dict[str, int]):
 
 
 def serialize_graph(g: WeightedGraph) -> str:
-    """Emit the version-2 JSON document as one compact line; floats round-trip exactly.
+    """Emit the version-3 JSON document as one compact line; doubles round-trip bit for bit.
 
-    There is no way to write version 1, which ``parse_graph`` still reads.
-    The edges go in ``edge_arrays`` order, each pair (min, max) once, which
-    ``parse_graph`` reads without sorting.  Columns rather than one object
-    per entry cut the parse by 40-45%, most of it in ``json.loads``: on
-    a fuzzed graph of 2,000 vertices and 6,000 edges the file is 277 KB
-    instead of 447 KB, and ``parse_graph`` takes 5.5-6.4 ms instead of
-    9.8-10.6 ms (medians of 60 interleaved in-process runs, three runs on
-    two seeds, on a shared 2-vCPU host).
+    There is no way to write versions 1 and 2, which ``parse_graph`` still
+    reads.  The edges go in ``edge_arrays`` order, each pair (min, max) once,
+    which ``parse_graph`` reads without sorting.  Binary columns take the
+    decimals out of ``json.loads`` and the name lookups out of the parse: on
+    a fuzzed graph of 2,000 vertices and 6,000 edges the file is 166 KB
+    instead of version 2's 277 KB, ``parse_graph`` takes 1.1-1.8 ms instead
+    of 3.9-4.8 ms, and this function 0.54-1.06 ms instead of 5.5-6.8 ms
+    (best of 60 in-process runs, seven interleaved runs at seed 7, on a
+    shared 2-vCPU host).
     """
-    names = g.vertices
-    iu, iv, w = (a.tolist() for a in g.edge_arrays)
+    iu, iv, w = g.edge_arrays
     return json.dumps({
         "format_version": FORMAT_VERSION,
-        "vertices": {"id": list(names), "measure": g.measure_vector.tolist()},
-        "edges": {"u": list(map(names.__getitem__, iu)), "v": list(map(names.__getitem__, iv)),
-                  "weight": w},
+        "vertices": {"id": list(g.vertices), "measure": _encode(g.measure_vector, "<f8")},
+        "edges": {"u": _encode(iu, "<i4"), "v": _encode(iv, "<i4"), "weight": _encode(w, "<f8")},
     })
+
+
+def _encode(values: np.ndarray, dtype: str) -> str:
+    """A version-3 column: the values as one base64 string of little-endian ``dtype`` entries."""
+    return base64.b64encode(values.astype(dtype).tobytes()).decode("ascii")

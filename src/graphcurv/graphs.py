@@ -92,7 +92,7 @@ def _pair_order(iu: np.ndarray, iv: np.ndarray):
     ``repeat`` marks the sorted entries whose pair is that of the entry
     before.  Input already in that order is not sorted again: ``edge_arrays``
     are, and ``serialize_graph`` writes its edge columns in their order, so
-    every document it has written, of either version, parses without a sort.
+    every document it has written, of any version, parses without a sort.
     """
     lo, hi = np.minimum(iu, iv), np.maximum(iu, iv)
     if ((lo[1:] > lo[:-1]) | (lo[1:] == lo[:-1]) & (hi[1:] >= hi[:-1])).all():
@@ -283,8 +283,8 @@ class WeightedGraph:
     def _normalized(self) -> "WeightedGraph":
         a, c = self._exponents
         u, csr, (iu, iv, w) = WeightedGraph.__new__(WeightedGraph), object.__new__(AdjacencyCSR), self.edge_arrays
-        csr.__dict__.update(self.csr.__dict__)  # the index arrays are shared
-        csr.weights, m, deg, w = (np.ldexp(v, -2 * e) for v, e in (
+        csr.__dict__.update(self.csr.__dict__)  # the index arrays are shared, and so is each array not scaled
+        csr.weights, m, deg, w = (np.ldexp(v, -2 * e) if e else v for v, e in (
             (self.csr.weights, a + c), (self._measure, a), (self.weighted_degrees, c), (w, a + c)))
         for v in (csr.weights, m, deg, w):
             v.setflags(write=False)

@@ -229,6 +229,25 @@ def test_degree_respects_measure():
     assert degree(g, "b") == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("measure,weight,exponents,shared", [
+    # max m = 2 needs no power (a = 0), max Deg = 32 does (c = 2): the measure is shared
+    (2.0, 64.0, (0, 2), {"measure"}),
+    # max m = 16 (a = 2), max Deg = 1/8 (c = -2): b 4^-(a+c) = b, so the weights are shared
+    (16.0, 2.0, (2, -2), {"weights", "csr weights"}),
+])
+def test_the_normalized_graph_shares_each_array_it_does_not_scale(measure, weight, exponents, shared):
+    g = WeightedGraph(["a", "b"], {("a", "b"): weight}, {"a": measure, "b": measure})
+    u, a, c = g._scale
+    assert (a, c) == exponents
+    pairs = {"measure": (u.measure_vector, g.measure_vector),
+             "weights": (u.edge_arrays[2], g.edge_arrays[2]),
+             "csr weights": (u.csr.weights, g.csr.weights),
+             "degrees": (u.weighted_degrees, g.weighted_degrees)}
+    for name, (scaled, own) in pairs.items():
+        assert np.shares_memory(scaled, own) == (name in shared)
+        assert np.array_equal(scaled, np.ldexp(own, -2 * {"measure": a, "degrees": c}.get(name, a + c)))
+
+
 def test_degree_unknown_vertex():
     with pytest.raises(KeyError):
         degree(single_edge(), "zz")

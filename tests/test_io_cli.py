@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import functools
 import json
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_graph, scaled_weights
 from graphcurv import (
@@ -108,19 +111,34 @@ def test_parse_json_undeclared_endpoint_rejected():
 
 
 def _doc(vertices, edges, version=1):
-    """The document of these vertex and edge entries; version 2 holds them as columns."""
-    if version == 2:
+    """The document of these vertex and edge entries; versions 2 and 3 hold them as columns.
+
+    Version 3 writes each endpoint as the index of the last vertex with its id.
+    """
+    if version in (2, 3):
         vertices = {key: [e[key] for e in vertices] for key in ("id", "measure")}
         edges = {key: [e[key] for e in edges] for key in ("u", "v", "weight")}
+    if version == 3:
+        index = {x: i for i, x in enumerate(vertices["id"])}
+        vertices["measure"] = _b64(vertices["measure"], "<f8")
+        edges = {"u": _b64([index[x] for x in edges["u"]], "<i4"),
+                 "v": _b64([index[x] for x in edges["v"]], "<i4"), "weight": _b64(edges["weight"], "<f8")}
     return json.dumps({"format_version": version, "vertices": vertices, "edges": edges})
 
 
-def _entries(text):
-    """The version-1 document of a version-2 one: each table's columns zipped into entries."""
+def _b64(values, dtype):
+    return base64.b64encode(np.array(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _entries(text, version=1):
+    """The version-1 (or 2) document of a version-3 one: its columns decoded and zipped into entries."""
     doc = json.loads(text)
-    vertices, edges = ([dict(zip(table, row)) for row in zip(*table.values())]
-                       for table in (doc["vertices"], doc["edges"]))
-    return _doc(vertices, edges)
+    vertices, edges = doc["vertices"], doc["edges"]
+    ids = vertices["id"]
+    measure, u, v, weight = (np.frombuffer(base64.b64decode(table[key]), dtype).tolist() for table, key, dtype in (
+        (vertices, "measure", "<f8"), (edges, "u", "<i4"), (edges, "v", "<i4"), (edges, "weight", "<f8")))
+    return _doc([{"id": x, "measure": m} for x, m in zip(ids, measure)],
+                [{"u": ids[i], "v": ids[j], "weight": w} for i, j, w in zip(u, v, weight)], version)
 
 
 _ABC = [{"id": v, "measure": 1} for v in "abc"]
@@ -164,21 +182,60 @@ _ENTRY_FAULTS = [
 _V2_EDGES_AB = ', "edges": {"u": ["a"], "v": ["b"], "weight": [1]}}'
 
 
+def _v3(ids, measure, u, v, weight):
+    """A version-3 document; a numeric column given as a tuple is encoded, any other value is written as it is."""
+    columns = [_b64(c, dtype) if isinstance(c, tuple) else c
+               for c, dtype in zip((measure, u, v, weight), ("<f8", "<i4", "<i4", "<f8"))]
+    return json.dumps({"format_version": 3, "vertices": {"id": ids, "measure": columns[0]},
+                       "edges": dict(zip(("u", "v", "weight"), columns[1:]))})
+
+
+# faults of a version-3 document: each names its column or entry
+_V3_FAULTS = [
+    *[(_doc(vertices, edges, 3), message) for vertices, edges, message in _ENTRY_FAULTS
+      if message.startswith(("vertices[0].id", "vertices[3]: duplicate", "edges[2]: conflicting"))],
+    (_v3(["a", "b"], [1.0, 1.0], (0,), (1,), (1.0,)), "vertices.measure: expected a base64 string"),
+    (_v3(["a", "b"], (1.0, 1.0), (0,), None, (1.0,)), "edges.v: expected a base64 string"),
+    (_v3(["a", "b"], (1.0, 1.0), (0,), (1,), 1.0), "edges.weight: expected a base64 string"),
+    (_v3(["a", "b"], (1.0, 1.0), "AAAA!AA=", (1,), (1.0,)), "edges.u: not valid base64"),
+    (_v3(["a", "b"], (1.0, 1.0), (0,), (1,), "AAAAAAAAAA\u00e9="), "edges.weight: not valid base64"),
+    (_v3(["a", "b"], (1.0, 1.0), (0,), (1,), "AAAAAAAAAA="), "edges.weight: not valid base64"),
+    (_v3(["a", "b"], (1.0, 1.0), "AAAA", (1,), (1.0,)), "edges.u: 3 bytes is not a whole number of 4-byte entries"),
+    (_v3(["a", "b"], "AAAAAAAAAAAA", (0,), (1,), (1.0,)),
+     "vertices.measure: 9 bytes is not a whole number of 8-byte entries"),
+    (_v3(["a", "b"], (1.0,), (0,), (1,), (1.0,)), "vertices: columns of unequal length (id 2, measure 1)"),
+    (_v3(["a", "b"], (1.0, 1.0), (0, 1), (1,), (1.0, 1.0)), "edges: columns of unequal length (u 2, v 1, weight 2)"),
+    (_v3("ab", (1.0, 1.0), (0,), (1,), (1.0,)), "vertices.id: expected a list"),
+    (_v3(["a", "b", "c"], (1.0,) * 3, (0, 1), (1, -1), (1.0, 1.0)), "edges[1].v: vertex index -1 is outside [0, 3)"),
+    (_v3(["a", "b", "c"], (1.0,) * 3, (0, 3), (1, 2), (1.0, 1.0)), "edges[1].u: vertex index 3 is outside [0, 3)"),
+    # the first fault in entry order: a repeated pair before an index out of range, and after it
+    (_v3(["a", "b", "c"], (1.0,) * 3, (0, 1, 2), (1, 0, 7), (1.0,) * 3),
+     "edges[1]: conflicting symmetric entries for edge ('b', 'a')"),
+    (_v3(["a", "b", "c"], (1.0,) * 3, (0, 2, 1), (1, 7, 0), (1.0,) * 3), "edges[1].v: vertex index 7 is outside [0, 3)"),
+    # NaN and values that are not positive are the validator's to name
+    (_v3(["a", "b"], (1.0, math.nan), (0,), (1,), (1.0,)), "invalid graph: non-finite measure at 'b'"),
+    (_v3(["a", "b"], (1.0, -0.0), (0,), (1,), (1.0,)), "invalid graph: nonpositive measure at 'b'"),
+    (_v3(["a", "b"], (1.0, 1.0), (0,), (1,), (-math.inf,)), "invalid graph: non-finite weight at ('a', 'b')"),
+    (_v3(["a", "b"], (1.0, 1.0), (0,), (1,), (0.0,)), "invalid graph: nonpositive weight at ('a', 'b')"),
+]
+
+
 @pytest.mark.parametrize("text,measures,message", [
     ("{not json", None,
      "JSON parse error: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ('{"format_version": 1, "vertices": {}, "edges": []}', None, "vertices: expected a list"),
     ('{"format_version": 1, "vertices": [], "edges": null}', None, "edges: expected a list"),
-    (_doc([], [], version=3), None, "format_version: expected 1 or 2, got 3"),
+    (_doc([], [], version=4), None, "format_version: expected 1, 2 or 3, got 4"),
     # only a JSON integer is a version: not a bool, a float or a string that equals one
-    (_doc([], [], version=True), None, "format_version: expected 1 or 2, got True"),
-    (_doc([], [], version=1.0), None, "format_version: expected 1 or 2, got 1.0"),
-    (_doc([], [], version=2.0), None, "format_version: expected 1 or 2, got 2.0"),
-    (_doc([], [], version="2"), None, "format_version: expected 1 or 2, got '2'"),
-    ('{"vertices": [], "edges": []}', None, "format_version: expected 1 or 2, got None"),
+    (_doc([], [], version=True), None, "format_version: expected 1, 2 or 3, got True"),
+    (_doc([], [], version=1.0), None, "format_version: expected 1, 2 or 3, got 1.0"),
+    (_doc([], [], version=2.0), None, "format_version: expected 1, 2 or 3, got 2.0"),
+    (_doc([], [], version="2"), None, "format_version: expected 1, 2 or 3, got '2'"),
+    ('{"vertices": [], "edges": []}', None, "format_version: expected 1, 2 or 3, got None"),
     *[(_doc(vertices, edges, version), None, message)
       for version in (1, 2) for vertices, edges, message in _ENTRY_FAULTS],
-    # faults that only the column layout has: a table or a column of the wrong type, unequal columns
+    *[(text, None, message) for text, message in _V3_FAULTS],
+    # faults that only the column layouts have: a table or a column of the wrong type, unequal columns
     ('{"format_version": 2, "vertices": [], "edges": []}', None, "vertices: expected an object of columns"),
     ('{"format_version": 2, "vertices": {"id": ["a"], "measure": 1}' + _V2_EDGES_AB, None,
      "vertices.measure: expected a list"),
@@ -233,6 +290,14 @@ def test_parse_errors_are_pinned(text, measures, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("text,message", _V3_FAULTS)
+def test_cli_names_each_fault_of_a_binary_document(text, message, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["curvature", "--graph", str(path)]) == 2
+    assert _last_json(capsys) == {"format_version": 5, "command": "curvature", "error": message}
+
+
 def test_edge_list_vertex_ids_are_opaque():
     # only the number columns are checked: an id may hold "_" and non-ASCII characters
     g = parse_graph("a_1 \u0661 2\n", "a_1 1\n\u0661 3\n")
@@ -248,7 +313,7 @@ def test_edge_list_vertex_ids_are_opaque():
 def test_round_trip_generated_graphs(family, size, profile, monkeypatch, tmp_path, capsys):
     g = generate(family, size, profile, seed=5)
     text = serialize_graph(g)
-    assert json.loads(text)["format_version"] == 2
+    assert json.loads(text)["format_version"] == 3
     assert parse_graph(_entries(text)) == g
     # the edges go in pair order, which the parser does not sort again
     monkeypatch.setattr(np, "lexsort", None)
@@ -260,6 +325,43 @@ def test_round_trip_generated_graphs(family, size, profile, monkeypatch, tmp_pat
     path.write_text(capsys.readouterr().out, encoding="utf-8")
     assert run(["validate", "--graph", str(path)]) == 0
     assert _last_json(capsys)["violations"] == []
+
+
+def test_every_document_version_reads_as_one_graph(tmp_path, capsys):
+    g = random_connected_graph(np.random.default_rng(41), 14)
+    text = serialize_graph(g)
+    outputs = []
+    for version, document in ((1, _entries(text)), (2, _entries(text, 2)), (3, text)):
+        assert json.loads(document)["format_version"] == version
+        assert parse_graph(document) == g
+        path = tmp_path / f"g{version}.json"
+        path.write_text(document, encoding="utf-8")
+        for argv in (["validate"], ["curvature"], ["heat", "--t", "0.5,2", "--indicator", "v3"]):
+            assert run([argv[0], "--graph", str(path), *argv[1:]]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2] and outputs[0].count("\n") == 3
+
+
+_DOUBLES = st.one_of(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+                     st.sampled_from([5e-324, 1e-323, 2.2250738585072014e-308, 1.7976931348623157e308,
+                                      np.nextafter(1.7976931348623157e308, 0.0)]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), ids=st.lists(st.text(), min_size=2, max_size=7, unique=True))
+def test_serialize_round_trips_bit_for_bit(data, ids):
+    # positive doubles of the whole range, subnormal measures and weights near the largest double among them
+    n = len(ids)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] < p[1]), unique=True, max_size=12))
+    iu, iv = (np.array([p[k] for p in pairs], dtype=int) for k in (0, 1))
+    w = data.draw(st.lists(_DOUBLES, min_size=len(pairs), max_size=len(pairs)))
+    m = data.draw(st.lists(_DOUBLES, min_size=n, max_size=n))
+    g = WeightedGraph.from_arrays(ids, iu, iv, w, m)
+    h = parse_graph(serialize_graph(g))
+    assert h == g and h.vertices == g.vertices
+    for a, b in zip((*h.edge_arrays, h.measure_vector), (*g.edge_arrays, g.measure_vector)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _edge_list(g: WeightedGraph, comments: bool = False) -> tuple[str, str]:
