@@ -115,10 +115,12 @@ def _emit(command: str, payload: dict, summary: str) -> None:
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise GraphFormatError(f"no such file: {path}")
-    return p.read_text(encoding="utf-8")  # parse_graph drops a leading byte order mark
+    try:
+        return Path(path).read_text(encoding="utf-8")  # parse_graph drops a leading byte order mark
+    except FileNotFoundError:
+        raise GraphFormatError(f"no such file: {path}") from None
+    except OSError as exc:  # a directory, a file without read permission
+        raise GraphFormatError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _load_graph(args, require_valid: bool = True) -> WeightedGraph:
@@ -149,13 +151,11 @@ def _parse_floats(raw: str, flag: str) -> list[float]:
 
 
 def _parse_dimension(raw: str) -> float:
+    """The number of ``--dimension``; ``curvature._check_dimension`` refuses it where it is not positive."""
     try:
-        n = _number(float)(raw)
+        return _number(float)(raw)
     except ValueError:
         raise GraphFormatError(f"--dimension: expected a number or 'inf', got {raw!r}") from None
-    if not n > 0:
-        raise GraphFormatError("--dimension must be positive")
-    return n
 
 
 def _split_ids(raw: str, flag: str) -> list[str]:
@@ -354,12 +354,10 @@ def _cmd_heat(args) -> int:
 
 def _cmd_verify_estimates(args) -> int:
     g = _load_graph(args)
-    n = _parse_dimension(args.dimension)
-    K = _paper_k(args)
-    t_grid = _parse_floats(args.t, "--t")
+    K, t_grid = _paper_k(args), _parse_floats(args.t, "--t")
+    n, times = _sweep_args(K, _parse_dimension(args.dimension), t_grid)  # before _corpus_array factorizes
     # the default corpus goes to the sweep as one array, with no GraphFunction per column
     function_ids, F = _corpus_array(g, args.seed, args.num_random)
-    n, times = _sweep_args(K, n, t_grid)
     result, summary = _sweep(g, K, n, times, function_ids, F, full=args.full)
     payload = {"K": K, "dimension": n, "t_grid": t_grid, "corpus_size": len(function_ids),
                "summary": summary}

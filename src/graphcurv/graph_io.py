@@ -26,9 +26,10 @@ Each edge must be declared once per unordered pair; conflicting symmetric
 entries are rejected at parse time.  Both parsers read their entries,
 vertices and edges alike, column by column and fill the index arrays of
 ``WeightedGraph.from_arrays`` directly.  Each endpoint column of names is
-one pass of lookups in the id dict, which also shows that every endpoint is
-a string, since only strings are ids; the types are checked only when a
-lookup fails.  An index column of version 3 is checked against the range
+mapped by ``graphs._indices``, the helper of the mapping constructor too:
+one pass of lookups in the id dict, with a name that is not an id numbered
+for ``validate``.  Only strings are ids, so only those names have their
+types checked.  An index column of version 3 is checked against the range
 of the ids instead.  Only an input with a fault is walked entry by entry,
 to name it, and an entry of a column layout is the row of its columns, so
 a faulty entry gets the same message in every layout.
@@ -193,20 +194,21 @@ def _edge_columns(columns: list[list] | None, entries: Iterable, index: dict[str
     """The ends and weight of the edge entries before the first malformed one, and its fault.
 
     Entries are read column by column, and each endpoint is looked up in
-    ``index``: if every one is found, every one is a declared id and so a
-    string.  Only if one is not are the endpoints' types checked, and only
-    if an entry is malformed are they checked one by one, to name the first
+    ``index`` by ``graphs._indices``: one that is found is a declared id and
+    so a string, so only the types of the others are checked.  Only if an
+    entry is malformed are they checked one by one, to name the first
     fault; the entries before it are then read again, column by column.
     """
     if columns is not None:
         us, vs, weights = *columns[:2], _numbers(columns[2])
         if weights is not None:
-            ends = _lookup(us, vs, index)
-            if ends is None and {*map(type, us), *map(type, vs)} <= {str}:
-                unknown: dict[str, int] = {}  # endpoints that are not vertices go to validate by name
+            unknown: dict[str, int] = {}  # string endpoints that are not vertices go to validate by name
+            try:
                 ends = _indices(us, index, unknown), _indices(vs, index, unknown), list(unknown)
-            if ends is not None:
-                return ends, weights, None
+                if {*map(type, unknown)} <= {str}:
+                    return ends, weights, None
+            except TypeError:  # a JSON list or object, which no dict holds
+                pass
     entries = list(entries)
     k, fault = next((k, fault) for k, fault in enumerate(map(_edge_fault, entries)) if fault)
     return (*_edge_columns(_entry_columns(entries[:k], _EDGE_KEYS), (), index)[:2],
@@ -225,15 +227,6 @@ def _index_columns(iu: np.ndarray, iv: np.ndarray, weights: np.ndarray, n: int):
     key, x = ("u", iu[k]) if not 0 <= iu[k] < n else ("v", iv[k])
     return ((iu[:k], iv[:k], []), weights[:k],
             GraphFormatError(f"edges[{k}].{key}: vertex index {x} is outside [0, {n})"))
-
-
-def _lookup(us: list, vs: list, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray, list] | None:
-    """The indices of the endpoints, none undeclared; None if one is not a key of ``index``."""
-    try:
-        return (np.fromiter(map(index.__getitem__, us), np.intp, len(us)),
-                np.fromiter(map(index.__getitem__, vs), np.intp, len(vs)), [])
-    except (KeyError, TypeError):  # TypeError: a JSON list or object, which no dict holds
-        return None
 
 
 def _edge_fault(entry) -> str | None:
@@ -335,11 +328,12 @@ def parse_edge_list(edge_text: str, measure_text: str) -> WeightedGraph:
     index, measure = _parse_measures(measure_text)
     columns = _columns(edge_text, 3)
     weights = None if columns is None else _floats(columns[2])
-    ends = None if weights is None else _lookup(*columns[:2], index)
+    unknown: dict[str, int] = {}
+    ends = None if weights is None else (*(_indices(c, index, unknown) for c in columns[:2]), [])
     fault = None
-    if ends is None:
-        us, vs, weights, fault = _walk_edges(edge_text, index)
-        ends = _lookup(us, vs, index)  # the lines before a fault name declared vertices only
+    if ends is None or unknown:
+        us, vs, weights, fault = _walk_edges(edge_text, index)  # the lines before a fault name vertices only
+        ends = _indices(us, index, {}), _indices(vs, index, {}), []
     return _graph(index, measure, ends, weights, fault, lambda k, u, v: (
         f"edges line {_line_number(edge_text, k)}: conflicting symmetric entries for ({u!r}, {v!r})"))
 

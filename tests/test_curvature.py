@@ -105,6 +105,14 @@ def test_degrees_past_the_doubles_are_refused():
         curvature_profile(g, math.inf)
 
 
+def test_degrees_at_the_top_of_the_range_are_answered():
+    # weights 1e308 with measures 1e300: the weights of a row sum past the doubles,
+    # but Deg is 2e8.  Summed raw, the degrees were inf and the graph was refused
+    g = WeightedGraph(["a", "b", "c"], {("a", "b"): 1e308, ("b", "c"): 1e308, ("a", "c"): 1e308},
+                      dict.fromkeys("abc", 1e300))
+    assert curvature_profile(g, math.inf).global_curvature == pytest.approx(2.5e8, rel=1e-15)
+
+
 @pytest.mark.parametrize("m_b, ratio", [(1e-30, "1e-330"), (1e-10, "1e-310"), (1e-5, None)])
 def test_a_spread_past_the_doubles_is_refused(m_b, ratio):
     # an edge of weight 1/3 with m(a) = 1e300.  With max m taken to [1, 4) the

@@ -130,6 +130,14 @@ def test_from_arrays_rejects_malformed_arrays():
                                     "edge ('y', 'b') has an undeclared endpoint"]
 
 
+def test_triples_constructor_refuses_a_pair_listed_twice_in_one_orientation():
+    # the triples were collapsed into a dict first, which kept the last weight, 2.0, and validated clean
+    with pytest.raises(ValueError, match="listed twice in one orientation"):
+        WeightedGraph(["a", "b"], [("a", "b", 1.0), ("a", "b", 2.0)], {"a": 1.0, "b": 1.0})
+    both = WeightedGraph(["a", "b"], [("a", "b", 1.0), ("b", "a", 1.0)], {"a": 1.0, "b": 1.0})
+    assert validate(both) == [] and both.edge_arrays[2].tolist() == [1.0]
+
+
 def _parity_graphs():
     for family, size in [("path", 1), ("path", 6), ("cycle", 7), ("complete", 5), ("star", 4),
                          ("hypercube", 3), ("weighted_tree", 9)]:
@@ -227,6 +235,18 @@ def test_degree_respects_measure():
         ["a", "b", "c"], {("a", "b"): 1.0, ("b", "c"): 1.0}, {"a": 1.0, "b": 2.0, "c": 1.0}
     )
     assert degree(g, "b") == pytest.approx(1.0)
+
+
+def test_weighted_degrees_scale_each_row_by_its_measure():
+    # each row is summed and divided by its measure's power of two: inside the
+    # range that is the plain sum over m, bit for bit
+    for g in (*_parity_graphs(), generate("hypercube", 5, "normalizing"), generate("weighted_tree", 500)):
+        csr = g.csr
+        assert g.weighted_degrees.tobytes() == (csr.row_reduce(np.add, csr.weights) / g.measure_vector).tobytes()
+    # the raw weights of a row summed to inf, though every Deg is 2e8
+    g = WeightedGraph(["a", "b", "c"], {("a", "b"): 1e308, ("b", "c"): 1e308, ("a", "c"): 1e308},
+                      dict.fromkeys("abc", 1e300))
+    assert g.weighted_degrees.tolist() == [2e8] * 3
 
 
 @pytest.mark.parametrize("measure,weight,exponents,shared", [

@@ -828,6 +828,28 @@ def test_cli_input_error_exit_2(tmp_path, capsys):
         assert "--samples" in _last_json(capsys)["error"]
 
 
+_READING_COMMANDS = [
+    ["validate"], ["curvature"], ["cd-check", "--K", "0", "--vertex", "v0"], ["heat", "--t", "1"],
+    ["verify-estimates", "--paper-K", "0", "--t", "1"], ["green-check"], ["ec-check"],
+    ["cutoff", "--target", "v0", "--epsilon", "1"], ["finiteness", "--K", "1"], ["taylor-check", "--vertex", "v0"],
+]
+
+
+@pytest.mark.parametrize("argv", _READING_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("flag", ["--graph", "--measures"])
+def test_cli_an_unreadable_path_is_an_input_error(tmp_path, capsys, argv, flag):
+    # only a missing file was refused: a directory escaped as an IsADirectoryError traceback
+    edges, measures = tmp_path / "g.edges", tmp_path / "g.measures"
+    edges.write_text("v0 v1 1\n", encoding="utf-8")
+    measures.write_text("v0 1\nv1 1\n", encoding="utf-8")
+    paths = {"--graph": str(edges), "--measures": str(measures), flag: str(tmp_path)}
+    assert run([argv[0], "--graph", paths["--graph"], "--measures", paths["--measures"], *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert list(report) == ["format_version", "command", "error"]
+    assert report["error"].startswith(f"cannot read {tmp_path}: ") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("command", [
     ["curvature"],
     ["verify-estimates", "--paper-K", "0", "--t", "1"],
@@ -867,6 +889,28 @@ def test_cli_factorizes_the_semigroup_once(monkeypatch, capsys, tmp_path, comman
     path.write_text(serialize_graph(generate("cycle", 6)), encoding="utf-8")
     assert run([command[0], "--graph", str(path), *command[1:]]) == 0
     assert calls == factorizations
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify-estimates", "--paper-K", "0", "--t", "-1"], 2),
+    (["verify-estimates", "--paper-K", "5", "--t", "1e300"], 1),
+    (["verify-estimates", "--paper-K", "0", "--t", "1", "--dimension", "0"], 2),
+    (["curvature", "--dimension", "0"], 2),
+    (["cd-check", "--K", "inf", "--vertex", "v0"], 2),
+    (["cutoff", "--target", "v0", "--epsilon", "0"], 2),
+    (["finiteness", "--K", "0"], 2),
+    (["taylor-check", "--vertex", "v0", "--K", "inf"], 2),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else "")
+def test_cli_refuses_its_numbers_before_any_factorization(monkeypatch, tmp_path, capsys, argv, code):
+    # verify-estimates factorized the semigroup for its corpus before it refused its own t or K
+    calls = []
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, lambda *args, name=name, factorize=getattr(np.linalg, name), **kwargs:
+                            calls.append(name) or factorize(*args, **kwargs))
+    path = _write_graph(tmp_path, generate("weighted_tree", 40))
+    assert run([argv[0], "--graph", path, *argv[1:]]) == code
+    assert list(json.loads(capsys.readouterr().out)) == ["format_version", "command", "error"]
+    assert calls == []
 
 
 def test_cli_unknown_vertex_exit_2(edge_graph, capsys):
