@@ -122,6 +122,11 @@ def _check_dimension(n: float) -> float:
     return n
 
 
+def _check_K(K: float) -> None:
+    if not (-math.inf < K < math.inf):
+        raise ValueError(f"K must be finite, got {K}")
+
+
 def _stack_of(forms: LocalForms) -> LocalFormStack:
     k, G = forms.num_neighbors, forms.gamma2_matrix[None]
     return LocalFormStack(G[:, :k, :k], G[:, :k, k:], np.diagonal(G, axis1=1, axis2=2)[:, k:],
@@ -204,8 +209,7 @@ def cd_check(
     ``local_forms`` gives.
     """
     n = _check_dimension(n)
-    if not (-math.inf < K < math.inf):
-        raise ValueError(f"K must be finite, got {K}")
+    _check_K(K)
     stack, c = (local_form_stack(g, np.array([g.index(x)]))[0], g._scale[2]) if forms is None else (_stack_of(forms), 0)
     if stack.gamma.shape[1] == 0:
         return True, math.inf

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .curvature import _cd_holds, _check_dimension, _each_vertex, cd_check
+from .curvature import _cd_holds, _check_dimension, _check_K, _each_vertex, cd_check
 from .graphs import (
     GraphFunction,
     WeightedGraph,
@@ -54,7 +54,7 @@ from .graphs import (
     ellipticity_constant,
     is_connected,
 )
-from .heat import HeatOperator, build_heat
+from .heat import HeatOperator, _check_times, build_heat
 from .operators import PreconditionError, _scaled_in, _scaled_out, gamma_array, laplacian_array
 
 __all__ = [
@@ -227,9 +227,7 @@ def _phi2(x: float) -> float:
 # -- core slack computation -------------------------------------------------
 
 
-def _gradient_integral(
-    g: WeightedGraph, h: HeatOperator, K: float, lap_F: np.ndarray, times: Sequence[float]
-) -> np.ndarray:
+def _gradient_integral(h: HeatOperator, K: float, lap_F: np.ndarray, times: Sequence[float]) -> np.ndarray:
     """Int_0^t e^{2Ks} P_s (P_{t-s} Delta f)^2 ds at every t of times and vertex, in closed form.
 
     Works on a batch of functions at once (lap_F is (N,B)) and returns one
@@ -315,7 +313,7 @@ def _slack_arrays(
     if inv_n:
         lap_F = laplacian_array(g, F)
         if integrals is None:
-            integrals = _gradient_integral(g, h, K, lap_F, times)
+            integrals = _gradient_integral(h, K, lap_F, times)
         pt_lap = h._apply(times, lap_F, keep_kernel=False)
     else:
         integrals = pt_lap = itertools.repeat(0.0)
@@ -424,11 +422,9 @@ def estimate_sweep(
 def _sweep_args(K: float, n: float, t_grid: Sequence[float]) -> tuple[float, tuple[float, ...]]:
     """The checked dimension and t grid of a sweep; refuses an infinite K and e^{2|K|t} past a double."""
     n = _check_dimension(n)
-    if not (-math.inf < K < math.inf):
-        raise ValueError(f"K must be finite, got {K}")
+    _check_K(K)
     times = tuple(float(t) for t in t_grid)
-    if not all(0 <= t < math.inf for t in times):
-        raise ValueError("t must be finite and nonnegative")
+    _check_times(times)
     _check_exponent(K, max(times, default=0.0))
     return n, times
 
@@ -469,7 +465,7 @@ def _sweep(
     integrals = None
     if F.shape[1] and not math.isinf(n):
         lap_F = np.hstack([laplacian_array(unit, F[:, lo:lo + width]) for lo in range(0, F.shape[1], width)])
-        integrals = _gradient_integral(unit, h, unit_K, lap_F, unit_times)
+        integrals = _gradient_integral(h, unit_K, lap_F, unit_times)
     shape = (4, F.shape[1], len(times), g.num_vertices)
     if full:
         all_slacks, all_verdicts = np.empty(shape), np.empty(shape, dtype=bool)
@@ -728,8 +724,7 @@ def taylor_check(
     PreconditionError names the ratio.
     """
     _check_nonnegative(g, f)
-    if not (-math.inf < K < math.inf):
-        raise ValueError(f"K must be finite, got {K}")
+    _check_K(K)
     ix, (unit, _, c) = g.index(x), g._scale
     unit_K, top = _scaled_in(K, -2 * c, "|K| / max Deg"), float(np.max(unit.weighted_degrees, initial=0.0))
     rate = max(top, abs(unit_K)) or 1.0

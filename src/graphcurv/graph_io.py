@@ -22,32 +22,33 @@ columns are decoded by ``np.frombuffer`` and hold every double bit for bit
 (see ``serialize_graph`` for the times).  ``parse_graph`` reads all three:
 versions 1 and 2 are the layouts to write by hand.
 
-Each edge must be declared once per unordered pair; conflicting symmetric
-entries are rejected at parse time.  Both parsers read their entries,
-vertices and edges alike, column by column and fill the index arrays of
-``WeightedGraph.from_arrays`` directly.  Each endpoint column of names is
-mapped by ``graphs._indices``, the helper of the mapping constructor too:
-one pass of lookups in the id dict, with a name that is not an id numbered
-for ``validate``.  Only strings are ids, so only those names have their
-types checked.  An index column of version 3 is checked against the range
-of the ids instead.  Only an input with a fault is walked entry by entry,
-to name it, and an entry of a column layout is the row of its columns, so
-a faulty entry gets the same message in every layout.
-One sort of the pairs finds an edge declared twice, and the first fault in
-file order is the one reported.  ``serialize_graph`` writes the document as
-one compact line; the parser accepts any whitespace.
+Both parsers read their entries, vertices and edges alike, column by
+column and fill the index arrays of ``WeightedGraph.from_arrays`` directly.
+Each endpoint column of names is mapped by ``graphs._indices``, the helper
+of the mapping constructor too: one pass of lookups in the id dict, with a
+name that is not an id numbered for ``validate``.  Only strings are ids, so
+only those names have their types checked.  An index column of version 3
+is checked against the range of the ids instead.  Only an input with a
+fault is walked entry by entry, to name it, and an entry of a column
+layout is the row of its columns, so a faulty entry gets the same message
+in every layout.  The first such fault in file order is the one reported,
+before the graph is built.  The pairs follow the one rule of
+``from_arrays`` in every layout: a pair listed in both orientations with
+one weight is one edge, with two weights it is an asymmetry for
+``validate``, and one listed twice in one orientation is a
+``GraphFormatError`` naming it.  ``serialize_graph`` writes the document
+as one compact line; the parser accepts any whitespace.
 """
 
 from __future__ import annotations
 
 import base64
-import itertools
 import json
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import WeightedGraph, _indices, _pair_order, validate
+from .graphs import WeightedGraph, _indices, validate
 
 __all__ = ["GraphFormatError", "parse_graph", "parse_edge_list", "serialize_graph"]
 
@@ -103,10 +104,9 @@ def _parse_document(text: str) -> WeightedGraph:
     read = _entry_table if version == 1 else _column_table
     vertices, edges = read(doc, "vertices", _VERTEX_KEYS), read(doc, "edges", _EDGE_KEYS)
     index, measure = _vertex_columns(*vertices)
-    columns = _index_columns(*edges[0], len(index)) if version == 3 else _edge_columns(*edges, index)
+    ends, weights = _index_columns(*edges[0], len(index)) if version == 3 else _edge_columns(*edges, index)
     del doc, vertices, edges  # the document goes before the graph is built
-    return _graph(index, measure, *columns, lambda k, u, v: (
-        f"edges[{k}]: conflicting symmetric entries for edge ({u!r}, {v!r})"))
+    return _graph(index, measure, ends, weights)
 
 
 def _entry_table(doc: dict, name: str, keys: tuple[str, ...]) -> tuple[list[list] | None, list]:
@@ -114,15 +114,10 @@ def _entry_table(doc: dict, name: str, keys: tuple[str, ...]) -> tuple[list[list
     entries = doc.get(name)
     if not isinstance(entries, list):
         raise GraphFormatError(f"{name}: expected a list")
-    return _entry_columns(entries, keys), entries
-
-
-def _entry_columns(entries: list, keys: tuple[str, ...]) -> list[list] | None:
-    """Each key's column of the entries; None if one is not an object with all ``keys``."""
     try:
-        return [[e[key] for e in entries] for key in keys]
-    except (KeyError, TypeError):
-        return None
+        return [[e[key] for e in entries] for key in keys], entries
+    except (KeyError, TypeError):  # an entry that is not an object with all keys
+        return None, entries
 
 
 def _column_table(doc: dict, name: str, keys: tuple[str, ...]) -> tuple[list, Iterator[dict]]:
@@ -191,13 +186,12 @@ def _vertex_faults(entries: Iterable):
 
 
 def _edge_columns(columns: list[list] | None, entries: Iterable, index: dict[str, int]):
-    """The ends and weight of the edge entries before the first malformed one, and its fault.
+    """The ends and weight of the edge entries.
 
     Entries are read column by column, and each endpoint is looked up in
     ``index`` by ``graphs._indices``: one that is found is a declared id and
     so a string, so only the types of the others are checked.  Only if an
-    entry is malformed are they checked one by one, to name the first
-    fault; the entries before it are then read again, column by column.
+    entry is malformed are they checked one by one, to name the first fault.
     """
     if columns is not None:
         us, vs, weights = *columns[:2], _numbers(columns[2])
@@ -206,27 +200,21 @@ def _edge_columns(columns: list[list] | None, entries: Iterable, index: dict[str
             try:
                 ends = _indices(us, index, unknown), _indices(vs, index, unknown), list(unknown)
                 if {*map(type, unknown)} <= {str}:
-                    return ends, weights, None
+                    return ends, weights
             except TypeError:  # a JSON list or object, which no dict holds
                 pass
-    entries = list(entries)
     k, fault = next((k, fault) for k, fault in enumerate(map(_edge_fault, entries)) if fault)
-    return (*_edge_columns(_entry_columns(entries[:k], _EDGE_KEYS), (), index)[:2],
-            GraphFormatError(f"edges[{k}]{fault}"))
+    raise GraphFormatError(f"edges[{k}]{fault}")
 
 
 def _index_columns(iu: np.ndarray, iv: np.ndarray, weights: np.ndarray, n: int):
-    """The ends and weight of the version-3 edges before the first index out of range, and its fault.
-
-    ``iu`` and ``iv`` index the ``n`` vertex ids; a graph of them has no undeclared endpoint.
-    """
+    """The ends and weight of the version-3 edges, whose ``iu`` and ``iv`` must index the ``n`` vertex ids."""
     outside = (np.minimum(iu, iv) < 0) | (np.maximum(iu, iv) >= n)
-    if not outside.any():
-        return (iu, iv, []), weights, None
-    k = int(np.argmax(outside))
-    key, x = ("u", iu[k]) if not 0 <= iu[k] < n else ("v", iv[k])
-    return ((iu[:k], iv[:k], []), weights[:k],
-            GraphFormatError(f"edges[{k}].{key}: vertex index {x} is outside [0, {n})"))
+    if outside.any():
+        k = int(np.argmax(outside))
+        key, x = ("u", iu[k]) if not 0 <= iu[k] < n else ("v", iv[k])
+        raise GraphFormatError(f"edges[{k}].{key}: vertex index {x} is outside [0, {n})")
+    return (iu, iv, []), weights
 
 
 def _edge_fault(entry) -> str | None:
@@ -259,24 +247,17 @@ def _number_fault(value, field: str) -> str | None:
 
 
 def _graph(index: dict[str, int], measure: np.ndarray | list[float],
-           ends: tuple[np.ndarray, np.ndarray, list[str]], weights: np.ndarray | list[float],
-           fault: GraphFormatError | None, repeated) -> WeightedGraph:
-    """The graph of the edge entries read, or else the first fault in file order.
+           ends: tuple[np.ndarray, np.ndarray, list[str]], weights: np.ndarray | list[float]) -> WeightedGraph:
+    """The graph of the edges read, by ``from_arrays``; its refusal of a pair listed twice is a GraphFormatError.
 
-    That is the first entry that repeats the pair of an earlier one, named by
-    ``repeated(k, u, v)`` with the names of its ends, or else ``fault``, found
-    after the entries.  ``ends`` holds the endpoints' indices, with -1 - j for
-    the j-th name that is not a vertex; those go to ``validate`` by name.
+    ``ends`` holds the endpoints' indices, with -1 - j for the j-th name that
+    is not a vertex; those go to ``validate`` by name.
     """
     iu, iv, undeclared = ends
-    order, _, _, repeat = _pair_order(iu, iv)
-    if repeat.any():
-        k = int(order[repeat].min())
-        names = (*index, *reversed(undeclared))  # index -1 - j is undeclared[j]
-        raise GraphFormatError(repeated(k, names[iu[k]], names[iv[k]]))
-    if fault is not None:
-        raise fault
-    return WeightedGraph.from_arrays(list(index), iu, iv, weights, measure, undeclared=undeclared)
+    try:
+        return WeightedGraph.from_arrays(list(index), iu, iv, weights, measure, undeclared=undeclared)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
 
 
 def _lines(text: str, label: str, fields: str):
@@ -314,11 +295,6 @@ def _floats(raw: list[str]) -> list[float] | None:
         return None
 
 
-def _line_number(text: str, k: int) -> int:
-    """The number of the k-th line with content (from 0), all of whose lines up to it are well formed."""
-    return next(itertools.islice(_lines(text, "edges", "u v weight"), k, None))[0]
-
-
 def parse_edge_list(edge_text: str, measure_text: str) -> WeightedGraph:
     """Parse ``u v weight`` lines plus ``v m`` measure lines.
 
@@ -330,12 +306,9 @@ def parse_edge_list(edge_text: str, measure_text: str) -> WeightedGraph:
     weights = None if columns is None else _floats(columns[2])
     unknown: dict[str, int] = {}
     ends = None if weights is None else (*(_indices(c, index, unknown) for c in columns[:2]), [])
-    fault = None
     if ends is None or unknown:
-        us, vs, weights, fault = _walk_edges(edge_text, index)  # the lines before a fault name vertices only
-        ends = _indices(us, index, {}), _indices(vs, index, {}), []
-    return _graph(index, measure, ends, weights, fault, lambda k, u, v: (
-        f"edges line {_line_number(edge_text, k)}: conflicting symmetric entries for ({u!r}, {v!r})"))
+        _walk_edges(edge_text, index)
+    return _graph(index, measure, ends, weights)
 
 
 def _parse_measures(text: str) -> tuple[dict[str, int], list[float]]:
@@ -358,27 +331,14 @@ def _parse_measures(text: str) -> tuple[dict[str, int], list[float]]:
     return index, measure
 
 
-def _walk_edges(text: str, index: dict[str, int]):
-    """u, v and weight of the lines before the first faulty one, and its fault."""
-    us, vs, weights = [], [], []
-    try:
-        for lineno, (u, v, raw) in _lines(text, "edges", "u v weight"):
-            w = _floats([raw])
-            if w is None:
-                raise GraphFormatError(f"edges line {lineno}: bad weight {raw!r}")
-            for endpoint in (u, v):
-                if endpoint not in index:
-                    raise GraphFormatError(
-                        f"edges line {lineno}: no measure declared for vertex {endpoint!r}"
-                    )
-            us.append(u)
-            vs.append(v)
-            weights += w
-    except GraphFormatError as exc:
-        # a line naming a vertex without a measure cannot repeat an earlier
-        # line: that line's endpoints would have been reported first
-        return us, vs, weights, exc
-    return us, vs, weights, None
+def _walk_edges(text: str, index: dict[str, int]) -> None:
+    """Raise the fault of the first faulty edge line, which the column pass found there is."""
+    for lineno, (u, v, raw) in _lines(text, "edges", "u v weight"):
+        if _floats([raw]) is None:
+            raise GraphFormatError(f"edges line {lineno}: bad weight {raw!r}")
+        for endpoint in (u, v):
+            if endpoint not in index:
+                raise GraphFormatError(f"edges line {lineno}: no measure declared for vertex {endpoint!r}")
 
 
 def serialize_graph(g: WeightedGraph) -> str:

@@ -139,9 +139,9 @@ class WeightedGraph:
         """The graph with b(u, v) = ``weights[u, v]`` (or (u, v, w) triples) and m = ``measure``.
 
         A thin converter onto ``from_arrays``, which takes the pairs as given
-        and so refuses a pair listed twice in one orientation.  Endpoints and
-        measure keys that are not vertices, and vertices without a measure,
-        are passed on by name for ``validate``.
+        and applies its pair rule to them, as to those of every parser.
+        Endpoints and measure keys that are not vertices, and vertices without
+        a measure, are passed on by name for ``validate``.
         """
         names = [str(v) for v in vertices]
         pairs = [*weights.items()] if isinstance(weights, Mapping) else [((u, v), w) for u, v, w in weights]
@@ -158,10 +158,12 @@ class WeightedGraph:
                     measure_keys: Collection[str] | None = None) -> "WeightedGraph":
         """Edges (iu[k], iv[k]) of weight w[k] and the measure m, over ``vertices`` in index order.
 
-        A pair may be listed in both orientations, with one weight, but not twice in one.
-        Index -1 - j is an endpoint that is not a vertex, ``undeclared[j]``.  ``measure_keys``,
-        if given, are the ids with a declared measure: a vertex outside them has none (m is
-        not read there), and a key that is not a vertex is a violation.
+        The one pair rule of every constructor and parser: a pair listed in both orientations
+        with one weight is one edge, with two weights an asymmetry for ``validate``, and one
+        listed twice in one orientation a ``ValueError`` naming the first such entry.  Index
+        -1 - j is an endpoint that is not a vertex, ``undeclared[j]``.  ``measure_keys``, if
+        given, are the ids with a declared measure: a vertex outside them has none (m is not
+        read there), and a key that is not a vertex is a violation.
         """
         g = cls.__new__(cls)
         g._vertices = tuple(vertices)
@@ -174,8 +176,10 @@ class WeightedGraph:
             raise ValueError("expected edge arrays of one length, with indices in range, and m per vertex")
         order, lo, hi, repeat = _pair_order(iu, iv)
         up = (iu < iv)[order]  # the orientation of each entry, in pair order
-        if (repeat[1:] & (repeat[:-1] | (up[1:] == up[:-1]))).any():
-            raise ValueError("an edge is listed twice in one orientation")
+        twice = repeat[1:] & (repeat[:-1] | (up[1:] == up[:-1]))
+        if twice.any():
+            k, labels = int(order[1:][twice].min()), g._vertices + tuple(reversed(undeclared))
+            raise ValueError(f"edge ({labels[iu[k]]!r}, {labels[iv[k]]!r}) is listed twice in one orientation")
         g._violations = _violations(g, iu, iv, w, m, order, repeat, tuple(undeclared), measure_keys)
         g._edges, g._measure = tuple(a[~repeat] for a in (lo, hi, w[order])), m
         for a in (*g._edges, m):

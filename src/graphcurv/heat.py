@@ -404,8 +404,7 @@ def semigroup_gamma_path(
     """
     if k not in (0, 1):
         raise ValueError(f"k must be 0 or 1, got {k}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_times([t])
     _check_graph_function(h.graph, f)
     grid = [float(s) for s in s_grid]
     if any(s < 0 or s > t for s in grid):

@@ -24,7 +24,7 @@ from graphcurv import (
     serialize_graph,
     taylor_check,
 )
-from graphcurv import cli, graph_io
+from graphcurv import cli, graph_io, graphs
 from graphcurv.cli import _jsonify, run
 
 EDGES = "a b 1.0\n"
@@ -48,7 +48,7 @@ def test_parse_edge_list_comments_and_blanks():
 
 
 def test_parse_duplicate_symmetric_edge_rejected():
-    with pytest.raises(GraphFormatError, match="conflicting symmetric"):
+    with pytest.raises(GraphFormatError, match=r"asymmetry at \('a', 'b'\)"):
         parse_graph("a b 1\nb a 2\n", MEASURES)
 
 
@@ -171,11 +171,11 @@ _ENTRY_FAULTS = [
     (_ABC + [{"id": "1", "measure": 1}], [_AB, {"u": "1", "v": "zz", "weight": 1}],
      "invalid graph: edge ('1', 'zz') has an undeclared endpoint"),
     (_ABC, [_AB, {"u": "b", "v": "c", "weight": None}], "edges[1].weight: expected a number"),
-    (_ABC, [_AB, {"u": "c", "v": "b", "weight": 1}, {"u": "b", "v": "a", "weight": 1}],
-     "edges[2]: conflicting symmetric entries for edge ('b', 'a')"),
-    # two faults: the first in entry order is reported, a repeated pair or not
-    (_ABC, [_AB, {"u": "b", "v": "a", "weight": 1}, {"u": "a", "v": "c", "weight": "x"}],
-     "edges[1]: conflicting symmetric entries for edge ('b', 'a')"),
+    (_ABC, [_AB, {"u": "c", "v": "b", "weight": 1}, {"u": "a", "v": "b", "weight": 1}],
+     "edge ('a', 'b') is listed twice in one orientation"),
+    # a faulty entry is reported before the pairs are checked
+    (_ABC, [_AB, {"u": "a", "v": "b", "weight": 1}, {"u": "a", "v": "c", "weight": "x"}],
+     "edges[2].weight: expected a number"),
     (_ABC, [_AB, {"u": "a", "v": "c", "weight": "x"}, {"u": "b", "v": "a", "weight": 1}],
      "edges[1].weight: expected a number"),
 ]
@@ -193,7 +193,7 @@ def _v3(ids, measure, u, v, weight):
 # faults of a version-3 document: each names its column or entry
 _V3_FAULTS = [
     *[(_doc(vertices, edges, 3), message) for vertices, edges, message in _ENTRY_FAULTS
-      if message.startswith(("vertices[0].id", "vertices[3]: duplicate", "edges[2]: conflicting"))],
+      if message.startswith(("vertices[0].id", "vertices[3]: duplicate", "edge ('a', 'b') is listed"))],
     (_v3(["a", "b"], [1.0, 1.0], (0,), (1,), (1.0,)), "vertices.measure: expected a base64 string"),
     (_v3(["a", "b"], (1.0, 1.0), (0,), None, (1.0,)), "edges.v: expected a base64 string"),
     (_v3(["a", "b"], (1.0, 1.0), (0,), (1,), 1.0), "edges.weight: expected a base64 string"),
@@ -208,9 +208,8 @@ _V3_FAULTS = [
     (_v3("ab", (1.0, 1.0), (0,), (1,), (1.0,)), "vertices.id: expected a list"),
     (_v3(["a", "b", "c"], (1.0,) * 3, (0, 1), (1, -1), (1.0, 1.0)), "edges[1].v: vertex index -1 is outside [0, 3)"),
     (_v3(["a", "b", "c"], (1.0,) * 3, (0, 3), (1, 2), (1.0, 1.0)), "edges[1].u: vertex index 3 is outside [0, 3)"),
-    # the first fault in entry order: a repeated pair before an index out of range, and after it
-    (_v3(["a", "b", "c"], (1.0,) * 3, (0, 1, 2), (1, 0, 7), (1.0,) * 3),
-     "edges[1]: conflicting symmetric entries for edge ('b', 'a')"),
+    # an index out of range is reported before the pairs are checked
+    (_v3(["a", "b", "c"], (1.0,) * 3, (0, 0, 2), (1, 1, 7), (1.0,) * 3), "edges[2].v: vertex index 7 is outside [0, 3)"),
     (_v3(["a", "b", "c"], (1.0,) * 3, (0, 2, 1), (1, 7, 0), (1.0,) * 3), "edges[1].v: vertex index 7 is outside [0, 3)"),
     # NaN and values that are not positive are the validator's to name
     (_v3(["a", "b"], (1.0, math.nan), (0,), (1,), (1.0,)), "invalid graph: non-finite measure at 'b'"),
@@ -255,17 +254,14 @@ _V3_FAULTS = [
     ("a b 1\nb c\n", _ABC_MEASURES, "edges line 2: expected 'u v weight'"),
     ("a b 1\nb c one\n", _ABC_MEASURES, "edges line 2: bad weight 'one'"),
     ("a b 1\nb d 1\n", _ABC_MEASURES, "edges line 2: no measure declared for vertex 'd'"),
-    ("a b 1\nb c 1\nc b 2\n", _ABC_MEASURES, "edges line 3: conflicting symmetric entries for ('c', 'b')"),
-    # of two repeated pairs, the one repeated first in the file, not the first pair
-    ("a b 1\nb c 1\nc b 1\nb a 1\n", _ABC_MEASURES,
-     "edges line 3: conflicting symmetric entries for ('c', 'b')"),
-    ("a b 1\nb a 1\nb c x\n", _ABC_MEASURES, "edges line 2: conflicting symmetric entries for ('b', 'a')"),
+    ("a b 1\nb c 1\nc b 2\n", _ABC_MEASURES, "invalid graph: asymmetry at ('b', 'c')"),
+    # of two pairs listed twice in one orientation, the one repeated first in the file, not the first pair
+    ("a b 1\nb c 1\nb c 1\na b 1\n", _ABC_MEASURES, "edge ('b', 'c') is listed twice in one orientation"),
+    ("a b 1\nb a 1\nb c x\n", _ABC_MEASURES, "edges line 3: bad weight 'x'"),
     ("a b 1\nb c x\nb a 1\n", _ABC_MEASURES, "edges line 2: bad weight 'x'"),
-    # line numbers count comment and blank lines, on the column pass and on the walk
-    ("# header\na b 1\n\nb c 1  # note\nc b 2\n", _ABC_MEASURES,
-     "edges line 5: conflicting symmetric entries for ('c', 'b')"),
-    ("# header\na b 1\n\nb c 1  # note\nc b 2\na b c d\n", _ABC_MEASURES,
-     "edges line 5: conflicting symmetric entries for ('c', 'b')"),
+    # line numbers count comment and blank lines
+    ("# header\na b 1\n\nb c 1  # note\nc b x\n", _ABC_MEASURES, "edges line 5: bad weight 'x'"),
+    ("# header\na b 1\n\nb c 1  # note\nb c 1\na b c d\n", _ABC_MEASURES, "edges line 6: expected 'u v weight'"),
     ("a b 1\n", "# header\na 1\nb 2  # note\n\na 3\n", "measures line 5: duplicate measure for 'a'"),
     # float() reads "_" between digits and non-ASCII digits; a number column takes neither
     ("a b 1_0\n", "a 1\nb 1\n", "edges line 1: bad weight '1_0'"),
@@ -340,6 +336,73 @@ def test_every_document_version_reads_as_one_graph(tmp_path, capsys):
             assert run([argv[0], "--graph", str(path), *argv[1:]]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2] and outputs[0].count("\n") == 3
+
+
+_LAYOUTS = ("v1", "v2", "v3", "edge list")
+
+
+def _graph_files(tmp_path, measure, triples, layout):
+    """The CLI arguments of a graph file in ``layout`` with the measures by id and the (u, v, w) triples."""
+    if layout == "edge list":
+        paths = tmp_path / "g.txt", tmp_path / "m.txt"
+        paths[0].write_text("".join(f"{u} {v} {w!r}\n" for u, v, w in triples), encoding="utf-8")
+        paths[1].write_text("".join(f"{x} {m!r}\n" for x, m in measure.items()), encoding="utf-8")
+        return ["--graph", str(paths[0]), "--measures", str(paths[1])]
+    path = tmp_path / "g.json"
+    path.write_text(_doc([{"id": x, "measure": m} for x, m in measure.items()],
+                         [{"u": u, "v": v, "weight": w} for u, v, w in triples], int(layout[1])), encoding="utf-8")
+    return ["--graph", str(path)]
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_a_pair_in_both_orientations_with_one_weight_is_one_edge(layout, tmp_path, capsys):
+    # the pair rule of WeightedGraph(...) and from_arrays, in every file format
+    g = random_connected_graph(np.random.default_rng(43), 12)
+    measure, triples = {x: g.measure(x) for x in g.vertices}, list(g.edges())
+    both = triples + [(v, u, w) for u, v, w in triples]
+    both = [both[i] for i in np.random.default_rng(44).permutation(len(both))]
+    outputs = []
+    for listed in (triples, both):
+        argv = _graph_files(tmp_path, measure, listed, layout)
+        assert parse_graph(*(Path(path).read_text(encoding="utf-8") for path in argv[1::2])) == g
+        for command in ("validate", "curvature"):
+            assert run([command, *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 2
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_a_pair_with_two_weights_is_an_asymmetry(layout, tmp_path, capsys):
+    argv = _graph_files(tmp_path, {"a": 1.0, "b": 1.0, "c": 1.0},
+                        [("a", "b", 1.0), ("c", "b", 2.0), ("b", "c", 1.0)], layout)
+    assert run(["validate", *argv]) == 1
+    assert _last_json(capsys)["violations"] == ["asymmetry at ('b', 'c')"]
+    assert run(["curvature", *argv]) == 2
+    assert _last_json(capsys)["error"] == "invalid graph: asymmetry at ('b', 'c')"
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_a_pair_listed_twice_in_one_orientation_is_refused_by_name(layout, tmp_path, capsys):
+    argv = _graph_files(tmp_path, {"a": 1.0, "b": 1.0, "c": 1.0},
+                        [("a", "b", 1.0), ("c", "b", 1.0), ("b", "c", 1.0), ("c", "b", 1.0)], layout)
+    for command in ("validate", "curvature"):
+        assert run([command, *argv]) == 2
+        assert _last_json(capsys)["error"] == "edge ('c', 'b') is listed twice in one orientation"
+
+
+def test_a_document_is_paired_once(monkeypatch):
+    # the pairs are checked once, by from_arrays
+    g = random_connected_graph(np.random.default_rng(45), 30)
+    text, calls, pair_order = serialize_graph(g), [], graphs._pair_order
+
+    def counting(*args):
+        calls.append(args)
+        return pair_order(*args)
+
+    for module in (graphs, graph_io):
+        monkeypatch.setattr(module, "_pair_order", counting, raising=False)
+    assert parse_graph(text) == g
+    assert len(calls) == 1
 
 
 _DOUBLES = st.one_of(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
