@@ -292,12 +292,11 @@ def _slack_arrays(
     fails at 3 light (t, x) pairs where it fails at 7 with weight 100, and
     at none with 1e6, because the max Deg floor outgrows the slack.
 
-    Gamma(f) and f^2, their coefficients in the heat eigenbasis and those
-    of f are computed once for the grid, and one set of coefficients of f
-    serves both the plain and the kernel-free P_t f; each t costs its
-    decays and transforms back, Gamma(P_t f), and the terms and scales of
-    the four slacks.  Delta f and its terms are computed at finite n only:
-    at n = infinity every term that holds it is 0.  ``integrals``, (T,N,B),
+    Gamma(f) and f^2 and the coefficients in the heat eigenbasis of all
+    three are computed once for the grid; each t costs its decays and
+    transforms back, Gamma(P_t f), and the terms and scales of the four
+    slacks.  Delta f and its terms are computed at finite n only: at
+    n = infinity every term that holds it is 0.  ``integrals``, (T,N,B),
     are the integrals of (ii) at each t when the caller has them already
     (``_sweep`` computes them for its whole corpus); without them they are
     computed here.  Gamma(P_t f) and P_t Delta f are evaluated through the
@@ -305,8 +304,15 @@ def _slack_arrays(
     from the mean-zero Delta f), and keeping them would swamp the
     exponentially small fluctuations with rounding noise that the
     e^{2Kt}-sized coefficients then amplify past any verdict tolerance.
+    The variance takes the plain P_t f, the kernel-free one plus, at t > 0,
+    each kernel mode times its coefficient of f decayed by e^{-t lambda}.
+    Those coefficients and that sum are formed column by column, without a
+    BLAS product, whose rounding would depend on the chunk width.
     """
-    pt_F = h._apply(times, F, keep_kernel=(True, False))
+    pt_F = h._apply(times, F, keep_kernel=False)
+    modes, kernel_lam = h.eigenbasis[:, h.kernel_modes].T, h.eigenvalues[h.kernel_modes]
+    weighted = np.multiply(F.T, h.measure_half, order="C")  # each column's sum runs along a contiguous row
+    kernel = [(u / h.measure_half, np.sum(weighted * u, axis=1)) for u in modes]
     pt_gam_F = h._apply(times, gamma_array(g, F, F), keep_kernel=True)
     pt_sq_F = h._apply(times, F * F, keep_kernel=True)
     inv_n = 0.0 if math.isinf(n) else 1.0 / n
@@ -323,10 +329,12 @@ def _slack_arrays(
     floors = (gradient_floor, gradient_floor, f_sq, f_sq)
     slacks = np.empty((4, F.shape[1], len(times), g.num_vertices))
     scale = np.empty((4, F.shape[1], len(times)))
-    for k, (t, (ptF, ptF_fluct), pt_gam, pt_sq, integral, pt_lap_F) in enumerate(
+    for k, (t, ptF, pt_gam, pt_sq, integral, pt_lap_F) in enumerate(
         zip(times, pt_F, pt_gam_F, pt_sq_F, integrals, pt_lap)
     ):
-        gam_ptF = gamma_array(g, ptF_fluct, ptF_fluct)
+        gam_ptF = gamma_array(g, ptF, ptF)
+        for (w, c), d in zip(kernel, np.exp(-t * kernel_lam)) if t else ():  # in place: Gamma has read ptF
+            ptF += w[:, None] * (c * d)
         variance = pt_sq - ptF * ptF
         lap_sq = pt_lap_F * pt_lap_F
 

@@ -47,10 +47,11 @@ class AdjacencyCSR:
 
         Row x is then the edges (a, x) in the order of a < x followed by the
         edges (x, b) in the order of b > x, so a stable sort by row alone puts
-        every row in index order.
+        every row in index order.  It sorts the rows as the narrowest type
+        that holds them: numpy's stable sort is a radix sort up to 16 bits.
         """
         rows = np.concatenate((iv, iu))
-        order = np.argsort(rows, kind="stable")
+        order = np.argsort(rows.astype(np.min_scalar_type(max(num_vertices - 1, 0))), kind="stable")
         lengths = np.bincount(rows, minlength=num_vertices)
         self.indptr = np.append(0, np.cumsum(lengths))
         self.indices = np.concatenate((iu, iv))[order]

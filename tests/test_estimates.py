@@ -263,6 +263,81 @@ def test_swept_slacks_equal_per_t_evaluation(n):
         assert scale[:, :, k].tobytes() == one_scale[:, :, 0].tobytes()
 
 
+def _one_transform_slack_arrays(g, h, K, n, F, times, integrals=None):
+    """``_slack_arrays`` with P_t f formed in one transform with its kernel modes kept.
+
+    The kernel-free P_t f comes from the same coefficients of f, and every
+    other term is formed as ``_slack_arrays`` forms it.
+    """
+    U, lam, sqrt_m = h.eigenbasis, h.eigenvalues, h.measure_half[:, None]
+    coeff = U.T @ (sqrt_m * F)
+    inv_n = 0.0 if math.isinf(n) else 1.0 / n
+    lap_F = laplacian_array(g, F)
+    if integrals is None:
+        integrals = _gradient_integral(h, K, lap_F, times) if inv_n else np.zeros((len(times),) + F.shape)
+    f_sq = np.max(np.abs(F), axis=0) ** 2
+    floors = (f_sq * float(np.max(g.weighted_degrees)),) * 2 + (f_sq,) * 2
+    slacks, scale = np.empty((4, F.shape[1], len(times), g.num_vertices)), np.empty((4, F.shape[1], len(times)))
+    for k, (t, pt_gam, pt_sq, pt_lap, integral) in enumerate(zip(
+            times, h._apply(times, gamma_array(g, F, F), True), h._apply(times, F * F, True),
+            h._apply(times, lap_F, False), integrals)):
+        ptF = fluct = F
+        if t:
+            decay = np.exp(-t * lam)
+            ptF = (U @ (coeff * decay[:, None])) / sqrt_m
+            decay[h.kernel_modes] = 0.0
+            fluct = (U @ (coeff * decay[:, None])) / sqrt_m
+        gam_ptF, variance, lap_sq = gamma_array(g, fluct, fluct), pt_sq - ptF * ptF, inv_n * pt_lap * pt_lap
+        plus, minus, plus2, minus2 = _coefficients(K, t)
+        terms = ((math.exp(2 * K * t) * pt_gam, -2.0 * inv_n * integral, -gam_ptF),
+                 (math.exp(2 * K * t) * pt_gam, -plus * lap_sq, -gam_ptF),
+                 (plus * pt_gam, -plus2 * lap_sq, -variance),
+                 (variance, -minus * gam_ptF, -minus2 * lap_sq))
+        for i, ((a, b, c), floor) in enumerate(zip(terms, floors)):
+            scale[i, :, k] = np.max(np.abs(a) + np.abs(b) + np.abs(c), axis=0) + floor
+            slacks[i, :, k] = (a + b + c).T
+    return slacks, scale
+
+
+@pytest.mark.parametrize("n", [math.inf, 4.0])
+def test_kernel_part_of_every_component_matches_one_transform(monkeypatch, n):
+    # two components and an isolated vertex make three kernel modes; the sweep
+    # adds their part to the kernel-free P_t f, and must reach the verdicts of
+    # P_t f formed in one transform, with its slacks within rounding.  K is
+    # overclaimed by 0.5, so that every estimate fails and its worst triple is
+    # a failure, not one of the slacks that are rounding on a constant part
+    rng = np.random.default_rng(72)
+    parts = [random_connected_graph(rng, 7), random_connected_graph(rng, 5)]
+    g = WeightedGraph(
+        [f"{k}{v}" for k, p in enumerate(parts) for v in p.vertices] + ["z"],
+        {(f"{k}{u}", f"{k}{v}"): w for k, p in enumerate(parts) for u, v, w in p.edges()},
+        {**{f"{k}{v}": p.measure(v) for k, p in enumerate(parts) for v in p.vertices}, "z": 0.7},
+    )
+    h = build_heat(g)
+    assert np.count_nonzero(h.kernel_modes) == 3
+    kappa, times = curvature_profile(g, n).global_curvature, (0.0, 0.01, 0.3, 2.0)
+    corpus = default_corpus(g, seed=3, num_random=5)
+    for v in g.vertices[:-1]:
+        w = cd_extremal_function(g, v, n, kappa + 0.5).array
+        corpus.append((f"witness:{v}", GraphFunction(g, w - min(0.0, float(w.min())))))
+    K = -kappa - 0.5
+    F = np.stack([f.array for _, f in corpus], axis=1)
+    slacks, scale = _slack_arrays(g, h, K, n, F, times)
+    result, summary = estimate_sweep(g, K, n, times, corpus)
+    monkeypatch.setattr(estimates, "_slack_arrays", _one_transform_slack_arrays)
+    ref_slacks, ref_scale = _one_transform_slack_arrays(g, h, K, n, F, times)
+    ref_result, ref_summary = estimate_sweep(g, K, n, times, corpus)
+
+    assert np.all(np.abs(slacks - ref_slacks) <= 1e-13 * ref_scale[..., None])
+    assert np.array_equal(result.verdicts, ref_result.verdicts)
+    assert summary.num_failures == ref_summary.num_failures > 0
+    assert summary.failures_by_estimate == ref_summary.failures_by_estimate
+    first, ref_first = summary.first_counterexample, ref_summary.first_counterexample
+    assert (first.function_id, first.t, first.x) == (ref_first.function_id, ref_first.t, ref_first.x)
+    assert {name: (e["function_id"], e["t"], e["x"]) for name, e in summary.worst.items()} == {
+        name: (e["function_id"], e["t"], e["x"]) for name, e in ref_summary.worst.items()}
+
+
 def _coefficients(K, t):
     """(e^{2Kt}-1)/K, (1-e^{-2Kt})/K, (e^{2Kt}-1-2Kt)/K^2, (e^{-2Kt}-1+2Kt)/K^2."""
     x = 2.0 * K * t

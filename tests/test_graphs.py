@@ -237,6 +237,24 @@ def test_degree_respects_measure():
     assert degree(g, "b") == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("num_vertices", [300, 70_000])
+def test_csr_sorted_by_a_narrow_key_equals_an_int64_key_build(num_vertices):
+    # the rows are sorted as the narrowest unsigned type that holds them, a
+    # 16-bit key on the random graph and a 32-bit one on the path
+    if num_vertices < 2**16:
+        g = random_connected_graph(np.random.default_rng(71), num_vertices)
+    else:
+        g = generate("path", num_vertices)
+    iu, iv, w = g.edge_arrays
+    rows = np.concatenate((iv, iu)).astype(np.int64)
+    order = np.argsort(rows, kind="stable")
+    csr = g.csr
+    assert csr.indptr.tobytes() == np.append(0, np.cumsum(np.bincount(rows, minlength=g.num_vertices))).tobytes()
+    assert csr.indices.tobytes() == np.concatenate((iu, iv))[order].tobytes()
+    assert csr.weights.tobytes() == np.concatenate((w, w))[order].tobytes()
+    assert csr.rows.tobytes() == rows[order].tobytes()
+
+
 def test_weighted_degrees_scale_each_row_by_its_measure():
     # each row is summed and divided by its measure's power of two: inside the
     # range that is the plain sum over m, bit for bit
