@@ -305,14 +305,15 @@ def _slack_arrays(
     exponentially small fluctuations with rounding noise that the
     e^{2Kt}-sized coefficients then amplify past any verdict tolerance.
     The variance takes the plain P_t f, the kernel-free one plus, at t > 0,
-    each kernel mode times its coefficient of f decayed by e^{-t lambda}.
-    Those coefficients and that sum are formed column by column, without a
-    BLAS product, whose rounding would depend on the chunk width.
+    its kernel part, formed once: each kernel mode (eigenvalue exactly 0)
+    times its coefficient of f, summed column by column, without a BLAS
+    product, whose rounding would depend on the chunk width.
     """
     pt_F = h._apply(times, F, keep_kernel=False)
-    modes, kernel_lam = h.eigenbasis[:, h.kernel_modes].T, h.eigenvalues[h.kernel_modes]
     weighted = np.multiply(F.T, h.measure_half, order="C")  # each column's sum runs along a contiguous row
-    kernel = [(u / h.measure_half, np.sum(weighted * u, axis=1)) for u in modes]
+    kernel_part = np.zeros(F.shape)
+    for u in h.eigenbasis[:, h.kernel_modes].T:
+        kernel_part += (u / h.measure_half)[:, None] * np.sum(weighted * u, axis=1)
     pt_gam_F = h._apply(times, gamma_array(g, F, F), keep_kernel=True)
     pt_sq_F = h._apply(times, F * F, keep_kernel=True)
     inv_n = 0.0 if math.isinf(n) else 1.0 / n
@@ -333,8 +334,8 @@ def _slack_arrays(
         zip(times, pt_F, pt_gam_F, pt_sq_F, integrals, pt_lap)
     ):
         gam_ptF = gamma_array(g, ptF, ptF)
-        for (w, c), d in zip(kernel, np.exp(-t * kernel_lam)) if t else ():  # in place: Gamma has read ptF
-            ptF += w[:, None] * (c * d)
+        if t:  # in place: Gamma has read ptF
+            ptF += kernel_part
         variance = pt_sq - ptF * ptF
         lap_sq = pt_lap_F * pt_lap_F
 

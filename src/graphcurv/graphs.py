@@ -473,22 +473,27 @@ def ball(g: WeightedGraph, x: str, r: int) -> set[str]:
     return {g.vertices[i] for i in np.flatnonzero(seen).tolist()}
 
 
-def is_connected(g: WeightedGraph) -> bool:
-    """True iff every pair of vertices is joined by a positive-weight path.
+def _components(g: WeightedGraph) -> np.ndarray:
+    """The lowest vertex index in each vertex's component, joined by positive-weight paths.
 
     Each round hooks every root label onto the smallest root label across
     its edges, then jumps every label to its root.  A BFS would take as many
     rounds as the diameter.
     """
-    if g.num_vertices == 0:
-        raise ValueError("connectivity is undefined for the empty graph")
     iu, iv, _ = g.edge_arrays
     label = np.arange(g.num_vertices)
     while (label[iu] != label[iv]).any():
         np.minimum.at(label, np.maximum(label[iu], label[iv]), np.minimum(label[iu], label[iv]))
         while (label[label] != label).any():
             label = label[label]
-    return bool((label == 0).all())
+    return label
+
+
+def is_connected(g: WeightedGraph) -> bool:
+    """True iff every pair of vertices is joined by a positive-weight path."""
+    if g.num_vertices == 0:
+        raise ValueError("connectivity is undefined for the empty graph")
+    return bool((_components(g) == 0).all())
 
 
 def ellipticity_constant(g: WeightedGraph) -> EllipticityCertificate:

@@ -68,12 +68,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import GraphFunction, WeightedGraph, _check_graph_function
+from .graphs import GraphFunction, WeightedGraph, _check_graph_function, _components
 from .operators import _scaled_out, gamma_recursive_array
 
 __all__ = ["HeatOperator", "build_heat", "semigroup_gamma_path"]
 
-KERNEL_TOL = 1e-12  # eigenvalues below this multiple of lambda_max are kernel modes
 TAIL_TOL = 1e-15  # the Chebyshev series stops once its coefficient tail is below this
 MAX_DEGREE = 2**20  # the largest sqrt(2 c ln(1 / TAIL_TOL)) expanded: c up to about 1.6e10, 2^21 + 32 terms
 
@@ -97,11 +96,11 @@ class HeatOperator:
     The eigenbasis is factorized lazily: ``eigenvalues``, ``eigenbasis``
     and ``kernel_modes`` are computed together on the first access to any
     of them and then kept, so an operator that only expands never calls
-    ``eigh``.  ``kernel_modes`` masks the eigenvalues at or below
-    KERNEL_TOL * lambda_max, relative so that the split does not depend on
-    units.  Apart from these caches the operator is immutable, and
-    concurrent ``apply`` calls are safe (two threads reaching an empty
-    cache at once may both fill it, with equal values).
+    ``eigh``.  ``kernel_modes`` masks the first k modes, k the number of
+    components of the graph inside the domain, which span the kernel of
+    -Delta there; their eigenvalues are exactly 0.  Apart from these caches
+    the operator is immutable, and concurrent ``apply`` calls are safe (two
+    threads at an empty cache may both fill it, with equal values).
     """
 
     def __init__(self, graph: WeightedGraph, dirichlet_domain: Iterable[str] | None):
@@ -137,8 +136,11 @@ class HeatOperator:
         S = np.diag(self._degrees)
         S[rows, columns] = -self._weights / (sqrt_m[rows] * sqrt_m[columns])
         eigvals, eigvecs = np.linalg.eigh(S)
-        kernel = eigvals <= KERNEL_TOL * eigvals.max(initial=0.0)
-        eigvals = _scaled_out(eigvals, self._exponent)
+        labels = _components(self.graph)
+        inside = labels == np.arange(len(labels))  # one root per component
+        inside[np.delete(labels, self._domain)] = False  # a component with a vertex outside the domain drains
+        kernel = np.arange(len(eigvals)) < np.count_nonzero(inside)
+        eigvals = _scaled_out(np.where(kernel, 0.0, eigvals), self._exponent)
         for a in (eigvals, eigvecs, kernel):
             a.setflags(write=False)
         return eigvals, eigvecs, kernel
@@ -155,7 +157,7 @@ class HeatOperator:
 
     @property
     def kernel_modes(self) -> np.ndarray:
-        """The eigenvalues at or below KERNEL_TOL * lambda_max; read-only."""
+        """The first k modes, k the number of components inside the domain, with eigenvalue 0.0; read-only."""
         return self._spectrum[2]
 
     def apply_array(self, t: float, F: np.ndarray) -> np.ndarray:
@@ -279,8 +281,8 @@ class HeatOperator:
         modes set to 0 unless keep_kernel) and the transform back, made as
         the iterator reaches it.  t = 0 returns the input exactly.
 
-        Without keep_kernel the generator's kernel modes (eigenvalue <=
-        KERNEL_TOL * lambda_max) are dropped.  They are per-component
+        Without keep_kernel the kernel modes are dropped; with it their
+        eigenvalue, exactly 0, keeps them undecayed.  They are per-component
         constants, which neither carry a gradient nor survive in mean-zero
         inputs; dropping them is exact for those uses and keeps the
         surviving modes relatively accurate when they have decayed far below

@@ -15,6 +15,8 @@ operator norm.  Dense N x N references, filled pair by pair from
 dict-of-dicts adjacency with a plain breadth-first search checks the
 graph's own lookups (``weight``, ``neighbors``, ``ball``, ``is_connected``),
 and a pair-by-pair comparison of weights checks the classes of twins.
+``assert_kernel_modes`` pins the kernel of a heat eigenbasis to its first
+modes, one per component inside the domain, with eigenvalues exactly 0.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from graphcurv import EstimateReport, GraphFunction, LocalForms, WeightedGraph
 from graphcurv.curvature import cd_check
 from graphcurv.estimates import REPORT_TOL, _slack_arrays
 from graphcurv.graphs import ball
-from graphcurv.heat import KERNEL_TOL, HeatOperator
+from graphcurv.heat import HeatOperator
 from graphcurv.operators import gamma_recursive_array, laplacian_array
 
 
@@ -259,10 +261,16 @@ def reference_gradient_integral(
     ws = (half * w).ravel()
     lam, V, mh = h.eigenvalues, h.eigenbasis, h.measure_half
     c = V.T @ (mh * lap_f)
-    c[lam <= KERNEL_TOL * lam.max()] = 0.0
+    c[h.kernel_modes] = 0.0
     u = (V @ (np.exp(-np.outer(lam, t - s)) * c[:, None])) / mh[:, None]
     ps_u2 = (V @ (np.exp(-np.outer(lam, s)) * (V.T @ (mh[:, None] * u * u)))) / mh[:, None]
     return ps_u2 @ (ws * np.exp(2.0 * K * s))
+
+
+def assert_kernel_modes(h: HeatOperator, k: int) -> None:
+    """The kernel of h is its first k modes, and their eigenvalues are exactly 0.0."""
+    assert h.kernel_modes.tolist() == [True] * k + [False] * (len(h.eigenvalues) - k)
+    assert h.eigenvalues[:k].tolist() == [0.0] * k
 
 
 # -- reference estimate sweep and ellipticity norm --------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     antitree,
+    assert_kernel_modes,
     eager_sweep,
     loop_adjacency_norm,
     loop_ellipticity_constant,
@@ -205,7 +206,7 @@ def _integral_inputs(family, size):
     else:
         g = generate(family, size)
     h = build_heat(g)
-    assert np.count_nonzero(h.kernel_modes) == (2 if family == "disconnected" else 1)
+    assert_kernel_modes(h, 2 if family == "disconnected" else 1)
     rng = np.random.default_rng(70)
     F = np.stack([GraphFunction.indicator(g, g.vertices[0]).array,
                   rng.uniform(0.0, 1.0, g.num_vertices)], axis=1)
@@ -299,6 +300,25 @@ def _one_transform_slack_arrays(g, h, K, n, F, times, integrals=None):
     return slacks, scale
 
 
+def _two_components_and_a_vertex():
+    rng = np.random.default_rng(72)
+    parts = [random_connected_graph(rng, 7), random_connected_graph(rng, 5)]
+    return WeightedGraph(
+        [f"{k}{v}" for k, p in enumerate(parts) for v in p.vertices] + ["z"],
+        {(f"{k}{u}", f"{k}{v}"): w for k, p in enumerate(parts) for u, v, w in p.edges()},
+        {**{f"{k}{v}": p.measure(v) for k, p in enumerate(parts) for v in p.vertices}, "z": 0.7},
+    )
+
+
+def test_kernel_modes_are_the_components():
+    # one kernel mode per component, first in the eigenbasis, with eigenvalue
+    # exactly 0.0 rather than the rounding that eigh leaves there
+    for family, size, k in (("hypercube", 5, 1), ("fuzzed", 20, 1), ("disconnected", 9, 2)):
+        h, _ = _integral_inputs(family, size)
+        assert_kernel_modes(h, k)
+    assert_kernel_modes(build_heat(_two_components_and_a_vertex()), 3)
+
+
 @pytest.mark.parametrize("n", [math.inf, 4.0])
 def test_kernel_part_of_every_component_matches_one_transform(monkeypatch, n):
     # two components and an isolated vertex make three kernel modes; the sweep
@@ -306,15 +326,9 @@ def test_kernel_part_of_every_component_matches_one_transform(monkeypatch, n):
     # P_t f formed in one transform, with its slacks within rounding.  K is
     # overclaimed by 0.5, so that every estimate fails and its worst triple is
     # a failure, not one of the slacks that are rounding on a constant part
-    rng = np.random.default_rng(72)
-    parts = [random_connected_graph(rng, 7), random_connected_graph(rng, 5)]
-    g = WeightedGraph(
-        [f"{k}{v}" for k, p in enumerate(parts) for v in p.vertices] + ["z"],
-        {(f"{k}{u}", f"{k}{v}"): w for k, p in enumerate(parts) for u, v, w in p.edges()},
-        {**{f"{k}{v}": p.measure(v) for k, p in enumerate(parts) for v in p.vertices}, "z": 0.7},
-    )
+    g = _two_components_and_a_vertex()
     h = build_heat(g)
-    assert np.count_nonzero(h.kernel_modes) == 3
+    assert_kernel_modes(h, 3)
     kappa, times = curvature_profile(g, n).global_curvature, (0.0, 0.01, 0.3, 2.0)
     corpus = default_corpus(g, seed=3, num_random=5)
     for v in g.vertices[:-1]:
@@ -384,6 +398,17 @@ def test_sweep_passes_at_solved_curvature():
     reports, summary = estimate_sweep(g, -kappa, math.inf, [0.01, 0.5, 2.0], corpus)
     assert summary.passed and summary.num_failures == 0
     assert summary.num_reports == len(corpus) * 3 * g.num_vertices
+
+
+@pytest.mark.parametrize("g", [generate("cycle", 10), generate("hypercube", 5), generate("path", 40),
+                               generate("complete", 30)], ids=lambda g: repr(g))
+def test_sweep_of_a_constant_and_an_indicator_holds_at_long_times(g):
+    # far past mixing P_t f is f's mean, the variance and every gradient are
+    # rounding, and (iii) and (iv) hold only if P_t keeps the mass of f exactly
+    corpus = [("constant", GraphFunction.constant(g, 0.3)), ("indicator", GraphFunction.indicator(g, g.vertices[0]))]
+    for t in (1e8, 1e12, 1e14):
+        _, summary = estimate_sweep(g, 0.0, math.inf, [t], corpus)
+        assert summary.num_failures == 0, t
 
 
 def test_sweep_converse_detects_overclaim():

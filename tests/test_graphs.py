@@ -24,6 +24,7 @@ from graphcurv import (
     serialize_graph,
     validate,
 )
+from graphcurv.graphs import _components
 
 
 def single_edge():
@@ -186,8 +187,10 @@ def test_every_constructor_builds_one_graph(relabel):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         adjacency = naive_adjacency(names, triples)
         connected = bfs_ball(adjacency, names[0], len(names)) == set(names)
+        lowest = [min(map(names.index, bfs_ball(adjacency, u, len(names)))) for u in names]
         for h in graphs:
             assert is_connected(h) == connected
+            assert _components(h).tolist() == lowest
             for u in names:
                 assert h.neighbors(u) == tuple(sorted(adjacency[u], key=names.index))
                 assert [h.weight(u, v) for v in names] == [adjacency[u].get(v, 0.0) for v in names]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_weights, random_connected_graph, random_function, scaled_weights
+from conftest import assert_kernel_modes, dense_weights, random_connected_graph, random_function, scaled_weights
 from graphcurv import (
     GraphFunction,
     WeightedGraph,
@@ -116,6 +116,27 @@ def test_ground_modes_constant_per_component():
         for c in (0, 1):
             vals = [pulled[g.index(v)] for v in g.vertices if comp[v] == c]
             assert max(vals) - min(vals) <= 1e-10
+
+
+def _two_triangles(bridge=None):
+    weights = {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 1.0, ("d", "e"): 1.0, ("e", "f"): 1.0, ("d", "f"): 1.0}
+    if bridge is not None:
+        weights[("c", "d")] = bridge
+    return WeightedGraph(list("abcdef"), weights, {v: 1.0 for v in "abcdef"})
+
+
+def test_kernel_modes_are_the_components_inside_the_domain():
+    # an edge of weight 1e-14 joins the triangles: its eigenvalue, about 6e-15,
+    # lies far below lambda_max but is no kernel mode, and on the domain
+    # {a, b, c} that edge drains the heat, so there is no kernel at all
+    joined = _two_triangles(1e-14)
+    assert_kernel_modes(build_heat(joined), 1)
+    assert_kernel_modes(build_heat(joined, dirichlet_domain={"a", "b", "c"}), 0)
+    # a domain holding one whole component and part of the other keeps the
+    # constant of the whole one only
+    split = _two_triangles()
+    assert_kernel_modes(build_heat(split), 2)
+    assert_kernel_modes(build_heat(split, dirichlet_domain=set("abcde")), 1)
 
 
 # -- apply ------------------------------------------------------------------------
@@ -360,6 +381,32 @@ def test_mass_conserved_without_dirichlet():
     h = build_heat(g)
     for t in (0.0, 0.5, 3.0):
         assert _mass(h, t) == pytest.approx(np.ones(9), abs=1e-10)
+
+
+@pytest.mark.parametrize("g", [generate("cycle", 10), generate("hypercube", 5), generate("path", 40),
+                               generate("complete", 30)], ids=lambda g: repr(g))
+def test_eigenbasis_keeps_the_mass_at_long_times(g):
+    # the kernel eigenvalue is exactly 0, so P_t 1 = 1 to rounding however far
+    # past mixing t lies; decayed by an eigenvalue of rounding size, about
+    # 1e-16, P_t 1 would drift by t 1e-16
+    times = (1e5, 1e8, 1e12, 1e16)
+    for mass in build_heat(g)._apply(times, np.ones(g.num_vertices), keep_kernel=True):
+        assert np.max(np.abs(mass - 1.0)) <= 1e-13
+
+
+def test_eigenbasis_keeps_each_component_mass():
+    rng = np.random.default_rng(39)
+    parts = [random_connected_graph(rng, 6), random_connected_graph(rng, 9, measure_range=(1e-2, 1e2))]
+    g = WeightedGraph(
+        [f"{k}{v}" for k, p in enumerate(parts) for v in p.vertices],
+        {(f"{k}{u}", f"{k}{v}"): w for k, p in enumerate(parts) for u, v, w in p.edges()},
+        {f"{k}{v}": p.measure(v) for k, p in enumerate(parts) for v in p.vertices},
+    )
+    m, f = g.measure_vector, rng.uniform(0.0, 1.0, g.num_vertices)
+    components = [np.array([v.startswith(str(k)) for v in g.vertices]) for k in range(len(parts))]
+    for out in build_heat(g)._apply((1.0, 1e5, 1e12, 1e16), f, keep_kernel=True):
+        for c in components:
+            assert abs(m[c] @ out[c] - m[c] @ f[c]) <= 1e-13 * (m[c] @ f[c])
 
 
 def test_mass_dirichlet_single_edge():

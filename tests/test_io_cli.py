@@ -1082,6 +1082,18 @@ def test_cli_cutoff_and_precondition(edge_graph, tmp_path, capsys):
     assert code == 1 and "error" in report
 
 
+@pytest.mark.parametrize("family, size, target, epsilon", [("hypercube", 5, "00000", "1e-14"),
+                                                            ("cycle", 10, "v0", "1e-15")])
+def test_cli_cutoff_keeps_the_mass_at_long_times(tmp_path, capsys, family, size, target, epsilon):
+    # U is the whole vertex set, so P_t 1_U = 1 at t = 2 / epsilon, however
+    # far past mixing, and eta = 1 has no gradient
+    path = tmp_path / "g.json"
+    path.write_text(serialize_graph(generate(family, size)), encoding="utf-8")
+    assert run(["cutoff", "--graph", str(path), "--target", target, "--epsilon", epsilon]) == 0
+    report = _last_json(capsys)
+    assert report["bound_holds"] is True and report["max_gamma"] == 0.0
+
+
 def test_cli_green_ec_finiteness_taylor(edge_graph, capsys):
     assert run(["green-check", "--graph", edge_graph, "--samples", "5"]) == 0
     capsys.readouterr()
