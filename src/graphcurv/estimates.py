@@ -36,7 +36,6 @@ finite-measure threshold probe, and small-t Taylor coefficient fits.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import sys
@@ -292,52 +291,39 @@ def _slack_arrays(
     fails at 3 light (t, x) pairs where it fails at 7 with weight 100, and
     at none with 1e6, because the max Deg floor outgrows the slack.
 
-    Gamma(f) and f^2 and the coefficients in the heat eigenbasis of all
-    three are computed once for the grid; each t costs its decays and
-    transforms back, Gamma(P_t f), and the terms and scales of the four
-    slacks.  Delta f and its terms are computed at finite n only: at
+    The terms see f only through Gamma, Delta and P_t f^2 - (P_t f)^2, which
+    a constant on a component leaves unchanged, so the slacks are taken on
+    f less its m-weighted mean on each component, formed once from the
+    kernel modes column by column (a BLAS product's rounding would depend on
+    the chunk width).  Its P_t drops the kernel modes, whose rounding would
+    swamp the exponentially small fluctuations once the e^{2Kt}-sized
+    coefficients amplify it.  At finite n, P_t Delta f is Delta P_t f; at
     n = infinity every term that holds it is 0.  ``integrals``, (T,N,B),
-    are the integrals of (ii) at each t when the caller has them already
-    (``_sweep`` computes them for its whole corpus); without them they are
-    computed here.  Gamma(P_t f) and P_t Delta f are evaluated through the
-    kernel-free apply: the dropped modes are gradient-free (resp. absent
-    from the mean-zero Delta f), and keeping them would swamp the
-    exponentially small fluctuations with rounding noise that the
-    e^{2Kt}-sized coefficients then amplify past any verdict tolerance.
-    The variance takes the plain P_t f, the kernel-free one plus, at t > 0,
-    its kernel part, formed once: each kernel mode (eigenvalue exactly 0)
-    times its coefficient of f, summed column by column, without a BLAS
-    product, whose rounding would depend on the chunk width.
+    are the integrals of (ii) when the caller has them (``_sweep`` computes
+    them for its whole corpus); without them they are computed here, from
+    Delta f of the columns as given.
     """
-    pt_F = h._apply(times, F, keep_kernel=False)
-    weighted = np.multiply(F.T, h.measure_half, order="C")  # each column's sum runs along a contiguous row
-    kernel_part = np.zeros(F.shape)
-    for u in h.eigenbasis[:, h.kernel_modes].T:
-        kernel_part += (u / h.measure_half)[:, None] * np.sum(weighted * u, axis=1)
-    pt_gam_F = h._apply(times, gamma_array(g, F, F), keep_kernel=True)
-    pt_sq_F = h._apply(times, F * F, keep_kernel=True)
     inv_n = 0.0 if math.isinf(n) else 1.0 / n
-    if inv_n:
-        lap_F = laplacian_array(g, F)
-        if integrals is None:
-            integrals = _gradient_integral(h, K, lap_F, times)
-        pt_lap = h._apply(times, lap_F, keep_kernel=False)
-    else:
-        integrals = pt_lap = itertools.repeat(0.0)
+    if inv_n and integrals is None:
+        integrals = _gradient_integral(h, K, laplacian_array(g, F), times)
+    weighted = np.multiply(F.T, h.measure_half, order="C")  # each column's sum runs along a contiguous row
+    fluctuation = F.copy()
+    for u in h.eigenbasis[:, h.kernel_modes].T:
+        fluctuation -= (u / h.measure_half)[:, None] * np.sum(weighted * u, axis=1)
+    pt_F = h._apply(times, fluctuation, keep_kernel=False)
+    pt_gam_F = h._apply(times, gamma_array(g, fluctuation, fluctuation), keep_kernel=True)
+    pt_sq_F = h._apply(times, fluctuation * fluctuation, keep_kernel=True)
 
     f_sq = np.max(np.abs(F), axis=0, initial=0.0) ** 2
     gradient_floor = f_sq * float(np.max(g.weighted_degrees, initial=0.0))
     floors = (gradient_floor, gradient_floor, f_sq, f_sq)
     slacks = np.empty((4, F.shape[1], len(times), g.num_vertices))
     scale = np.empty((4, F.shape[1], len(times)))
-    for k, (t, ptF, pt_gam, pt_sq, integral, pt_lap_F) in enumerate(
-        zip(times, pt_F, pt_gam_F, pt_sq_F, integrals, pt_lap)
-    ):
+    for k, (t, ptF, pt_gam, pt_sq) in enumerate(zip(times, pt_F, pt_gam_F, pt_sq_F)):
         gam_ptF = gamma_array(g, ptF, ptF)
-        if t:  # in place: Gamma has read ptF
-            ptF += kernel_part
         variance = pt_sq - ptF * ptF
-        lap_sq = pt_lap_F * pt_lap_F
+        integral, lap_ptF = (integrals[k], laplacian_array(g, ptF)) if inv_n else (0.0, 0.0)
+        lap_sq = lap_ptF * lap_ptF
 
         # (e^{2Kt}-1)/K, (1-e^{-2Kt})/K, (e^{2Kt}-1-2Kt)/K^2, (e^{-2Kt}-1+2Kt)/K^2
         x = 2.0 * K * t

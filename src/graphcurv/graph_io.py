@@ -319,16 +319,18 @@ def _parse_measures(text: str) -> tuple[dict[str, int], list[float]]:
         index = dict(zip(columns[0], range(len(measure))))
         if len(index) == len(measure):
             return index, measure
-    index, measure = {}, []
+    _walk_measures(text)
+
+
+def _walk_measures(text: str) -> None:
+    """Raise the fault of the first faulty measure line, which the column pass found there is."""
+    seen = set()
     for lineno, (vid, raw) in _lines(text, "measures", "vertex measure"):
-        if vid in index:
+        if vid in seen:
             raise GraphFormatError(f"measures line {lineno}: duplicate measure for {vid!r}")
-        value = _floats([raw])
-        if value is None:
+        if _floats([raw]) is None:
             raise GraphFormatError(f"measures line {lineno}: bad measure {raw!r}")
-        measure += value
-        index[vid] = len(index)
-    return index, measure
+        seen.add(vid)
 
 
 def _walk_edges(text: str, index: dict[str, int]) -> None:

@@ -465,11 +465,11 @@ def ball(g: WeightedGraph, x: str, r: int) -> set[str]:
     csr, seen = g.csr, np.zeros(g.num_vertices, dtype=bool)
     seen[frontier] = True
     for _ in range(r):
-        ends = csr.indices[csr.entries(frontier)[0]]
-        frontier = np.unique(ends[~seen[ends]])
+        reached = seen.copy()
+        reached[csr.indices[csr.entries(frontier)[0]]] = True
+        frontier, seen = np.flatnonzero(reached > seen), reached
         if not frontier.size:
             break
-        seen[frontier] = True
     return {g.vertices[i] for i in np.flatnonzero(seen).tolist()}
 
 

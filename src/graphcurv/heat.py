@@ -96,11 +96,14 @@ class HeatOperator:
     The eigenbasis is factorized lazily: ``eigenvalues``, ``eigenbasis``
     and ``kernel_modes`` are computed together on the first access to any
     of them and then kept, so an operator that only expands never calls
-    ``eigh``.  ``kernel_modes`` masks the first k modes, k the number of
-    components of the graph inside the domain, which span the kernel of
-    -Delta there; their eigenvalues are exactly 0.  Apart from these caches
-    the operator is immutable, and concurrent ``apply`` calls are safe (two
-    threads at an empty cache may both fill it, with equal values).
+    ``eigh``.  ``kernel_modes`` masks the first k modes, sqrt(m) on each of
+    the k components inside the domain, normalized: the kernel of -Delta
+    there, with eigenvalue exactly 0.  ``eigh`` factorizes S with them
+    lifted above the spectrum, so that its bottom N - k modes, orthogonal to
+    them however small the gap, are the rest; an eigenvalue below 0 is
+    raised to 0.  Apart from these caches the operator is immutable, and
+    concurrent ``apply`` calls are safe (two threads at an empty cache may
+    both fill it, with equal values).
     """
 
     def __init__(self, graph: WeightedGraph, dirichlet_domain: Iterable[str] | None):
@@ -135,12 +138,18 @@ class HeatOperator:
         rows, columns, sqrt_m = self._rows, self._columns, np.sqrt(self._measure)
         S = np.diag(self._degrees)
         S[rows, columns] = -self._weights / (sqrt_m[rows] * sqrt_m[columns])
-        eigvals, eigvecs = np.linalg.eigh(S)
         labels = _components(self.graph)
         inside = labels == np.arange(len(labels))  # one root per component
         inside[np.delete(labels, self._domain)] = False  # a component with a vertex outside the domain drains
-        kernel = np.arange(len(eigvals)) < np.count_nonzero(inside)
-        eigvals = _scaled_out(np.where(kernel, 0.0, eigvals), self._exponent)
+        # sqrt(m) on each component inside the domain, normalized: S maps these to 0 exactly
+        local, k = labels[self._domain], np.count_nonzero(inside)
+        Z = np.where(local[:, None] == np.flatnonzero(inside), sqrt_m[:, None], 0.0)
+        Z /= np.linalg.norm(Z, axis=0)
+        S += (4.0 * self._half * Z) @ Z.T  # lifted to 2 Lambda, above the rest of the spectrum
+        eigvals, eigvecs = np.linalg.eigh(S)
+        rest, kernel = len(eigvals) - k, np.arange(len(eigvals)) < k
+        eigvals = _scaled_out(np.concatenate((np.zeros(k), np.maximum(eigvals[:rest], 0.0))), self._exponent)
+        eigvecs = np.hstack((Z, eigvecs[:, :rest]))
         for a in (eigvals, eigvecs, kernel):
             a.setflags(write=False)
         return eigvals, eigvecs, kernel
@@ -157,7 +166,10 @@ class HeatOperator:
 
     @property
     def kernel_modes(self) -> np.ndarray:
-        """The first k modes, k the number of components inside the domain, with eigenvalue 0.0; read-only."""
+        """The first k modes, k the components inside the domain: sqrt(m) on each, normalized; read-only.
+
+        Their eigenvalues are exactly 0.0, and no other eigenvalue is below it.
+        """
         return self._spectrum[2]
 
     def apply_array(self, t: float, F: np.ndarray) -> np.ndarray:
@@ -281,10 +293,9 @@ class HeatOperator:
         modes set to 0 unless keep_kernel) and the transform back, made as
         the iterator reaches it.  t = 0 returns the input exactly.
 
-        Without keep_kernel the kernel modes are dropped; with it their
-        eigenvalue, exactly 0, keeps them undecayed.  They are per-component
-        constants, which neither carry a gradient nor survive in mean-zero
-        inputs; dropping them is exact for those uses and keeps the
+        Without keep_kernel the kernel modes, a constant on each component,
+        are dropped; with it their eigenvalue, exactly 0, keeps them.  The
+        drop is exact for a gradient or a mean-zero input, and keeps the
         surviving modes relatively accurate when they have decayed far below
         the constant part, where the plain apply would return amplified
         rounding instead.

@@ -16,7 +16,9 @@ dict-of-dicts adjacency with a plain breadth-first search checks the
 graph's own lookups (``weight``, ``neighbors``, ``ball``, ``is_connected``),
 and a pair-by-pair comparison of weights checks the classes of twins.
 ``assert_kernel_modes`` pins the kernel of a heat eigenbasis to its first
-modes, one per component inside the domain, with eigenvalues exactly 0.
+modes, one per component inside the domain, with eigenvalues exactly 0, and
+``assert_kernel_columns`` pins those modes to sqrt(m) on each component.
+``two_triangles`` is the nearly disconnected graph of the kernel tests.
 """
 
 from __future__ import annotations
@@ -271,6 +273,28 @@ def assert_kernel_modes(h: HeatOperator, k: int) -> None:
     """The kernel of h is its first k modes, and their eigenvalues are exactly 0.0."""
     assert h.kernel_modes.tolist() == [True] * k + [False] * (len(h.eigenvalues) - k)
     assert h.eigenvalues[:k].tolist() == [0.0] * k
+
+
+def assert_kernel_columns(h: HeatOperator, components: list[list[str]]) -> None:
+    """The kernel modes of the full-graph h are sqrt(m) 1_C / ||sqrt(m) 1_C||, one per component C in order.
+
+    Each entry within 1e-15, the components given by name.
+    """
+    g, m = h.graph, h.graph.measure_vector
+    expected = np.zeros((g.num_vertices, len(components)))
+    for j, c in enumerate(components):
+        idx = [g.index(v) for v in c]
+        expected[idx, j] = np.sqrt(m[idx] / np.sum(m[idx]))
+    assert_kernel_modes(h, len(components))
+    assert np.max(np.abs(h.eigenbasis[:, h.kernel_modes] - expected), initial=0.0) <= 1e-15
+
+
+def two_triangles(bridge: float | None = None) -> WeightedGraph:
+    """Two unit triangles abc and def, joined by an edge c-d of weight ``bridge`` unless it is None."""
+    weights = {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 1.0, ("d", "e"): 1.0, ("e", "f"): 1.0, ("d", "f"): 1.0}
+    if bridge is not None:
+        weights[("c", "d")] = bridge
+    return WeightedGraph(list("abcdef"), weights, {v: 1.0 for v in "abcdef"})
 
 
 # -- reference estimate sweep and ellipticity norm --------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     antitree,
+    assert_kernel_columns,
     assert_kernel_modes,
     eager_sweep,
     loop_adjacency_norm,
@@ -15,6 +16,7 @@ from conftest import (
     random_function,
     reference_gradient_integral,
     scaled_weights,
+    two_triangles,
 )
 from graphcurv import (
     GraphFunction,
@@ -316,14 +318,16 @@ def test_kernel_modes_are_the_components():
     for family, size, k in (("hypercube", 5, 1), ("fuzzed", 20, 1), ("disconnected", 9, 2)):
         h, _ = _integral_inputs(family, size)
         assert_kernel_modes(h, k)
-    assert_kernel_modes(build_heat(_two_components_and_a_vertex()), 3)
+    g = _two_components_and_a_vertex()
+    assert_kernel_columns(build_heat(g), [[v for v in g.vertices if v[0] == c] for c in "01z"])
 
 
 @pytest.mark.parametrize("n", [math.inf, 4.0])
 def test_kernel_part_of_every_component_matches_one_transform(monkeypatch, n):
     # two components and an isolated vertex make three kernel modes; the sweep
-    # adds their part to the kernel-free P_t f, and must reach the verdicts of
-    # P_t f formed in one transform, with its slacks within rounding.  K is
+    # takes its slacks on f less its kernel part, with P_t Delta f as
+    # Delta P_t f, and must reach the verdicts of P_t f formed in one transform
+    # and P_t Delta f in the eigenbasis, with its slacks within rounding.  K is
     # overclaimed by 0.5, so that every estimate fails and its worst triple is
     # a failure, not one of the slacks that are rounding on a constant part
     g = _two_components_and_a_vertex()
@@ -350,6 +354,40 @@ def test_kernel_part_of_every_component_matches_one_transform(monkeypatch, n):
     assert (first.function_id, first.t, first.x) == (ref_first.function_id, ref_first.t, ref_first.x)
     assert {name: (e["function_id"], e["t"], e["x"]) for name, e in summary.worst.items()} == {
         name: (e["function_id"], e["t"], e["x"]) for name, e in ref_summary.worst.items()}
+
+
+def _cycle_path_and_a_vertex():
+    parts = [generate("cycle", 5), generate("path", 4)]
+    return WeightedGraph(
+        [f"{k}{v}" for k, p in enumerate(parts) for v in p.vertices] + ["z"],
+        {(f"{k}{u}", f"{k}{v}"): w for k, p in enumerate(parts) for u, v, w in p.edges()},
+        {**{f"{k}{v}": p.measure(v) for k, p in enumerate(parts) for v in p.vertices}, "z": 1.0},
+    )
+
+
+@pytest.mark.parametrize("n", [4.0, math.inf])
+def test_slacks_do_not_see_a_constant_on_a_component(n):
+    # every term sees f only through Gamma, Delta and P_t f^2 - (P_t f)^2, so
+    # adding 2, 5 and 0.5 on the three components moves no slack past
+    # rounding; a variance formed from f itself would cancel the constants
+    g = _cycle_path_and_a_vertex()
+    h = build_heat(g)
+    _, F = _corpus_array(g, 3, 4)
+    shift = np.array([{"0": 2.0, "1": 5.0, "z": 0.5}[v[0]] for v in g.vertices])
+    times = (0.0, 0.01, 1.0, 10.0)
+    slacks, scale = _slack_arrays(g, h, -0.3, n, F, times)
+    shifted, _ = _slack_arrays(g, h, -0.3, n, F + shift[:, None], times)
+    assert np.all(np.abs(shifted - slacks) <= 1e-14 * scale[..., None])
+
+
+def test_sweep_of_a_constant_across_a_light_bridge_holds():
+    # the bridge of 1e-14 makes one component whose second eigenvalue lies
+    # near eigh's rounding; the constant 3 has no fluctuation, so it holds at
+    # every t, far past mixing too
+    g = two_triangles(1e-14)
+    corpus = [("three", GraphFunction(g, np.full(6, 3.0)))]
+    _, summary = estimate_sweep(g, 0.0, math.inf, (0.0, 0.01, 1.0, 1e6, 1e12), corpus)
+    assert summary.num_failures == 0
 
 
 def _coefficients(K, t):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphcurv
 from conftest import bfs_ball, naive_adjacency, random_connected_graph, random_function
 from graphcurv import (
     GraphFunction,
@@ -312,6 +317,18 @@ def test_ball_monotone_and_one_ball_size():
             assert prev <= cur
             prev = cur
         assert len(ball(g, x, 1)) == 1 + len(g.neighbors(x))
+
+
+def test_ball_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, 1.7 MB of RSS for a sort
+    # of the frontier; a fresh interpreter shows whether ball pulls it in
+    code = ("import sys, graphcurv; "
+            "graphcurv.ball(graphcurv.generate('cycle', 10), 'v0', 3); "
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(graphcurv.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_is_connected():

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_kernel_modes, dense_weights, random_connected_graph, random_function, scaled_weights
+from conftest import (
+    assert_kernel_columns,
+    assert_kernel_modes,
+    dense_weights,
+    random_connected_graph,
+    random_function,
+    scaled_weights,
+    two_triangles,
+)
 from graphcurv import (
     GraphFunction,
     WeightedGraph,
@@ -118,25 +126,45 @@ def test_ground_modes_constant_per_component():
             assert max(vals) - min(vals) <= 1e-10
 
 
-def _two_triangles(bridge=None):
-    weights = {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 1.0, ("d", "e"): 1.0, ("e", "f"): 1.0, ("d", "f"): 1.0}
-    if bridge is not None:
-        weights[("c", "d")] = bridge
-    return WeightedGraph(list("abcdef"), weights, {v: 1.0 for v in "abcdef"})
-
-
 def test_kernel_modes_are_the_components_inside_the_domain():
     # an edge of weight 1e-14 joins the triangles: its eigenvalue, about 6e-15,
     # lies far below lambda_max but is no kernel mode, and on the domain
     # {a, b, c} that edge drains the heat, so there is no kernel at all
-    joined = _two_triangles(1e-14)
+    joined = two_triangles(1e-14)
     assert_kernel_modes(build_heat(joined), 1)
     assert_kernel_modes(build_heat(joined, dirichlet_domain={"a", "b", "c"}), 0)
     # a domain holding one whole component and part of the other keeps the
     # constant of the whole one only
-    split = _two_triangles()
-    assert_kernel_modes(build_heat(split), 2)
+    split = two_triangles()
+    assert_kernel_columns(build_heat(split), [list("abc"), list("def")])
     assert_kernel_modes(build_heat(split, dirichlet_domain=set("abcde")), 1)
+
+
+@pytest.mark.parametrize("bridge", [1e-14, 1e-17, 1e-20])
+def test_eigenbasis_keeps_the_mass_across_a_light_bridge(bridge):
+    # the bridge's eigenvalue lies at or below eigh's rounding, about 1e-16
+    # lambda_max, where eigh mixes its kernel vector with the next mode; the
+    # kernel vector is sqrt(m) on the whole graph all the same, so P_t keeps
+    # the ones column and the mass of a point mass however long t is
+    g = two_triangles(bridge)
+    h = build_heat(g)
+    assert_kernel_columns(h, [g.vertices])
+    times = (1.0, 1e12, 1e20)
+    for ones, point in zip(h._apply(times, np.ones(6), keep_kernel=True),
+                           h._apply(times, np.eye(6)[0], keep_kernel=True)):
+        assert np.max(np.abs(ones - 1.0)) <= 1e-13
+        assert abs(g.measure_vector @ point - 1.0) <= 1e-13
+
+
+def test_dirichlet_semigroup_grows_along_no_mode_across_a_light_bridge():
+    # on {a, b, c, d} the triangle abc drains only through the bridge, so its
+    # slowest eigenvalue, about 1e-17, is below eigh's rounding, which may
+    # return it below 0; raised to 0, P_t 1 stays in [0, 1] however long t is
+    h = build_heat(two_triangles(1e-17), dirichlet_domain=set("abcd"))
+    assert_kernel_modes(h, 0)
+    assert h.eigenvalues.min() >= 0.0
+    for mass in h._apply((1e15, 1e18, 1e20), np.ones(6), keep_kernel=True):
+        assert np.all((mass >= 0.0) & (mass <= 1.0))
 
 
 # -- apply ------------------------------------------------------------------------
@@ -435,6 +463,14 @@ def _spread(g, lo, hi, seed):
 
 _MASS_GRAPHS = _FAMILIES + [_spread(graph_with_isolated_vertices(), lo, hi, seed)
                             for lo, hi, seed in ((-300, 0, 66), (0, 300, 67), (-150, 150, 68))]
+
+
+@pytest.mark.parametrize("g", _MASS_GRAPHS, ids=lambda g: repr(g))
+def test_no_eigenvalue_is_below_zero(g):
+    # -Delta is positive semidefinite; an eigenvalue that eigh returns below 0
+    # would make P_t grow along its mode as t grows
+    for domain in (None, g.vertices[1::2]):
+        assert build_heat(g, dirichlet_domain=domain).eigenvalues.min() >= 0.0
 
 
 def _mass_times(h):
